@@ -7,8 +7,10 @@ state:
     T_a(rho) = (1-P) rho (1-P) + 1/2 Twirl_i(P rho P) + 1/2 Twirl_j(P rho P)
 
 The full step averages T_a uniformly over clauses. Everything here is exact
-dense matrix arithmetic; stochastic pure-state sampling of the same process
-lives in `trajectory`.
+arithmetic on the full 2^n x 2^n density matrix, but each clause update
+touches only its two qubits: a local kernel reads and writes reshaped views
+of the state, so a step costs O(L 4^n) and no embedded projector is built.
+Stochastic pure-state sampling of the same process lives in `trajectory`.
 """
 
 from __future__ import annotations
@@ -40,11 +42,82 @@ def twirl(rho: np.ndarray, q: int) -> np.ndarray:
     return out.reshape(2**n, 2**n)
 
 
-def _apply_projected_update(rho: np.ndarray, proj: np.ndarray, i: int, j: int) -> np.ndarray:
-    pr = proj @ rho
-    prp = pr @ proj
-    survived = rho - pr - rho @ proj + prp
-    return survived + 0.5 * (twirl(prp, i) + twirl(prp, j))
+@dataclass(frozen=True)
+class _ClauseTerms:
+    """A clause in the layout the local kernel reads.
+
+    `pair` is the shape (2^lo, 2, 2^(hi-lo-1), 2, 2^(n-1-hi)) that splits a
+    basis index around the clause's qubits lo < hi. `phi` lists the nonzero
+    amplitudes as (b_lo, b_hi, amplitude) and `g` the nonzero entries of
+    G = P + K as (b_lo, b_hi, b_lo', b_hi', value), where
+    K = 1/2 (I/2 (x) tr_lo P + tr_hi P (x) I/2) carries the two twirls.
+    """
+
+    pair: tuple
+    phi: tuple
+    g: tuple
+
+
+def _clause_terms(clause: Clause, n: int) -> _ClauseTerms:
+    lo, hi = sorted((clause.i, clause.j))
+    phi = clause.amps.reshape(2, 2)            # axes (qubit i, qubit j)
+    if clause.i > clause.j:
+        phi = phi.T                            # axes (qubit lo, qubit hi)
+    p = phi[:, :, None, None] * phi.conj()     # P with axes (lo, hi, lo', hi')
+    eye = np.eye(2)
+    k = 0.25 * (eye[:, None, :, None] * (phi.T @ phi.conj())[None, :, None, :]
+                + (phi @ phi.conj().T)[:, None, :, None] * eye[None, :, None, :])
+    return _ClauseTerms(
+        pair=(2**lo, 2, 2 ** (hi - lo - 1), 2, 2 ** (n - 1 - hi)),
+        phi=tuple((*ix, complex(v)) for ix, v in np.ndenumerate(phi) if v != 0),
+        g=tuple((*ix, complex(v)) for ix, v in np.ndenumerate(p + k) if v != 0),
+    )
+
+
+def _linear_combination(terms) -> np.ndarray:
+    """Sum of scalar * array over (scalar, array) pairs, into a fresh array."""
+    (scale, view), *rest = terms
+    out = scale * view
+    for scale, view in rest:
+        out += scale * view
+    return out
+
+
+def _add_clause_update(rho: np.ndarray, delta: np.ndarray, terms: _ClauseTerms, weight: float) -> float:
+    """Add to `delta` an X with X + X^dagger = weight * (T_a(rho) - rho); return tr[P_a rho].
+
+    P = |phi><phi| has rank 1, so with a = <phi|rho (an operator from the
+    full space to the other n-2 qubits) and c = <phi|rho|phi> (an operator
+    on those qubits),
+
+        T_a(rho) - rho = -phi (x) a - (phi (x) a)^dagger + G (x) c,
+
+    and X = weight * (-phi (x) a + G (x) c / 2). Every array below is a
+    reshaped view of rho or delta around the clause's qubits, so one clause
+    costs O(4^n); zero entries of phi and G are skipped.
+    """
+    pair, d = terms.pair, rho.shape[0]
+    rows = rho.reshape(*pair, d)
+    a = _linear_combination((amp.conjugate(), rows[:, x, :, y, :]) for x, y, amp in terms.phi)
+    a_cols = a.reshape(*pair[0::2], *pair)
+    c = _linear_combination((amp, a_cols[:, :, :, :, x, :, y, :]) for x, y, amp in terms.phi)
+    delta_rows = delta.reshape(*pair, d)
+    for x, y, amp in terms.phi:
+        delta_rows[:, x, :, y, :] -= (weight * amp) * a
+    delta_blocks = delta.reshape(*pair, *pair)
+    for x, y, x2, y2, val in terms.g:
+        delta_blocks[:, x, :, y, :, :, x2, :, y2, :] += (0.5 * weight * val) * c
+    return float(np.trace(c.reshape(d // 4, d // 4)).real)
+
+
+def _apply(rho: np.ndarray, clauses: list) -> tuple[np.ndarray, float]:
+    """Uniform average of the clause updates, and tr[H rho] for the input state."""
+    delta = np.zeros(rho.shape, dtype=complex)   # C order: the kernel writes through reshaped views
+    weight = 1.0 / len(clauses)
+    energy = sum(_add_clause_update(rho, delta, terms, weight) for terms in clauses)
+    out = rho + delta
+    out += delta.conj().T
+    return out, energy
 
 
 def apply_clause_channel(rho: np.ndarray, clause: Clause) -> np.ndarray:
@@ -53,8 +126,7 @@ def apply_clause_channel(rho: np.ndarray, clause: Clause) -> np.ndarray:
     n = densesim.num_qubits(rho)
     if clause.i >= n or clause.j >= n:
         raise IndexOutOfRange(f"clause acts on ({clause.i}, {clause.j}) but state has n={n}")
-    proj = observables.clause_projector(clause, n)
-    return _apply_projected_update(rho, proj, clause.i, clause.j)
+    return _apply(rho, [_clause_terms(clause, n)])[0]
 
 
 def apply_step_channel(rho: np.ndarray, inst: Instance) -> np.ndarray:
@@ -63,10 +135,14 @@ def apply_step_channel(rho: np.ndarray, inst: Instance) -> np.ndarray:
     n = densesim.num_qubits(rho)
     if n != inst.n:
         raise IndexOutOfRange(f"state has {n} qubits but instance has {inst.n}")
-    out = np.zeros_like(rho)
-    for c in inst.clauses:
-        out += apply_clause_channel(rho, c)
-    return out / inst.L
+    return _apply(rho, [_clause_terms(c, n) for c in inst.clauses])[0]
+
+
+def _trace_with(op: np.ndarray, rho: np.ndarray) -> float:
+    """tr[op rho] for a dense operator, or for a diagonal one given as a vector."""
+    if op.ndim == 1:
+        return float(op @ np.diagonal(rho).real)
+    return float(np.einsum("ij,ji->", op, rho).real)
 
 
 @dataclass
@@ -90,7 +166,8 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
 
     Hermiticity and trace are re-symmetrized every 100 steps; drift beyond
     1e-6 before a correction raises NumericalDrift. Snapshots of the full
-    density matrix are kept only at the requested step indices.
+    density matrix are kept only at the requested step indices. tr[H rho_t]
+    comes out of step t itself as the sum of the clause weights tr[P_a rho_t].
     """
     rho = densesim.as_density_matrix(rho0).copy()
     if steps < 0:
@@ -98,10 +175,9 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
     n = inst.n
     if densesim.num_qubits(rho) != n:
         raise IndexOutOfRange("initial state dimension does not match instance")
-    projs = [observables.clause_projector(c, n) for c in inst.clauses]
-    pairs = [(c.i, c.j) for c in inst.clauses]
-    h = sum(projs)
-    s, s2 = observables.instance_spin_operators(inst)
+    clauses = [_clause_terms(c, n) for c in inst.clauses]
+    h = observables.build_hamiltonian(inst)
+    s, s2 = observables.compact_spin_operators(inst)
     pi0 = observables.ground_space_projector(h)
     wanted = set(int(t) for t in snapshot_schedule)
 
@@ -111,18 +187,15 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
     trPi0 = np.empty(steps + 1)
     snapshots: dict[int, np.ndarray] = {}
     for t in range(steps + 1):
-        trH[t] = np.einsum("ij,ji->", h, rho).real
-        trS[t] = np.einsum("ij,ji->", s, rho).real
-        trS2[t] = np.einsum("ij,ji->", s2, rho).real
-        trPi0[t] = np.einsum("ij,ji->", pi0, rho).real
+        trS[t] = _trace_with(s, rho)
+        trS2[t] = _trace_with(s2, rho)
+        trPi0[t] = _trace_with(pi0, rho)
         if t in wanted:
             snapshots[t] = rho.copy()
         if t == steps:
+            trH[t] = _trace_with(h, rho)
             break
-        nxt = np.zeros_like(rho)
-        for proj, (i, j) in zip(projs, pairs):
-            nxt += _apply_projected_update(rho, proj, i, j)
-        rho = nxt / inst.L
+        rho, trH[t] = _apply(rho, clauses)
         if (t + 1) % RESYMMETRIZE_EVERY == 0:
             herm = np.max(np.abs(rho - rho.conj().T))
             tr_err = abs(np.trace(rho).real - 1.0)
@@ -158,34 +231,28 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
     residuals simply report how far they stray from that law.
     """
     n = inst.n
-    s, s2 = observables.instance_spin_operators(inst)
+    s, s2 = observables.compact_spin_operators(inst)
     v = observables.frame_unitary(inst)
     states = [densesim.as_density_matrix(r) for r in sample_states]
     report = []
     for idx, clause in enumerate(inst.clauses):
-        proj = observables.clause_projector(clause, n)
+        terms = _clause_terms(clause, n)
         form = classify_clause(clause)
         if form is ClauseForm.TYPE_II:
-            delta_s = proj
             z_rest = observables.spectator_spin(n, clause.i, clause.j)
             if v is not None:
                 z_rest = v @ z_rest @ v.conj().T
-            delta_s2 = -2.0 * proj + 2.0 * (z_rest @ proj)
-        else:
-            delta_s = np.zeros_like(proj)
-            delta_s2 = 2.0 * proj
+            z_proj = z_rest @ observables.clause_projector(clause, n)
         res_s = np.empty(len(states))
         res_s2 = np.empty(len(states))
         for k, rho in enumerate(states):
-            out = _apply_projected_update(rho, proj, clause.i, clause.j)
-            res_s[k] = abs(
-                np.einsum("ij,ji->", s, out).real
-                - np.einsum("ij,ji->", s + delta_s, rho).real
-            )
-            res_s2[k] = abs(
-                np.einsum("ij,ji->", s2, out).real
-                - np.einsum("ij,ji->", s2 + delta_s2, rho).real
-            )
+            out, energy = _apply(rho, [terms])   # energy = tr[P rho]
+            if form is ClauseForm.TYPE_II:
+                delta_s, delta_s2 = energy, -2.0 * energy + 2.0 * _trace_with(z_proj, rho)
+            else:
+                delta_s, delta_s2 = 0.0, 2.0 * energy
+            res_s[k] = abs(_trace_with(s, out) - _trace_with(s, rho) - delta_s)
+            res_s2[k] = abs(_trace_with(s2, out) - _trace_with(s2, rho) - delta_s2)
         report.append(ClauseResiduals(index=idx, form=form, residual_S=res_s, residual_S2=res_s2))
     return report
 

@@ -19,6 +19,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,9 +34,9 @@ class Variant(enum.Enum):
     EXTENDED = "extended"
 
 
-def _ceil(x: float) -> int:
-    # tolerate float fuzz just above an integer (e.g. 4/(2*0.1) = 20.000000000000004)
-    return int(math.ceil(x - 1e-9))
+def _decimal(x: float) -> Fraction:
+    """The decimal a float prints as, exactly: 0.1 -> 1/10, not the nearest binary value."""
+    return Fraction(repr(float(x)))
 
 
 @dataclass(frozen=True)
@@ -64,39 +65,40 @@ def decision_params(c: float, L: int, n: int, variant: Variant = Variant.RESTRIC
     Warns (and clamps the integer threshold to 0) when N comes out
     nonpositive, which happens at tiny scales where the bound is vacuous.
     """
-    if c <= 0:
-        raise InvalidPromise(f"promise gap must be positive, got c={c}")
+    if not c > 0 or not math.isfinite(c):
+        raise InvalidPromise(f"promise gap must be positive and finite, got c={c}")
     if L < 1 or n < 2:
         raise InvalidPromise(f"need L >= 1 and n >= 2, got L={L}, n={n}")
+    # exact rational arithmetic on the decimal c, so T and N_int carry no float fuzz
     if variant is Variant.RESTRICTED:
-        f = max(7.0 / c, 1.0)
-        t_real = f * f * L * L * n * n / 2.0
+        f = max(7 / _decimal(c), Fraction(1))
+        t_real = f * f * L * L * n * n / 2
         slack = f * L * n
     elif variant is Variant.EXTENDED:
-        f = max(22.0 / (5.0 * c), 1.0)
-        t_real = 5.0 * f * f * L * L * n * n / 2.0
-        slack = 2.0 * f * L * n
+        f = max(22 / (5 * _decimal(c)), Fraction(1))
+        t_real = 5 * f * f * L * L * n * n / 2
+        slack = 2 * f * L * n
     else:
         raise InvalidPromise(f"unknown variant {variant!r}")
-    t_steps = _ceil(t_real)
-    ratio = (f * L - 1.0) / (f * L)
+    t_steps = math.ceil(t_real)
+    ratio = (f * L - 1) / (f * L)
     n_real = t_steps * ratio**3 - slack
     if n_real <= 0:
         warnings.warn(
-            f"acceptance threshold N={n_real:.6g} is nonpositive; the bound is "
+            f"acceptance threshold N={float(n_real):.6g} is nonpositive; the bound is "
             f"vacuous at this scale (c={c}, L={L}, n={n})",
             RuntimeWarning,
             stacklevel=2,
         )
-    n_int = max(0, _ceil(n_real))
+    n_int = max(0, math.ceil(n_real))
     return DecisionParams(
         variant=variant,
         c=float(c),
-        f=f,
+        f=float(f),
         T=t_steps,
-        N=n_real,
+        N=float(n_real),
         N_int=n_int,
-        p_worst=ratio**2,
+        p_worst=float(ratio**2),
         q_worst=max(0.0, 1.0 - c / L),
     )
 
@@ -118,10 +120,10 @@ def convergence_steps(n: int, L: int, epsilon: float, p: float, variant: Variant
         raise InvalidTarget(f"target overlap p must lie in (0, 1), got {p}")
     if epsilon <= 0:
         raise InvalidTarget(f"spectral gap must be positive, got {epsilon}")
-    base = n * n * L / (2.0 * (1.0 - p) * epsilon)
+    base = Fraction(n * n * L) / (2 * (1 - _decimal(p)) * _decimal(epsilon))
     if variant is Variant.EXTENDED:
-        base *= 5.0
-    return _ceil(base)
+        base *= 5
+    return math.ceil(base)
 
 
 def expected_zero_count(inst: Instance, T: int) -> float:

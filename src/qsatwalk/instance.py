@@ -58,9 +58,6 @@ class Clause:
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
-    def ket(self) -> np.ndarray:
-        return np.array(self.amps)
-
 
 @dataclass(frozen=True, eq=False)
 class Promise:

@@ -20,8 +20,13 @@ from .instance import Instance, Clause
 ZERO_TOL = 1e-10
 
 
+def _bits(n: int, q: int) -> np.ndarray:
+    """Value of qubit q in every basis state, as 0/1 integers."""
+    return (np.arange(2**n) >> (n - 1 - q)) & 1
+
+
 def _spin_diagonal(n: int) -> np.ndarray:
-    weights = np.array([bin(x).count("1") for x in range(2**n)])
+    weights = sum(_bits(n, q) for q in range(n))
     return (n - 2 * weights).astype(float)
 
 
@@ -41,11 +46,7 @@ def build_total_spin_squared(n: int) -> np.ndarray:
 
 def spectator_spin(n: int, i: int, j: int) -> np.ndarray:
     """Sum of sigma_z over every qubit except i and j (diagonal operator)."""
-    diag = _spin_diagonal(n).copy()
-    for x in range(2**n):
-        zi = 1 - 2 * ((x >> (n - 1 - i)) & 1)
-        zj = 1 - 2 * ((x >> (n - 1 - j)) & 1)
-        diag[x] -= zi + zj
+    diag = _spin_diagonal(n) - (1 - 2 * _bits(n, i)) - (1 - 2 * _bits(n, j))
     return np.diag(diag).astype(complex)
 
 
@@ -69,16 +70,41 @@ def instance_spin_operators(inst: Instance):
     return v @ s @ vd, v @ s2 @ vd
 
 
+def compact_spin_operators(inst: Instance):
+    """(S, S^2) as diagonal vectors in the identity frame, dense conjugated matrices otherwise."""
+    if frame_unitary(inst) is not None:
+        return instance_spin_operators(inst)
+    z = _spin_diagonal(inst.n)
+    return z, z * z
+
+
 def clause_projector(clause: Clause, n: int) -> np.ndarray:
     """Embedded 2^n x 2^n projector of a clause."""
     return densesim.kron_embed(np.outer(clause.amps, clause.amps.conj()), clause.i, clause.j, n)
 
 
+def _pair_indices(i: int, j: int, n: int) -> np.ndarray:
+    """Basis indices grouped by the state of qubits (i, j).
+
+    Row 2*b_i + b_j lists, in increasing order of the other qubits, every
+    basis state whose qubits i and j hold b_i and b_j.
+    """
+    bit_i, bit_j = 1 << (n - 1 - i), 1 << (n - 1 - j)
+    rest = np.arange(2**n)
+    rest = rest[(rest & (bit_i | bit_j)) == 0]
+    return rest | np.array([0, bit_j, bit_i, bit_i | bit_j])[:, None]
+
+
 def build_hamiltonian(inst: Instance) -> np.ndarray:
-    """Sum of all embedded clause projectors; PSD with eigenvalues in [0, L]."""
+    """Sum of all embedded clause projectors; PSD with eigenvalues in [0, L].
+
+    Each clause's 4x4 block is scattered onto the entries it touches, so a
+    clause costs O(2^n) rather than a dense embedding.
+    """
     h = np.zeros((2**inst.n, 2**inst.n), dtype=complex)
     for c in inst.clauses:
-        h += clause_projector(c, inst.n)
+        idx = _pair_indices(c.i, c.j, inst.n)
+        h[idx[:, None, :], idx[None, :, :]] += np.outer(c.amps, c.amps.conj())[:, :, None]
     return h
 
 

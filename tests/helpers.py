@@ -39,3 +39,19 @@ def planted_cnf(n, L, seed):
         if (hidden[v] != neg_v) or (hidden[w] != neg_w):
             clauses.append(((int(v), neg_v), (int(w), neg_w)))
     return CnfInstance(n=n, clauses=tuple(clauses)), hidden
+
+
+def twirl_oracle(x, q, n):
+    """(I/2 on qubit q) (x) tr_q[x], by tensor axes (independent of channel.twirl)."""
+    t = np.asarray(x, dtype=complex).reshape((2,) * (2 * n))
+    reduced = np.trace(t, axis1=q, axis2=n + q)
+    full = np.multiply.outer(reduced, np.eye(2) / 2)
+    return np.moveaxis(full, [-2, -1], [q, n + q]).reshape(2**n, 2**n)
+
+
+def clause_channel_oracle(rho, clause, n):
+    """Dense clause update (1-P) rho (1-P) + 1/2 Tw_i(P rho P) + 1/2 Tw_j(P rho P)."""
+    p = embed_oracle(np.outer(clause.amps, clause.amps.conj()), clause.i, clause.j, n)
+    keep = np.eye(2**n) - p
+    prp = p @ rho @ p
+    return keep @ rho @ keep + 0.5 * (twirl_oracle(prp, clause.i, n) + twirl_oracle(prp, clause.j, n))

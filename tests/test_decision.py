@@ -51,6 +51,21 @@ def test_params_extended_reference_point():
     assert abs(p.N - (p.T * ratio**3 - 2 * p.f * 2 * 2)) < 1e-9
 
 
+def test_params_step_budget_is_exact():
+    # f = 22/(5 c) = 88/5 and fL = 176, so T = 5 f^2 L^2 n^2 / 2 = 176^2 * 1000
+    # exactly; evaluated in floats it rounds up to 30976001.
+    p = decision_params(0.25, 10, 20, Variant.EXTENDED)
+    assert p.T == 30976000
+    # N = T (175/176)^3 - 2 f L n = 1000 * 175^3 / 176 - 7040 = 30443954.318...
+    assert p.N_int == 30443955
+
+
+def test_params_rejects_non_finite_gap():
+    for c in (float("inf"), float("nan")):
+        with pytest.raises(InvalidPromise):
+            decision_params(c, 4, 2)
+
+
 def test_params_rejects_bad_gap():
     with pytest.raises(InvalidPromise):
         decision_params(0.0, 4, 2)
