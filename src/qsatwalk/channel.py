@@ -59,16 +59,13 @@ class _ClauseTerms:
 
 
 def _clause_terms(clause: Clause, n: int) -> _ClauseTerms:
-    lo, hi = sorted((clause.i, clause.j))
-    phi = clause.amps.reshape(2, 2)            # axes (qubit i, qubit j)
-    if clause.i > clause.j:
-        phi = phi.T                            # axes (qubit lo, qubit hi)
+    pair, phi = densesim._clause_split(clause, n)
     p = phi[:, :, None, None] * phi.conj()     # P with axes (lo, hi, lo', hi')
     eye = np.eye(2)
     k = 0.25 * (eye[:, None, :, None] * (phi.T @ phi.conj())[None, :, None, :]
                 + (phi @ phi.conj().T)[:, None, :, None] * eye[None, :, None, :])
     return _ClauseTerms(
-        pair=(2**lo, 2, 2 ** (hi - lo - 1), 2, 2 ** (n - 1 - hi)),
+        pair=pair,
         phi=tuple((*ix, complex(v)) for ix, v in np.ndenumerate(phi) if v != 0),
         g=tuple((*ix, complex(v)) for ix, v in np.ndenumerate(p + k) if v != 0),
     )

@@ -64,6 +64,14 @@ def _attach_promise_c(inst, c):
     return replace(inst, promise=Promise(kind=kind, c=float(c)))
 
 
+def _over_capacity(inst, cap: int, what: str) -> bool:
+    """Report on stderr, for exit code 3, an instance wider than the engine's cap."""
+    if inst.n <= cap:
+        return False
+    print(f"error: n={inst.n} exceeds the {what} capacity of {cap} qubits", file=sys.stderr)
+    return True
+
+
 def cmd_generate(args) -> int:
     sampled = args.kind in ("restricted", "extended", "no-random")
     if sampled and args.seed is None:
@@ -75,7 +83,7 @@ def cmd_generate(args) -> int:
         inst = generate_planted_extended(args.n, args.L, args.typeii_fraction, args.seed)
     elif args.kind == "no-complete-pair":
         inst = generate_no_instance(args.n, "complete_pair", seed=args.seed)
-    elif args.kind == "no-random":
+    else:
         inst = generate_no_instance(
             args.n,
             "random_certified",
@@ -83,9 +91,6 @@ def cmd_generate(args) -> int:
             seed=args.seed,
             clause_count=args.L if args.L > 0 else None,
         )
-    else:
-        print(f"error: unknown kind {args.kind!r}", file=sys.stderr)
-        return 2
     inst = _attach_promise_c(inst, args.promise_c)
     save_instance(inst, args.output)
     echo = {
@@ -105,12 +110,7 @@ def cmd_generate(args) -> int:
 
 def cmd_evolve(args) -> int:
     inst = load_instance(args.instance)
-    if inst.n > DENSITY_QUBIT_CAP:
-        print(
-            f"error: n={inst.n} exceeds the density-matrix capacity of "
-            f"{DENSITY_QUBIT_CAP} qubits",
-            file=sys.stderr,
-        )
+    if _over_capacity(inst, DENSITY_QUBIT_CAP, "density-matrix"):
         return 3
     series = channel.evolve(densesim.maximally_mixed(inst.n), inst, args.steps)
     meta = _meta(seed=None, instance=args.instance, steps=args.steps)
@@ -122,12 +122,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_sample(args) -> int:
     inst = load_instance(args.instance)
-    if inst.n > VECTOR_QUBIT_CAP:
-        print(
-            f"error: n={inst.n} exceeds the state-vector capacity of "
-            f"{VECTOR_QUBIT_CAP} qubits",
-            file=sys.stderr,
-        )
+    if _over_capacity(inst, VECTOR_QUBIT_CAP, "state-vector"):
         return 3
     stats = run_ensemble(inst, args.steps, args.trajectories, args.seed, workers=args.workers)
     meta = _meta(
@@ -149,8 +144,7 @@ def cmd_sample(args) -> int:
 
 def cmd_decide(args) -> int:
     inst = load_instance(args.instance)
-    if inst.n > VECTOR_QUBIT_CAP:
-        print(f"error: n={inst.n} exceeds the state-vector capacity", file=sys.stderr)
+    if _over_capacity(inst, VECTOR_QUBIT_CAP, "state-vector"):
         return 3
     if inst.promise is None or inst.promise.c is None:
         print(
@@ -183,8 +177,7 @@ def cmd_classical(args) -> int:
 
 def cmd_spectrum(args) -> int:
     inst = load_instance(args.instance)
-    if inst.n > DENSITY_QUBIT_CAP:
-        print(f"error: n={inst.n} exceeds the operator capacity", file=sys.stderr)
+    if _over_capacity(inst, DENSITY_QUBIT_CAP, "operator"):
         return 3
     h = observables.build_hamiltonian(inst)
     data = observables.spectral_data(h)

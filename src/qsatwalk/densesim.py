@@ -8,11 +8,14 @@ Conventions used throughout the package:
 
 Everything is stored dense, which keeps the code simple and exact. A
 density matrix takes 16 * 4^n bytes (256 MB at n = 12) and a state vector
-16 * 2^n bytes (16 MB at n = 20). The exact channel applies each clause on
-its two qubits, so a step costs O(L 4^n) time and a few density matrices of
-memory; memory, not the per-step time, sets its ceiling. `kron_embed` builds
-a full 2^n x 2^n operator for one clause: it serves spectra and tests, not
-the per-step updates.
+16 * 2^n bytes (16 MB at n = 20). Both the exact channel and a sampled
+trajectory step read a clause's two qubits through reshaped views of the
+state (`_clause_split`), so neither needs per-clause tables: a channel step
+costs O(L 4^n) time and a few density matrices of memory (memory, not the
+per-step time, sets its ceiling), a sampled step O(2^n) and a few state
+vectors. `kron_embed` builds a full 2^n x 2^n
+operator for one clause: it serves spectra and tests, not the per-step
+updates.
 """
 
 from __future__ import annotations
@@ -113,12 +116,6 @@ def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    d = 2**n
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (g + g.conj().T) / 2
-
-
 def kron_embed(op4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
     """Embed a two-qubit operator onto qubits (i, j) of an n-qubit register.
 
@@ -142,16 +139,18 @@ def kron_embed(op4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(tensor.reshape(2**n, 2**n))
 
 
-def embed_single(op2: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Embed a single-qubit operator at position q."""
-    op2 = np.asarray(op2, dtype=complex)
-    if op2.shape != (2, 2):
-        raise DimensionMismatch(f"expected a 2x2 operator, got shape {op2.shape}")
-    if not 0 <= q < n:
-        raise IndexOutOfRange(f"qubit {q} outside register of size {n}")
-    left = np.eye(2**q, dtype=complex)
-    right = np.eye(2 ** (n - 1 - q), dtype=complex)
-    return np.kron(np.kron(left, op2), right)
+def _clause_split(clause, n: int):
+    """How a basis index splits around a clause's qubits lo < hi.
+
+    Returns the shape (2^lo, 2, 2^(hi-lo-1), 2, 2^(n-1-hi)) that reshapes a
+    length-2^n axis without a copy, and the clause ket as a 2x2 array with
+    axes (qubit lo, qubit hi).
+    """
+    lo, hi = sorted((clause.i, clause.j))
+    phi = clause.amps.reshape(2, 2)            # axes (qubit i, qubit j)
+    if clause.i > clause.j:
+        phi = phi.T                            # axes (qubit lo, qubit hi)
+    return (2**lo, 2, 2 ** (hi - lo - 1), 2, 2 ** (n - 1 - hi)), phi
 
 
 def product_unitary(blocks) -> np.ndarray:
@@ -225,9 +224,3 @@ def expectation(a: np.ndarray, state: np.ndarray) -> float:
         raise NonRealExpectation(f"expectation has imaginary part {val.imag}")
     return float(val.real)
 
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) * trace norm of (a - b) for Hermitian a, b."""
-    diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    vals = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return 0.5 * float(np.sum(np.abs(vals)))

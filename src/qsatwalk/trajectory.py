@@ -6,6 +6,13 @@ clause projector, and on an unsatisfied outcome applies a Haar-random unitary
 to one of the clause's qubits. Ensemble averages reproduce the exact channel
 in `channel`; the zero-outcome count N0 is the decision statistic.
 
+A step reads the drawn clause's two qubits through a reshaped view of the
+state, (2^lo, 2, 2^(hi-lo-1), 2, 2^(n-1-hi)) as in `channel`, so no
+per-clause index tables are built. On an unsatisfied outcome the projected
+state is a product phi (x) a, and the Haar twirl acts on the 2x2 phi alone.
+One run loop, `_walk`, serves `run_trajectory`, `run_ensemble` and (through
+`run_trajectory`) `decision.decide`.
+
 Ensembles are reproducible: trajectory k draws its generator from
 (master_seed, k), so results are bit-identical for any worker count.
 """
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densesim import basis_state, num_qubits
+from .densesim import _clause_split, basis_state, num_qubits
 from .errors import DegenerateBranch, DimensionMismatch, IndexOutOfRange
 from .instance import Instance
 
@@ -41,52 +48,37 @@ def sample_initial_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return basis_state(n, int(rng.integers(2**n)))
 
 
-def _reorder_indices(front: tuple, n: int) -> np.ndarray:
-    """Basis-index permutation that brings the listed qubits to the front."""
-    order = list(front) + [q for q in range(n) if q not in front]
-    new_index = np.arange(2**n, dtype=np.intp)
-    old = np.zeros(2**n, dtype=np.intp)
-    for k, q in enumerate(order):
-        bit = (new_index >> (n - 1 - k)) & 1
-        old |= bit << (n - 1 - q)
-    return old
-
-
 def _clause_kets(inst: Instance):
-    n = inst.n
-    items = []
+    """Per clause: the index split, phi on (lo, hi), conj(phi) flat, and whether i is lo."""
+    kets = []
     for c in inst.clauses:
-        idx = _reorder_indices((c.i, c.j), n)
-        inv = np.empty_like(idx)
-        inv[idx] = np.arange(idx.size, dtype=np.intp)
-        items.append((c.i, c.j, np.array(c.amps), np.conj(c.amps), idx, inv))
-    return items
+        pair, phi = _clause_split(c, inst.n)
+        kets.append((pair, phi, phi.conj().reshape(4), c.i < c.j))
+    return kets
 
 
-def _apply_single_qubit(psi: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = np.moveaxis(psi.reshape([2] * n), q, 0).reshape(2, -1)
-    t = u @ t
-    return np.ascontiguousarray(np.moveaxis(t.reshape([2] * n), 0, q)).reshape(-1)
-
-
-def _step(psi: np.ndarray, kets, n: int, rng: np.random.Generator):
-    alpha = int(rng.integers(len(kets)))
-    i, j, phi, phi_conj, idx, inv = kets[alpha]
-    mat = psi[idx].reshape(4, -1)
+def _step(psi: np.ndarray, kets, rng: np.random.Generator):
+    """One measurement step on psi viewed as a 4 x 2^(n-2) matrix with rows (b_lo, b_hi)."""
+    pair, phi, phi_conj, i_is_lo = kets[int(rng.integers(len(kets)))]
+    mat = psi.reshape(pair).transpose(1, 3, 0, 2, 4).reshape(4, -1)
     overlap = phi_conj @ mat
     p_raw = float(np.real(np.vdot(overlap, overlap)))
     p = min(max(p_raw, 0.0), 1.0)
     if rng.random() < p:
         if p_raw < BRANCH_NORM_FLOOR:
             raise DegenerateBranch(f"unsatisfied branch has norm^2 {p_raw}")
-        collapsed = np.outer(phi, overlap / np.sqrt(p_raw)).reshape(-1)
-        target = i if rng.random() < 0.5 else j
-        return _apply_single_qubit(collapsed[inv], haar_unitary(rng), target, n), 1
-    rem = mat - np.outer(phi, overlap)
-    r_raw = float(np.real(np.vdot(rem, rem)))
-    if r_raw < BRANCH_NORM_FLOOR:
-        raise DegenerateBranch(f"satisfied branch has norm^2 {r_raw}")
-    return (rem / np.sqrt(r_raw)).reshape(-1)[inv], 0
+        twirl_lo = (rng.random() < 0.5) == i_is_lo      # qubit i with probability 1/2
+        u = haar_unitary(rng)
+        mat = np.outer(u @ phi if twirl_lo else phi @ u.T, overlap / np.sqrt(p_raw))
+        outcome = 1
+    else:
+        mat = mat - np.outer(phi, overlap)
+        r_raw = float(np.real(np.vdot(mat, mat)))
+        if r_raw < BRANCH_NORM_FLOOR:
+            raise DegenerateBranch(f"satisfied branch has norm^2 {r_raw}")
+        mat /= np.sqrt(r_raw)
+        outcome = 0
+    return mat.reshape(2, 2, *pair[0::2]).transpose(2, 0, 3, 1, 4).reshape(-1), outcome
 
 
 def trajectory_step(psi: np.ndarray, inst: Instance, rng: np.random.Generator):
@@ -100,7 +92,32 @@ def trajectory_step(psi: np.ndarray, inst: Instance, rng: np.random.Generator):
     n = num_qubits(psi)
     if n != inst.n:
         raise DimensionMismatch(f"state has {n} qubits but instance has {inst.n}")
-    return _step(psi, _clause_kets(inst), n, rng)
+    return _step(psi, _clause_kets(inst), rng)
+
+
+def _observe(psi: np.ndarray, prepared) -> list:
+    """<psi|op|psi> for each prepared operator (diagonal ones as vectors)."""
+    prob = np.real(psi * psi.conj()) if any(is_diag for is_diag, _ in prepared) else None
+    return [float(op @ prob) if is_diag else float(np.real(np.vdot(psi, op @ psi)))
+            for is_diag, op in prepared]
+
+
+def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
+    """T steps from a random basis state.
+
+    Returns the outcome bits, the final state, and the prepared operators'
+    values at t = 0..T (None when there are none).
+    """
+    psi = sample_initial_state(n, rng)
+    outcomes = np.empty(T, dtype=np.int8)
+    values = np.empty((len(prepared), T + 1)) if prepared else None
+    for t in range(T):
+        if prepared:
+            values[:, t] = _observe(psi, prepared)
+        psi, outcomes[t] = _step(psi, kets, rng)
+    if prepared:
+        values[:, T] = _observe(psi, prepared)
+    return outcomes, psi, values
 
 
 @dataclass(frozen=True)
@@ -123,20 +140,11 @@ def run_trajectory(inst: Instance, T: int, rng, keep_history: bool = False) -> T
     if T < 0:
         raise IndexOutOfRange(f"T must be >= 0, got {T}")
     gen, seed = _as_generator(rng)
-    kets = _clause_kets(inst)
-    psi = sample_initial_state(inst.n, gen)
-    n0 = 0
-    outcomes = np.empty(T, dtype=np.int8) if keep_history else None
-    for t in range(T):
-        psi, outcome = _step(psi, kets, inst.n, gen)
-        if outcome == 0:
-            n0 += 1
-        if outcomes is not None:
-            outcomes[t] = outcome
+    outcomes, psi, _ = _walk(_clause_kets(inst), inst.n, T, gen)
     return TrajectoryRecord(
-        N0=n0,
+        N0=T - int(np.sum(outcomes)),
         T=T,
-        outcomes=outcomes,
+        outcomes=outcomes if keep_history else None,
         final_state=psi if keep_history else None,
         seed=seed,
     )
@@ -168,43 +176,22 @@ def _prepare_ops(ops):
     return prepared
 
 
-def _record_obs(psi, prepared, obs_sum, obs_sumsq, t):
-    prob = None
-    for k, (is_diag, op) in enumerate(prepared):
-        if is_diag:
-            if prob is None:
-                prob = np.real(psi * psi.conj())
-            val = float(op @ prob)
-        else:
-            val = float(np.real(np.vdot(psi, op @ psi)))
-        obs_sum[k, t] += val
-        obs_sumsq[k, t] += val * val
-
-
 def _ensemble_chunk(payload):
     inst, T, start, stop, master_seed, ops = payload
     kets = _clause_kets(inst)
-    n = inst.n
-    count = stop - start
-    n0 = np.zeros(count, dtype=np.int64)
+    prepared = _prepare_ops(ops) if ops else None
+    n0 = np.zeros(stop - start, dtype=np.int64)
     zeros_per_step = np.zeros(T, dtype=np.int64)
-    k_ops = len(ops) if ops else 0
-    obs_sum = np.zeros((k_ops, T + 1)) if k_ops else None
-    obs_sumsq = np.zeros((k_ops, T + 1)) if k_ops else None
-    prepared = _prepare_ops(ops) if k_ops else None
-    for offset in range(count):
-        idx = start + offset
-        rng = np.random.default_rng([master_seed, idx])
-        psi = sample_initial_state(n, rng)
-        for t in range(T):
-            if k_ops:
-                _record_obs(psi, prepared, obs_sum, obs_sumsq, t)
-            psi, outcome = _step(psi, kets, n, rng)
-            if outcome == 0:
-                n0[offset] += 1
-                zeros_per_step[t] += 1
-        if k_ops:
-            _record_obs(psi, prepared, obs_sum, obs_sumsq, T)
+    obs_sum = np.zeros((len(ops), T + 1)) if ops else None
+    obs_sumsq = np.zeros((len(ops), T + 1)) if ops else None
+    for offset in range(stop - start):
+        rng = np.random.default_rng([master_seed, start + offset])
+        outcomes, _, values = _walk(kets, inst.n, T, rng, prepared)
+        n0[offset] = T - int(np.sum(outcomes))
+        zeros_per_step += 1 - outcomes
+        if ops:
+            obs_sum += values
+            obs_sumsq += values**2
     return n0, zeros_per_step, obs_sum, obs_sumsq
 
 

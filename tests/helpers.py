@@ -1,9 +1,41 @@
-"""Shared test utilities: independent oracles and small generators."""
+"""Shared test utilities: independent oracles, small generators, hypothesis settings."""
 
 import numpy as np
+from hypothesis import HealthCheck, assume, settings
+from hypothesis import strategies as st
 
 from qsatwalk.classical import CnfInstance
+from qsatwalk.instance import make_clause
 from qsatwalk.trajectory import haar_unitary
+
+PROPERTY_SETTINGS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+FORMS = ("restricted", "type-ii", "arbitrary")
+
+unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def amplitudes(draw, form):
+    z = lambda: complex(draw(unit), draw(unit))  # noqa: E731
+    if form == "restricted":
+        amps = (0, z(), z(), 0)
+    elif form == "type-ii":
+        theta = draw(st.floats(0.0, 2 * np.pi))
+        amps = (0, 0, 0, complex(np.cos(theta), np.sin(theta)))
+    else:
+        amps = tuple(z() for _ in range(4))
+    assume(np.linalg.norm(amps) > 1e-6)
+    return amps
+
+
+@st.composite
+def clauses(draw, n):
+    """A clause of a random form on a random ordered pair of n qubits (i > j included)."""
+    i, j = draw(st.permutations(range(n)))[:2]
+    form = draw(st.sampled_from(FORMS))
+    return make_clause(i, j, draw(amplitudes(form)))
 
 
 def embed_oracle(op4, i, j, n):
@@ -20,6 +52,24 @@ def embed_oracle(op4, i, j, n):
             ry = 2 * ((y >> (n - 1 - i)) & 1) + ((y >> (n - 1 - j)) & 1)
             out[x, y] = op4[rx, ry]
     return out
+
+
+def embed_single(op2, q, n):
+    """A single-qubit operator at position q of an n-qubit register."""
+    return np.kron(np.kron(np.eye(2**q), np.asarray(op2, dtype=complex)), np.eye(2 ** (n - 1 - q)))
+
+
+def random_hermitian(n, rng):
+    d = 2**n
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (g + g.conj().T) / 2
+
+
+def trace_distance(a, b):
+    """(1/2) * trace norm of (a - b) for Hermitian a, b."""
+    diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
+    vals = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
+    return 0.5 * float(np.sum(np.abs(vals)))
 
 
 def random_product_basis(n, seed):

@@ -28,7 +28,7 @@ from qsatwalk.observables import (
 )
 from qsatwalk.trajectory import haar_unitary, run_ensemble
 
-from helpers import planted_cnf
+from helpers import planted_cnf, trace_distance
 
 
 def _criterion(number, name, ok, detail=""):
@@ -230,7 +230,7 @@ def test_criterion_7_haar_twirl():
         for k, rho in enumerate(rhos):
             sums[k] += u @ rho @ ud
     worst = max(
-        densesim.trace_distance(acc / m, np.eye(2) / 2) for acc in sums
+        trace_distance(acc / m, np.eye(2) / 2) for acc in sums
     )
     _criterion(
         7,

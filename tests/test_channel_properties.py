@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qsatwalk import densesim
@@ -17,36 +17,9 @@ from qsatwalk.channel import apply_clause_channel, apply_step_channel
 from qsatwalk.instance import Instance, make_clause
 from qsatwalk.observables import build_hamiltonian
 
-from helpers import clause_channel_oracle, embed_oracle
+from helpers import FORMS, PROPERTY_SETTINGS, clause_channel_oracle, clauses, embed_oracle
 
 TOL = 1e-12
-FORMS = ("restricted", "type-ii", "arbitrary")
-PROPERTY_SETTINGS = settings(
-    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-
-unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
-
-
-@st.composite
-def amplitudes(draw, form):
-    z = lambda: complex(draw(unit), draw(unit))  # noqa: E731
-    if form == "restricted":
-        amps = (0, z(), z(), 0)
-    elif form == "type-ii":
-        theta = draw(st.floats(0.0, 2 * np.pi))
-        amps = (0, 0, 0, complex(np.cos(theta), np.sin(theta)))
-    else:
-        amps = tuple(z() for _ in range(4))
-    assume(np.linalg.norm(amps) > 1e-6)
-    return amps
-
-
-@st.composite
-def clauses(draw, n):
-    i, j = draw(st.permutations(range(n)))[:2]
-    form = draw(st.sampled_from(FORMS))
-    return make_clause(i, j, draw(amplitudes(form)))
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from qsatwalk import cli
 from qsatwalk.instance import (
@@ -80,12 +81,20 @@ def test_evolve_zero_steps(tmp_path, capsys):
     assert len(lines) == 2
 
 
-def test_evolve_capacity_rule(tmp_path, capsys):
-    inst = generate_planted_restricted(13, 1, seed=1)
-    path = tmp_path / "big.json"
-    save_instance(inst, path)
-    out = tmp_path / "series.csv"
-    assert cli.main(["evolve", str(path), "-T", "1", "-o", str(out)]) == 3
+@pytest.mark.parametrize(
+    "command, n, cap",
+    [
+        (["evolve", "-T", "1", "-o", "series.csv"], 13, "12 qubits"),
+        (["sample", "-T", "1", "-M", "1", "--seed", "0", "-o", "run"], 21, "20 qubits"),
+        (["decide", "--seed", "0"], 21, "20 qubits"),
+    ],
+    ids=["evolve", "sample", "decide"],
+)
+def test_evolve_capacity_rule(tmp_path, capsys, monkeypatch, command, n, cap):
+    monkeypatch.chdir(tmp_path)
+    save_instance(generate_planted_restricted(n, 1, seed=1), tmp_path / "big.json")
+    assert cli.main([command[0], "big.json", *command[1:]]) == 3
+    assert cap in capsys.readouterr().err
 
 
 def test_decide_exit_codes(tmp_path, capsys):

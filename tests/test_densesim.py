@@ -9,7 +9,7 @@ from qsatwalk.errors import (
     NotHermitian,
 )
 
-from helpers import embed_oracle
+from helpers import embed_oracle, embed_single, random_hermitian
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -94,9 +94,9 @@ def test_partial_trace_embed_consistency():
     rho = densesim.random_density_matrix(3, rng)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a = (a + a.conj().T) / 2
-    big = densesim.embed_single(a, 1, 3)
+    big = embed_single(a, 1, 3)
     lhs = densesim.partial_trace(big @ rho, 0)
-    rhs = densesim.embed_single(a, 0, 2) @ densesim.partial_trace(rho, 0)
+    rhs = embed_single(a, 0, 2) @ densesim.partial_trace(rho, 0)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -115,7 +115,7 @@ def test_hermitian_eig_singlet_projector():
 def test_hermitian_eig_reconstruction_residual():
     rng = np.random.default_rng(5)
     for n in (2, 3, 4):
-        a = densesim.random_hermitian(n, rng)
+        a = random_hermitian(n, rng)
         vals, vecs = densesim.hermitian_eig(a)
         recon = (vecs * vals) @ vecs.conj().T
         assert np.max(np.abs(recon - a)) < 1e-8

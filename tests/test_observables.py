@@ -22,7 +22,7 @@ from qsatwalk.observables import (
     spectral_data,
 )
 
-from helpers import random_product_basis
+from helpers import embed_single, random_product_basis
 
 SINGLET = (0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0)
 
@@ -76,8 +76,8 @@ def test_type_i_clause_annihilates_pair_spin():
         inst = generate_planted_restricted(int(rng.integers(2, 5)), 1, int(rng.integers(2**31)))
         c = inst.clauses[0]
         proj = clause_projector(c, inst.n)
-        szi = densesim.embed_single(densesim.SIGMA_Z, c.i, inst.n)
-        szj = densesim.embed_single(densesim.SIGMA_Z, c.j, inst.n)
+        szi = embed_single(densesim.SIGMA_Z, c.i, inst.n)
+        szj = embed_single(densesim.SIGMA_Z, c.j, inst.n)
         assert np.max(np.abs(proj @ (szi + szj))) < 1e-10
         assert np.max(np.abs((szi + szj) @ proj)) < 1e-10
 
@@ -85,8 +85,8 @@ def test_type_i_clause_annihilates_pair_spin():
 def test_type_ii_clause_pair_spin_relation():
     c = make_clause(0, 2, (0, 0, 0, 1))
     proj = clause_projector(c, 3)
-    szi = densesim.embed_single(densesim.SIGMA_Z, 0, 3)
-    szj = densesim.embed_single(densesim.SIGMA_Z, 2, 3)
+    szi = embed_single(densesim.SIGMA_Z, 0, 3)
+    szj = embed_single(densesim.SIGMA_Z, 2, 3)
     assert np.max(np.abs(proj @ (szi + szj) + 2 * proj)) < 1e-10
     assert np.max(np.abs((szi + szj) @ proj + 2 * proj)) < 1e-10
 
@@ -94,7 +94,7 @@ def test_type_ii_clause_pair_spin_relation():
 def test_spectator_spin_excludes_pair():
     z = spectator_spin(3, 0, 2)
     # remaining qubit is 1: diagonal is sigma_z on qubit 1
-    want = densesim.embed_single(densesim.SIGMA_Z, 1, 3)
+    want = embed_single(densesim.SIGMA_Z, 1, 3)
     assert np.allclose(z, want)
 
 

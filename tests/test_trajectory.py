@@ -21,7 +21,7 @@ from qsatwalk.trajectory import (
     trajectory_step,
 )
 
-from helpers import random_product_basis
+from helpers import random_product_basis, trace_distance
 
 SINGLET = (0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0)
 
@@ -58,7 +58,7 @@ def test_haar_twirl_monte_carlo():
     for _ in range(m):
         u = haar_unitary(rng)
         acc += u @ rho @ u.conj().T
-    assert densesim.trace_distance(acc / m, np.eye(2) / 2) < 0.02
+    assert trace_distance(acc / m, np.eye(2) / 2) < 0.02
 
 
 def test_sample_initial_state_properties():
