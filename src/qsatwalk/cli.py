@@ -16,6 +16,7 @@ from .errors import (
     CertificationFailed,
     DegenerateSpectrum,
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidPromise,
     InvalidTarget,
     NotUnitary,
@@ -47,8 +48,17 @@ _USAGE_ERRORS = (
     DimensionMismatch,
     CertificationFailed,
     DegenerateSpectrum,
+    IndexOutOfRange,
     FileNotFoundError,
 )
+
+
+def _seed(text: str) -> int:
+    """argparse type for --seed: a non-negative integer, as numpy seeds require."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {value}")
+    return value
 
 
 def _meta(seed=None, **params) -> dict:
@@ -267,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-target", type=float, default=0.05)
     p.add_argument("--promise-c", type=float, default=None,
                    help="attach a promise gap to the generated instance")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -281,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("-T", "--steps", type=int, required=True)
     p.add_argument("-M", "--trajectories", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("-o", "--output", required=True, help="basename for .csv and .json outputs")
     p.set_defaults(func=cmd_sample)
@@ -289,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="run the decision procedure (exit 0 YES, 1 NO)")
     p.add_argument("instance")
     p.add_argument("--variant", choices=["restricted", "extended"], default="restricted")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_decide)
 
@@ -297,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cnf")
     p.add_argument("-b", "--budget", type=float, default=10.0,
                    help="iteration budget multiplier (b * n^2 flips)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("spectrum", help="eigenvalue table of the instance Hamiltonian")

@@ -13,13 +13,35 @@ state is a product phi (x) a, and the Haar twirl acts on the 2x2 phi alone.
 One run loop, `_walk`, serves `run_trajectory`, `run_ensemble` and (through
 `run_trajectory`) `decision.decide`.
 
-Ensembles are reproducible: trajectory k draws its generator from
-(master_seed, k), so results are bit-identical for any worker count.
+Random stream. A trajectory is a function of its generator alone: an integer
+or sequence seed `s` means `numpy.random.default_rng(s)`, and trajectory k of
+an ensemble with master seed m is the trajectory of seed `[m, k]`. A walk of
+T steps draws, from that generator and in this order:
+
+1. `integers(2**n)`: the index of the initial basis state;
+2. for each block of `_BLOCK` = 64 steps, always a full block even when
+   fewer steps remain:
+   a. `integers(L, size=_BLOCK)`: the clause measured at each step;
+   b. `random(_BLOCK)`: the measurement draws; the outcome is 1 (the
+      clause is violated) when the draw is below <psi|P|psi>;
+   c. `random(_BLOCK)`: the target draws; on outcome 1 the twirl acts on
+      the clause's qubit i when the draw is below 0.5, on qubit j otherwise;
+   d. `standard_normal((2, _BLOCK, 2, 2))`: real and imaginary parts of a
+      complex Ginibre matrix per step, whose QR with the diagonal of R made
+      positive (`_haar_stack`) is the step's Haar unitary, used on outcome 1.
+
+Draw positions therefore never depend on outcomes: the outcomes of a T-step
+run are a prefix of those of any longer run with the same seed, and an
+ensemble's results do not depend on `workers` or on how trajectories are
+split into chunks. `trajectory_step`, a single step on a caller's generator,
+draws as it goes instead: `integers(L)`, `random()`, then on outcome 1
+`random()` for the target and `haar_unitary`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -31,14 +53,24 @@ from .instance import Instance
 
 BRANCH_NORM_FLOOR = 1e-14
 _CHUNK = 512
+_BLOCK = 64
+
+
+def _haar_stack(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Ginibre matrices on the last two axes.
+
+    QR with the phases of R's diagonal moved into Q, so R's diagonal is
+    positive and Q is Haar-distributed.
+    """
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def haar_unitary(rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed 2x2 unitary via QR of a complex Ginibre matrix."""
     z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return _haar_stack(z)
 
 
 def sample_initial_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -49,36 +81,50 @@ def sample_initial_state(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _clause_kets(inst: Instance):
-    """Per clause: the index split, phi on (lo, hi), conj(phi) flat, and whether i is lo."""
+    """Per clause: the index split, phi on (lo, hi), phi as a column, conj(phi) flat, i < j."""
     kets = []
     for c in inst.clauses:
         pair, phi = _clause_split(c, inst.n)
-        kets.append((pair, phi, phi.conj().reshape(4), c.i < c.j))
+        kets.append((pair, phi, phi.reshape(4, 1), phi.conj().reshape(4), c.i < c.j))
     return kets
 
 
-def _step(psi: np.ndarray, kets, rng: np.random.Generator):
-    """One measurement step on psi viewed as a 4 x 2^(n-2) matrix with rows (b_lo, b_hi)."""
-    pair, phi, phi_conj, i_is_lo = kets[int(rng.integers(len(kets)))]
+def _measure(psi: np.ndarray, ket, draw: float):
+    """Measure one clause on psi, viewed as a 4 x 2^(n-2) matrix with rows (b_lo, b_hi).
+
+    Returns the view (never written to: it can share psi's memory),
+    <phi|psi> on the other qubits, its norm^2 p, and the outcome (1 when
+    draw < p).
+    """
+    pair, _, _, phi_conj, _ = ket
     mat = psi.reshape(pair).transpose(1, 3, 0, 2, 4).reshape(4, -1)
     overlap = phi_conj @ mat
-    p_raw = float(np.real(np.vdot(overlap, overlap)))
-    p = min(max(p_raw, 0.0), 1.0)
-    if rng.random() < p:
-        if p_raw < BRANCH_NORM_FLOOR:
-            raise DegenerateBranch(f"unsatisfied branch has norm^2 {p_raw}")
-        twirl_lo = (rng.random() < 0.5) == i_is_lo      # qubit i with probability 1/2
-        u = haar_unitary(rng)
-        mat = np.outer(u @ phi if twirl_lo else phi @ u.T, overlap / np.sqrt(p_raw))
-        outcome = 1
+    p = np.vdot(overlap, overlap).real
+    if draw < p:
+        if p < BRANCH_NORM_FLOOR:
+            raise DegenerateBranch(f"unsatisfied branch has norm^2 {p}")
+        return mat, overlap, p, 1
+    return mat, overlap, p, 0
+
+
+def _write_back(ket, mat, overlap, p, u, coin: float) -> np.ndarray:
+    """The renormalized post-measurement state as a new flat vector.
+
+    u is None on outcome 0, which keeps (1 - P) psi. On outcome 1, P psi =
+    phi (x) overlap, and u twirls phi on the clause's qubit i when coin < 0.5,
+    on qubit j otherwise.
+    """
+    pair, phi, phi_col, _, i_is_lo = ket
+    if u is None:
+        mat = mat - phi_col * overlap
+        r = np.vdot(mat, mat).real
+        if r < BRANCH_NORM_FLOOR:
+            raise DegenerateBranch(f"satisfied branch has norm^2 {r}")
+        mat = mat * (1.0 / math.sqrt(r))
     else:
-        mat = mat - np.outer(phi, overlap)
-        r_raw = float(np.real(np.vdot(mat, mat)))
-        if r_raw < BRANCH_NORM_FLOOR:
-            raise DegenerateBranch(f"satisfied branch has norm^2 {r_raw}")
-        mat /= np.sqrt(r_raw)
-        outcome = 0
-    return mat.reshape(2, 2, *pair[0::2]).transpose(2, 0, 3, 1, 4).reshape(-1), outcome
+        twirled = u @ phi if (coin < 0.5) == i_is_lo else phi @ u.T
+        mat = twirled.reshape(4, 1) * (overlap * (1.0 / math.sqrt(p)))
+    return mat.reshape(2, 2, *pair[0::2]).transpose(2, 0, 3, 1, 4).reshape(-1)
 
 
 def trajectory_step(psi: np.ndarray, inst: Instance, rng: np.random.Generator):
@@ -86,24 +132,33 @@ def trajectory_step(psi: np.ndarray, inst: Instance, rng: np.random.Generator):
 
     Picks a clause uniformly, measures its projector (outcome 1 with
     probability <psi|P|psi>), and on outcome 1 twirls one of its qubits with
-    a fresh Haar unitary. The returned state is renormalized.
+    a fresh Haar unitary. The returned state is renormalized; psi is not
+    modified.
     """
     psi = np.asarray(psi, dtype=complex)
     n = num_qubits(psi)
     if n != inst.n:
         raise DimensionMismatch(f"state has {n} qubits but instance has {inst.n}")
-    return _step(psi, _clause_kets(inst), rng)
+    kets = _clause_kets(inst)
+    ket = kets[int(rng.integers(len(kets)))]
+    mat, overlap, p, outcome = _measure(psi, ket, rng.random())
+    if outcome:
+        coin = rng.random()
+        return _write_back(ket, mat, overlap, p, haar_unitary(rng), coin), 1
+    return _write_back(ket, mat, overlap, p, None, 0.0), 0
 
 
-def _observe(psi: np.ndarray, prepared) -> list:
-    """<psi|op|psi> for each prepared operator (diagonal ones as vectors)."""
-    prob = np.real(psi * psi.conj()) if any(is_diag for is_diag, _ in prepared) else None
-    return [float(op @ prob) if is_diag else float(np.real(np.vdot(psi, op @ psi)))
-            for is_diag, op in prepared]
+def _observe(states: np.ndarray, prepared) -> np.ndarray:
+    """<psi|op|psi> as an array indexed by (prepared operator, row psi of states)."""
+    prob = states.real**2 + states.imag**2 if any(d for d, _ in prepared) else None
+    return np.array([
+        prob @ op if is_diag else np.einsum("ki,ki->k", states.conj(), states @ op).real
+        for is_diag, op in prepared
+    ])
 
 
 def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
-    """T steps from a random basis state.
+    """T steps from a random basis state, with randomness drawn block by block.
 
     Returns the outcome bits, the final state, and the prepared operators'
     values at t = 0..T (None when there are none).
@@ -111,12 +166,25 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
     psi = sample_initial_state(n, rng)
     outcomes = np.empty(T, dtype=np.int8)
     values = np.empty((len(prepared), T + 1)) if prepared else None
-    for t in range(T):
+    states = np.empty((_BLOCK, 2**n), dtype=complex) if prepared else None
+    for start in range(0, T, _BLOCK):
+        clause = rng.integers(len(kets), size=_BLOCK).tolist()
+        measure = rng.random(_BLOCK).tolist()
+        coin = rng.random(_BLOCK).tolist()
+        g = rng.standard_normal((2, _BLOCK, 2, 2))
+        stop = min(start + _BLOCK, T)
+        haar = _haar_stack(g[0, : stop - start] + 1j * g[1, : stop - start])
+        for k in range(stop - start):
+            if prepared:
+                states[k] = psi
+            ket = kets[clause[k]]
+            mat, overlap, p, outcome = _measure(psi, ket, measure[k])
+            psi = _write_back(ket, mat, overlap, p, haar[k] if outcome else None, coin[k])
+            outcomes[start + k] = outcome
         if prepared:
-            values[:, t] = _observe(psi, prepared)
-        psi, outcomes[t] = _step(psi, kets, rng)
+            values[:, start:stop] = _observe(states[: stop - start], prepared)
     if prepared:
-        values[:, T] = _observe(psi, prepared)
+        values[:, T] = _observe(psi[None], prepared)[:, 0]
     return outcomes, psi, values
 
 
@@ -166,13 +234,14 @@ class EnsembleStats:
 
 
 def _prepare_ops(ops):
+    """(is_diag, op) per operator: a diagonal as a real vector, else op^T, for rows @ op^T."""
     prepared = []
     for _, op in ops:
         diag = np.diagonal(op)
         if np.count_nonzero(op - np.diag(diag)) == 0:
             prepared.append((True, np.ascontiguousarray(diag.real)))
         else:
-            prepared.append((False, np.asarray(op, dtype=complex)))
+            prepared.append((False, np.ascontiguousarray(np.asarray(op, dtype=complex).T)))
     return prepared
 
 
@@ -211,6 +280,8 @@ def run_ensemble(
     """
     if M < 1:
         raise IndexOutOfRange(f"M must be >= 1, got {M}")
+    if T < 0:
+        raise IndexOutOfRange(f"T must be >= 0, got {T}")
     ops = list((operators or {}).items())
     payloads = [
         (inst, T, start, min(start + _CHUNK, M), master_seed, ops)

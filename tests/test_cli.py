@@ -97,6 +97,37 @@ def test_evolve_capacity_rule(tmp_path, capsys, monkeypatch, command, n, cap):
     assert cap in capsys.readouterr().err
 
 
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed argument by exiting
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "no.json", "-T", "5", "-M", "0", "--seed", "0", "-o", "run"],
+        ["sample", "no.json", "-T", "-2", "-M", "1", "--seed", "0", "-o", "run"],
+        ["evolve", "no.json", "-T", "-2", "-o", "series.csv"],
+        ["sample", "no.json", "-T", "5", "-M", "1", "--seed", "-1", "-o", "run"],
+        ["decide", "no.json", "--seed", "-1"],
+        ["classical", "sat.cnf", "--seed", "-1"],
+        ["generate", "--kind", "restricted", "-n", "3", "-L", "2", "--seed", "-1", "-o", "g.json"],
+    ],
+    ids=["sample-M0", "sample-T-2", "evolve-T-2", "sample-seed-1", "decide-seed-1",
+         "classical-seed-1", "generate-seed-1"],
+)
+def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # exit 1 means NO / no assignment found, so a usage error must not produce it
+    monkeypatch.chdir(tmp_path)
+    save_instance(generate_no_instance(2, "complete_pair"), tmp_path / "no.json")
+    (tmp_path / "sat.cnf").write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    assert _exit_code(argv) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists() and not (tmp_path / "g.json").exists()
+
+
 def test_decide_exit_codes(tmp_path, capsys):
     no_path = tmp_path / "no.json"
     save_instance(generate_no_instance(2, "complete_pair"), no_path)

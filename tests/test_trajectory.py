@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -21,7 +23,7 @@ from qsatwalk.trajectory import (
     trajectory_step,
 )
 
-from helpers import random_product_basis, trace_distance
+from helpers import embed_oracle, random_product_basis, trace_distance
 
 SINGLET = (0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0)
 
@@ -94,6 +96,24 @@ def test_trajectory_step_singlet_outcome_probability():
     rng = np.random.default_rng(42)
     ones = sum(trajectory_step(psi, inst, rng)[1] for _ in range(4000))
     assert abs(ones / 4000 - 0.5) < 5 * np.sqrt(0.25 / 4000)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_trajectory_step_leaves_input_state_unchanged(n):
+    # for pair (0, 1) the step's 4 x 2^(n-2) view of psi shares the caller's memory
+    rng = np.random.default_rng(46 + n)
+    for i, j in itertools.permutations(range(n), 2):
+        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        inst = Instance(n=n, clauses=(make_clause(i, j, amps / np.linalg.norm(amps)),))
+        proj = embed_oracle(np.outer(inst.clauses[0].amps, inst.clauses[0].amps.conj()), i, j, n)
+        psi0 = densesim.random_state_vector(n, rng)
+        kept, dropped = proj @ psi0, psi0 - proj @ psi0
+        psi = kept / np.linalg.norm(kept) + dropped / np.linalg.norm(dropped)
+        psi /= np.linalg.norm(psi)                   # <psi|P|psi> = 1/2
+        before = psi.copy()
+        outcomes = {trajectory_step(psi, inst, np.random.default_rng(s))[1] for s in range(16)}
+        assert outcomes == {0, 1}
+        assert np.array_equal(psi, before)
 
 
 def test_complete_pair_outcome_probabilities_sum_to_one():
