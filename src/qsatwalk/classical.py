@@ -59,10 +59,10 @@ def papadimitriou(inst: CnfInstance, b: float, seed) -> np.ndarray | None:
     returning), or None if the budget runs out. An unsatisfiable instance
     always returns None.
     """
-    if b <= 0:
-        raise DimensionMismatch(f"budget multiplier b must be positive, got {b}")
-    rng = np.random.default_rng(seed)
     n = inst.n
+    if not (b > 0 and math.isfinite(b * n * n)):
+        raise DimensionMismatch(f"budget multiplier b must be positive with b * n^2 finite, got {b}")
+    rng = np.random.default_rng(seed)
     assignment = rng.integers(0, 2, size=n).astype(bool)
     if not inst.clauses:
         return assignment

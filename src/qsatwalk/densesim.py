@@ -103,11 +103,6 @@ def as_density_matrix(rho, check_psd: bool = True) -> np.ndarray:
     return rho
 
 
-def random_state_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return v / np.linalg.norm(v)
-
-
 def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     """Full-rank random density matrix from a Ginibre square."""
     d = 2**n
@@ -162,16 +157,10 @@ def product_unitary(blocks) -> np.ndarray:
     return reduce(np.kron, blocks)
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol
-
-
 def require_unitary(u: np.ndarray, tol: float = 1e-10, what: str = "matrix") -> np.ndarray:
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol):
+    square = u.ndim == 2 and u.shape[0] == u.shape[1]
+    if not (square and np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol):
         raise NotUnitary(f"{what} is not unitary within {tol}")
     return u
 

@@ -117,6 +117,13 @@ class SpectralData:
     eigenvalues: np.ndarray
 
 
+def _eig_projector(h: np.ndarray, threshold: float):
+    """Eigenvalues of h, ascending, and the projector onto those strictly below threshold."""
+    vals, vecs = densesim.hermitian_eig(h)
+    sel = vecs[:, vals < threshold]
+    return vals, sel @ sel.conj().T
+
+
 def spectral_data(h: np.ndarray, zero_tol: float = ZERO_TOL) -> SpectralData:
     """Ground degeneracy, ground projector, and smallest nonzero eigenvalue.
 
@@ -124,35 +131,29 @@ def spectral_data(h: np.ndarray, zero_tol: float = ZERO_TOL) -> SpectralData:
     eigenvalue at or above it. Raises DegenerateSpectrum when no eigenvalue
     clears the threshold (an all-zero operator).
     """
-    vals, vecs = densesim.hermitian_eig(h)
+    vals, ground_projector = _eig_projector(h, zero_tol)
     ground = vals < zero_tol
     nonzero = vals[~ground]
     if nonzero.size == 0:
         raise DegenerateSpectrum(
             f"no eigenvalue reaches {zero_tol}; spectral gap undefined"
         )
-    g = vecs[:, ground]
     return SpectralData(
         min_eigenvalue=float(vals[0]),
         epsilon=float(nonzero[0]),
         ground_degeneracy=int(np.sum(ground)),
-        ground_projector=g @ g.conj().T,
+        ground_projector=ground_projector,
         eigenvalues=vals,
     )
 
 
 def ground_space_projector(h: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
     """Projector onto eigenvalues below zero_tol (zero matrix if none)."""
-    vals, vecs = densesim.hermitian_eig(h)
-    g = vecs[:, vals < zero_tol]
-    return g @ g.conj().T
+    return _eig_projector(h, zero_tol)[1]
 
 
 def low_energy_weight(rho: np.ndarray, h: np.ndarray, threshold: float) -> float:
     """Weight of rho on eigenstates of h with eigenvalue strictly below threshold."""
     if threshold <= 0:
         raise InvalidTarget(f"threshold must be positive, got {threshold}")
-    vals, vecs = densesim.hermitian_eig(h)
-    sel = vecs[:, vals < threshold]
-    proj = sel @ sel.conj().T
-    return densesim.expectation(proj, rho)
+    return densesim.expectation(_eig_projector(h, threshold)[1], rho)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,6 +287,8 @@ def run_ensemble(
         for start in range(0, M, _CHUNK)
     ]
     if workers > 1 and len(payloads) > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only pools pay its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_ensemble_chunk, payloads))
     else:
@@ -334,19 +335,15 @@ def write_ensemble_csv(stats: EnsembleStats, path, meta: dict | None = None) -> 
             fh.write(f"{idx},{int(n0)}\n")
 
 
-def ensemble_summary(stats: EnsembleStats, extra: dict | None = None) -> dict:
+def write_ensemble_summary(stats: EnsembleStats, path, extra: dict | None = None) -> None:
     doc = {
         "M": stats.M,
         "T": stats.T,
         "mean_N0": stats.mean_N0,
         "stddev_N0": stats.stddev_N0,
         "master_seed": stats.master_seed,
+        **(extra or {}),
     }
-    doc.update(extra or {})
-    return doc
-
-
-def write_ensemble_summary(stats: EnsembleStats, path, extra: dict | None = None) -> None:
     with open(path, "w") as fh:
-        json.dump(ensemble_summary(stats, extra), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -59,6 +59,11 @@ def embed_single(op2, q, n):
     return np.kron(np.kron(np.eye(2**q), np.asarray(op2, dtype=complex)), np.eye(2 ** (n - 1 - q)))
 
 
+def random_state_vector(n, rng):
+    v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    return v / np.linalg.norm(v)
+
+
 def random_hermitian(n, rng):
     d = 2**n
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

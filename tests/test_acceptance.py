@@ -8,7 +8,7 @@ one core; everything else is seconds-scale.
 import numpy as np
 
 from qsatwalk import densesim
-from qsatwalk.channel import apply_clause_channel, apply_step_channel, dual_residuals, evolve
+from qsatwalk.channel import apply_clause_channel, dual_residuals, evolve
 from qsatwalk.classical import CnfInstance, papadimitriou
 from qsatwalk.decision import Variant, convergence_steps, decide, decision_params
 from qsatwalk.instance import (
@@ -23,10 +23,10 @@ from qsatwalk.observables import (
     build_hamiltonian,
     build_total_spin,
     build_total_spin_squared,
-    instance_spin_operators,
     spectral_data,
 )
 from qsatwalk.trajectory import haar_unitary, run_ensemble
+from qsatwalk.verify import channel_match, lemma1_residuals, max_cumulative_excess
 
 from helpers import planted_cnf, trace_distance
 
@@ -39,27 +39,7 @@ def _criterion(number, name, ok, detail=""):
 
 
 def test_criterion_1_restricted_spin_identities():
-    rng = np.random.default_rng(1001)
-    worst_s = worst_s2 = 0.0
-    for _ in range(200):
-        n = int(rng.integers(2, 6))
-        L = int(rng.integers(1, 7))
-        inst = generate_planted_restricted(n, L, int(rng.integers(2**31)))
-        rho = densesim.random_density_matrix(n, rng)
-        s, s2 = instance_spin_operators(inst)
-        h = build_hamiltonian(inst)
-        out = apply_step_channel(rho, inst)
-        worst_s = max(
-            worst_s, abs(densesim.expectation(s, out) - densesim.expectation(s, rho))
-        )
-        worst_s2 = max(
-            worst_s2,
-            abs(
-                densesim.expectation(s2, out)
-                - densesim.expectation(s2, rho)
-                - (2.0 / L) * densesim.expectation(h, rho)
-            ),
-        )
+    worst_s, worst_s2 = lemma1_residuals(pairs=200, seed=1001)
     _criterion(
         1,
         "restricted spin identities over 200 random pairs",
@@ -83,14 +63,7 @@ def test_criterion_2_extended_dual_maps_and_cumulative_bound():
             checked += 1
     dual_ok = worst <= 1e-9
 
-    worst_excess = -np.inf
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        L = int(rng.integers(1, 7))
-        inst = generate_planted_extended(n, L, 0.5, int(rng.integers(2**31)))
-        series = evolve(densesim.maximally_mixed(n), inst, 2000)
-        running = (2.0 / inst.L) * np.cumsum(series.trH[:2000])
-        worst_excess = max(worst_excess, float(np.max(running) - 5.0 * n * n))
+    worst_excess = max_cumulative_excess(instances=20, T=2000, seed=rng)
     bound_ok = worst_excess <= 1e-6
     _criterion(
         2,
@@ -176,24 +149,12 @@ def test_criterion_5_trajectory_matches_channel():
         ("no-random", generate_no_instance(3, "random_certified", c_target=0.05, seed=304)),
     ]
     T, M = 50, 10000
-    all_ok = True
-    details = []
-    for label, inst in cases:
-        h = build_hamiltonian(inst)
-        s, s2 = instance_spin_operators(inst)
-        series = evolve(densesim.maximally_mixed(inst.n), inst, T)
-        stats = run_ensemble(
-            inst, T, M, master_seed=5000, operators={"H": h, "S": s, "S2": s2}
-        )
-        p = 1.0 - series.trH[:T] / inst.L
-        sigma = np.sqrt(np.maximum(p * (1.0 - p), 0.0) / M)
-        ok = bool(np.all(np.abs(stats.zero_frequency - p) <= 5.0 * sigma + 1e-9))
-        for name, exact in (("H", series.trH), ("S", series.trS), ("S2", series.trS2)):
-            tol = 5.0 * stats.operator_stderr[name] + 1e-9
-            ok = ok and bool(np.all(np.abs(stats.operator_means[name] - exact) <= tol))
-        all_ok = all_ok and ok
-        details.append(f"{label}:{'ok' if ok else 'MISMATCH'}")
-    _criterion(5, "trajectory ensembles match the exact channel", all_ok, ", ".join(details))
+    matched = {
+        label: all(np.all(gap <= 0) for gap in channel_match(inst, T, M, seed=5000).values())
+        for label, inst in cases
+    }
+    details = ", ".join(f"{label}:{'ok' if ok else 'MISMATCH'}" for label, ok in matched.items())
+    _criterion(5, "trajectory ensembles match the exact channel", all(matched.values()), details)
 
 
 def test_criterion_6_end_to_end_decision():

@@ -14,18 +14,13 @@ from qsatwalk.errors import IndexOutOfRange
 from qsatwalk.instance import (
     ClauseForm,
     Instance,
-    Promise,
     conjugate_instance,
     generate_planted_extended,
     generate_planted_restricted,
     make_clause,
 )
-from qsatwalk.observables import (
-    build_hamiltonian,
-    clause_projector,
-    ground_space_projector,
-    instance_spin_operators,
-)
+from qsatwalk.observables import clause_projector, instance_spin_operators
+from qsatwalk.verify import cumulative_excess, dual_sample, lemma1_residuals
 
 from helpers import random_product_basis
 
@@ -118,18 +113,9 @@ def test_step_channel_is_trace_preserving_and_positive():
 
 
 def test_step_channel_spin_identities_on_restricted():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(2, 6))
-        L = int(rng.integers(1, 7))
-        inst = generate_planted_restricted(n, L, int(rng.integers(2**31)))
-        rho = densesim.random_density_matrix(n, rng)
-        s, s2 = instance_spin_operators(inst)
-        h = build_hamiltonian(inst)
-        out = apply_step_channel(rho, inst)
-        assert abs(densesim.expectation(s, out) - densesim.expectation(s, rho)) <= 1e-10
-        ds2 = densesim.expectation(s2, out) - densesim.expectation(s2, rho)
-        assert abs(ds2 - (2.0 / L) * densesim.expectation(h, rho)) <= 1e-9
+    worst_s, worst_s2 = lemma1_residuals(pairs=50, seed=11)
+    assert worst_s <= 1e-10
+    assert worst_s2 <= 1e-9
 
 
 def test_evolve_singlet_closed_form():
@@ -202,14 +188,9 @@ def test_dual_residuals_type_ii_exact_values():
 
 
 def test_dual_residuals_mixed_instances_within_tolerance():
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        n = int(rng.integers(2, 5))
-        inst = generate_planted_extended(n, int(rng.integers(1, 6)), 0.5, int(rng.integers(2**31)))
-        states = [densesim.random_density_matrix(n, rng) for _ in range(3)]
-        for item in dual_residuals(inst, states):
-            assert item.form in (ClauseForm.RESTRICTED_TYPE_I, ClauseForm.TYPE_II)
-            assert item.max_residual <= 1e-9
+    for item in dual_sample(instances=10, states_per=3, seed=14):
+        assert item.form in (ClauseForm.RESTRICTED_TYPE_I, ClauseForm.TYPE_II)
+        assert item.max_residual <= 1e-9
 
 
 def test_dual_residuals_general_clause_reports_raw_deviation():
@@ -227,9 +208,7 @@ def test_mixed_form_cumulative_bound_smoke():
     for _ in range(5):
         n = int(rng.integers(2, 5))
         inst = generate_planted_extended(n, int(rng.integers(1, 7)), 0.5, int(rng.integers(2**31)))
-        series = evolve(densesim.maximally_mixed(n), inst, 300)
-        running = (2.0 / inst.L) * np.cumsum(series.trH[:300])
-        assert np.max(running) <= 5 * n * n + 1e-6
+        assert cumulative_excess(inst, 300) <= 1e-6
 
 
 def test_series_csv_format(tmp_path):

@@ -113,10 +113,14 @@ def _exit_code(argv):
         ["sample", "no.json", "-T", "5", "-M", "1", "--seed", "-1", "-o", "run"],
         ["decide", "no.json", "--seed", "-1"],
         ["classical", "sat.cnf", "--seed", "-1"],
+        ["classical", "sat.cnf", "-b", "nan", "--seed", "0"],
+        ["classical", "sat.cnf", "-b", "inf", "--seed", "0"],
+        ["classical", "sat.cnf", "-b", "1e400", "--seed", "0"],
         ["generate", "--kind", "restricted", "-n", "3", "-L", "2", "--seed", "-1", "-o", "g.json"],
     ],
     ids=["sample-M0", "sample-T-2", "evolve-T-2", "sample-seed-1", "decide-seed-1",
-         "classical-seed-1", "generate-seed-1"],
+         "classical-seed-1", "classical-b-nan", "classical-b-inf", "classical-b-1e400",
+         "generate-seed-1"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv):
     # exit 1 means NO / no assignment found, so a usage error must not produce it
@@ -220,6 +224,21 @@ def test_verify_suite_selector(capsys):
     assert "dual:" not in out
 
 
+def test_verify_runs_every_check(capsys):
+    assert cli.main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("ok   ") for line in lines)
+    assert {line.split()[1] for line in lines} == {
+        "fixtures:instance-valid",
+        "lemma1:spin-invariance",
+        "lemma1:spin-squared-increment",
+        "dual:clause-drift-identities",
+        "bound:cumulative-energy-bound",
+        "trajectory:channel-match-restricted",
+        "trajectory:channel-match-extended",
+    }
+
+
 def test_verify_flags_corrupted_normalization(tmp_path, capsys):
     bad = {
         "n": 2,
@@ -255,3 +274,13 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "qsatwalk" in proc.stdout
+
+
+def test_import_leaves_process_pool_unloaded():
+    import subprocess
+    import sys
+
+    code = "import sys, qsatwalk; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

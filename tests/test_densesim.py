@@ -9,7 +9,7 @@ from qsatwalk.errors import (
     NotHermitian,
 )
 
-from helpers import embed_oracle, embed_single, random_hermitian
+from helpers import embed_oracle, embed_single, random_hermitian, random_state_vector
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -124,7 +124,7 @@ def test_hermitian_eig_reconstruction_residual():
 
 def test_hermitian_eig_projector_eigenvalues_binary():
     rng = np.random.default_rng(6)
-    v = densesim.random_state_vector(3, rng)
+    v = random_state_vector(3, rng)
     vals, _ = densesim.hermitian_eig(np.outer(v, v.conj()))
     assert np.all((np.abs(vals) < 1e-8) | (np.abs(vals - 1) < 1e-8))
 

@@ -26,7 +26,7 @@ from qsatwalk.instance import (
 )
 from qsatwalk.observables import build_hamiltonian, clause_projector
 
-from helpers import random_product_basis
+from helpers import random_product_basis, random_state_vector
 
 SINGLET = (0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0)
 
@@ -183,7 +183,7 @@ def test_conjugate_transports_expectations():
     basis = random_product_basis(3, 16)
     rotated = conjugate_instance(inst, basis)
     rng = np.random.default_rng(17)
-    psi = densesim.random_state_vector(3, rng)
+    psi = random_state_vector(3, rng)
     v = densesim.product_unitary(basis)
     for c, cr in zip(inst.clauses, rotated.clauses):
         before = densesim.expectation(clause_projector(c, 3), psi)

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats as scipy_stats
 
 from qsatwalk import densesim
-from qsatwalk.channel import evolve
 from qsatwalk.errors import DegenerateBranch, IndexOutOfRange
 from qsatwalk.instance import (
     Instance,
@@ -14,7 +13,7 @@ from qsatwalk.instance import (
     generate_planted_restricted,
     make_clause,
 )
-from qsatwalk.observables import build_hamiltonian, clause_projector, instance_spin_operators
+from qsatwalk.observables import build_hamiltonian, clause_projector
 from qsatwalk.trajectory import (
     haar_unitary,
     run_ensemble,
@@ -23,7 +22,9 @@ from qsatwalk.trajectory import (
     trajectory_step,
 )
 
-from helpers import embed_oracle, random_product_basis, trace_distance
+from qsatwalk.verify import channel_match
+
+from helpers import embed_oracle, random_product_basis, random_state_vector, trace_distance
 
 SINGLET = (0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0)
 
@@ -106,7 +107,7 @@ def test_trajectory_step_leaves_input_state_unchanged(n):
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         inst = Instance(n=n, clauses=(make_clause(i, j, amps / np.linalg.norm(amps)),))
         proj = embed_oracle(np.outer(inst.clauses[0].amps, inst.clauses[0].amps.conj()), i, j, n)
-        psi0 = densesim.random_state_vector(n, rng)
+        psi0 = random_state_vector(n, rng)
         kept, dropped = proj @ psi0, psi0 - proj @ psi0
         psi = kept / np.linalg.norm(kept) + dropped / np.linalg.norm(dropped)
         psi /= np.linalg.norm(psi)                   # <psi|P|psi> = 1/2
@@ -119,7 +120,7 @@ def test_trajectory_step_leaves_input_state_unchanged(n):
 def test_complete_pair_outcome_probabilities_sum_to_one():
     inst = generate_no_instance(2, "complete_pair")
     rng = np.random.default_rng(43)
-    psi = densesim.random_state_vector(2, rng)
+    psi = random_state_vector(2, rng)
     total = sum(
         densesim.expectation(clause_projector(c, 2), psi) for c in inst.clauses
     )
@@ -195,25 +196,13 @@ def test_run_ensemble_deterministic_and_worker_independent():
 
 
 def test_run_ensemble_zero_frequency_matches_channel():
-    inst = singlet_instance()
-    T, m = 12, 4000
-    stats = run_ensemble(inst, T, m, master_seed=10)
-    series = evolve(densesim.maximally_mixed(2), inst, T)
-    p = 1.0 - series.trH[:T] / inst.L
-    sigma = np.sqrt(p * (1 - p) / m)
-    assert np.all(np.abs(stats.zero_frequency - p) <= 5 * sigma + 1e-9)
+    gaps = channel_match(singlet_instance(), T=12, M=4000, seed=10)
+    assert np.all(gaps["zero-frequency"] <= 0)
 
 
 def test_run_ensemble_observable_means_match_channel():
-    inst = generate_planted_restricted(3, 2, seed=52)
-    T, m = 15, 4000
-    h = build_hamiltonian(inst)
-    s, s2 = instance_spin_operators(inst)
-    stats = run_ensemble(inst, T, m, master_seed=11, operators={"H": h, "S": s, "S2": s2})
-    series = evolve(densesim.maximally_mixed(3), inst, T)
-    for name, exact in (("H", series.trH), ("S", series.trS), ("S2", series.trS2)):
-        tol = 5 * stats.operator_stderr[name] + 1e-9
-        assert np.all(np.abs(stats.operator_means[name] - exact) <= tol)
+    gaps = channel_match(generate_planted_restricted(3, 2, seed=52), T=15, M=4000, seed=11)
+    assert all(np.all(gap <= 0) for gap in gaps.values())
 
 
 def test_ensemble_basis_covariance_two_sample():
