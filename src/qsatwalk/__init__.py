@@ -32,8 +32,6 @@ from .densesim import (
 from .observables import (
     SpectralData,
     build_hamiltonian,
-    build_total_spin,
-    build_total_spin_squared,
     clause_projector,
     ground_space_projector,
     instance_spin_operators,

@@ -135,13 +135,6 @@ def apply_step_channel(rho: np.ndarray, inst: Instance) -> np.ndarray:
     return _apply(rho, [_clause_terms(c, n) for c in inst.clauses])[0]
 
 
-def _trace_with(op: np.ndarray, rho: np.ndarray) -> float:
-    """tr[op rho] for a dense operator, or for a diagonal one given as a vector."""
-    if op.ndim == 1:
-        return float(op @ np.diagonal(rho).real)
-    return float(np.einsum("ij,ji->", op, rho).real)
-
-
 @dataclass
 class EvolutionSeries:
     """Scalar observables of rho_t for t = 0..steps, plus optional snapshots."""
@@ -174,9 +167,10 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
         raise IndexOutOfRange("initial state dimension does not match instance")
     clauses = [_clause_terms(c, n) for c in inst.clauses]
     h = observables.build_hamiltonian(inst)
-    s, s2 = observables.compact_spin_operators(inst)
+    s, s2 = observables.instance_spin_operators(inst)
     pi0 = observables.ground_space_projector(h)
     wanted = set(int(t) for t in snapshot_schedule)
+    expect = densesim.expectation
 
     trH = np.empty(steps + 1)
     trS = np.empty(steps + 1)
@@ -184,13 +178,13 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
     trPi0 = np.empty(steps + 1)
     snapshots: dict[int, np.ndarray] = {}
     for t in range(steps + 1):
-        trS[t] = _trace_with(s, rho)
-        trS2[t] = _trace_with(s2, rho)
-        trPi0[t] = _trace_with(pi0, rho)
+        trS[t] = expect(s, rho)
+        trS2[t] = expect(s2, rho)
+        trPi0[t] = expect(pi0, rho)
         if t in wanted:
             snapshots[t] = rho.copy()
         if t == steps:
-            trH[t] = _trace_with(h, rho)
+            trH[t] = expect(h, rho)
             break
         rho, trH[t] = _apply(rho, clauses)
         if (t + 1) % RESYMMETRIZE_EVERY == 0:
@@ -228,28 +222,28 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
     residuals simply report how far they stray from that law.
     """
     n = inst.n
-    s, s2 = observables.compact_spin_operators(inst)
+    s, s2 = observables.instance_spin_operators(inst)
     v = observables.frame_unitary(inst)
     states = [densesim.as_density_matrix(r) for r in sample_states]
+    expect = densesim.expectation
     report = []
     for idx, clause in enumerate(inst.clauses):
         terms = _clause_terms(clause, n)
         form = classify_clause(clause)
         if form is ClauseForm.TYPE_II:
             z_rest = observables.spectator_spin(n, clause.i, clause.j)
-            if v is not None:
-                z_rest = v @ z_rest @ v.conj().T
-            z_proj = z_rest @ observables.clause_projector(clause, n)
+            proj = observables.clause_projector(clause, n)
+            z_proj = z_rest[:, None] * proj if v is None else (v * z_rest) @ v.conj().T @ proj
         res_s = np.empty(len(states))
         res_s2 = np.empty(len(states))
         for k, rho in enumerate(states):
             out, energy = _apply(rho, [terms])   # energy = tr[P rho]
             if form is ClauseForm.TYPE_II:
-                delta_s, delta_s2 = energy, -2.0 * energy + 2.0 * _trace_with(z_proj, rho)
+                delta_s, delta_s2 = energy, -2.0 * energy + 2.0 * expect(z_proj, rho)
             else:
                 delta_s, delta_s2 = 0.0, 2.0 * energy
-            res_s[k] = abs(_trace_with(s, out) - _trace_with(s, rho) - delta_s)
-            res_s2[k] = abs(_trace_with(s2, out) - _trace_with(s2, rho) - delta_s2)
+            res_s[k] = abs(expect(s, out) - expect(s, rho) - delta_s)
+            res_s2[k] = abs(expect(s2, out) - expect(s2, rho) - delta_s2)
         report.append(ClauseResiduals(index=idx, form=form, residual_S=res_s, residual_S2=res_s2))
     return report
 

@@ -53,12 +53,18 @@ _USAGE_ERRORS = (
 )
 
 
-def _seed(text: str) -> int:
-    """argparse type for --seed: a non-negative integer, as numpy seeds require."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type: an integer >= low (seeds >= 0, as numpy requires; workers >= 1)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer >= {low}, got {value}")
+        return value
+    parse.__name__ = what   # argparse's "invalid <name> value" message
+    return parse
+
+
+_seed = _int_at_least(0, "seed")
 
 
 def _meta(seed=None, **params) -> dict:
@@ -74,11 +80,11 @@ def _attach_promise_c(inst, c):
     return replace(inst, promise=Promise(kind=kind, c=float(c)))
 
 
-def _over_capacity(inst, cap: int, what: str) -> bool:
-    """Report on stderr, for exit code 3, an instance wider than the engine's cap."""
-    if inst.n <= cap:
+def _over_capacity(n: int, cap: int, what: str) -> bool:
+    """Report on stderr, for exit code 3, a register wider than the engine's cap."""
+    if n <= cap:
         return False
-    print(f"error: n={inst.n} exceeds the {what} capacity of {cap} qubits", file=sys.stderr)
+    print(f"error: n={n} exceeds the {what} capacity of {cap} qubits", file=sys.stderr)
     return True
 
 
@@ -87,6 +93,8 @@ def cmd_generate(args) -> int:
     if sampled and args.seed is None:
         print("error: --seed is required for sampled generation", file=sys.stderr)
         return 2
+    if args.kind == "no-random" and _over_capacity(args.n, DENSITY_QUBIT_CAP, "certification"):
+        return 3   # certifying a random NO instance diagonalizes the dense 2^n x 2^n H
     if args.kind == "restricted":
         inst = generate_planted_restricted(args.n, args.L, args.seed)
     elif args.kind == "extended":
@@ -120,7 +128,7 @@ def cmd_generate(args) -> int:
 
 def cmd_evolve(args) -> int:
     inst = load_instance(args.instance)
-    if _over_capacity(inst, DENSITY_QUBIT_CAP, "density-matrix"):
+    if _over_capacity(inst.n, DENSITY_QUBIT_CAP, "density-matrix"):
         return 3
     series = channel.evolve(densesim.maximally_mixed(inst.n), inst, args.steps)
     meta = _meta(seed=None, instance=args.instance, steps=args.steps)
@@ -132,7 +140,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_sample(args) -> int:
     inst = load_instance(args.instance)
-    if _over_capacity(inst, VECTOR_QUBIT_CAP, "state-vector"):
+    if _over_capacity(inst.n, VECTOR_QUBIT_CAP, "state-vector"):
         return 3
     stats = run_ensemble(inst, args.steps, args.trajectories, args.seed, workers=args.workers)
     meta = _meta(
@@ -154,7 +162,7 @@ def cmd_sample(args) -> int:
 
 def cmd_decide(args) -> int:
     inst = load_instance(args.instance)
-    if _over_capacity(inst, VECTOR_QUBIT_CAP, "state-vector"):
+    if _over_capacity(inst.n, VECTOR_QUBIT_CAP, "state-vector"):
         return 3
     if inst.promise is None or inst.promise.c is None:
         print(
@@ -187,7 +195,7 @@ def cmd_classical(args) -> int:
 
 def cmd_spectrum(args) -> int:
     inst = load_instance(args.instance)
-    if _over_capacity(inst, DENSITY_QUBIT_CAP, "operator"):
+    if _over_capacity(inst.n, DENSITY_QUBIT_CAP, "operator"):
         return 3
     h = observables.build_hamiltonian(inst)
     data = observables.spectral_data(h)
@@ -292,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-T", "--steps", type=int, required=True)
     p.add_argument("-M", "--trajectories", type=int, required=True)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1, "workers"), default=1)
     p.add_argument("-o", "--output", required=True, help="basename for .csv and .json outputs")
     p.set_defaults(func=cmd_sample)
 

@@ -6,16 +6,17 @@ Conventions used throughout the package:
   state |q0 q1 ... q_{n-1}> has index sum_k q_k * 2^(n-1-k);
 * sigma_z |0> = +|0>, i.e. sigma_z = diag(1, -1).
 
-Everything is stored dense, which keeps the code simple and exact. A
-density matrix takes 16 * 4^n bytes (256 MB at n = 12) and a state vector
-16 * 2^n bytes (16 MB at n = 20). Both the exact channel and a sampled
-trajectory step read a clause's two qubits through reshaped views of the
-state (`_clause_split`), so neither needs per-clause tables: a channel step
-costs O(L 4^n) time and a few density matrices of memory (memory, not the
-per-step time, sets its ceiling), a sampled step O(2^n) and a few state
-vectors. `kron_embed` builds a full 2^n x 2^n
-operator for one clause: it serves spectra and tests, not the per-step
-updates.
+States are stored dense: a density matrix takes 16 * 4^n bytes (256 MB at
+n = 12) and a state vector 16 * 2^n bytes (16 MB at n = 20). An operator is
+a dense 2^n x 2^n matrix or, when it is diagonal in the computational basis,
+the real length-2^n vector of its diagonal; `expectation` tells the two
+apart by `ndim`. Both the exact channel and a sampled trajectory step read a
+clause's two qubits through reshaped views of the state (`_clause_split`),
+so neither needs per-clause tables: a channel step costs O(L 4^n) time and a
+few density matrices of memory (memory, not the per-step time, sets its
+ceiling), a sampled step O(2^n) and a few state vectors. `kron_embed` builds
+a full 2^n x 2^n operator for one clause: it serves spectra and tests, not
+the per-step updates.
 """
 
 from __future__ import annotations
@@ -195,21 +196,24 @@ def hermitian_eig(a: np.ndarray, tol: float = HERMITICITY_TOL):
 def expectation(a: np.ndarray, state: np.ndarray) -> float:
     """tr[A rho] for a density matrix, or <psi|A|psi> for a state vector.
 
-    The imaginary residue is checked against 1e-8 and then discarded.
+    A 1-D `a` is a diagonal operator given by its diagonal, so only the
+    state's populations enter. The imaginary residue is checked against 1e-8
+    and then discarded.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
     state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        if a.shape != (state.shape[0], state.shape[0]):
-            raise DimensionMismatch(f"operator {a.shape} vs state dim {state.shape[0]}")
-        val = np.vdot(state, a @ state)
-    elif state.ndim == 2:
-        if a.shape != state.shape:
-            raise DimensionMismatch(f"operator {a.shape} vs density matrix {state.shape}")
-        val = np.einsum("ij,ji->", a, state)
-    else:
+    if state.ndim not in (1, 2):
         raise DimensionMismatch("state must be a vector or a square matrix")
+    d = state.shape[0]
+    if a.shape not in ((d,), (d, d)) or state.shape not in ((d,), (d, d)):
+        raise DimensionMismatch(f"operator {a.shape} vs state {state.shape}")
+    if a.ndim == 1:
+        weights = state.real**2 + state.imag**2 if state.ndim == 1 else np.diagonal(state)
+        val = a @ weights.real + 1j * (a @ weights.imag)   # a real `a` keeps a real dot product
+    elif state.ndim == 1:
+        val = np.vdot(state, a @ state)
+    else:
+        val = np.einsum("ij,ji->", a, state)
     if abs(val.imag) > 1e-8:
         raise NonRealExpectation(f"expectation has imaginary part {val.imag}")
     return float(val.real)
-

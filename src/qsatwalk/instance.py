@@ -252,12 +252,11 @@ def generate_no_instance(
     if style == "complete_pair":
         basis_kets = np.eye(4)
         clauses = tuple(make_clause(0, 1, basis_kets[k]) for k in range(4))
-        inst = Instance(n=n, clauses=clauses, promise=Promise(kind="no", c=1.0))
-        h = build_hamiltonian(inst)
-        lo = float(np.linalg.eigvalsh(h)[0])
+        # every clause sits on qubits (0, 1), so H = H_2 (x) I and lambda_min(H) = lambda_min(H_2)
+        lo = float(np.linalg.eigvalsh(build_hamiltonian(Instance(n=2, clauses=clauses)))[0])
         if abs(lo - 1.0) > 1e-9:
             raise CertificationFailed(f"complete pair certification gave min eig {lo}")
-        return inst
+        return Instance(n=n, clauses=clauses, promise=Promise(kind="no", c=1.0))
     if style != "random_certified":
         raise InvalidPromise(f"unknown NO-instance style {style!r}")
     if c_target is None or c_target <= 0:

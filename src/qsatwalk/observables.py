@@ -1,10 +1,12 @@
 """Analysis operators: total-spin diagnostics, clause Hamiltonian, spectral data.
 
 The spin operators are diagnostics defined in the frame where a planted
-solution (if any) is the all-|0> product state. For instances carrying a
-planted basis they are therefore conjugated by the product unitary of that
-basis; the satisfying-subspace projector and the Hamiltonian need no such
-treatment.
+solution (if any) is the all-|0> product state. There they are diagonal and
+are returned as real length-2^n vectors of their diagonals, the form
+`densesim.expectation`, `channel` and `trajectory.run_ensemble` read. For
+instances whose planted basis is not the identity they are conjugated by the
+product unitary of that basis into dense matrices; the satisfying-subspace
+projector and the Hamiltonian need no such treatment.
 """
 
 from __future__ import annotations
@@ -30,24 +32,9 @@ def _spin_diagonal(n: int) -> np.ndarray:
     return (n - 2 * weights).astype(float)
 
 
-def build_total_spin(n: int) -> np.ndarray:
-    """Sum of sigma_z over all qubits; diagonal value n - 2*hamming(x)."""
-    if n < 1:
-        raise InvalidTarget(f"need n >= 1, got {n}")
-    return np.diag(_spin_diagonal(n)).astype(complex)
-
-
-def build_total_spin_squared(n: int) -> np.ndarray:
-    """Square of the total-spin operator; maximum eigenvalue n^2."""
-    if n < 1:
-        raise InvalidTarget(f"need n >= 1, got {n}")
-    return np.diag(_spin_diagonal(n) ** 2).astype(complex)
-
-
 def spectator_spin(n: int, i: int, j: int) -> np.ndarray:
-    """Sum of sigma_z over every qubit except i and j (diagonal operator)."""
-    diag = _spin_diagonal(n) - (1 - 2 * _bits(n, i)) - (1 - 2 * _bits(n, j))
-    return np.diag(diag).astype(complex)
+    """Diagonal of the sum of sigma_z over every qubit except i and j."""
+    return _spin_diagonal(n) - (1 - 2 * _bits(n, i)) - (1 - 2 * _bits(n, j))
 
 
 def frame_unitary(inst: Instance) -> np.ndarray | None:
@@ -60,22 +47,18 @@ def frame_unitary(inst: Instance) -> np.ndarray | None:
 
 
 def instance_spin_operators(inst: Instance):
-    """(S, S^2) in the frame of the instance's planted basis, if any."""
-    s = build_total_spin(inst.n)
-    s2 = build_total_spin_squared(inst.n)
+    """(S, S^2) in the frame of the instance's planted basis.
+
+    S is the sum of sigma_z over all qubits, with eigenvalue n - 2*hamming(x)
+    on |x>, and S^2 its square. Both are diagonal vectors when
+    `frame_unitary(inst)` is None, and dense conjugated matrices otherwise.
+    """
+    z = _spin_diagonal(inst.n)
     v = frame_unitary(inst)
     if v is None:
-        return s, s2
+        return z, z * z
     vd = v.conj().T
-    return v @ s @ vd, v @ s2 @ vd
-
-
-def compact_spin_operators(inst: Instance):
-    """(S, S^2) as diagonal vectors in the identity frame, dense conjugated matrices otherwise."""
-    if frame_unitary(inst) is not None:
-        return instance_spin_operators(inst)
-    z = _spin_diagonal(inst.n)
-    return z, z * z
+    return (v * z) @ vd, (v * (z * z)) @ vd
 
 
 def clause_projector(clause: Clause, n: int) -> np.ndarray:

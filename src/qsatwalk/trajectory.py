@@ -233,15 +233,12 @@ class EnsembleStats:
 
 
 def _prepare_ops(ops):
-    """(is_diag, op) per operator: a diagonal as a real vector, else op^T, for rows @ op^T."""
-    prepared = []
-    for _, op in ops:
-        diag = np.diagonal(op)
-        if np.count_nonzero(op - np.diag(diag)) == 0:
-            prepared.append((True, np.ascontiguousarray(diag.real)))
-        else:
-            prepared.append((False, np.ascontiguousarray(np.asarray(op, dtype=complex).T)))
-    return prepared
+    """(is_diag, op) per operator: a 1-D diagonal as a real vector, else op^T, for rows @ op^T."""
+    return [
+        (True, np.ascontiguousarray(np.real(op), dtype=float)) if np.ndim(op) == 1
+        else (False, np.ascontiguousarray(np.asarray(op, dtype=complex).T))
+        for _, op in ops
+    ]
 
 
 def _ensemble_chunk(payload):
@@ -273,9 +270,12 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Run M seeded trajectories; optionally track per-step operator means.
 
-    `operators` maps names to 2^n x 2^n matrices whose expectation values are
+    `operators` maps names to operators whose expectation values are
     recorded at every step t = 0..T (mean and standard error across the
-    ensemble). Results do not depend on `workers`.
+    ensemble): a 1-D array is a diagonal operator given by its diagonal, as
+    `observables.instance_spin_operators` returns S and S^2, and anything
+    else a dense 2^n x 2^n matrix. Results do not depend on `workers`, and at
+    most one process is started per chunk of trajectories.
     """
     if M < 1:
         raise IndexOutOfRange(f"M must be >= 1, got {M}")
@@ -289,7 +289,7 @@ def run_ensemble(
     if workers > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor   # only pools pay its import
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             parts = list(pool.map(_ensemble_chunk, payloads))
     else:
         parts = [_ensemble_chunk(p) for p in payloads]

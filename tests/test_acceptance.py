@@ -19,12 +19,7 @@ from qsatwalk.instance import (
     generate_planted_restricted,
     make_clause,
 )
-from qsatwalk.observables import (
-    build_hamiltonian,
-    build_total_spin,
-    build_total_spin_squared,
-    spectral_data,
-)
+from qsatwalk.observables import build_hamiltonian, instance_spin_operators, spectral_data
 from qsatwalk.trajectory import haar_unitary, run_ensemble
 from qsatwalk.verify import channel_match, lemma1_residuals, max_cumulative_excess
 
@@ -77,8 +72,7 @@ def test_criterion_3_general_clause_counterexample():
     # |+1><+1| on the first two qubits of three; state |011>
     plus_one = make_clause(0, 1, (0, 1, 0, 1))
     inst = Instance(n=3, clauses=(plus_one,))
-    s = build_total_spin(3)
-    s2 = build_total_spin_squared(3)
+    s, s2 = instance_spin_operators(inst)
     rho = densesim.pure_density(densesim.basis_state(3, 0b011))
     out = apply_clause_channel(rho, plus_one)
 

@@ -43,6 +43,22 @@ def test_generate_no_complete_pair(tmp_path, capsys):
     assert inst.promise.kind == "no" and inst.promise.c == 1.0
 
 
+def test_generate_no_complete_pair_at_sampling_cap(tmp_path, capsys):
+    out = tmp_path / "wide.json"
+    assert cli.main(["generate", "--kind", "no-complete-pair", "-n", "20", "-o", str(out)]) == 0
+    inst = load_instance(out)
+    assert inst.n == 20 and inst.L == 4
+    assert inst.promise.kind == "no" and inst.promise.c == 1.0
+
+
+def test_generate_no_random_capacity_rule(tmp_path, capsys):
+    out = tmp_path / "wide.json"
+    argv = ["generate", "--kind", "no-random", "-n", "20", "--seed", "1", "-o", str(out)]
+    assert cli.main(argv) == 3
+    assert "12 qubits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_rejects_single_qubit(tmp_path, capsys):
     out = tmp_path / "c.json"
     code = cli.main(
@@ -111,6 +127,8 @@ def _exit_code(argv):
         ["sample", "no.json", "-T", "-2", "-M", "1", "--seed", "0", "-o", "run"],
         ["evolve", "no.json", "-T", "-2", "-o", "series.csv"],
         ["sample", "no.json", "-T", "5", "-M", "1", "--seed", "-1", "-o", "run"],
+        ["sample", "no.json", "-T", "5", "-M", "1", "--seed", "0", "--workers", "0", "-o", "run"],
+        ["sample", "no.json", "-T", "5", "-M", "1", "--seed", "0", "--workers", "-1", "-o", "run"],
         ["decide", "no.json", "--seed", "-1"],
         ["classical", "sat.cnf", "--seed", "-1"],
         ["classical", "sat.cnf", "-b", "nan", "--seed", "0"],
@@ -118,7 +136,8 @@ def _exit_code(argv):
         ["classical", "sat.cnf", "-b", "1e400", "--seed", "0"],
         ["generate", "--kind", "restricted", "-n", "3", "-L", "2", "--seed", "-1", "-o", "g.json"],
     ],
-    ids=["sample-M0", "sample-T-2", "evolve-T-2", "sample-seed-1", "decide-seed-1",
+    ids=["sample-M0", "sample-T-2", "evolve-T-2", "sample-seed-1", "sample-workers0",
+         "sample-workers-1", "decide-seed-1",
          "classical-seed-1", "classical-b-nan", "classical-b-inf", "classical-b-1e400",
          "generate-seed-1"],
 )

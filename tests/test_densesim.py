@@ -144,6 +144,19 @@ def test_expectation_basics():
 def test_expectation_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         densesim.expectation(np.eye(4), densesim.basis_state(3, 0))
+    with pytest.raises(DimensionMismatch):
+        densesim.expectation(np.ones(4), densesim.maximally_mixed(3))
+
+
+def test_expectation_reads_a_vector_as_a_diagonal():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 4):
+        diag = rng.standard_normal(2**n)
+        psi = random_state_vector(n, rng)
+        rho = densesim.random_density_matrix(n, rng)
+        for state in (psi, rho):
+            dense = densesim.expectation(np.diag(diag), state)
+            assert abs(densesim.expectation(diag, state) - dense) <= 1e-12
 
 
 def test_expectation_rejects_complex_result():

@@ -13,8 +13,6 @@ from qsatwalk.instance import (
 )
 from qsatwalk.observables import (
     build_hamiltonian,
-    build_total_spin,
-    build_total_spin_squared,
     clause_projector,
     instance_spin_operators,
     low_energy_weight,
@@ -36,38 +34,44 @@ def singlet_instance():
     )
 
 
+def spin_operators(n):
+    """(S, S^2) of an n-qubit instance without a planted basis: diagonal vectors."""
+    return instance_spin_operators(Instance(n=n, clauses=(make_clause(0, 1, (0, 0, 0, 1)),)))
+
+
 def test_total_spin_small_cases():
-    assert np.allclose(build_total_spin(1), np.diag([1, -1]))
-    assert np.allclose(build_total_spin(2), np.diag([2, 0, 0, -2]))
-    s3 = build_total_spin(3)
-    assert s3[0b011, 0b011] == -1  # |011>
+    assert np.array_equal(spin_operators(2)[0], [2, 0, 0, -2])
+    s3 = spin_operators(3)[0]
+    assert s3[0b011] == -1  # |011>
 
 
 def test_total_spin_squared_small_cases():
-    assert np.allclose(build_total_spin_squared(2), np.diag([4, 0, 0, 4]))
-    s2 = build_total_spin_squared(3)
-    assert s2[0b111, 0b111] == 9
+    assert np.array_equal(spin_operators(2)[1], [4, 0, 0, 4])
+    s2 = spin_operators(3)[1]
+    assert s2[0b111] == 9
 
 
 def test_spin_squared_equals_square():
-    for n in range(1, 6):
-        s = build_total_spin(n)
-        s2 = build_total_spin_squared(n)
-        assert np.max(np.abs(s2 - s @ s)) < 1e-10
+    for n in range(2, 6):
+        s, s2 = spin_operators(n)
+        assert s.shape == s2.shape == (2**n,)
+        s_dense = sum(embed_single(densesim.SIGMA_Z, q, n) for q in range(n))
+        assert np.max(np.abs(np.diag(s) - s_dense)) < 1e-10
+        assert np.max(np.abs(np.diag(s2) - s_dense @ s_dense)) < 1e-10
 
 
 def test_spin_squared_bounds_on_random_states():
     rng = np.random.default_rng(1)
     for _ in range(100):
-        n = int(rng.integers(1, 6))
+        n = int(rng.integers(2, 6))
         rho = densesim.random_density_matrix(n, rng)
-        val = densesim.expectation(build_total_spin_squared(n), rho)
+        val = densesim.expectation(spin_operators(n)[1], rho)
         assert -1e-10 <= val <= n * n + 1e-10
 
 
 def test_expectation_spin_on_basis_state():
     psi = densesim.basis_state(3, 0b011)
-    assert densesim.expectation(build_total_spin(3), psi) == -1.0
+    assert densesim.expectation(spin_operators(3)[0], psi) == -1.0
 
 
 def test_type_i_clause_annihilates_pair_spin():
@@ -95,7 +99,8 @@ def test_spectator_spin_excludes_pair():
     z = spectator_spin(3, 0, 2)
     # remaining qubit is 1: diagonal is sigma_z on qubit 1
     want = embed_single(densesim.SIGMA_Z, 1, 3)
-    assert np.allclose(z, want)
+    assert z.shape == (8,)
+    assert np.allclose(np.diag(z), want)
 
 
 def test_hamiltonian_singlet():
@@ -161,8 +166,9 @@ def test_spin_operators_follow_planted_frame():
     s_plain, s2_plain = instance_spin_operators(inst)
     s_rot, s2_rot = instance_spin_operators(rotated)
     v = densesim.product_unitary(basis)
-    assert np.max(np.abs(s_rot - v @ s_plain @ v.conj().T)) < 1e-10
-    assert np.max(np.abs(s2_rot - v @ s2_plain @ v.conj().T)) < 1e-10
+    assert s_plain.ndim == 1 and s_rot.shape == (8, 8)
+    assert np.max(np.abs(s_rot - v @ np.diag(s_plain) @ v.conj().T)) < 1e-10
+    assert np.max(np.abs(s2_rot - v @ np.diag(s2_plain) @ v.conj().T)) < 1e-10
     # planted state sits at the top of the spin ladder in its own frame
     psi = rotated.planted_state()
     assert abs(densesim.expectation(s_rot, psi) - 3.0) < 1e-9

@@ -13,8 +13,9 @@ from qsatwalk.instance import (
     generate_planted_restricted,
     make_clause,
 )
-from qsatwalk.observables import build_hamiltonian, clause_projector
+from qsatwalk.observables import build_hamiltonian, clause_projector, instance_spin_operators
 from qsatwalk.trajectory import (
+    _CHUNK,
     haar_unitary,
     run_ensemble,
     run_trajectory,
@@ -193,6 +194,49 @@ def test_run_ensemble_deterministic_and_worker_independent():
     assert np.array_equal(a.zero_frequency, c.zero_frequency)
     assert np.array_equal(a.operator_means["H"], c.operator_means["H"])
     assert a.mean_N0 == c.mean_N0 and a.stddev_N0 == c.stddev_N0
+
+
+def test_run_ensemble_diagonal_vectors_match_dense_forms():
+    inst = generate_planted_restricted(3, 3, seed=55)
+    s, s2 = instance_spin_operators(inst)
+    assert s.shape == s2.shape == (8,)
+    a = run_ensemble(inst, 10, 200, master_seed=14, operators={"S": s, "S2": s2})
+    b = run_ensemble(inst, 10, 200, master_seed=14,
+                     operators={"S": np.diag(s), "S2": np.diag(s2)})
+    for name in ("S", "S2"):
+        assert np.max(np.abs(a.operator_means[name] - b.operator_means[name])) <= 1e-12
+        assert np.max(np.abs(a.operator_stderr[name] - b.operator_stderr[name])) <= 1e-12
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_run_ensemble_starts_no_more_workers_than_chunks(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    inst = singlet_instance()
+    pooled = run_ensemble(inst, 3, _CHUNK + 1, master_seed=15, workers=4000)
+    assert _SerialPool.sizes == [2]
+    assert np.array_equal(pooled.n0, run_ensemble(inst, 3, _CHUNK + 1, master_seed=15).n0)
+    run_ensemble(inst, 3, 10, master_seed=15, workers=4000)   # one chunk runs without a pool
+    assert _SerialPool.sizes == [2]
 
 
 def test_run_ensemble_zero_frequency_matches_channel():
