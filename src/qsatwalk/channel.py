@@ -29,25 +29,18 @@ DRIFT_TOL = 1e-6
 
 def twirl(rho: np.ndarray, q: int) -> np.ndarray:
     """Replace qubit q by the maximally mixed state: (I_q/2) (x) tr_q[rho]."""
-    rho = np.asarray(rho, dtype=complex)
-    n = densesim.num_qubits(rho)
-    if not 0 <= q < n:
-        raise IndexOutOfRange(f"qubit {q} outside register of size {n}")
-    dl, dr = 2**q, 2 ** (n - 1 - q)
-    r = rho.reshape(dl, 2, dr, dl, 2, dr)
-    traced = r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]
-    out = np.zeros_like(r)
-    out[:, 0, :, :, 0, :] = 0.5 * traced
-    out[:, 1, :, :, 1, :] = 0.5 * traced
-    return out.reshape(2**n, 2**n)
+    half = 0.5 * densesim.partial_trace(rho, q)
+    dl, dr = 2**q, len(half) // 2**q
+    out = np.zeros((dl, 2, dr, dl, 2, dr), dtype=complex)
+    out[:, 0, :, :, 0, :] = out[:, 1, :, :, 1, :] = half.reshape(dl, dr, dl, dr)
+    return out.reshape(2 * len(half), 2 * len(half))
 
 
 @dataclass(frozen=True)
 class _ClauseTerms:
     """A clause in the layout the local kernel reads.
 
-    `pair` is the shape (2^lo, 2, 2^(hi-lo-1), 2, 2^(n-1-hi)) that splits a
-    basis index around the clause's qubits lo < hi. `phi` lists the nonzero
+    `pair` is the `densesim._pair_split` shape. `phi` lists the nonzero
     amplitudes as (b_lo, b_hi, amplitude) and `g` the nonzero entries of
     G = P + K as (b_lo, b_hi, b_lo', b_hi', value), where
     K = 1/2 (I/2 (x) tr_lo P + tr_hi P (x) I/2) carries the two twirls.

@@ -95,7 +95,7 @@ def parse_dimacs(text: str) -> CnfInstance:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf" or not all(t.isdecimal() for t in parts[2:]):
                 raise ParseError("malformed problem line", line=lineno)
             n, declared = int(parts[2]), int(parts[3])
             continue

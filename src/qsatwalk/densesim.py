@@ -10,13 +10,14 @@ States are stored dense: a density matrix takes 16 * 4^n bytes (256 MB at
 n = 12) and a state vector 16 * 2^n bytes (16 MB at n = 20). An operator is
 a dense 2^n x 2^n matrix or, when it is diagonal in the computational basis,
 the real length-2^n vector of its diagonal; `expectation` tells the two
-apart by `ndim`. Both the exact channel and a sampled trajectory step read a
-clause's two qubits through reshaped views of the state (`_clause_split`),
-so neither needs per-clause tables: a channel step costs O(L 4^n) time and a
+apart by `ndim`. The qubit layout lives here alone (`_bits`, `_pair_split`,
+`_clause_split`, `_clause_rows`): the exact channel and a sampled trajectory
+step read a clause's two qubits through reshaped views of the state, so
+neither needs per-clause tables: a channel step costs O(L 4^n) time and a
 few density matrices of memory (memory, not the per-step time, sets its
-ceiling), a sampled step O(2^n) and a few state vectors. `kron_embed` builds
-a full 2^n x 2^n operator for one clause: it serves spectra and tests, not
-the per-step updates.
+ceiling), a sampled step O(2^n) and a few state vectors. `kron_embed` and
+`observables.build_hamiltonian` scatter 4x4 blocks through the same rows
+into full 2^n x 2^n operators, for spectra and tests, not per-step updates.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 STATE_NORM_TOL = 1e-9
-EIG_RESIDUAL_TOL = 1e-8
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -85,8 +85,8 @@ def as_state_vector(psi) -> np.ndarray:
     return psi
 
 
-def as_density_matrix(rho, check_psd: bool = True) -> np.ndarray:
-    """Validate Hermiticity, trace and (optionally) positivity of a density matrix."""
+def as_density_matrix(rho) -> np.ndarray:
+    """Validate Hermiticity, trace and positivity of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
     num_qubits(rho)
     if rho.ndim != 2:
@@ -97,10 +97,9 @@ def as_density_matrix(rho, check_psd: bool = True) -> np.ndarray:
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise DimensionMismatch(f"density matrix trace {tr} is not 1 within {TRACE_TOL}")
-    if check_psd:
-        lo = np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]
-        if lo < -PSD_TOL:
-            raise DimensionMismatch(f"density matrix has eigenvalue {lo} < -{PSD_TOL}")
+    lo = np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]
+    if lo < -PSD_TOL:
+        raise DimensionMismatch(f"density matrix has eigenvalue {lo} < -{PSD_TOL}")
     return rho
 
 
@@ -123,30 +122,48 @@ def kron_embed(op4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
         raise DimensionMismatch(f"expected a 4x4 operator, got shape {op4.shape}")
     if i == j or not (0 <= i < n) or not (0 <= j < n):
         raise IndexOutOfRange(f"qubit pair ({i}, {j}) invalid for n={n}")
-    if n == 2 and (i, j) == (0, 1):
-        return op4.copy()
-    rest = [q for q in range(n) if q != i and q != j]
-    full = np.kron(op4, np.eye(2 ** (n - 2), dtype=complex))
-    order = [i, j] + rest
-    # axis k of the reshaped tensor carries qubit order[k]; permute to natural order
-    perm = list(np.argsort(order))
-    tensor = full.reshape([2] * (2 * n))
-    tensor = tensor.transpose(perm + [n + p for p in perm])
-    return np.ascontiguousarray(tensor.reshape(2**n, 2**n))
+    if i > j:
+        op4 = op4.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)   # axes (lo, hi)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    _scatter_add(out, op4, _pair_split(i, j, n))
+    return out
+
+
+def _bits(n: int, q: int) -> np.ndarray:
+    """Value of qubit q in every basis state, as 0/1 integers."""
+    return (np.arange(2**n) >> (n - 1 - q)) & 1
+
+
+def _pair_split(i: int, j: int, n: int) -> tuple:
+    """Shape (2^lo, 2, 2^(hi-lo-1), 2, 2^(n-1-hi)) of a basis index split around qubits lo < hi."""
+    lo, hi = sorted((i, j))
+    return (2**lo, 2, 2 ** (hi - lo - 1), 2, 2 ** (n - 1 - hi))
 
 
 def _clause_split(clause, n: int):
-    """How a basis index splits around a clause's qubits lo < hi.
-
-    Returns the shape (2^lo, 2, 2^(hi-lo-1), 2, 2^(n-1-hi)) that reshapes a
-    length-2^n axis without a copy, and the clause ket as a 2x2 array with
-    axes (qubit lo, qubit hi).
-    """
-    lo, hi = sorted((clause.i, clause.j))
+    """How a basis index splits around a clause's qubits: the `_pair_split`
+    shape, and the clause ket as a 2x2 array with axes (qubit lo, qubit hi)."""
     phi = clause.amps.reshape(2, 2)            # axes (qubit i, qubit j)
     if clause.i > clause.j:
         phi = phi.T                            # axes (qubit lo, qubit hi)
-    return (2**lo, 2, 2 ** (hi - lo - 1), 2, 2 ** (n - 1 - hi)), phi
+    return _pair_split(clause.i, clause.j, n), phi
+
+
+def _clause_rows(x: np.ndarray, pair: tuple) -> np.ndarray:
+    """A length-2^n vector as a 4 x 2^(n-2) matrix, row 2*b_lo + b_hi holding in index
+    order the entries where qubits (lo, hi) are (b_lo, b_hi); a view of x when possible."""
+    return x.reshape(pair).transpose(1, 3, 0, 2, 4).reshape(4, -1)
+
+
+def _from_clause_rows(rows: np.ndarray, pair: tuple) -> np.ndarray:
+    """Inverse of `_clause_rows`: the flat length-2^n vector."""
+    return rows.reshape(2, 2, *pair[0::2]).transpose(2, 0, 3, 1, 4).reshape(-1)
+
+
+def _scatter_add(out: np.ndarray, op4: np.ndarray, pair: tuple) -> None:
+    """Add to the 2^n x 2^n `out` a 4x4 operator with axes (lo, hi), embedded."""
+    idx = _clause_rows(np.arange(out.shape[0]), pair)
+    out[idx[:, None, :], idx[None, :, :]] += op4[:, :, None]
 
 
 def product_unitary(blocks) -> np.ndarray:
@@ -158,11 +175,11 @@ def product_unitary(blocks) -> np.ndarray:
     return reduce(np.kron, blocks)
 
 
-def require_unitary(u: np.ndarray, tol: float = 1e-10, what: str = "matrix") -> np.ndarray:
+def require_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     square = u.ndim == 2 and u.shape[0] == u.shape[1]
-    if not (square and np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol):
-        raise NotUnitary(f"{what} is not unitary within {tol}")
+    if not (square and np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-10):
+        raise NotUnitary(f"{what} is not unitary within 1e-10")
     return u
 
 
@@ -178,16 +195,16 @@ def partial_trace(rho: np.ndarray, q: int) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(dl * dr, dl * dr))
 
 
-def hermitian_eig(a: np.ndarray, tol: float = HERMITICITY_TOL):
+def hermitian_eig(a: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector columns). Raises NotHermitian
-    when the input deviates from Hermitian by more than `tol`.
+    when the input deviates from Hermitian by more than HERMITICITY_TOL.
     """
     a = np.asarray(a, dtype=complex)
     num_qubits(a)
     dev = np.max(np.abs(a - a.conj().T))
-    if dev > tol:
+    if dev > HERMITICITY_TOL:
         raise NotHermitian(f"matrix deviates from Hermitian by {dev}")
     vals, vecs = np.linalg.eigh(a)
     return vals, vecs

@@ -69,7 +69,9 @@ class Promise:
     def __post_init__(self):
         if self.kind not in ("yes", "no"):
             raise InvalidPromise(f"promise kind must be 'yes' or 'no', got {self.kind!r}")
-        if self.kind == "no" and (self.c is None or self.c <= 0):
+        if self.c is not None and not 0 < self.c < float("inf"):
+            raise InvalidPromise(f"promise gap c must be finite and > 0, got {self.c}")
+        if self.kind == "no" and self.c is None:
             raise InvalidPromise("a NO promise requires a gap c > 0")
 
 

@@ -22,19 +22,14 @@ from .instance import Instance, Clause
 ZERO_TOL = 1e-10
 
 
-def _bits(n: int, q: int) -> np.ndarray:
-    """Value of qubit q in every basis state, as 0/1 integers."""
-    return (np.arange(2**n) >> (n - 1 - q)) & 1
-
-
 def _spin_diagonal(n: int) -> np.ndarray:
-    weights = sum(_bits(n, q) for q in range(n))
+    weights = sum(densesim._bits(n, q) for q in range(n))
     return (n - 2 * weights).astype(float)
 
 
 def spectator_spin(n: int, i: int, j: int) -> np.ndarray:
     """Diagonal of the sum of sigma_z over every qubit except i and j."""
-    return _spin_diagonal(n) - (1 - 2 * _bits(n, i)) - (1 - 2 * _bits(n, j))
+    return _spin_diagonal(n) - (1 - 2 * densesim._bits(n, i)) - (1 - 2 * densesim._bits(n, j))
 
 
 def frame_unitary(inst: Instance) -> np.ndarray | None:
@@ -66,18 +61,6 @@ def clause_projector(clause: Clause, n: int) -> np.ndarray:
     return densesim.kron_embed(np.outer(clause.amps, clause.amps.conj()), clause.i, clause.j, n)
 
 
-def _pair_indices(i: int, j: int, n: int) -> np.ndarray:
-    """Basis indices grouped by the state of qubits (i, j).
-
-    Row 2*b_i + b_j lists, in increasing order of the other qubits, every
-    basis state whose qubits i and j hold b_i and b_j.
-    """
-    bit_i, bit_j = 1 << (n - 1 - i), 1 << (n - 1 - j)
-    rest = np.arange(2**n)
-    rest = rest[(rest & (bit_i | bit_j)) == 0]
-    return rest | np.array([0, bit_j, bit_i, bit_i | bit_j])[:, None]
-
-
 def build_hamiltonian(inst: Instance) -> np.ndarray:
     """Sum of all embedded clause projectors; PSD with eigenvalues in [0, L].
 
@@ -86,8 +69,8 @@ def build_hamiltonian(inst: Instance) -> np.ndarray:
     """
     h = np.zeros((2**inst.n, 2**inst.n), dtype=complex)
     for c in inst.clauses:
-        idx = _pair_indices(c.i, c.j, inst.n)
-        h[idx[:, None, :], idx[None, :, :]] += np.outer(c.amps, c.amps.conj())[:, :, None]
+        pair, phi = densesim._clause_split(c, inst.n)
+        densesim._scatter_add(h, np.outer(phi, phi.conj()), pair)   # outer flattens phi
     return h
 
 
@@ -107,19 +90,19 @@ def _eig_projector(h: np.ndarray, threshold: float):
     return vals, sel @ sel.conj().T
 
 
-def spectral_data(h: np.ndarray, zero_tol: float = ZERO_TOL) -> SpectralData:
+def spectral_data(h: np.ndarray) -> SpectralData:
     """Ground degeneracy, ground projector, and smallest nonzero eigenvalue.
 
-    Eigenvalues below zero_tol count as ground space; epsilon is the smallest
+    Eigenvalues below ZERO_TOL count as ground space; epsilon is the smallest
     eigenvalue at or above it. Raises DegenerateSpectrum when no eigenvalue
     clears the threshold (an all-zero operator).
     """
-    vals, ground_projector = _eig_projector(h, zero_tol)
-    ground = vals < zero_tol
+    vals, ground_projector = _eig_projector(h, ZERO_TOL)
+    ground = vals < ZERO_TOL
     nonzero = vals[~ground]
     if nonzero.size == 0:
         raise DegenerateSpectrum(
-            f"no eigenvalue reaches {zero_tol}; spectral gap undefined"
+            f"no eigenvalue reaches {ZERO_TOL}; spectral gap undefined"
         )
     return SpectralData(
         min_eigenvalue=float(vals[0]),
@@ -130,9 +113,9 @@ def spectral_data(h: np.ndarray, zero_tol: float = ZERO_TOL) -> SpectralData:
     )
 
 
-def ground_space_projector(h: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
-    """Projector onto eigenvalues below zero_tol (zero matrix if none)."""
-    return _eig_projector(h, zero_tol)[1]
+def ground_space_projector(h: np.ndarray) -> np.ndarray:
+    """Projector onto eigenvalues below ZERO_TOL (zero matrix if none)."""
+    return _eig_projector(h, ZERO_TOL)[1]
 
 
 def low_energy_weight(rho: np.ndarray, h: np.ndarray, threshold: float) -> float:

@@ -7,7 +7,7 @@ to one of the clause's qubits. Ensemble averages reproduce the exact channel
 in `channel`; the zero-outcome count N0 is the decision statistic.
 
 A step reads the drawn clause's two qubits through a reshaped view of the
-state, (2^lo, 2, 2^(hi-lo-1), 2, 2^(n-1-hi)) as in `channel`, so no
+state (`densesim._clause_rows`, on the split `channel` reads too), so no
 per-clause index tables are built. On an unsatisfied outcome the projected
 state is a product phi (x) a, and the Haar twirl acts on the 2x2 phi alone.
 One run loop, `_walk`, serves `run_trajectory`, `run_ensemble` and (through
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densesim import _clause_split, basis_state, num_qubits
+from .densesim import _clause_rows, _clause_split, _from_clause_rows, basis_state, num_qubits
 from .errors import DegenerateBranch, DimensionMismatch, IndexOutOfRange
 from .instance import Instance
 
@@ -96,7 +96,7 @@ def _measure(psi: np.ndarray, ket, draw: float):
     draw < p).
     """
     pair, _, _, phi_conj, _ = ket
-    mat = psi.reshape(pair).transpose(1, 3, 0, 2, 4).reshape(4, -1)
+    mat = _clause_rows(psi, pair)
     overlap = phi_conj @ mat
     p = np.vdot(overlap, overlap).real
     if draw < p:
@@ -123,7 +123,7 @@ def _write_back(ket, mat, overlap, p, u, coin: float) -> np.ndarray:
     else:
         twirled = u @ phi if (coin < 0.5) == i_is_lo else phi @ u.T
         mat = twirled.reshape(4, 1) * (overlap * (1.0 / math.sqrt(p)))
-    return mat.reshape(2, 2, *pair[0::2]).transpose(2, 0, 3, 1, 4).reshape(-1)
+    return _from_clause_rows(mat, pair)
 
 
 def trajectory_step(psi: np.ndarray, inst: Instance, rng: np.random.Generator):
@@ -273,15 +273,18 @@ def run_ensemble(
     `operators` maps names to operators whose expectation values are
     recorded at every step t = 0..T (mean and standard error across the
     ensemble): a 1-D array is a diagonal operator given by its diagonal, as
-    `observables.instance_spin_operators` returns S and S^2, and anything
-    else a dense 2^n x 2^n matrix. Results do not depend on `workers`, and at
-    most one process is started per chunk of trajectories.
+    `observables.instance_spin_operators` returns S and S^2, a 2-D one a dense
+    2^n x 2^n matrix, and any other shape raises DimensionMismatch. Results do
+    not depend on `workers`; at most one process is started per chunk.
     """
     if M < 1:
         raise IndexOutOfRange(f"M must be >= 1, got {M}")
     if T < 0:
         raise IndexOutOfRange(f"T must be >= 0, got {T}")
     ops = list((operators or {}).items())
+    for name, op in ops:
+        if np.shape(op) not in ((2**inst.n,), (2**inst.n, 2**inst.n)):
+            raise DimensionMismatch(f"operator {name!r} has shape {np.shape(op)} on {inst.n} qubits")
     payloads = [
         (inst, T, start, min(start + _CHUNK, M), master_seed, ops)
         for start in range(0, M, _CHUNK)

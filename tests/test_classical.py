@@ -89,6 +89,8 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 3 1\n1 2 3 0\n")
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 3 1\n1 2\n")
+    with pytest.raises(ParseError):
+        parse_dimacs("p cnf x 1\n1 2 0\n")
 
 
 def test_assignment_string():

@@ -135,17 +135,23 @@ def _exit_code(argv):
         ["classical", "sat.cnf", "-b", "inf", "--seed", "0"],
         ["classical", "sat.cnf", "-b", "1e400", "--seed", "0"],
         ["generate", "--kind", "restricted", "-n", "3", "-L", "2", "--seed", "-1", "-o", "g.json"],
+        ["generate", "--kind", "no-complete-pair", "-n", "2", "--promise-c", "nan", "-o", "g.json"],
+        ["generate", "--kind", "restricted", "-n", "3", "-L", "2", "--seed", "0", "--promise-c", "-1",
+         "-o", "g.json"],
+        ["classical", "bad.cnf", "--seed", "0"],
     ],
     ids=["sample-M0", "sample-T-2", "evolve-T-2", "sample-seed-1", "sample-workers0",
          "sample-workers-1", "decide-seed-1",
          "classical-seed-1", "classical-b-nan", "classical-b-inf", "classical-b-1e400",
-         "generate-seed-1"],
+         "generate-seed-1", "generate-promise-c-nan", "generate-promise-c-1",
+         "classical-problem-line"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv):
     # exit 1 means NO / no assignment found, so a usage error must not produce it
     monkeypatch.chdir(tmp_path)
     save_instance(generate_no_instance(2, "complete_pair"), tmp_path / "no.json")
     (tmp_path / "sat.cnf").write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    (tmp_path / "bad.cnf").write_text("p cnf x 1\n1 2 0\n")
     assert _exit_code(argv) == 2
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "run.csv").exists() and not (tmp_path / "g.json").exists()

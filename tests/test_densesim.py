@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -34,13 +36,13 @@ def test_embed_projector_nonadjacent_eigenvector():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_embed_matches_index_oracle(seed):
+    """A random operator per seed, on every ordered pair of every n in 2..5."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 6))
-    i, j = rng.choice(n, size=2, replace=False)
     op4 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    got = densesim.kron_embed(op4, int(i), int(j), n)
-    want = embed_oracle(op4, int(i), int(j), n)
-    assert np.max(np.abs(got - want)) < 1e-12
+    for n in range(2, 6):
+        for i, j in itertools.permutations(range(n), 2):
+            got = densesim.kron_embed(op4, i, j, n)
+            assert np.max(np.abs(got - embed_oracle(op4, i, j, n))) < 1e-12
 
 
 def test_embed_disjoint_supports_commute():

@@ -6,6 +6,7 @@ import pytest
 from qsatwalk import densesim
 from qsatwalk.errors import (
     CertificationFailed,
+    InvalidPromise,
     NotUnitary,
     ParseError,
     QubitPairInvalid,
@@ -230,6 +231,18 @@ def test_deserialize_rejects_denormalized_amps():
     with pytest.raises(ParseError) as err:
         deserialize(json.dumps(doc))
     assert "normalization" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["yes", "no"])
+@pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
+def test_promise_gap_must_be_finite_and_positive(kind, c):
+    with pytest.raises(InvalidPromise):
+        Promise(kind=kind, c=c)
+    doc = json.loads(serialize(generate_no_instance(2, "complete_pair")))
+    doc["promise"] = {"kind": kind, "c": c}
+    with pytest.raises(ParseError) as err:
+        deserialize(json.dumps(doc))
+    assert "promise" in str(err.value)
 
 
 def test_deserialize_reports_json_line():

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from qsatwalk import densesim
-from qsatwalk.errors import DegenerateBranch, IndexOutOfRange
+from qsatwalk.errors import DegenerateBranch, DimensionMismatch, IndexOutOfRange
 from qsatwalk.instance import (
     Instance,
     conjugate_instance,
@@ -262,3 +262,10 @@ def test_ensemble_basis_covariance_two_sample():
 def test_run_ensemble_rejects_empty():
     with pytest.raises(IndexOutOfRange):
         run_ensemble(singlet_instance(), 5, 0, master_seed=1)
+
+
+@pytest.mark.parametrize("op", [np.ones(4), np.eye(4)], ids=["vector", "matrix"])
+def test_run_ensemble_rejects_operator_of_wrong_size(op):
+    inst = generate_planted_restricted(3, 2, seed=52)
+    with pytest.raises(DimensionMismatch):
+        run_ensemble(inst, 5, 2, master_seed=1, operators={"op": op})
