@@ -18,6 +18,14 @@ few density matrices of memory (memory, not the per-step time, sets its
 ceiling), a sampled step O(2^n) and a few state vectors. `kron_embed` and
 `observables.build_hamiltonian` scatter 4x4 blocks through the same rows
 into full 2^n x 2^n operators, for spectra and tests, not per-step updates.
+
+Spectra go one Hamming-weight block at a time (`_weight_blocks`). If every
+entry that couples two different weights is exactly zero, `hermitian_eig`
+and the PSD check of `as_density_matrix` diagonalize each C(n, k) x C(n, k)
+weight block apart; otherwise the whole space is the one block. Blocks occur
+for the Hamiltonian of restricted (0, a, b, 0) and |11><11| clauses in the
+planted frame, and for every state the channel of such clauses reaches from
+the maximally mixed one.
 """
 
 from __future__ import annotations
@@ -97,7 +105,8 @@ def as_density_matrix(rho) -> np.ndarray:
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise DimensionMismatch(f"density matrix trace {tr} is not 1 within {TRACE_TOL}")
-    lo = np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]
+    sym = (rho + rho.conj().T) / 2
+    lo = min(np.linalg.eigvalsh(sym[b][:, b])[0] for b in _weight_blocks(sym))
     if lo < -PSD_TOL:
         raise DimensionMismatch(f"density matrix has eigenvalue {lo} < -{PSD_TOL}")
     return rho
@@ -132,6 +141,28 @@ def kron_embed(op4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
 def _bits(n: int, q: int) -> np.ndarray:
     """Value of qubit q in every basis state, as 0/1 integers."""
     return (np.arange(2**n) >> (n - 1 - q)) & 1
+
+
+def _hamming_weights(n: int) -> np.ndarray:
+    """Number of qubits in |1> in every basis state."""
+    return sum((_bits(n, q) for q in range(n)), np.zeros(2**n, dtype=int))
+
+
+def _weight_blocks(a: np.ndarray) -> list:
+    """Index arrays of a's Hamming-weight blocks, ascending in weight, when every
+    entry coupling two different weights is exactly zero; otherwise the whole
+    space as one block, `[slice(None)]`, so that `a[b][:, b]` is `a` itself.
+
+    The check copies one block of rows at a time, at most C(n, n/2) x 2^n entries.
+    """
+    n = num_qubits(a)
+    weights = _hamming_weights(n)
+    blocks = [np.flatnonzero(weights == k) for k in range(n + 1)]
+    for b in blocks:
+        rows = a[b]
+        if np.count_nonzero(rows) != np.count_nonzero(rows[:, b]):
+            return [slice(None)]
+    return blocks
 
 
 def _pair_split(i: int, j: int, n: int) -> tuple:
@@ -196,9 +227,13 @@ def partial_trace(rho: np.ndarray, q: int) -> np.ndarray:
 
 
 def hermitian_eig(a: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, one Hamming-weight block at a time.
 
-    Returns (eigenvalues ascending, eigenvector columns). Raises NotHermitian
+    Returns (eigenvalues ascending, eigenvector columns). When every entry
+    that couples two different Hamming weights is exactly zero, each block of
+    C(n, k) basis states is diagonalized on its own, the eigenvalues are
+    merged in ascending order, and each eigenvector is supported on one
+    block; otherwise the whole space is the one block. Raises NotHermitian
     when the input deviates from Hermitian by more than HERMITICITY_TOL.
     """
     a = np.asarray(a, dtype=complex)
@@ -206,8 +241,19 @@ def hermitian_eig(a: np.ndarray):
     dev = np.max(np.abs(a - a.conj().T))
     if dev > HERMITICITY_TOL:
         raise NotHermitian(f"matrix deviates from Hermitian by {dev}")
-    vals, vecs = np.linalg.eigh(a)
-    return vals, vecs
+    blocks = _weight_blocks(a)
+    parts = [np.linalg.eigh(a[b][:, b]) for b in blocks]
+    if len(parts) == 1:
+        return parts[0]
+    vals = np.concatenate([w for w, _ in parts])
+    order = np.argsort(vals, kind="stable")
+    column = np.argsort(order)                   # where each block eigenvector lands
+    vecs = np.zeros(a.shape, dtype=complex)
+    start = 0
+    for b, (w, v) in zip(blocks, parts):
+        vecs[np.ix_(b, column[start : start + len(w)])] = v
+        start += len(w)
+    return vals[order], vecs
 
 
 def expectation(a: np.ndarray, state: np.ndarray) -> float:

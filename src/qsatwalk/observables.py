@@ -23,8 +23,7 @@ ZERO_TOL = 1e-10
 
 
 def _spin_diagonal(n: int) -> np.ndarray:
-    weights = sum(densesim._bits(n, q) for q in range(n))
-    return (n - 2 * weights).astype(float)
+    return (n - 2 * densesim._hamming_weights(n)).astype(float)
 
 
 def spectator_spin(n: int, i: int, j: int) -> np.ndarray:

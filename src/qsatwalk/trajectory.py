@@ -79,13 +79,10 @@ def sample_initial_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return basis_state(n, int(rng.integers(2**n)))
 
 
-def _clause_kets(inst: Instance):
-    """Per clause: the index split, phi on (lo, hi), phi as a column, conj(phi) flat, i < j."""
-    kets = []
-    for c in inst.clauses:
-        pair, phi = _clause_split(c, inst.n)
-        kets.append((pair, phi, phi.reshape(4, 1), phi.conj().reshape(4), c.i < c.j))
-    return kets
+def _clause_ket(clause, n: int):
+    """The index split, phi on (lo, hi), phi as a column, conj(phi) flat, and i < j."""
+    pair, phi = _clause_split(clause, n)
+    return pair, phi, phi.reshape(4, 1), phi.conj().reshape(4), clause.i < clause.j
 
 
 def _measure(psi: np.ndarray, ket, draw: float):
@@ -138,8 +135,7 @@ def trajectory_step(psi: np.ndarray, inst: Instance, rng: np.random.Generator):
     n = num_qubits(psi)
     if n != inst.n:
         raise DimensionMismatch(f"state has {n} qubits but instance has {inst.n}")
-    kets = _clause_kets(inst)
-    ket = kets[int(rng.integers(len(kets)))]
+    ket = _clause_ket(inst.clauses[int(rng.integers(inst.L))], n)
     mat, overlap, p, outcome = _measure(psi, ket, rng.random())
     if outcome:
         coin = rng.random()
@@ -207,7 +203,7 @@ def run_trajectory(inst: Instance, T: int, rng, keep_history: bool = False) -> T
     if T < 0:
         raise IndexOutOfRange(f"T must be >= 0, got {T}")
     gen, seed = _as_generator(rng)
-    outcomes, psi, _ = _walk(_clause_kets(inst), inst.n, T, gen)
+    outcomes, psi, _ = _walk([_clause_ket(c, inst.n) for c in inst.clauses], inst.n, T, gen)
     return TrajectoryRecord(
         N0=T - int(np.sum(outcomes)),
         T=T,
@@ -243,7 +239,7 @@ def _prepare_ops(ops):
 
 def _ensemble_chunk(payload):
     inst, T, start, stop, master_seed, ops = payload
-    kets = _clause_kets(inst)
+    kets = [_clause_ket(c, inst.n) for c in inst.clauses]
     prepared = _prepare_ops(ops) if ops else None
     n0 = np.zeros(stop - start, dtype=np.int64)
     zeros_per_step = np.zeros(T, dtype=np.int64)

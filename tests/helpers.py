@@ -1,11 +1,14 @@
 """Shared test utilities: independent oracles, small generators, hypothesis settings."""
 
+from functools import reduce
+
 import numpy as np
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
 from qsatwalk.classical import CnfInstance
 from qsatwalk.instance import make_clause
+from qsatwalk.observables import ZERO_TOL
 from qsatwalk.trajectory import haar_unitary
 
 PROPERTY_SETTINGS = settings(
@@ -110,3 +113,27 @@ def clause_channel_oracle(rho, clause, n):
     keep = np.eye(2**n) - p
     prp = p @ rho @ p
     return keep @ rho @ keep + 0.5 * (twirl_oracle(prp, clause.i, n) + twirl_oracle(prp, clause.j, n))
+
+
+def evolve_oracle(inst, steps):
+    """trH, trS, trS2 and trPi0 of rho_t from the maximally mixed state, t = 0..steps.
+
+    Dense clause updates averaged over clauses, spin operators summed from
+    embedded sigma_z and rotated into the planted frame, and the ground
+    projector from a full `np.linalg.eigh` of H (independent of `channel.evolve`).
+    """
+    n, d = inst.n, 2**inst.n
+    h = sum(embed_oracle(np.outer(c.amps, c.amps.conj()), c.i, c.j, n) for c in inst.clauses)
+    s = sum(embed_single(np.diag([1.0, -1.0]), q, n) for q in range(n))
+    if inst.planted_basis is not None:
+        v = reduce(np.kron, inst.planted_basis)
+        s = v @ s @ v.conj().T
+    vals, vecs = np.linalg.eigh(h)
+    ground = vecs[:, vals < ZERO_TOL]
+    ops = (h, s, s @ s, ground @ ground.conj().T)
+    rho = np.eye(d, dtype=complex) / d
+    series = np.empty((4, steps + 1))
+    for t in range(steps + 1):
+        series[:, t] = [np.trace(op @ rho).real for op in ops]
+        rho = sum(clause_channel_oracle(rho, c, n) for c in inst.clauses) / inst.L
+    return series

@@ -15,6 +15,7 @@ from qsatwalk.instance import (
     ClauseForm,
     Instance,
     conjugate_instance,
+    generate_no_instance,
     generate_planted_extended,
     generate_planted_restricted,
     make_clause,
@@ -22,7 +23,7 @@ from qsatwalk.instance import (
 from qsatwalk.observables import clause_projector, instance_spin_operators
 from qsatwalk.verify import cumulative_excess, dual_sample, lemma1_residuals
 
-from helpers import random_product_basis
+from helpers import evolve_oracle, random_product_basis
 
 SINGLET = (0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0)
 
@@ -159,6 +160,21 @@ def test_evolve_snapshots_and_long_run_stability():
     final = series.snapshots[250]
     assert abs(np.trace(final).real - 1.0) < 1e-9
     assert np.max(np.abs(final - final.conj().T)) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["restricted", "extended", "disguised", "no-certified"])
+def test_evolve_series_match_full_eigh_oracle(kind):
+    """Planted instances take the weight-block spectra, the other two the one-block path."""
+    inst = {
+        "restricted": lambda: generate_planted_restricted(4, 8, seed=41),
+        "extended": lambda: generate_planted_extended(4, 8, 0.4, seed=42),
+        "disguised": lambda: conjugate_instance(
+            generate_planted_extended(4, 8, 0.4, seed=43), random_product_basis(4, 44)),
+        "no-certified": lambda: generate_no_instance(3, "random_certified", c_target=0.05, seed=45),
+    }[kind]()
+    series = evolve(densesim.maximally_mixed(inst.n), inst, 12)
+    got = np.array([series.trH, series.trS, series.trS2, series.trPi0])
+    assert np.max(np.abs(got - evolve_oracle(inst, 12))) <= 1e-12
 
 
 def test_evolve_basis_covariance():

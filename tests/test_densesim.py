@@ -1,15 +1,18 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from qsatwalk import densesim
+from qsatwalk.channel import evolve
 from qsatwalk.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NonRealExpectation,
     NotHermitian,
 )
+from qsatwalk.instance import generate_planted_restricted
 
 from helpers import embed_oracle, embed_single, random_hermitian, random_state_vector
 
@@ -177,6 +180,41 @@ def test_state_and_density_validation():
     densesim.as_density_matrix(rho)
     with pytest.raises(NotHermitian):
         densesim.as_density_matrix(rho + np.array([[0, 1e-3, 0, 0]] + [[0] * 4] * 3))
+
+
+def _named_eigenvalue(rho):
+    """The eigenvalue the PSD check names in its message."""
+    with pytest.raises(DimensionMismatch, match="eigenvalue") as err:
+        densesim.as_density_matrix(rho)
+    return float(re.search(r"eigenvalue (\S+) <", str(err.value)).group(1))
+
+
+def test_psd_check_rejects_a_negative_eigenvalue_in_one_weight_block():
+    rho = np.zeros((8, 8), dtype=complex)
+    rho[0, 0] = 0.2
+    rho[np.ix_([1, 2, 4], [1, 2, 4])] = 0.3 * np.ones((3, 3)) - 0.1 * np.eye(3)   # 0.8, -0.1, -0.1
+    rho[np.ix_([3, 5], [3, 5])] = [[0.1, 0.35], [0.35, 0.1]]                      # 0.45, -0.25
+    assert len(densesim._weight_blocks(rho)) == 4
+    assert abs(_named_eigenvalue(rho) - (-0.25)) < 1e-12
+
+
+def test_psd_check_rejects_a_negative_eigenvalue_across_weights():
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 3] = rho[3, 0] = 0.3                                                   # -0.05
+    assert densesim._weight_blocks(rho) == [slice(None)]
+    assert abs(_named_eigenvalue(rho) - (-0.05)) < 1e-12
+
+
+def test_psd_check_accepts_rank_deficient_block_states():
+    for n in range(1, 6):
+        for index in (0, 2**n - 1):
+            densesim.as_density_matrix(densesim.pure_density(densesim.basis_state(n, index)))
+    start = densesim.pure_density(densesim.basis_state(5, 0b00111))
+    series = evolve(start, generate_planted_restricted(5, 10, seed=8), 5, snapshot_schedule=(5,))
+    rho = series.snapshots[5]
+    assert len(densesim._weight_blocks(rho)) == 6
+    assert np.sum(np.abs(np.linalg.eigvalsh(rho)) < 1e-12) >= 8     # rank-deficient
+    densesim.as_density_matrix(rho)
 
 
 def test_product_unitary_order():
