@@ -106,7 +106,7 @@ def _apply(rho: np.ndarray, clauses: list) -> tuple[np.ndarray, float]:
     weight = 1.0 / len(clauses)
     energy = sum(_add_clause_update(rho, delta, terms, weight) for terms in clauses)
     out = rho + delta
-    out += delta.conj().T
+    out += np.conjugate(delta, out=delta).T      # in place: no full temporary for conj(delta)
     return out, energy
 
 

@@ -68,17 +68,25 @@ def papadimitriou(inst: CnfInstance, b: float, seed) -> np.ndarray | None:
         return assignment
     variables = np.array([[v for v, _ in clause] for clause in inst.clauses])
     negations = np.array([[neg for _, neg in clause] for clause in inst.clauses])
+    occurrences = [[] for _ in range(n)]     # the clauses each variable appears in, once each
+    for k, clause in enumerate(inst.clauses):
+        for v in {v for v, _ in clause}:
+            occurrences[v].append(k)
+    occurrences = [(occ, variables[occ], negations[occ])
+                   for occ in (np.array(o, dtype=np.intp) for o in occurrences)]
+    unsatisfied = (assignment[variables] == negations).all(axis=1)   # every literal false
     budget = math.ceil(b * n * n)
     for _ in range(budget):
-        satisfied = (assignment[variables] ^ negations).any(axis=1)
-        unsat = np.flatnonzero(~satisfied)
+        unsat = unsatisfied.nonzero()[0]                                  # ascending
         if unsat.size == 0:
             assert check_cnf(assignment, inst)
             return assignment
         clause_idx = unsat[int(rng.integers(unsat.size))]
         flip_var = variables[clause_idx, int(rng.integers(2))]
-        assignment[flip_var] = ~assignment[flip_var]
-    if (assignment[variables] ^ negations).any(axis=1).all():
+        assignment[flip_var] = not assignment[flip_var]
+        occ, occ_vars, occ_negs = occurrences[flip_var]
+        unsatisfied[occ] = (assignment[occ_vars] == occ_negs).all(axis=1)
+    if not unsatisfied.any():
         assert check_cnf(assignment, inst)
         return assignment
     return None

@@ -105,8 +105,8 @@ def as_density_matrix(rho) -> np.ndarray:
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise DimensionMismatch(f"density matrix trace {tr} is not 1 within {TRACE_TOL}")
-    sym = (rho + rho.conj().T) / 2
-    lo = min(np.linalg.eigvalsh(sym[b][:, b])[0] for b in _weight_blocks(sym))
+    blocks = (rho[b][:, b] for b in _weight_blocks(rho))    # each block symmetrized alone
+    lo = min(np.linalg.eigvalsh((a + a.conj().T) / 2)[0] for a in blocks)
     if lo < -PSD_TOL:
         raise DimensionMismatch(f"density matrix has eigenvalue {lo} < -{PSD_TOL}")
     return rho

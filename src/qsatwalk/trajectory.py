@@ -6,12 +6,25 @@ clause projector, and on an unsatisfied outcome applies a Haar-random unitary
 to one of the clause's qubits. Ensemble averages reproduce the exact channel
 in `channel`; the zero-outcome count N0 is the decision statistic.
 
-A step reads the drawn clause's two qubits through a reshaped view of the
-state (`densesim._clause_rows`, on the split `channel` reads too), so no
-per-clause index tables are built. On an unsatisfied outcome the projected
-state is a product phi (x) a, and the Haar twirl acts on the 2x2 phi alone.
-One run loop, `_walk`, serves `run_trajectory`, `run_ensemble` and (through
-`run_trajectory`) `decision.decide`.
+On an unsatisfied outcome the projected state is a product phi (x) a, and
+the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
+
+* `_walk` advances one trajectory. A step reads the drawn clause's two
+  qubits through a reshaped view of the state (`densesim._clause_rows`, on
+  the split `channel` reads too), so no per-clause index tables are built.
+  It serves `run_trajectory`, `decision.decide` (through `run_trajectory`)
+  and the ensemble chunks that `_lockstep` does not take.
+* `_lockstep` advances b trajectories together as one (b, 2^n) array.
+  Per-clause index tables, `_clause_rows(arange(2^n))` stacked once per
+  chunk, gather each trajectory's clause rows; measurement, collapse and
+  twirl then run over the whole batch, so a step's interpreter overhead is
+  paid once per batch instead of once per trajectory.
+
+`run_ensemble` picks the engine from the chunk width b and 2^n alone: a
+chunk runs in lockstep batches of at most 2^13 / 2^n trajectories when
+b >= 4 and n <= 10, and through `_walk` otherwise. Below 4 trajectories the
+batch's fixed cost per step outweighs what it saves; above 10 qubits the
+gathers through index tables cost more than the reshaped views do.
 
 Random stream. A trajectory is a function of its generator alone: an integer
 or sequence seed `s` means `numpy.random.default_rng(s)`, and trajectory k of
@@ -33,9 +46,16 @@ T steps draws, from that generator and in this order:
 Draw positions therefore never depend on outcomes: the outcomes of a T-step
 run are a prefix of those of any longer run with the same seed, and an
 ensemble's results do not depend on `workers` or on how trajectories are
-split into chunks. `trajectory_step`, a single step on a caller's generator,
-draws as it goes instead: `integers(L)`, `random()`, then on outcome 1
-`random()` for the target and `haar_unitary`.
+split into chunks. Both engines read every trajectory's generator in this
+order, and their arithmetic differs only in summation order (about 1e-16).
+So an ensemble's n0 and zero frequencies equal those of
+`run_trajectory(inst, T, [m, k])` bit for bit whichever engine ran, unless
+a measurement draw falls within that rounding of <psi|P|psi>, and its
+operator means agree with per-trajectory values to rounding.
+
+`trajectory_step`, a single step on a caller's generator, draws as it goes
+instead: `integers(L)`, `random()`, then on outcome 1 `random()` for the
+target and `haar_unitary`.
 """
 
 from __future__ import annotations
@@ -53,6 +73,9 @@ from .instance import Instance
 BRANCH_NORM_FLOOR = 1e-14
 _CHUNK = 512
 _BLOCK = 64
+_LOCKSTEP_MIN = 4            # narrowest chunk that _lockstep runs faster than _walk
+_LOCKSTEP_MAX_QUBITS = 10    # above it, gathers through index tables cost more than views
+_LOCKSTEP_ENTRIES = 2**13    # widest lockstep batch, in b * 2^n state entries
 
 
 def _haar_stack(z: np.ndarray) -> np.ndarray:
@@ -146,10 +169,20 @@ def trajectory_step(psi: np.ndarray, inst: Instance, rng: np.random.Generator):
 def _observe(states: np.ndarray, prepared) -> np.ndarray:
     """<psi|op|psi> as an array indexed by (prepared operator, row psi of states)."""
     prob = states.real**2 + states.imag**2 if any(d for d, _ in prepared) else None
-    return np.array([
-        prob @ op if is_diag else np.einsum("ki,ki->k", states.conj(), states @ op).real
-        for is_diag, op in prepared
-    ])
+    return np.array([prob @ op if is_diag else _real_vdot_rows(states, states @ op)
+                     for is_diag, op in prepared])
+
+
+def _real_vdot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re <x_k|y_k> for each row k, without a conjugated copy of x."""
+    return np.einsum("ki,ki->k", x.real, y.real) + np.einsum("ki,ki->k", x.imag, y.imag)
+
+
+def _draw_block(rng: np.random.Generator, L: int):
+    """One block of draws, in the order the module docstring lists: clauses,
+    measurement draws, target draws, and the Ginibre parts (2, _BLOCK, 2, 2)."""
+    return (rng.integers(L, size=_BLOCK), rng.random(_BLOCK), rng.random(_BLOCK),
+            rng.standard_normal((2, _BLOCK, 2, 2)))
 
 
 def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
@@ -163,10 +196,8 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
     values = np.empty((len(prepared), T + 1)) if prepared else None
     states = np.empty((_BLOCK, 2**n), dtype=complex) if prepared else None
     for start in range(0, T, _BLOCK):
-        clause = rng.integers(len(kets), size=_BLOCK).tolist()
-        measure = rng.random(_BLOCK).tolist()
-        coin = rng.random(_BLOCK).tolist()
-        g = rng.standard_normal((2, _BLOCK, 2, 2))
+        clause, measure, coin, g = _draw_block(rng, len(kets))
+        clause, measure, coin = clause.tolist(), measure.tolist(), coin.tolist()
         stop = min(start + _BLOCK, T)
         haar = _haar_stack(g[0, : stop - start] + 1j * g[1, : stop - start])
         for k in range(stop - start):
@@ -181,6 +212,90 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
     if prepared:
         values[:, T] = _observe(psi[None], prepared)[:, 0]
     return outcomes, psi, values
+
+
+def _sumsq(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a C-contiguous complex (b, ...) array."""
+    flat = x.reshape(len(x), -1).view(float)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _lockstep_tables(clauses, n: int):
+    """What `_lockstep` reads per clause, stacked on axis 0: the basis indices of
+    `_clause_rows` (L, 4, 2^(n-2)), phi flat on (lo, hi), conj(phi), and i < j."""
+    splits = [_clause_split(c, n) for c in clauses]
+    rows = np.stack([_clause_rows(np.arange(2**n), pair) for pair, _ in splits])
+    phi = np.stack([ket.reshape(4) for _, ket in splits])
+    return rows, phi, phi.conj(), np.array([c.i < c.j for c in clauses])
+
+
+def _lockstep_block(tables, rngs, k: int, offset: np.ndarray):
+    """One block of `_lockstep`: every generator's `_draw_block`, and for the
+    first k steps, (k, b)-stacked per step and trajectory: the batch's flat
+    indices of the clause rows, conj(phi), -phi, the twirled phi used on
+    outcome 1, and the measurement draws."""
+    rows, phi, phi_conj, i_is_lo = tables
+    draws = [_draw_block(rng, len(phi)) for rng in rngs]
+    clause = np.array([c[:k] for c, _, _, _ in draws]).T              # (k, b)
+    measure = np.array([m[:k] for _, m, _, _ in draws]).T
+    coin = np.array([c[:k] for _, _, c, _ in draws]).T
+    g = np.array([g[:, :k] for _, _, _, g in draws])                  # (b, 2, k, 2, 2)
+    haar = _haar_stack(g[:, 0] + 1j * g[:, 1]).swapaxes(0, 1)         # (k, b, 2, 2)
+    ket = phi[clause].reshape(*clause.shape, 2, 2)
+    on_lo = ((coin < 0.5) == i_is_lo[clause])[..., None, None]
+    twirled = np.where(on_lo, haar @ ket, ket @ haar.swapaxes(-1, -2))
+    index = rows.reshape(len(phi), -1)[clause] + offset               # (k, b, 2^n)
+    return (index, phi_conj[clause][..., None, :], -phi[clause][..., None],
+            twirled.reshape(*clause.shape, 4, 1), measure)
+
+
+def _lockstep(tables, n: int, T: int, rngs, prepared=None):
+    """`_walk` on each generator of `rngs`, advanced together as one (b, 2^n) batch.
+
+    Each trajectory reads its own generator in `_walk`'s order, so its
+    outcomes are `_walk`'s. A step gathers every trajectory's clause rows
+    through the index tables, measures, collapses and twirls the whole batch,
+    and scatters the rows into the next slot of the block's states. Returns
+    the outcome bits (b, T) and the prepared operators' values at t = 0..T
+    summed over the batch, and their squares summed (None, None when there
+    are no operators).
+    """
+    b, d = len(rngs), 2**n
+    offset = np.arange(b)[:, None] * d                 # row r of the batch starts at r * d
+    states = np.zeros((min(T, _BLOCK) + 1, b, d), dtype=complex)
+    states[0, np.arange(b), [int(rng.integers(d)) for rng in rngs]] = 1.0
+    outcomes = np.empty((T, b), dtype=np.int8)
+    total = np.zeros((len(prepared), T + 1)) if prepared else None
+    total_sq = np.zeros((len(prepared), T + 1)) if prepared else None
+    for start in range(0, T, _BLOCK):
+        k = min(_BLOCK, T - start)
+        index, bra, minus_phi, twirled, measure = _lockstep_block(tables, rngs, k, offset)
+        for t in range(k):
+            mat = states[t].reshape(-1)[index[t]].reshape(b, 4, -1)
+            overlap = bra[t] @ mat                                    # (b, 1, 2^(n-2))
+            p = _sumsq(overlap)
+            out = measure[t] < p
+            keep = ~out[:, None, None]
+            new = np.where(keep, minus_phi[t], twirled[t]) * overlap
+            np.add(new, mat, out=new, where=keep)
+            norm = np.where(out, p, _sumsq(new))
+            if norm.min() < BRANCH_NORM_FLOOR:
+                r = int(np.argmin(norm))
+                kind = "unsatisfied" if out[r] else "satisfied"
+                raise DegenerateBranch(f"{kind} branch has norm^2 {norm[r]}")
+            new *= (1.0 / np.sqrt(norm))[:, None, None]
+            states[t + 1].reshape(-1)[index[t]] = new.reshape(b, -1)
+            outcomes[start + t] = out
+        if prepared:
+            values = _observe(states[:k].reshape(k * b, d), prepared).reshape(-1, k, b)
+            total[:, start : start + k] = values.sum(axis=2)
+            total_sq[:, start : start + k] = (values**2).sum(axis=2)
+        states[0] = states[k]
+    if prepared:
+        values = _observe(states[0], prepared)
+        total[:, T] = values.sum(axis=1)
+        total_sq[:, T] = (values**2).sum(axis=1)
+    return outcomes.T, total, total_sq
 
 
 @dataclass(frozen=True)
@@ -238,22 +353,36 @@ def _prepare_ops(ops):
 
 
 def _ensemble_chunk(payload):
+    """n0, the per-step zero counts, and the operator sums of trajectories start..stop-1.
+
+    The engine follows from the chunk width and 2^n alone (the module
+    docstring gives the rule); both engines give the same outcomes.
+    """
     inst, T, start, stop, master_seed, ops = payload
-    kets = [_clause_ket(c, inst.n) for c in inst.clauses]
+    n = inst.n
     prepared = _prepare_ops(ops) if ops else None
-    n0 = np.zeros(stop - start, dtype=np.int64)
+    rngs = [np.random.default_rng([master_seed, k]) for k in range(start, stop)]
+    width = min(len(rngs), _LOCKSTEP_ENTRIES >> n)
+    if width >= _LOCKSTEP_MIN and n <= _LOCKSTEP_MAX_QUBITS:
+        tables = _lockstep_tables(inst.clauses, n)
+        runs = (_lockstep(tables, n, T, rngs[i : i + width], prepared)
+                for i in range(0, len(rngs), width))
+    else:
+        kets = [_clause_ket(c, n) for c in inst.clauses]
+        walks = (_walk(kets, n, T, rng, prepared) for rng in rngs)
+        runs = ((outcomes[None], values, values**2 if ops else None) for outcomes, _, values in walks)
+    n0 = []
     zeros_per_step = np.zeros(T, dtype=np.int64)
-    obs_sum = np.zeros((len(ops), T + 1)) if ops else None
-    obs_sumsq = np.zeros((len(ops), T + 1)) if ops else None
-    for offset in range(stop - start):
-        rng = np.random.default_rng([master_seed, start + offset])
-        outcomes, _, values = _walk(kets, inst.n, T, rng, prepared)
-        n0[offset] = T - int(np.sum(outcomes))
-        zeros_per_step += 1 - outcomes
+    total = total_sq = 0.0
+    for outcomes, values, squares in runs:
+        n0.append(T - outcomes.sum(axis=1, dtype=np.int64))
+        zeros_per_step += len(outcomes) - outcomes.sum(axis=0, dtype=np.int64)
         if ops:
-            obs_sum += values
-            obs_sumsq += values**2
-    return n0, zeros_per_step, obs_sum, obs_sumsq
+            total = total + values
+            total_sq = total_sq + squares
+    if not ops:
+        total = total_sq = None
+    return np.concatenate(n0), zeros_per_step, total, total_sq
 
 
 def run_ensemble(

@@ -1,5 +1,6 @@
 """Shared test utilities: independent oracles, small generators, hypothesis settings."""
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -97,6 +98,28 @@ def planted_cnf(n, L, seed):
         if (hidden[v] != neg_v) or (hidden[w] != neg_w):
             clauses.append(((int(v), neg_v), (int(w), neg_w)))
     return CnfInstance(n=n, clauses=tuple(clauses)), hidden
+
+
+def papadimitriou_oracle(inst, b, seed):
+    """The classical walk re-evaluating every clause before each flip, with
+    `classical.papadimitriou`'s draws (independent of its occurrence lists)."""
+    rng = np.random.default_rng(seed)
+    assignment = rng.integers(0, 2, size=inst.n).astype(bool)
+    if not inst.clauses:
+        return assignment
+
+    def unsatisfied():
+        return [k for k, clause in enumerate(inst.clauses)
+                if not any(bool(assignment[v]) != neg for v, neg in clause)]
+
+    for _ in range(math.ceil(b * inst.n * inst.n)):
+        unsat = unsatisfied()
+        if not unsat:
+            return assignment
+        clause = inst.clauses[unsat[int(rng.integers(len(unsat)))]]
+        v = clause[int(rng.integers(2))][0]
+        assignment[v] = not assignment[v]
+    return None if unsatisfied() else assignment
 
 
 def twirl_oracle(x, q, n):

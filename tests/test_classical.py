@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qsatwalk.classical import (
     CnfInstance,
@@ -10,7 +12,7 @@ from qsatwalk.classical import (
 )
 from qsatwalk.errors import DimensionMismatch, ParseError
 
-from helpers import planted_cnf
+from helpers import PROPERTY_SETTINGS, papadimitriou_oracle, planted_cnf
 
 UNSAT_4 = CnfInstance(
     n=2,
@@ -60,6 +62,27 @@ def test_success_rate_scaling_n50():
     inst, _ = planted_cnf(50, 150, 424242)
     hits = sum(papadimitriou(inst, 10.0, s) is not None for s in range(50))
     assert hits / 50 >= 0.9
+
+
+@st.composite
+def cnf_walks(draw):
+    n = draw(st.integers(1, 8))
+    literal = st.tuples(st.integers(0, n - 1), st.booleans())
+    clauses = draw(st.lists(st.tuples(literal, literal), max_size=3 * n))
+    b = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    return CnfInstance(n=n, clauses=tuple(clauses)), b, draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(cnf_walks())
+def test_occurrence_list_walk_matches_full_reevaluation(case):
+    """Updating only the flipped variable's clauses returns what re-evaluating
+    every clause returns, bit for bit (both None, or the same assignment)."""
+    inst, b, seed = case
+    got, want = papadimitriou(inst, b, seed), papadimitriou_oracle(inst, b, seed)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array_equal(got, want)
 
 
 def test_initial_satisfying_assignment_short_circuits():

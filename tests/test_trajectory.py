@@ -16,6 +16,8 @@ from qsatwalk.instance import (
 from qsatwalk.observables import build_hamiltonian, clause_projector, instance_spin_operators
 from qsatwalk.trajectory import (
     _CHUNK,
+    _lockstep,
+    _lockstep_tables,
     haar_unitary,
     run_ensemble,
     run_trajectory,
@@ -141,6 +143,36 @@ def test_trajectory_step_degenerate_branch_guard():
     psi /= np.linalg.norm(psi)
     with pytest.raises(DegenerateBranch):
         trajectory_step(psi, singlet_instance(), ForcedRng())
+
+
+class _ForcedStream:
+    """Stands in for a generator in `_lockstep`: a fixed start index, clause 0
+    at every step, one measurement draw, and identity Haar unitaries."""
+
+    def __init__(self, start, draw):
+        self.start, self.draw = start, draw
+
+    def integers(self, high, size=None):
+        return self.start if size is None else np.zeros(size, dtype=np.int64)
+
+    def random(self, size):
+        return np.full(size, self.draw)
+
+    def standard_normal(self, shape):
+        g = np.zeros(shape)
+        g[0] = np.eye(2)
+        return g
+
+
+@pytest.mark.parametrize("start, draw, kind", [(0, 0.0, "unsatisfied"), (1, 1 - 1e-16, "satisfied")])
+def test_lockstep_degenerate_branch_guard_per_trajectory(start, draw, kind):
+    """One trajectory of four reaches a branch of norm^2 about 1e-15; the batch raises."""
+    eps = 10**-7.5
+    inst = Instance(n=2, clauses=(make_clause(0, 1, (eps, 1, 0, 0)),))
+    rngs = [_ForcedStream(2, 0.5)] * 3 + [_ForcedStream(start, draw)]
+    with pytest.raises(DegenerateBranch, match=f"^{kind} branch"):
+        _lockstep(_lockstep_tables(inst.clauses, 2), 2, 3, rngs)
+    _lockstep(_lockstep_tables(inst.clauses, 2), 2, 3, rngs[:3])   # the other three pass
 
 
 def test_trajectory_norm_preserved_along_path():

@@ -17,9 +17,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qsatwalk.instance import Instance, generate_no_instance, generate_planted_extended
+from qsatwalk.observables import build_hamiltonian
 from qsatwalk.trajectory import (
     _BLOCK,
     _CHUNK,
+    _clause_ket,
+    _prepare_ops,
+    _walk,
     haar_unitary,
     run_ensemble,
     run_trajectory,
@@ -119,6 +123,55 @@ def test_run_trajectory_outcomes_are_prefixes(seed):
     for short, long in zip(runs, runs[1:]):
         assert np.array_equal(long[: len(short)], short)
     assert 0 < np.sum(runs[-1]) < len(runs[-1])
+
+
+@st.composite
+def ensemble_cases(draw):
+    n = draw(st.integers(2, 6))
+    inst = Instance(n=n, clauses=tuple(draw(st.lists(clauses(n), min_size=1, max_size=6))))
+    M = draw(st.sampled_from([1, 3, 4, 17, _CHUNK + 2]))
+    T = draw(st.sampled_from([63, 64, 65, 130]))
+    return inst, T, M, draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(ensemble_cases())
+def test_ensemble_counts_equal_single_trajectories(case):
+    """n0 and the zero frequencies of an ensemble, whichever engine runs its
+    chunks, are those of the trajectories run one by one on seeds [m, k]."""
+    inst, T, M, seed = case
+    outcomes = np.array([run_trajectory(inst, T, [seed, k], keep_history=True).outcomes
+                         for k in range(M)])
+
+    stats = run_ensemble(inst, T, M, seed)
+
+    assert np.array_equal(stats.n0, T - outcomes.sum(axis=1))
+    assert np.array_equal(stats.zero_frequency, (1 - outcomes).sum(axis=0) / M)
+
+
+@PROPERTY_SETTINGS
+@given(ensemble_cases(), st.integers(0, 2**32 - 1))
+def test_ensemble_operator_statistics_match_single_trajectories(case, op_seed):
+    """Operator means and standard errors against per-trajectory values from
+    `_walk`, for a diagonal operator, a dense Hermitian one and H."""
+    inst, T, M, seed = case
+    d = 2**inst.n
+    rng = np.random.default_rng(op_seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    ops = {"diag": rng.standard_normal(d), "dense": g + g.conj().T, "H": build_hamiltonian(inst)}
+    kets = [_clause_ket(c, inst.n) for c in inst.clauses]
+    prepared = _prepare_ops(list(ops.items()))
+    values = np.array([_walk(kets, inst.n, T, np.random.default_rng([seed, k]), prepared)[2]
+                       for k in range(M)])                      # (M, operator, t)
+    mean = values.mean(axis=0)
+    var = values.var(axis=0, ddof=1) if M > 1 else np.zeros_like(mean)
+
+    stats = run_ensemble(inst, T, M, seed, operators=ops)
+
+    for k, name in enumerate(ops):
+        assert np.max(np.abs(stats.operator_means[name] - mean[k])) <= TOL
+        # squared: the square root magnifies rounding where the variance is near 0
+        assert np.max(np.abs(stats.operator_stderr[name] ** 2 - var[k] / M)) <= TOL
 
 
 def test_ensemble_matches_single_runs_across_chunks():
