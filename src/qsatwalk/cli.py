@@ -80,6 +80,19 @@ def _attach_promise_c(inst, c):
     return replace(inst, promise=Promise(kind=kind, c=float(c)))
 
 
+def _promise_doc(inst):
+    return None if inst.promise is None else {"kind": inst.promise.kind, "c": inst.promise.c}
+
+
+def _emit(text: str, path) -> None:
+    """Print text, and also write it to path when one is given."""
+    print(text)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+            fh.write("\n")
+
+
 def _over_capacity(n: int, cap: int, what: str) -> bool:
     """Report on stderr, for exit code 3, a register wider than the engine's cap."""
     if n <= cap:
@@ -116,9 +129,7 @@ def cmd_generate(args) -> int:
         "n": inst.n,
         "L": inst.L,
         "census": clause_census(inst),
-        "promise": None
-        if inst.promise is None
-        else {"kind": inst.promise.kind, "c": inst.promise.c},
+        "promise": _promise_doc(inst),
         "path": args.output,
     }
     echo.update(_meta(seed=args.seed, kind=args.kind, n=args.n, L=args.L))
@@ -173,12 +184,7 @@ def cmd_decide(args) -> int:
     variant = decision.Variant(args.variant)
     params = decision.decision_params(inst.promise.c, inst.L, inst.n, variant)
     verdict = decision.decide(inst, params, args.seed)
-    text = decision.verdict_to_json(verdict)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+    _emit(decision.verdict_to_json(verdict), args.output)
     return 0 if verdict.decision == "YES" else 1
 
 
@@ -229,9 +235,7 @@ def cmd_report(args) -> int:
         "n": inst.n,
         "L": inst.L,
         "census": clause_census(inst),
-        "promise": None
-        if inst.promise is None
-        else {"kind": inst.promise.kind, "c": inst.promise.c},
+        "promise": _promise_doc(inst),
         "planted_basis": inst.planted_basis is not None,
     }
     if inst.n <= DENSITY_QUBIT_CAP:
@@ -259,12 +263,7 @@ def cmd_report(args) -> int:
                 for p in [decision.decision_params(inst.promise.c, inst.L, inst.n, variant)]
             }
     doc.update(_meta(seed=None, instance=args.instance))
-    text = json.dumps(doc, indent=1)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+    _emit(json.dumps(doc, indent=1), args.output)
     return 0
 
 

@@ -53,6 +53,11 @@ So an ensemble's n0 and zero frequencies equal those of
 a measurement draw falls within that rounding of <psi|P|psi>, and its
 operator means agree with per-trajectory values to rounding.
 
+Operator standard errors come from exact pairwise moments: a `_lockstep`
+batch gives (count, mean, M2) of its values in two passes, a `_walk` gives
+(1, values, 0), and `_merge` combines them in a fixed order, so a constant
+operator's standard error is 0 up to the rounding of its values.
+
 `trajectory_step`, a single step on a caller's generator, draws as it goes
 instead: `integers(L)`, `random()`, then on outcome 1 `random()` for the
 target and `haar_unitary`.
@@ -214,6 +219,35 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
     return outcomes, psi, values
 
 
+def _moments(values: np.ndarray):
+    """Mean and sum of squared deviations over the last axis, in two passes."""
+    mean = values.mean(axis=-1)
+    return mean, ((values - mean[..., None]) ** 2).sum(axis=-1)
+
+
+def _merge(a, b):
+    """(count, mean, M2) of the union of two samples, by the pairwise update of
+    Chan, Golub and LeVeque (1983); None stands for the empty sample."""
+    if a is None:
+        return b
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    count = na + nb
+    delta = mean_b - mean_a
+    return count, mean_a + delta * (nb / count), m2_a + m2_b + delta**2 * (na * nb / count)
+
+
+def _combine(parts):
+    """Over (n0, zeros per step, moments) parts in order: n0 concatenated, the
+    zero counts summed, and the moments merged."""
+    n0, zeros, moments = [], 0, None
+    for part_n0, part_zeros, part_moments in parts:
+        n0.append(part_n0)
+        zeros = zeros + part_zeros
+        moments = _merge(moments, part_moments)
+    return np.concatenate(n0), zeros, moments
+
+
 def _sumsq(x: np.ndarray) -> np.ndarray:
     """Squared norm of each row of a C-contiguous complex (b, ...) array."""
     flat = x.reshape(len(x), -1).view(float)
@@ -256,17 +290,16 @@ def _lockstep(tables, n: int, T: int, rngs, prepared=None):
     outcomes are `_walk`'s. A step gathers every trajectory's clause rows
     through the index tables, measures, collapses and twirls the whole batch,
     and scatters the rows into the next slot of the block's states. Returns
-    the outcome bits (b, T) and the prepared operators' values at t = 0..T
-    summed over the batch, and their squares summed (None, None when there
-    are no operators).
+    the outcome bits (b, T) and (b, mean, M2) of the prepared operators'
+    values at t = 0..T over the batch (None when there are no operators).
     """
     b, d = len(rngs), 2**n
     offset = np.arange(b)[:, None] * d                 # row r of the batch starts at r * d
     states = np.zeros((min(T, _BLOCK) + 1, b, d), dtype=complex)
     states[0, np.arange(b), [int(rng.integers(d)) for rng in rngs]] = 1.0
     outcomes = np.empty((T, b), dtype=np.int8)
-    total = np.zeros((len(prepared), T + 1)) if prepared else None
-    total_sq = np.zeros((len(prepared), T + 1)) if prepared else None
+    mean = np.empty((len(prepared), T + 1)) if prepared else None
+    m2 = np.empty((len(prepared), T + 1)) if prepared else None
     for start in range(0, T, _BLOCK):
         k = min(_BLOCK, T - start)
         index, bra, minus_phi, twirled, measure = _lockstep_block(tables, rngs, k, offset)
@@ -288,14 +321,11 @@ def _lockstep(tables, n: int, T: int, rngs, prepared=None):
             outcomes[start + t] = out
         if prepared:
             values = _observe(states[:k].reshape(k * b, d), prepared).reshape(-1, k, b)
-            total[:, start : start + k] = values.sum(axis=2)
-            total_sq[:, start : start + k] = (values**2).sum(axis=2)
+            mean[:, start : start + k], m2[:, start : start + k] = _moments(values)
         states[0] = states[k]
     if prepared:
-        values = _observe(states[0], prepared)
-        total[:, T] = values.sum(axis=1)
-        total_sq[:, T] = (values**2).sum(axis=1)
-    return outcomes.T, total, total_sq
+        mean[:, T], m2[:, T] = _moments(_observe(states[0], prepared))
+    return outcomes.T, (b, mean, m2) if prepared else None
 
 
 @dataclass(frozen=True)
@@ -353,7 +383,8 @@ def _prepare_ops(ops):
 
 
 def _ensemble_chunk(payload):
-    """n0, the per-step zero counts, and the operator sums of trajectories start..stop-1.
+    """n0, the per-step zero counts, and (count, mean, M2) of the operator values
+    of trajectories start..stop-1 (None without operators).
 
     The engine follows from the chunk width and 2^n alone (the module
     docstring gives the rule); both engines give the same outcomes.
@@ -370,19 +401,10 @@ def _ensemble_chunk(payload):
     else:
         kets = [_clause_ket(c, n) for c in inst.clauses]
         walks = (_walk(kets, n, T, rng, prepared) for rng in rngs)
-        runs = ((outcomes[None], values, values**2 if ops else None) for outcomes, _, values in walks)
-    n0 = []
-    zeros_per_step = np.zeros(T, dtype=np.int64)
-    total = total_sq = 0.0
-    for outcomes, values, squares in runs:
-        n0.append(T - outcomes.sum(axis=1, dtype=np.int64))
-        zeros_per_step += len(outcomes) - outcomes.sum(axis=0, dtype=np.int64)
-        if ops:
-            total = total + values
-            total_sq = total_sq + squares
-    if not ops:
-        total = total_sq = None
-    return np.concatenate(n0), zeros_per_step, total, total_sq
+        runs = ((outcomes[None], (1, values, 0.0) if ops else None) for outcomes, _, values in walks)
+    return _combine((T - outcomes.sum(axis=1, dtype=np.int64),
+                     len(outcomes) - outcomes.sum(axis=0, dtype=np.int64), moments)
+                    for outcomes, moments in runs)
 
 
 def run_ensemble(
@@ -422,22 +444,11 @@ def run_ensemble(
     else:
         parts = [_ensemble_chunk(p) for p in payloads]
 
-    n0 = np.concatenate([p[0] for p in parts])
-    zeros_per_step = np.zeros(T, dtype=np.int64)
-    for p in parts:
-        zeros_per_step += p[1]
+    n0, zeros_per_step, moments = _combine(parts)
     means = stderrs = None
     if ops:
-        total = np.zeros((len(ops), T + 1))
-        total_sq = np.zeros((len(ops), T + 1))
-        for p in parts:
-            total += p[2]
-            total_sq += p[3]
-        mean = total / M
-        if M > 1:
-            var = np.maximum(total_sq - M * mean**2, 0.0) / (M - 1)
-        else:
-            var = np.zeros_like(mean)
+        _, mean, m2 = moments
+        var = m2 / (M - 1) if M > 1 else np.zeros_like(mean)
         se = np.sqrt(var / M)
         means = {name: mean[k] for k, (name, _) in enumerate(ops)}
         stderrs = {name: se[k] for k, (name, _) in enumerate(ops)}

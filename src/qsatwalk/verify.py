@@ -19,6 +19,7 @@ from . import channel, densesim, observables
 from .errors import ParseError, QsatwalkError
 from .instance import (
     ClauseForm,
+    _generate_planted,
     deserialize,
     generate_planted_extended,
     generate_planted_restricted,
@@ -68,6 +69,17 @@ def suite_fixtures(instance_paths=()) -> list[CheckResult]:
     return results
 
 
+def _random_planted(count: int, seed, n_max: int, L_max: int, typeII_fraction: float | None):
+    """Yield `count` random planted instances, each with the generator that drew it:
+    n in 2..n_max, L in 1..L_max and the instance seed, then the caller's own draws.
+    A typeII_fraction of None means restricted clauses only."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, n_max + 1))
+        L = int(rng.integers(1, L_max + 1))
+        yield _generate_planted(n, L, typeII_fraction, int(rng.integers(2**31))), rng
+
+
 def lemma1_residuals(pairs: int, seed) -> tuple[float, float]:
     """Largest Lemma-1 residuals of the step channel T over random restricted pairs.
 
@@ -75,19 +87,15 @@ def lemma1_residuals(pairs: int, seed) -> tuple[float, float]:
     random full-rank state rho. Returns the largest |tr[S T(rho)] - tr[S rho]|
     and the largest |tr[S^2 T(rho)] - tr[S^2 rho] - (2/L) tr[H rho]|.
     """
-    rng = np.random.default_rng(seed)
     expect = densesim.expectation
     worst_s = worst_s2 = 0.0
-    for _ in range(pairs):
-        n = int(rng.integers(2, 6))
-        L = int(rng.integers(1, 7))
-        inst = generate_planted_restricted(n, L, int(rng.integers(2**31)))
-        rho = densesim.random_density_matrix(n, rng)
+    for inst, rng in _random_planted(pairs, seed, 5, 6, typeII_fraction=None):
+        rho = densesim.random_density_matrix(inst.n, rng)
         s, s2 = observables.instance_spin_operators(inst)
         h = observables.build_hamiltonian(inst)
         out = channel.apply_step_channel(rho, inst)
         worst_s = max(worst_s, abs(expect(s, out) - expect(s, rho)))
-        worst_s2 = max(worst_s2, abs(expect(s2, out) - expect(s2, rho) - (2.0 / L) * expect(h, rho)))
+        worst_s2 = max(worst_s2, abs(expect(s2, out) - expect(s2, rho) - (2.0 / inst.L) * expect(h, rho)))
     return worst_s, worst_s2
 
 
@@ -97,13 +105,9 @@ def dual_sample(instances: int, states_per: int, seed) -> list[channel.ClauseRes
     Each instance has n in 2..4, L in 1..5 and half its clauses |11><11| in
     expectation, scored on `states_per` random full-rank states.
     """
-    rng = np.random.default_rng(seed)
     report = []
-    for _ in range(instances):
-        n = int(rng.integers(2, 5))
-        L = int(rng.integers(1, 6))
-        inst = generate_planted_extended(n, L, 0.5, int(rng.integers(2**31)))
-        states = [densesim.random_density_matrix(n, rng) for _ in range(states_per)]
+    for inst, rng in _random_planted(instances, seed, 4, 5, typeII_fraction=0.5):
+        states = [densesim.random_density_matrix(inst.n, rng) for _ in range(states_per)]
         report.extend(channel.dual_residuals(inst, states))
     return report
 
@@ -121,14 +125,8 @@ def cumulative_excess(inst, T: int) -> float:
 
 def max_cumulative_excess(instances: int, T: int, seed) -> float:
     """Largest `cumulative_excess` over random planted instances (n in 2..5, L in 1..6)."""
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    for _ in range(instances):
-        n = int(rng.integers(2, 6))
-        L = int(rng.integers(1, 7))
-        inst = generate_planted_extended(n, L, 0.5, int(rng.integers(2**31)))
-        worst = max(worst, cumulative_excess(inst, T))
-    return worst
+    sample = _random_planted(instances, seed, 5, 6, typeII_fraction=0.5)
+    return max((cumulative_excess(inst, T) for inst, _ in sample), default=-np.inf)
 
 
 def channel_match(inst, T: int, M: int, seed) -> dict[str, np.ndarray]:
@@ -154,26 +152,27 @@ def channel_match(inst, T: int, M: int, seed) -> dict[str, np.ndarray]:
     return gaps
 
 
-def suite_lemma1(pairs: int = 40, seed: int = 20250101) -> list[CheckResult]:
-    """Spin invariance and the S^2 increment identity on restricted instances."""
-    worst_s, worst_s2 = lemma1_residuals(pairs, seed)
+def suite_lemma1() -> list[CheckResult]:
+    """Spin invariance and the S^2 increment identity on 40 random restricted pairs."""
+    worst_s, worst_s2 = lemma1_residuals(pairs=40, seed=20250101)
     return [
         _result("lemma1", "spin-invariance", worst_s <= 1e-9, f"max residual {worst_s:.3e}"),
         _result("lemma1", "spin-squared-increment", worst_s2 <= 1e-9, f"max residual {worst_s2:.3e}"),
     ]
 
 
-def suite_dual(instances: int = 10, states_per: int = 3, seed: int = 20250202) -> list[CheckResult]:
-    """Dual-map residuals for restricted and |11><11| clauses."""
+def suite_dual() -> list[CheckResult]:
+    """Dual-map residuals for restricted and |11><11| clauses, on 10 instances of 3 states each."""
     lawful = (ClauseForm.RESTRICTED_TYPE_I, ClauseForm.TYPE_II)
-    residuals = [r.max_residual for r in dual_sample(instances, states_per, seed) if r.form in lawful]
+    sample = dual_sample(instances=10, states_per=3, seed=20250202)
+    residuals = [r.max_residual for r in sample if r.form in lawful]
     worst = max(residuals, default=0.0)
     detail = f"{len(residuals)} clauses, max residual {worst:.3e}"
     return [_result("dual", "clause-drift-identities", worst <= 1e-9, detail)]
 
 
-def suite_trajectory(M: int = 2000, T: int = 30, seed: int = 20250303) -> list[CheckResult]:
-    """Ensemble averages against the exact channel, within 5 standard errors."""
+def suite_trajectory() -> list[CheckResult]:
+    """Means of 2000 trajectories against the exact channel, within 5 standard errors."""
     instances = [
         ("restricted", generate_planted_restricted(3, 3, 11)),
         ("extended", generate_planted_extended(3, 4, 0.5, 12)),
@@ -181,16 +180,16 @@ def suite_trajectory(M: int = 2000, T: int = 30, seed: int = 20250303) -> list[C
     results = []
     for label, inst in instances:
         detail = ""
-        for quantity, gap in channel_match(inst, T, M, seed).items():
+        for quantity, gap in channel_match(inst, T=30, M=2000, seed=20250303).items():
             if np.any(gap > 0):
                 detail = f"{quantity} off at t={int(np.argmax(gap))}"
         results.append(_result("trajectory", f"channel-match-{label}", not detail, detail))
     return results
 
 
-def suite_cumulative_bound(instances: int = 5, T: int = 800, seed: int = 20250404) -> list[CheckResult]:
-    """Cumulative unsatisfied weight stays below 5 n^2 for mixed-form instances."""
-    worst = max_cumulative_excess(instances, T, seed)
+def suite_cumulative_bound() -> list[CheckResult]:
+    """Cumulative unsatisfied weight stays below 5 n^2 over 800 steps of 5 mixed-form instances."""
+    worst = max_cumulative_excess(instances=5, T=800, seed=20250404)
     detail = f"max excess over 5n^2: {worst:.3e}"
     return [_result("bound", "cumulative-energy-bound", worst <= 1e-6, detail)]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -243,6 +244,56 @@ def test_promise_gap_must_be_finite_and_positive(kind, c):
     with pytest.raises(ParseError) as err:
         deserialize(json.dumps(doc))
     assert "promise" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "amps, words",
+    [
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], ["clauses[1]", "amplitude"]),
+        ([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [0.0, 0.0]], ["clauses[1]", "normalization"]),
+    ],
+    ids=["three-amplitudes", "denormalized"],
+)
+def test_deserialize_names_the_clause_the_constructor_rejects(amps, words):
+    doc = json.loads(serialize(generate_planted_restricted(3, 3, seed=1)))
+    doc["clauses"][1]["amps"] = amps
+    with pytest.raises(ParseError) as err:
+        deserialize(json.dumps(doc))
+    assert all(word in str(err.value) for word in words)
+
+
+def test_deserialize_rejects_unknown_promise_kind():
+    doc = json.loads(serialize(generate_planted_restricted(2, 1, seed=1)))
+    doc["promise"] = {"kind": "maybe"}
+    with pytest.raises(ParseError) as err:
+        deserialize(json.dumps(doc))
+    assert "promise" in str(err.value) and "'maybe'" in str(err.value)
+
+
+# SHA-256 of the serialized instances, fixed when both generators were given one body:
+# a change to any draw, its order or the arithmetic on it changes these.
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (lambda: generate_planted_restricted(2, 1, 0),
+         "b423261613e7ab9aa60a5b4ca1df33fa0e27f63c47afbcd66039f585c85566b0"),
+        (lambda: generate_planted_restricted(4, 7, 31),
+         "95f774877b2ec8ca2c4b61b31aa8ca7e4d00598e88662fd616f4dabbcf57fc4a"),
+        (lambda: generate_planted_restricted(6, 12, 2024),
+         "f4932424f9958135d63b055430c3a38aa35d51cd1817ac846399358f3d7aca61"),
+        (lambda: generate_planted_extended(2, 3, 0.0, 0),
+         "156e06a99a9b5978f2b595b8020bb6e67c83c6dfba5049ef8c859e7deffa2586"),
+        (lambda: generate_planted_extended(4, 7, 0.5, 31),
+         "1bd3086ba15174ef9eaaffd51f65289babf7dd1c8c551418f50154691a3146dc"),
+        (lambda: generate_planted_extended(6, 12, 1.0, 2024),
+         "272a88a10c561ff7232511349541a30b7580256297c442a881f61306afb6b3b6"),
+        (lambda: generate_planted_extended(5, 9, 0.25, 77),
+         "cba5d688a1cd544a4a71d29755517f0ccd54c7f3807cdec584f6101f812659cb"),
+    ],
+    ids=["R-2-1", "R-4-7", "R-6-12", "E-2-3-0", "E-4-7-0.5", "E-6-12-1", "E-5-9-0.25"],
+)
+def test_planted_generators_are_byte_stable(make, digest):
+    assert hashlib.sha256(serialize(make()).encode()).hexdigest() == digest
 
 
 def test_deserialize_reports_json_line():

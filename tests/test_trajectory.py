@@ -240,6 +240,16 @@ def test_run_ensemble_diagonal_vectors_match_dense_forms():
         assert np.max(np.abs(a.operator_stderr[name] - b.operator_stderr[name])) <= 1e-12
 
 
+@pytest.mark.parametrize("M", [3, 1000, _CHUNK + 3], ids=["walk", "lockstep", "lockstep-then-walk"])
+def test_run_ensemble_constant_operator_has_zero_stderr(M):
+    inst = generate_planted_restricted(3, 4, seed=56)
+    ops = {"third": np.full(8, 1 / 3), "tenth": np.full(8, 0.1)}
+    stats = run_ensemble(inst, 70, M, master_seed=16, operators=ops)
+    for name, value in (("third", 1 / 3), ("tenth", 0.1)):
+        assert np.max(stats.operator_stderr[name]) <= 1e-15
+        assert np.max(np.abs(stats.operator_means[name] - value)) <= 1e-14
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
 
