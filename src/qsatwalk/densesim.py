@@ -11,10 +11,13 @@ n = 12) and a state vector 16 * 2^n bytes (16 MB at n = 20). An operator is
 a dense 2^n x 2^n matrix or, when it is diagonal in the computational basis,
 the real length-2^n vector of its diagonal; `expectation` tells the two
 apart by `ndim`. The qubit layout lives here alone (`_bits`, `_pair_split`,
-`_clause_split`, `_clause_rows`): the exact channel and a sampled trajectory
-step read a clause's two qubits through reshaped views of the state, so
-neither needs per-clause tables: a channel step costs O(L 4^n) time and a
-few density matrices of memory (memory, not the per-step time, sets its
+`_clause_split`, `_clause_rows`). The exact channel reads a clause's two
+qubits through reshaped views of the density matrix, and a sampled step on
+more than 15 qubits through strided quarters of `psi.reshape(pair)`; below
+that a sampled step takes `_clause_rows`, which copies the state for every
+pair but (0, 1), because the copy costs less there than the views' extra
+calls. None needs per-clause tables: a channel step costs O(L 4^n) time and
+a few density matrices of memory (memory, not the per-step time, sets its
 ceiling), a sampled step O(2^n) and a few state vectors. `kron_embed` and
 `observables.build_hamiltonian` scatter 4x4 blocks through the same rows
 into full 2^n x 2^n operators, for spectra and tests, not per-step updates.
@@ -182,7 +185,8 @@ def _clause_split(clause, n: int):
 
 def _clause_rows(x: np.ndarray, pair: tuple) -> np.ndarray:
     """A length-2^n vector as a 4 x 2^(n-2) matrix, row 2*b_lo + b_hi holding in index
-    order the entries where qubits (lo, hi) are (b_lo, b_hi); a view of x when possible."""
+    order the entries where qubits (lo, hi) are (b_lo, b_hi); a view of x only for the
+    pair (0, 1), a transposing copy otherwise."""
     return x.reshape(pair).transpose(1, 3, 0, 2, 4).reshape(4, -1)
 
 

@@ -58,6 +58,16 @@ def embed_oracle(op4, i, j, n):
     return out
 
 
+def apply_oracle(op4, i, j, psi):
+    """A two-qubit operator applied to qubits (i, j) of a state vector in O(2^n): a
+    tensordot on axes (i, j) of psi as an n-axis tensor (independent of densesim)."""
+    psi = np.asarray(psi, dtype=complex)
+    n = len(psi).bit_length() - 1
+    op = np.asarray(op4, dtype=complex).reshape(2, 2, 2, 2)
+    out = np.tensordot(op, psi.reshape((2,) * n), axes=([2, 3], [i, j]))
+    return np.moveaxis(out, [0, 1], [i, j]).reshape(-1)
+
+
 def embed_single(op2, q, n):
     """A single-qubit operator at position q of an n-qubit register."""
     return np.kron(np.kron(np.eye(2**q), np.asarray(op2, dtype=complex)), np.eye(2 ** (n - 1 - q)))

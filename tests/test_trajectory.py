@@ -16,6 +16,7 @@ from qsatwalk.instance import (
 from qsatwalk.observables import build_hamiltonian, clause_projector, instance_spin_operators
 from qsatwalk.trajectory import (
     _CHUNK,
+    _ROWS_MAX_QUBITS,
     _lockstep,
     _lockstep_tables,
     haar_unitary,
@@ -27,7 +28,7 @@ from qsatwalk.trajectory import (
 
 from qsatwalk.verify import channel_match
 
-from helpers import embed_oracle, random_product_basis, random_state_vector, trace_distance
+from helpers import apply_oracle, random_product_basis, random_state_vector, trace_distance
 
 SINGLET = (0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0)
 
@@ -102,16 +103,18 @@ def test_trajectory_step_singlet_outcome_probability():
     assert abs(ones / 4000 - 0.5) < 5 * np.sqrt(0.25 / 4000)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, _ROWS_MAX_QUBITS + 1])
 def test_trajectory_step_leaves_input_state_unchanged(n):
-    # for pair (0, 1) the step's 4 x 2^(n-2) view of psi shares the caller's memory
+    # for pair (0, 1), and for every pair above _ROWS_MAX_QUBITS, the step reads
+    # psi through a view that shares the caller's memory
     rng = np.random.default_rng(46 + n)
     for i, j in itertools.permutations(range(n), 2):
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         inst = Instance(n=n, clauses=(make_clause(i, j, amps / np.linalg.norm(amps)),))
-        proj = embed_oracle(np.outer(inst.clauses[0].amps, inst.clauses[0].amps.conj()), i, j, n)
+        proj = np.outer(inst.clauses[0].amps, inst.clauses[0].amps.conj())
         psi0 = random_state_vector(n, rng)
-        kept, dropped = proj @ psi0, psi0 - proj @ psi0
+        kept = apply_oracle(proj, i, j, psi0)
+        dropped = psi0 - kept
         psi = kept / np.linalg.norm(kept) + dropped / np.linalg.norm(dropped)
         psi /= np.linalg.norm(psi)                   # <psi|P|psi> = 1/2
         before = psi.copy()
@@ -131,18 +134,36 @@ def test_complete_pair_outcome_probabilities_sum_to_one():
 
 
 def test_trajectory_step_degenerate_branch_guard():
+    """A branch of norm^2 1e-15 raises, naming the branch, on both sides of
+    `_ROWS_MAX_QUBITS`. The clause is the singlet; the state is the triplet
+    with a 1e-15 share of singlet, measured with draw 0 (outcome 1), or the
+    singlet with a 1e-15 share of triplet, measured with a draw just below 1
+    (outcome 0)."""
+
     class ForcedRng:
+        def __init__(self, draw):
+            self.draw = draw
+
         def integers(self, *_a, **_k):
             return 0
 
         def random(self):
-            return 0.0
+            return self.draw
 
-    eps = 1e-10
-    psi = np.array([np.sqrt(1 - eps**2 / 2), eps / np.sqrt(2), 0, 0], dtype=complex)
-    psi /= np.linalg.norm(psi)
-    with pytest.raises(DegenerateBranch):
-        trajectory_step(psi, singlet_instance(), ForcedRng())
+    eps = 10**-7.5
+    for n in (2, _ROWS_MAX_QUBITS + 1):
+        for i, j in ((0, 1), (n - 1, 0)):
+            inst = Instance(n=n, clauses=(make_clause(i, j, SINGLET),))
+            singlet = apply_oracle(np.outer(SINGLET, np.conj(SINGLET)), i, j,
+                                   densesim.basis_state(n, 2 ** (n - 1 - i)))   # |1> on qubit i
+            triplet = singlet.copy()
+            triplet[triplet.real < 0] *= -1                   # (|01> + |10>)/sqrt(2)
+            for kind, big, small, draw in (("unsatisfied", triplet, singlet, 0.0),
+                                           ("satisfied", singlet, triplet, 1 - 1e-16)):
+                psi = big / np.linalg.norm(big) * np.sqrt(1 - eps**2)
+                psi = psi + eps * small / np.linalg.norm(small)
+                with pytest.raises(DegenerateBranch, match=f"^{kind} branch"):
+                    trajectory_step(psi, inst, ForcedRng(draw))
 
 
 class _ForcedStream:

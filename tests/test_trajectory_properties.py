@@ -1,12 +1,15 @@
-"""Property tests: sampled trajectories against the dense oracle and the stream contract.
+"""Property tests: sampled trajectories against an independent oracle and the stream contract.
 
 A single step's random draws are replayed from a copy of its generator
 (clause index, measurement draw, then on outcome 1 the target draw and the
-Haar unitary). With P the clause projector from `helpers.embed_oracle`, the
-outcome must be 1 exactly when the draw is below <psi|P|psi>; the state after
-outcome 0 is (1-P) psi / norm, and after outcome 1 it is the Haar unitary on
-the target qubit applied to P psi / norm. A whole trajectory is replayed the
-same way from the block layout written in the `trajectory` module docstring.
+Haar unitary). With P the clause projector applied by `helpers.apply_oracle`
+(a tensordot on the clause's two axes of psi), the outcome must be 1 exactly
+when the draw is below <psi|P|psi>; the state after outcome 0 is
+(1-P) psi / norm, and after outcome 1 it is the Haar unitary on the target
+qubit applied to P psi / norm. A whole trajectory is replayed the same way
+from the block layout written in the `trajectory` module docstring. The
+number of qubits is drawn on both sides of `_ROWS_MAX_QUBITS`, where the
+step changes how it reads the clause.
 """
 
 import copy
@@ -16,11 +19,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qsatwalk.instance import Instance, generate_no_instance, generate_planted_extended
+from qsatwalk.instance import Instance, generate_no_instance, generate_planted_extended, make_clause
 from qsatwalk.observables import build_hamiltonian
 from qsatwalk.trajectory import (
     _BLOCK,
     _CHUNK,
+    _ROWS_MAX_QUBITS,
     _clause_ket,
     _prepare_ops,
     _walk,
@@ -30,57 +34,91 @@ from qsatwalk.trajectory import (
     trajectory_step,
 )
 
-from helpers import PROPERTY_SETTINGS, clauses, embed_oracle
+from helpers import PROPERTY_SETTINGS, apply_oracle, clauses, random_state_vector
 
 TOL = 1e-12
+WIDE = _ROWS_MAX_QUBITS + 1          # the fewest qubits a step reads through strided views
+
+
+def _projector(clause):
+    return np.outer(clause.amps, clause.amps.conj())
+
+
+def _oracle_step(psi, clause, outcome, target_i, u):
+    """The post-measurement state from the tensordot oracle."""
+    kept = apply_oracle(_projector(clause), clause.i, clause.j, psi)
+    if outcome == 0:
+        out = psi - kept
+    else:
+        target, other = (clause.i, clause.j) if target_i else (clause.j, clause.i)
+        out = apply_oracle(np.kron(u, np.eye(2)), target, other, kept)
+    return out / np.linalg.norm(out)
+
+
+def _check_step(inst, psi, seed):
+    """One `trajectory_step` against the oracle, on draws replayed from a copy of
+    its generator; returns the outcome, or None when <psi|P|psi> is within 1e-9
+    of 0 or 1, where a draw cannot tell the branches apart."""
+    rng = np.random.default_rng(seed)
+    replay = copy.deepcopy(rng)
+    clause = inst.clauses[int(replay.integers(inst.L))]
+    p = float(np.real(np.vdot(psi, apply_oracle(_projector(clause), clause.i, clause.j, psi))))
+    if not 1e-9 < p < 1 - 1e-9:
+        return None
+    draw = replay.random()
+
+    out, outcome = trajectory_step(psi, inst, rng)
+
+    assert outcome == int(draw < p)
+    target_i = replay.random() < 0.5 if outcome else None
+    want = _oracle_step(psi, clause, outcome, target_i, haar_unitary(replay) if outcome else None)
+    assert np.max(np.abs(out - want)) <= TOL
+    return outcome
+
+
+def _qubits(draw, narrow_max, wide_max):
+    return draw(st.sampled_from([*range(2, narrow_max + 1), *range(WIDE, wide_max + 1)]))
 
 
 @st.composite
 def step_cases(draw):
-    n = draw(st.integers(2, 7))
+    n = _qubits(draw, 7, WIDE + 2)
     inst = Instance(n=n, clauses=tuple(draw(st.lists(clauses(n), min_size=1, max_size=4))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return inst, psi / np.linalg.norm(psi), draw(st.integers(0, 2**32 - 1))
+    return inst, random_state_vector(n, rng), draw(st.integers(0, 2**32 - 1))
 
 
 @PROPERTY_SETTINGS
 @given(step_cases())
 def test_trajectory_step_matches_dense_oracle(case):
     inst, psi, seed = case
-    rng = np.random.default_rng(seed)
-    replay = copy.deepcopy(rng)
-    clause = inst.clauses[int(replay.integers(inst.L))]
-    proj = embed_oracle(np.outer(clause.amps, clause.amps.conj()), clause.i, clause.j, inst.n)
-    p = float(np.real(np.vdot(psi, proj @ psi)))
-    assume(1e-9 < p < 1 - 1e-9)
-    draw = replay.random()
-
-    out, outcome = trajectory_step(psi, inst, rng)
-
-    assert outcome == int(draw < p)
-    if outcome == 0:
-        want = psi - proj @ psi
-    else:
-        target, other = (clause.i, clause.j) if replay.random() < 0.5 else (clause.j, clause.i)
-        twirl = embed_oracle(np.kron(haar_unitary(replay), np.eye(2)), target, other, inst.n)
-        want = twirl @ proj @ psi
-    assert np.max(np.abs(out - want / np.linalg.norm(want))) <= TOL
+    assume(_check_step(inst, psi, seed) is not None)
 
 
-def _oracle_step(psi, proj, clause, outcome, target_i, u, n):
-    """The post-measurement state from dense matrices."""
-    if outcome == 0:
-        out = psi - proj @ psi
-    else:
-        target, other = (clause.i, clause.j) if target_i else (clause.j, clause.i)
-        out = embed_oracle(np.kron(u, np.eye(2)), target, other, n) @ proj @ psi
-    return out / np.linalg.norm(out)
+EDGE_AMPS = {"restricted": (0, 0.6, 0.8j, 0), "type-ii": (0, 0, 0, 1j),
+             "arbitrary": (0.5, -0.5j, 0.1 + 0.4j, 0.5)}
+
+
+@pytest.mark.parametrize("form", sorted(EDGE_AMPS))
+@pytest.mark.parametrize("n", [_ROWS_MAX_QUBITS, WIDE])
+def test_trajectory_step_edge_pairs_match_oracle(n, form):
+    """Pairs with lo = 0 and hi = n-1, in both clause orders, plus the last
+    adjacent pair and (1, 0), on both sides of the layout rule; a state with
+    <psi|P|psi> = 1/2 so that both outcomes occur among the seeds."""
+    rng = np.random.default_rng(n)
+    for i, j in [(0, n - 1), (n - 1, 0), (n - 2, n - 1), (1, 0)]:
+        clause = make_clause(i, j, EDGE_AMPS[form])
+        psi = random_state_vector(n, rng)
+        kept = apply_oracle(_projector(clause), i, j, psi)
+        psi = kept / np.linalg.norm(kept) + (psi - kept) / np.linalg.norm(psi - kept)
+        psi /= np.linalg.norm(psi)
+        inst = Instance(n=n, clauses=(clause,))
+        assert {_check_step(inst, psi, seed) for seed in range(12)} == {0, 1}
 
 
 @st.composite
 def walk_cases(draw):
-    n = draw(st.integers(2, 4))
+    n = _qubits(draw, 4, WIDE)
     inst = Instance(n=n, clauses=tuple(draw(st.lists(clauses(n), min_size=1, max_size=4))))
     return inst, draw(st.integers(2 * _BLOCK + 1, 3 * _BLOCK - 1)), draw(st.integers(0, 2**32 - 1))
 
@@ -91,7 +129,6 @@ def test_run_trajectory_replays_block_stream(case):
     """The documented layout, read by hand, reproduces a whole run step by step."""
     inst, T, seed = case
     n = inst.n
-    projs = [embed_oracle(np.outer(c.amps, c.amps.conj()), c.i, c.j, n) for c in inst.clauses]
     rng = np.random.default_rng(seed)
     psi = np.zeros(2**n, dtype=complex)
     psi[rng.integers(2**n)] = 1.0
@@ -102,11 +139,12 @@ def test_run_trajectory_replays_block_stream(case):
         coin = rng.random(_BLOCK)
         g = rng.standard_normal((2, _BLOCK, 2, 2))
         for k in range(min(_BLOCK, T - start)):
-            a = clause[k]
+            c = inst.clauses[clause[k]]
             q, r = np.linalg.qr(g[0, k] + 1j * g[1, k])
             u = q * (np.diag(r) / np.abs(np.diag(r)))
-            outcome = int(measure[k] < np.vdot(psi, projs[a] @ psi).real)
-            psi = _oracle_step(psi, projs[a], inst.clauses[a], outcome, coin[k] < 0.5, u, n)
+            p = np.vdot(psi, apply_oracle(_projector(c), c.i, c.j, psi)).real
+            outcome = int(measure[k] < p)
+            psi = _oracle_step(psi, c, outcome, coin[k] < 0.5, u)
             want[start + k] = outcome
 
     rec = run_trajectory(inst, T, seed, keep_history=True)
@@ -179,3 +217,17 @@ def test_ensemble_matches_single_runs_across_chunks():
     T, M, seed = 7, _CHUNK + 2, 21
     stats = run_ensemble(inst, T, M, seed)
     assert np.array_equal(stats.n0, [run_trajectory(inst, T, [seed, k]).N0 for k in range(M)])
+
+
+@pytest.mark.parametrize("n", [4, WIDE + 2])
+def test_walk_operator_values_match_states_along_the_run(n):
+    """`_walk`'s operator values at every t, however its buffer splits the block,
+    equal the operator on the final state of the same seed's t-step walk."""
+    inst = generate_planted_extended(n, 2 * n, 0.5, seed=71)
+    kets = [_clause_ket(c, n) for c in inst.clauses]
+    diag = np.random.default_rng(72).standard_normal(2**n)
+    T = _BLOCK + 6
+    values = _walk(kets, n, T, np.random.default_rng(73), _prepare_ops([("d", diag)]))[2][0]
+    for t in (0, 1, 15, 16, 17, _BLOCK - 1, _BLOCK, T):
+        psi = _walk(kets, n, t, np.random.default_rng(73))[1]
+        assert abs(values[t] - diag @ np.abs(psi) ** 2) <= TOL
