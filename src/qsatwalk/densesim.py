@@ -13,7 +13,8 @@ the real length-2^n vector of its diagonal; `expectation` tells the two
 apart by `ndim`. The qubit layout lives here alone (`_bits`, `_pair_split`,
 `_clause_split`, `_clause_rows`). The exact channel reads a clause's two
 qubits through reshaped views of the density matrix, and a sampled step on
-more than 15 qubits through strided quarters of `psi.reshape(pair)`; below
+more than 13 qubits reads and writes the state in place through strided
+quarters of `psi.reshape(pair)`; below
 that a sampled step takes `_clause_rows`, which copies the state for every
 pair but (0, 1), because the copy costs less there than the views' extra
 calls. None needs per-clause tables: a channel step costs O(L 4^n) time and

@@ -13,23 +13,31 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
   and `_write_back`; no per-clause index tables are built. It serves
   `run_trajectory`, `decision.decide` (through `run_trajectory`),
   `trajectory_step` and the ensemble chunks that `_lockstep` does not take.
-  How a step reads the drawn clause depends on n alone. At n <= 15
+  How a step reads the drawn clause depends on n alone. At n <= 13
   (`_ROWS_MAX_QUBITS`) it takes the 4 x 2^(n-2) matrix of
   `densesim._clause_rows`, which is a transposing copy for every pair but
   (0, 1), measures with one 4-vector product, and copies the rows back into
-  index order. Above it, it reads the strided quarters `[:, b_lo, :, b_hi,
-  :]` of the view `psi.reshape(pair)`: the overlap sums phi's nonzero
-  entries only, outcome 0 copies psi once and subtracts in place, and
-  outcome 1 fills the four quarters of an empty vector. Both give the same
-  states to rounding (about 5e-16). The crossover: `run_trajectory` steps
-  per second with the views over those with the rows, each process pinned
-  to one core with `OMP_NUM_THREADS=1`, median of 3 processes, L = 2n
-  clauses, planted restricted ones (two nonzero amplitudes) and, in
-  parentheses, random ones with four: n=10 0.91 (0.56), n=12 1.03 (0.68),
-  n=13 1.28 (0.76), n=14 1.33 (0.89), n=15 1.39 (0.89), n=16 1.45 (1.02),
-  n=18 1.96 (1.12). Below 16 qubits a view's strided quarters make short
-  inner loops and extra numpy calls that cost more, for four-amplitude
-  clauses, than the row copies they save.
+  index order as a new unit vector. Above it, the step updates the walk's
+  own state in place through the strided quarters `[:, b_lo, :, b_hi, :]`
+  of the view `psi.reshape(pair)` and carries the state's squared norm,
+  norm2, as a scalar. The overlap sums phi's nonzero quarters only, and the
+  outcome is 1 when the draw is below p = q / norm2, q = ||overlap||^2.
+  Outcome 0 subtracts phi's nonzero entries times the overlap from their
+  quarters and sets norm2 -= q, since ||(1 - P) v||^2 = ||v||^2 - q: no
+  copy, no full norm and no full rescale. Outcome 1 writes the four
+  quarters as the twirled phi times overlap / sqrt(q), and norm2 = 1. When
+  norm2 falls below 1/4, and at the end of the walk, the norm is recomputed
+  and the state rescaled to unit norm, so norm2 stays in [1/4, 1] and its
+  rounding cannot build up. Both layouts give the same states to rounding
+  (about 1e-15). The crossover: `run_trajectory` steps per second with the
+  views over those with the rows, separate processes pinned to one core
+  with `OMP_NUM_THREADS=1`, L = 2n clauses. Planted restricted ones (two
+  nonzero amplitudes) gain 1.4 to 2.2 at n = 12-16. Random ones with four
+  nonzero amplitudes set the rule: 0.63 at n=12, 0.92 at n=13 and 1.00 at
+  n=14 (10 alternating process pairs), 1.25 at n=15 and 1.5 at n=16. Below
+  14 qubits a view's strided quarters make short inner loops and extra
+  numpy calls that cost more, for four-amplitude clauses, than the row
+  copies they save.
 * `_lockstep` advances b trajectories together as one (b, 2^n) array.
   Per-clause index tables, `_clause_rows(arange(2^n))` stacked once per
   chunk, gather each trajectory's clause rows; measurement, collapse and
@@ -97,7 +105,7 @@ _BLOCK = 64
 _LOCKSTEP_MIN = 4            # narrowest chunk that _lockstep runs faster than _walk
 _LOCKSTEP_MAX_QUBITS = 10    # above it, gathers through index tables cost more than `_walk`
 _LOCKSTEP_ENTRIES = 2**13    # widest lockstep batch, in b * 2^n state entries
-_ROWS_MAX_QUBITS = 15        # above it, a step reads the clause through strided views
+_ROWS_MAX_QUBITS = 13        # above it, a step updates the state in place through strided views
 _OBSERVED_ENTRIES = 2**18    # widest operator buffer of `_walk`, in state entries
 
 
@@ -135,15 +143,18 @@ def _clause_ket(clause, n: int):
     return pair, phi, phi.reshape(4, 1), phi.conj().reshape(4), clause.i < clause.j, nonzero
 
 
-def _measure(psi: np.ndarray, ket, draw: float):
-    """Measure one clause on psi.
+def _measure(psi: np.ndarray, norm2: float, ket, draw: float):
+    """Measure one clause on psi, whose squared norm is norm2.
 
-    Returns psi as the step reads it (never written to: it can share psi's
-    memory), <phi|psi> on the other qubits, its norm^2 p, and the outcome (1
-    when draw < p). At or below `_ROWS_MAX_QUBITS` psi is read as the 4 x
-    2^(n-2) matrix of `_clause_rows`, a copy unless the pair is (0, 1); above
+    Returns psi as the step reads it, <phi|psi> on the other qubits, its
+    norm^2 q, and the outcome (1 when draw < p = q / norm2). At or below
+    `_ROWS_MAX_QUBITS` psi is read as the 4 x 2^(n-2) matrix of
+    `_clause_rows`, a copy unless the pair is (0, 1), and norm2 is 1; above
     it, as the view `psi.reshape(pair)`, summing only phi's nonzero entries
-    over the strided quarters `[:, b_lo, :, b_hi, :]`.
+    over the strided quarters `[:, b_lo, :, b_hi, :]`. The drawn branch
+    raises DegenerateBranch when its probability is below
+    `BRANCH_NORM_FLOOR`: p for outcome 1, and above `_ROWS_MAX_QUBITS` 1 - p
+    for outcome 0 (at or below it `_write_back` checks that branch's norm).
     """
     pair, _, _, phi_conj, _, nonzero = ket
     if nonzero is None:
@@ -153,53 +164,66 @@ def _measure(psi: np.ndarray, ket, draw: float):
         mat = psi.reshape(pair)
         (x, y, amp), *rest = nonzero
         overlap = mat[:, x, :, y, :] * amp.conjugate()
+        term = None
         for x, y, amp in rest:
-            overlap += mat[:, x, :, y, :] * amp.conjugate()
-    p = np.vdot(overlap, overlap).real
+            term = np.multiply(mat[:, x, :, y, :], amp.conjugate(), out=term)
+            overlap += term
+    q = np.vdot(overlap, overlap).real
+    p = q / norm2
     if draw < p:
         if p < BRANCH_NORM_FLOOR:
             raise DegenerateBranch(f"unsatisfied branch has norm^2 {p}")
-        return mat, overlap, p, 1
-    return mat, overlap, p, 0
+        return mat, overlap, q, 1
+    if nonzero is not None and 1 - p < BRANCH_NORM_FLOOR:
+        raise DegenerateBranch(f"satisfied branch has norm^2 {1 - p}")
+    return mat, overlap, q, 0
 
 
-def _write_back(ket, mat, overlap, p, u, coin: float) -> np.ndarray:
-    """The renormalized post-measurement state as a new flat vector.
+def _write_back(psi: np.ndarray, norm2: float, ket, mat, overlap, q, u, coin: float):
+    """The post-measurement state and its squared norm.
 
     u is None on outcome 0, which keeps (1 - P) psi. On outcome 1, P psi =
     phi (x) overlap, and u twirls phi on the clause's qubit i when coin < 0.5,
-    on qubit j otherwise. Above `_ROWS_MAX_QUBITS` the new state is written
-    through the quarters of its own `reshape(pair)` view: outcome 0 copies
-    psi once and subtracts phi's nonzero entries times the overlap in place,
-    outcome 1 fills the four quarters of an empty vector.
+    on qubit j otherwise. At or below `_ROWS_MAX_QUBITS` the state is a new
+    unit vector, copied back from the clause rows, and its norm^2 is 1.
+    Above it, psi itself is written through `mat`, its `reshape(pair)` view:
+    outcome 0 subtracts phi's nonzero entries times the overlap from their
+    quarters and lowers norm2 by q, with no copy and no rescale; outcome 1
+    writes the four quarters as twirled phi times overlap / sqrt(q), a unit
+    vector. When norm2 falls below 1/4, psi is rescaled to unit norm from
+    its recomputed norm, so the carried norm2 stays in [1/4, 1] and its
+    rounding cannot build up.
     """
     pair, phi, phi_col, _, i_is_lo, nonzero = ket
     if u is None:
-        if nonzero is None:
-            mat = mat - phi_col * overlap
-        else:
-            mat = mat.copy()
+        if nonzero is not None:
+            term = None
             for x, y, amp in nonzero:
-                mat[:, x, :, y, :] -= amp * overlap
+                term = np.multiply(overlap, amp, out=term)
+                mat[:, x, :, y, :] -= term
+            norm2 -= q
+            return (_unit(psi), 1.0) if norm2 < 0.25 else (psi, norm2)
+        mat = mat - phi_col * overlap
         r = np.vdot(mat, mat).real
         if r < BRANCH_NORM_FLOOR:
             raise DegenerateBranch(f"satisfied branch has norm^2 {r}")
-        if nonzero is not None:
-            mat *= 1.0 / math.sqrt(r)
-            return mat.reshape(-1)
         mat = mat * (1.0 / math.sqrt(r))
     else:
         twirled = u @ phi if (coin < 0.5) == i_is_lo else phi @ u.T
-        scaled = overlap * (1.0 / math.sqrt(p))
+        scaled = overlap * (1.0 / math.sqrt(q))
         if nonzero is not None:
-            out = np.empty(mat.size, dtype=complex)
-            view = out.reshape(pair)
             for x in (0, 1):
                 for y in (0, 1):
-                    np.multiply(scaled, twirled[x, y], out=view[:, x, :, y, :])
-            return out
+                    np.multiply(scaled, twirled[x, y], out=mat[:, x, :, y, :])
+            return psi, 1.0
         mat = twirled.reshape(4, 1) * scaled
-    return _from_clause_rows(mat, pair)
+    return _from_clause_rows(mat, pair), 1.0
+
+
+def _unit(psi: np.ndarray) -> np.ndarray:
+    """psi rescaled in place to unit norm, from its norm computed afresh."""
+    psi *= 1.0 / math.sqrt(np.vdot(psi, psi).real)
+    return psi
 
 
 def trajectory_step(psi: np.ndarray, inst: Instance, rng: np.random.Generator):
@@ -208,23 +232,37 @@ def trajectory_step(psi: np.ndarray, inst: Instance, rng: np.random.Generator):
     Picks a clause uniformly, measures its projector (outcome 1 with
     probability <psi|P|psi>), and on outcome 1 twirls one of its qubits with
     a fresh Haar unitary. The returned state is renormalized; psi is not
-    modified.
+    modified (the step writes a copy of it).
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.array(psi, dtype=complex)
     n = num_qubits(psi)
     if n != inst.n:
         raise DimensionMismatch(f"state has {n} qubits but instance has {inst.n}")
     ket = _clause_ket(inst.clauses[int(rng.integers(inst.L))], n)
-    mat, overlap, p, outcome = _measure(psi, ket, rng.random())
-    if outcome:
-        coin = rng.random()
-        return _write_back(ket, mat, overlap, p, haar_unitary(rng), coin), 1
-    return _write_back(ket, mat, overlap, p, None, 0.0), 0
+    mat, overlap, q, outcome = _measure(psi, 1.0, ket, rng.random())
+    coin, u = (rng.random(), haar_unitary(rng)) if outcome else (0.0, None)
+    psi, norm2 = _write_back(psi, 1.0, ket, mat, overlap, q, u, coin)
+    return (psi if norm2 == 1.0 else _unit(psi)), outcome
 
 
-def _observe(states: np.ndarray, prepared) -> np.ndarray:
-    """<psi|op|psi> as an array indexed by (prepared operator, row psi of states)."""
-    prob = states.real**2 + states.imag**2 if any(d for d, _ in prepared) else None
+def _squares(prepared, rows: int, d: int):
+    """The float buffer (2, rows, d) that `_observe` squares up to `rows` states
+    into, or None when no prepared operator is diagonal."""
+    return np.empty((2, rows, d)) if prepared and any(diag for diag, _ in prepared) else None
+
+
+def _observe(states: np.ndarray, prepared, squares) -> np.ndarray:
+    """<psi|op|psi> as an array indexed by (prepared operator, row psi of states).
+
+    |psi|^2 = re*re + im*im goes into the first rows of `squares` (from
+    `_squares`), a buffer the caller allocates once, so that no call
+    allocates full-size temporaries.
+    """
+    if squares is not None:
+        prob, imag2 = squares[0, : len(states)], squares[1, : len(states)]
+        np.multiply(states.real, states.real, out=prob)
+        np.multiply(states.imag, states.imag, out=imag2)
+        prob += imag2
     return np.array([prob @ op if is_diag else _real_vdot_rows(states, states @ op)
                      for is_diag, op in prepared])
 
@@ -249,11 +287,12 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
     evaluation are kept at most `_OBSERVED_ENTRIES` entries at a time (at
     least one state), so tracking operators adds a few state vectors.
     """
-    psi = sample_initial_state(n, rng)
+    psi, norm2 = sample_initial_state(n, rng), 1.0
     outcomes = np.empty(T, dtype=np.int8)
     values = np.empty((len(prepared), T + 1)) if prepared else None
     width = max(1, min(_BLOCK, _OBSERVED_ENTRIES >> n)) if prepared else _BLOCK
     states = np.empty((width, 2**n), dtype=complex) if prepared else None
+    squares = _squares(prepared, width, 2**n)
     for start in range(0, T, _BLOCK):
         clause, measure, coin, g = _draw_block(rng, len(kets))
         clause, measure, coin = clause.tolist(), measure.tolist(), coin.tolist()
@@ -263,16 +302,19 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
             end = min(sub + width, stop)
             for t in range(sub, end):
                 if prepared:
-                    states[t - sub] = psi
+                    np.multiply(psi, 1.0 / math.sqrt(norm2), out=states[t - sub])
                 k = t - start
                 ket = kets[clause[k]]
-                mat, overlap, p, outcome = _measure(psi, ket, measure[k])
-                psi = _write_back(ket, mat, overlap, p, haar[k] if outcome else None, coin[k])
+                mat, overlap, q, outcome = _measure(psi, norm2, ket, measure[k])
+                psi, norm2 = _write_back(psi, norm2, ket, mat, overlap, q,
+                                         haar[k] if outcome else None, coin[k])
                 outcomes[t] = outcome
             if prepared:
-                values[:, sub:end] = _observe(states[: end - sub], prepared)
+                values[:, sub:end] = _observe(states[: end - sub], prepared, squares)
+    if norm2 != 1.0:
+        psi = _unit(psi)
     if prepared:
-        values[:, T] = _observe(psi[None], prepared)[:, 0]
+        values[:, T] = _observe(psi[None], prepared, squares)[:, 0]
     return outcomes, psi, values
 
 
@@ -360,6 +402,7 @@ def _lockstep(tables, n: int, T: int, rngs, prepared=None):
     ones = np.empty((min(T, _BLOCK), b), dtype=bool)     # the block's outcomes
     mean = np.empty((len(prepared), T + 1)) if prepared else None
     m2 = np.empty((len(prepared), T + 1)) if prepared else None
+    squares = _squares(prepared, max(1, min(T, _BLOCK)) * b, d)
     for start in range(0, T, _BLOCK):
         k = min(_BLOCK, T - start)
         index, bra, minus_phi, twirled, measure = _lockstep_block(tables, rngs, k, offset)
@@ -382,11 +425,11 @@ def _lockstep(tables, n: int, T: int, rngs, prepared=None):
         n0 -= ones[:k].sum(axis=0)
         zeros[start : start + k] = b - ones[:k].sum(axis=1)
         if prepared:
-            values = _observe(states[:k].reshape(k * b, d), prepared).reshape(-1, k, b)
+            values = _observe(states[:k].reshape(k * b, d), prepared, squares).reshape(-1, k, b)
             mean[:, start : start + k], m2[:, start : start + k] = _moments(values)
         states[0] = states[k]
     if prepared:
-        mean[:, T], m2[:, T] = _moments(_observe(states[0], prepared))
+        mean[:, T], m2[:, T] = _moments(_observe(states[0], prepared, squares))
     return n0, zeros, (b, mean, m2) if prepared else None
 
 

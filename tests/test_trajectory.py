@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from qsatwalk.instance import (
 )
 from qsatwalk.observables import build_hamiltonian, clause_projector, instance_spin_operators
 from qsatwalk.trajectory import (
+    _BLOCK,
     _CHUNK,
     _ROWS_MAX_QUBITS,
+    _clause_ket,
     _lockstep,
     _lockstep_tables,
+    _walk,
     haar_unitary,
     run_ensemble,
     run_trajectory,
@@ -103,10 +107,10 @@ def test_trajectory_step_singlet_outcome_probability():
     assert abs(ones / 4000 - 0.5) < 5 * np.sqrt(0.25 / 4000)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, _ROWS_MAX_QUBITS + 1])
+@pytest.mark.parametrize("n", [2, 3, 4, _ROWS_MAX_QUBITS + 1, _ROWS_MAX_QUBITS + 3])
 def test_trajectory_step_leaves_input_state_unchanged(n):
-    # for pair (0, 1), and for every pair above _ROWS_MAX_QUBITS, the step reads
-    # psi through a view that shares the caller's memory
+    # for pair (0, 1) the step reads psi through a view, and above
+    # _ROWS_MAX_QUBITS it writes its state in place, so it must work on a copy
     rng = np.random.default_rng(46 + n)
     for i, j in itertools.permutations(range(n), 2):
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -121,6 +125,30 @@ def test_trajectory_step_leaves_input_state_unchanged(n):
         outcomes = {trajectory_step(psi, inst, np.random.default_rng(s))[1] for s in range(16)}
         assert outcomes == {0, 1}
         assert np.array_equal(psi, before)
+
+
+@pytest.mark.parametrize("kind", ["restricted", "4-amplitude"])
+def test_wide_walk_writes_its_own_state(kind):
+    """Above `_ROWS_MAX_QUBITS` a step updates the walk's state in place: two
+    blocks of steps of both outcomes allocate less than one more state vector
+    (a step that built each new state beside the old one would need two)."""
+    n = _ROWS_MAX_QUBITS + 3
+    rng = np.random.default_rng(47)
+    if kind == "restricted":
+        inst = generate_planted_restricted(n, 2 * n, 47)
+    else:
+        inst = Instance(n=n, clauses=tuple(
+            make_clause(i, n - 1 - i, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            for i in range(n // 2)))
+    kets = [_clause_ket(c, n) for c in inst.clauses]
+    tracemalloc.start()
+    try:
+        outcomes, psi, _ = _walk(kets, n, 2 * _BLOCK, np.random.default_rng(48))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < outcomes.sum() < len(outcomes)
+    assert peak - psi.nbytes < psi.nbytes
 
 
 def test_complete_pair_outcome_probabilities_sum_to_one():

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from qsatwalk import trajectory
 from qsatwalk.instance import Instance, generate_no_instance, generate_planted_extended, make_clause
 from qsatwalk.observables import build_hamiltonian
 from qsatwalk.trajectory import (
@@ -28,6 +29,7 @@ from qsatwalk.trajectory import (
     _clause_ket,
     _prepare_ops,
     _walk,
+    _write_back,
     haar_unitary,
     run_ensemble,
     run_trajectory,
@@ -100,11 +102,12 @@ EDGE_AMPS = {"restricted": (0, 0.6, 0.8j, 0), "type-ii": (0, 0, 0, 1j),
 
 
 @pytest.mark.parametrize("form", sorted(EDGE_AMPS))
-@pytest.mark.parametrize("n", [_ROWS_MAX_QUBITS, WIDE])
+@pytest.mark.parametrize("n", range(_ROWS_MAX_QUBITS, WIDE + 3))
 def test_trajectory_step_edge_pairs_match_oracle(n, form):
     """Pairs with lo = 0 and hi = n-1, in both clause orders, plus the last
-    adjacent pair and (1, 0), on both sides of the layout rule; a state with
-    <psi|P|psi> = 1/2 so that both outcomes occur among the seeds."""
+    adjacent pair and (1, 0), on both sides of the layout rule and two qubits
+    beyond it; a state with <psi|P|psi> = 1/2 so that both outcomes occur
+    among the seeds."""
     rng = np.random.default_rng(n)
     for i, j in [(0, n - 1), (n - 1, 0), (n - 2, n - 1), (1, 0)]:
         clause = make_clause(i, j, EDGE_AMPS[form])
@@ -123,16 +126,14 @@ def walk_cases(draw):
     return inst, draw(st.integers(2 * _BLOCK + 1, 3 * _BLOCK - 1)), draw(st.integers(0, 2**32 - 1))
 
 
-@PROPERTY_SETTINGS
-@given(walk_cases())
-def test_run_trajectory_replays_block_stream(case):
-    """The documented layout, read by hand, reproduces a whole run step by step."""
-    inst, T, seed = case
+def _replay(inst, T, seed):
+    """A whole run read by hand from the documented layout and stepped with the
+    oracle: the outcomes and the final state."""
     n = inst.n
     rng = np.random.default_rng(seed)
     psi = np.zeros(2**n, dtype=complex)
     psi[rng.integers(2**n)] = 1.0
-    want = np.empty(T, dtype=np.int8)
+    outcomes = np.empty(T, dtype=np.int8)
     for start in range(0, T, _BLOCK):
         clause = rng.integers(inst.L, size=_BLOCK)
         measure = rng.random(_BLOCK)
@@ -145,12 +146,58 @@ def test_run_trajectory_replays_block_stream(case):
             p = np.vdot(psi, apply_oracle(_projector(c), c.i, c.j, psi)).real
             outcome = int(measure[k] < p)
             psi = _oracle_step(psi, c, outcome, coin[k] < 0.5, u)
-            want[start + k] = outcome
+            outcomes[start + k] = outcome
+    return outcomes, psi
+
+
+@PROPERTY_SETTINGS
+@given(walk_cases())
+def test_run_trajectory_replays_block_stream(case):
+    """The documented layout, read by hand, reproduces a whole run step by step."""
+    inst, T, seed = case
+    want, psi = _replay(inst, T, seed)
 
     rec = run_trajectory(inst, T, seed, keep_history=True)
 
     assert np.array_equal(rec.outcomes, want)
     assert np.max(np.abs(rec.final_state - psi)) <= TOL
+
+
+@pytest.mark.parametrize("seed", [81, 82])
+def test_wide_walk_carried_norm_matches_oracle(seed, monkeypatch):
+    """Above `_ROWS_MAX_QUBITS` a satisfied outcome lowers a carried squared
+    norm instead of rescaling the state, which is rescaled once the carried
+    value falls below 1/4. With four-amplitude clauses that happens many times
+    in ten blocks: after every step the carried value lies in [1/4, 1] and
+    equals the state's squared norm, and the run replays on the oracle and
+    ends at unit norm."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(2 * WIDE):
+        i, j = (int(q) for q in rng.choice(WIDE, 2, replace=False))
+        drawn.append(make_clause(i, j, rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    inst = Instance(n=WIDE, clauses=tuple(drawn))
+    T = 10 * _BLOCK
+    steps = []
+
+    def write_back(psi, norm2, ket, mat, overlap, q, u, coin):
+        out, carried = _write_back(psi, norm2, ket, mat, overlap, q, u, coin)
+        steps.append((u is None and norm2 - q < 0.25, carried, np.vdot(out, out).real))
+        return out, carried
+
+    monkeypatch.setattr(trajectory, "_write_back", write_back)
+    want, psi = _replay(inst, T, seed)
+
+    rec = run_trajectory(inst, T, seed, keep_history=True)
+
+    rescaled, norm2, actual = np.array(steps).T
+    assert rescaled.sum() >= 20
+    assert np.all(norm2[rescaled == 1] == 1.0)
+    assert np.all((0.25 <= norm2) & (norm2 <= 1.0))
+    assert np.max(np.abs(norm2 - actual)) <= TOL
+    assert np.array_equal(rec.outcomes, want)
+    assert np.max(np.abs(rec.final_state - psi)) <= TOL
+    assert abs(np.linalg.norm(rec.final_state) - 1) <= TOL
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -219,10 +266,11 @@ def test_ensemble_matches_single_runs_across_chunks():
     assert np.array_equal(stats.n0, [run_trajectory(inst, T, [seed, k]).N0 for k in range(M)])
 
 
-@pytest.mark.parametrize("n", [4, WIDE + 2])
+@pytest.mark.parametrize("n", [4, WIDE + 2, WIDE + 4])
 def test_walk_operator_values_match_states_along_the_run(n):
-    """`_walk`'s operator values at every t, however its buffer splits the block,
-    equal the operator on the final state of the same seed's t-step walk."""
+    """`_walk`'s operator values at every t, however its buffer splits the block
+    (64, 4 and 1 states at these sizes), equal the operator on the final state
+    of the same seed's t-step walk."""
     inst = generate_planted_extended(n, 2 * n, 0.5, seed=71)
     kets = [_clause_ket(c, n) for c in inst.clauses]
     diag = np.random.default_rng(72).standard_normal(2**n)
