@@ -7,14 +7,28 @@ state:
     T_a(rho) = (1-P) rho (1-P) + 1/2 Twirl_i(P rho P) + 1/2 Twirl_j(P rho P)
 
 The full step averages T_a uniformly over clauses. Everything here is exact
-arithmetic on the full 2^n x 2^n density matrix, but each clause update
-touches only its two qubits: a local kernel reads and writes reshaped views
-of the state, so a step costs O(L 4^n) and no embedded projector is built.
+arithmetic on a density matrix, and each clause update touches only its two
+qubits: with a = <phi|rho and c = <phi|rho|phi>, T_a(rho) - rho =
+-phi (x) a - h.c. + G (x) c, so no embedded projector is built. `evolve`
+holds the state in one of two layouts.
+
+* Hamming-weight blocks (`sectors`). When every clause lies on one Hamming
+  weight of its pair in the instance's planted frame and rho0 has no entry
+  between weights there, every rho_t is block-diagonal by weight, and only
+  the packed blocks are kept and stepped: C(2n, n) entries instead of 4^n.
+* The full space. Every other input keeps the 2^n x 2^n matrix in the
+  caller's frame and reads and writes it through reshaped views, so a step
+  costs O(L 4^n). This kernel also serves `apply_*` and `dual_residuals`.
+  Index plans for the whole space would take several times the matrix per
+  clause, where the views are free, so the two layouts keep two kernels.
+
 Stochastic pure-state sampling of the same process lives in `trajectory`.
 """
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,12 +87,21 @@ def _linear_combination(terms) -> np.ndarray:
     return out
 
 
+def _reduce(rho: np.ndarray, terms: _ClauseTerms):
+    """a = <phi|rho, an operator from the full space to the other n-2 qubits, and
+    c = <phi|rho|phi>, an operator on those qubits, read through reshaped views of rho."""
+    pair, d = terms.pair, rho.shape[0]
+    rows = rho.reshape(*pair, d)
+    a = _linear_combination((amp.conjugate(), rows[:, x, :, y, :]) for x, y, amp in terms.phi)
+    a_cols = a.reshape(*pair[0::2], *pair)
+    c = _linear_combination((amp, a_cols[:, :, :, :, x, :, y, :]) for x, y, amp in terms.phi)
+    return a, c
+
+
 def _add_clause_update(rho: np.ndarray, delta: np.ndarray, terms: _ClauseTerms, weight: float) -> float:
     """Add to `delta` an X with X + X^dagger = weight * (T_a(rho) - rho); return tr[P_a rho].
 
-    P = |phi><phi| has rank 1, so with a = <phi|rho (an operator from the
-    full space to the other n-2 qubits) and c = <phi|rho|phi> (an operator
-    on those qubits),
+    P = |phi><phi| has rank 1, so with a and c from `_reduce`,
 
         T_a(rho) - rho = -phi (x) a - (phi (x) a)^dagger + G (x) c,
 
@@ -87,10 +110,7 @@ def _add_clause_update(rho: np.ndarray, delta: np.ndarray, terms: _ClauseTerms, 
     costs O(4^n); zero entries of phi and G are skipped.
     """
     pair, d = terms.pair, rho.shape[0]
-    rows = rho.reshape(*pair, d)
-    a = _linear_combination((amp.conjugate(), rows[:, x, :, y, :]) for x, y, amp in terms.phi)
-    a_cols = a.reshape(*pair[0::2], *pair)
-    c = _linear_combination((amp, a_cols[:, :, :, :, x, :, y, :]) for x, y, amp in terms.phi)
+    a, c = _reduce(rho, terms)
     delta_rows = delta.reshape(*pair, d)
     for x, y, amp in terms.phi:
         delta_rows[:, x, :, y, :] -= (weight * amp) * a
@@ -100,14 +120,24 @@ def _add_clause_update(rho: np.ndarray, delta: np.ndarray, terms: _ClauseTerms, 
     return float(np.trace(c.reshape(d // 4, d // 4)).real)
 
 
+def _hermitian_sum(state: np.ndarray, delta: np.ndarray, squares) -> np.ndarray:
+    """state + delta + delta^dagger, for a layout of square blocks `squares`, (start, size)
+    in the flat array; delta is overwritten."""
+    out = state + delta
+    flat_out = out.reshape(-1)
+    flat_conj = np.conjugate(delta, out=delta).reshape(-1)   # in place: no temporary for conj(delta)
+    for start, m in squares:
+        block = flat_out[start : start + m * m].reshape(m, m)
+        block += flat_conj[start : start + m * m].reshape(m, m).T
+    return out
+
+
 def _apply(rho: np.ndarray, clauses: list) -> tuple[np.ndarray, float]:
     """Uniform average of the clause updates, and tr[H rho] for the input state."""
     delta = np.zeros(rho.shape, dtype=complex)   # C order: the kernel writes through reshaped views
     weight = 1.0 / len(clauses)
     energy = sum(_add_clause_update(rho, delta, terms, weight) for terms in clauses)
-    out = rho + delta
-    out += np.conjugate(delta, out=delta).T      # in place: no full temporary for conj(delta)
-    return out, energy
+    return _hermitian_sum(rho, delta, [(0, len(rho))]), energy
 
 
 def apply_clause_channel(rho: np.ndarray, clause: Clause) -> np.ndarray:
@@ -128,6 +158,58 @@ def apply_step_channel(rho: np.ndarray, inst: Instance) -> np.ndarray:
     return _apply(rho, [_clause_terms(c, n) for c in inst.clauses])[0]
 
 
+def _pair_entries(clauses, n: int, pos):
+    """H's entries (b (x) r, b2 (x) r), for each clause and pair values b, b2 where
+    its ket phi is nonzero: their flat positions pos(...), one row of 2^(n-2) per
+    (clause, b, b2), and the values phi_b conj(phi_b2), one per row."""
+    index = np.arange(2**n)
+    positions, values = [], []
+    for clause in clauses:
+        pair, phi = densesim._clause_split(clause, n)
+        full, ket = densesim._clause_rows(index, pair), phi.reshape(4)
+        for b, b2 in itertools.product(np.flatnonzero(ket), repeat=2):
+            positions.append(pos(full[b], full[b2]))
+            values.append(ket[b] * ket[b2].conjugate())
+    return np.array(positions), np.array(values)
+
+
+def _energy(flat: np.ndarray, entries) -> float:
+    """tr[H rho] = sum over H's entries of H[y, x] rho[x, y], from `_pair_entries`: O(L 2^n)."""
+    positions, values = entries
+    return float((values.conj() @ flat[positions].sum(axis=1)).real)
+
+
+_FULL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()   # instances hash by identity
+
+
+class _FullRun:
+    """`evolve` on the 2^n x 2^n matrix in the caller's frame. The clause terms, H's
+    entries and a ground-space basis are kept with the instance in `_FULL`."""
+
+    def __init__(self, inst: Instance):
+        if inst not in _FULL:
+            d, h = 2**inst.n, observables.build_hamiltonian(inst)
+            _FULL[inst] = ([_clause_terms(c, inst.n) for c in inst.clauses],
+                           _pair_entries(inst.clauses, inst.n, lambda x, y: x * d + y),
+                           observables._eig_basis(h, observables.ZERO_TOL)[1])
+        self.terms, self.entries, self.ground = _FULL[inst]
+        self.s, self.s2 = observables.instance_spin_operators(inst)
+        self.squares = [(0, 2**inst.n)]
+
+    def observe(self, rho):
+        expect = densesim.expectation
+        return expect(self.s, rho), expect(self.s2, rho), np.vdot(self.ground, rho @ self.ground).real
+
+    def snapshot(self, rho):
+        return rho.copy()
+
+    def step(self, rho):
+        return _apply(rho, self.terms)
+
+    def energy(self, rho):
+        return _energy(rho.reshape(-1), self.entries)
+
+
 @dataclass
 class EvolutionSeries:
     """Scalar observables of rho_t for t = 0..steps, plus optional snapshots."""
@@ -144,26 +226,45 @@ class EvolutionSeries:
             yield t, self.trH[t], self.trS[t], self.trS2[t], self.trPi0[t]
 
 
+def _resymmetrize(state: np.ndarray, squares, t: int) -> np.ndarray:
+    """Hermitian part of the state over its square blocks, at unit trace; raise
+    NumericalDrift when either had drifted by more than DRIFT_TOL."""
+    flat = state.reshape(-1)
+    views = [flat[start : start + m * m].reshape(m, m) for start, m in squares]
+    herm = max(np.max(np.abs(v - v.conj().T)) for v in views)
+    tr_err = abs(sum(np.trace(v).real for v in views) - 1.0)
+    if herm > DRIFT_TOL or tr_err > DRIFT_TOL:
+        raise NumericalDrift(f"drift at step {t}: hermiticity {herm}, trace error {tr_err}")
+    for v in views:
+        v[...] = (v + v.conj().T) / 2
+    state /= sum(np.trace(v).real for v in views)
+    return state
+
+
 def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -> EvolutionSeries:
     """Apply the step channel `steps` times, recording observables at every step.
 
+    Eligible inputs (see `sectors`) run on packed Hamming-weight blocks in
+    the planted frame, every other input on the full matrix.
     Hermiticity and trace are re-symmetrized every 100 steps; drift beyond
-    1e-6 before a correction raises NumericalDrift. Snapshots of the full
-    density matrix are kept only at the requested step indices. tr[H rho_t]
-    comes out of step t itself as the sum of the clause weights tr[P_a rho_t].
+    1e-6 before a correction raises NumericalDrift. Snapshots are dense
+    2^n x 2^n matrices in the caller's frame, kept only at the requested
+    step indices. tr[H rho_t] is the sum of the clause weights tr[P_a rho_t],
+    which step t computes itself (the last one from H's entries); tr[Pi0 rho_t]
+    reads a basis of the ground space kept with the instance, so no dense H or
+    ground projector is built per call. Index plans are built at the first
+    step, not by `evolve(..., 0)`.
     """
-    rho = densesim.as_density_matrix(rho0).copy()
+    rho, blocks = densesim._checked_density(rho0)
     if steps < 0:
         raise IndexOutOfRange(f"steps must be >= 0, got {steps}")
-    n = inst.n
-    if densesim.num_qubits(rho) != n:
+    if densesim.num_qubits(rho) != inst.n:
         raise IndexOutOfRange("initial state dimension does not match instance")
-    clauses = [_clause_terms(c, n) for c in inst.clauses]
-    h = observables.build_hamiltonian(inst)
-    s, s2 = observables.instance_spin_operators(inst)
-    pi0 = observables.ground_space_projector(h)
+    from . import sectors    # compiled on the first call, not by `import qsatwalk`
+
+    started = sectors.start(inst, rho, blocks)
+    run, state = started if started is not None else (_FullRun(inst), rho.copy())
     wanted = set(int(t) for t in snapshot_schedule)
-    expect = densesim.expectation
 
     trH = np.empty(steps + 1)
     trS = np.empty(steps + 1)
@@ -171,24 +272,15 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
     trPi0 = np.empty(steps + 1)
     snapshots: dict[int, np.ndarray] = {}
     for t in range(steps + 1):
-        trS[t] = expect(s, rho)
-        trS2[t] = expect(s2, rho)
-        trPi0[t] = expect(pi0, rho)
+        trS[t], trS2[t], trPi0[t] = run.observe(state)
         if t in wanted:
-            snapshots[t] = rho.copy()
+            snapshots[t] = run.snapshot(state)
         if t == steps:
-            trH[t] = expect(h, rho)
+            trH[t] = run.energy(state)
             break
-        rho, trH[t] = _apply(rho, clauses)
+        state, trH[t] = run.step(state)
         if (t + 1) % RESYMMETRIZE_EVERY == 0:
-            herm = np.max(np.abs(rho - rho.conj().T))
-            tr_err = abs(np.trace(rho).real - 1.0)
-            if herm > DRIFT_TOL or tr_err > DRIFT_TOL:
-                raise NumericalDrift(
-                    f"drift at step {t + 1}: hermiticity {herm}, trace error {tr_err}"
-                )
-            rho = (rho + rho.conj().T) / 2
-            rho /= np.trace(rho).real
+            state = _resymmetrize(state, run.squares, t + 1)
     return EvolutionSeries(steps=steps, trH=trH, trS=trS, trS2=trS2, trPi0=trPi0, snapshots=snapshots)
 
 
@@ -204,6 +296,17 @@ class ClauseResiduals:
         return float(max(np.max(self.residual_S), np.max(self.residual_S2)))
 
 
+def _spin_weight(c: np.ndarray, zs) -> float:
+    """tr[(sum_k Z_k) c] for c an operator on m qubits and Z_k = zs[k], a 2x2 on qubit k."""
+    m = len(zs)
+    total = 0.0
+    for k, z in enumerate(zs):
+        shape = (2**k, 2, 2 ** (m - 1 - k))
+        one = np.einsum("iajibj->ab", c.reshape(*shape, *shape))   # c's reduction to qubit k
+        total += float(np.sum(z.T * one).real)
+    return total
+
+
 def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
     """Per-clause deviation from the known drift of the spin diagnostics.
 
@@ -212,27 +315,29 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
     the clause form: restricted clauses leave S alone and raise S^2 by 2P;
     |11><11| clauses raise S by P and shift S^2 by -2P + 2*Z_rest*P. Clauses
     of any other form are scored against the restricted increments, so their
-    residuals simply report how far they stray from that law.
+    residuals simply report how far they stray from that law. The Z_rest
+    term is read from c = <phi|rho|phi>: the sum over the other qubits of
+    sigma_z, rotated into the planted frame, against c's one-qubit reductions.
     """
     n = inst.n
     s, s2 = observables.instance_spin_operators(inst)
-    v = observables.frame_unitary(inst)
+    frame = observables._frame_blocks(inst)
     states = [densesim.as_density_matrix(r) for r in sample_states]
     expect = densesim.expectation
     report = []
     for idx, clause in enumerate(inst.clauses):
         terms = _clause_terms(clause, n)
         form = classify_clause(clause)
-        if form is ClauseForm.TYPE_II:
-            z_rest = observables.spectator_spin(n, clause.i, clause.j)
-            proj = observables.clause_projector(clause, n)
-            z_proj = z_rest[:, None] * proj if v is None else (v * z_rest) @ v.conj().T @ proj
+        rest = [q for q in range(n) if q not in (clause.i, clause.j)]
+        zs = [densesim.SIGMA_Z if frame is None else frame[q] @ densesim.SIGMA_Z @ frame[q].conj().T
+              for q in rest]
         res_s = np.empty(len(states))
         res_s2 = np.empty(len(states))
         for k, rho in enumerate(states):
             out, energy = _apply(rho, [terms])   # energy = tr[P rho]
             if form is ClauseForm.TYPE_II:
-                delta_s, delta_s2 = energy, -2.0 * energy + 2.0 * expect(z_proj, rho)
+                c = _reduce(rho, terms)[1].reshape(2 ** (n - 2), 2 ** (n - 2))
+                delta_s, delta_s2 = energy, -2.0 * energy + 2.0 * _spin_weight(c, zs)
             else:
                 delta_s, delta_s2 = 0.0, 2.0 * energy
             res_s[k] = abs(expect(s, out) - expect(s, rho) - delta_s)

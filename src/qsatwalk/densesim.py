@@ -11,30 +11,33 @@ n = 12) and a state vector 16 * 2^n bytes (16 MB at n = 20). An operator is
 a dense 2^n x 2^n matrix or, when it is diagonal in the computational basis,
 the real length-2^n vector of its diagonal; `expectation` tells the two
 apart by `ndim`. The qubit layout lives here alone (`_bits`, `_pair_split`,
-`_clause_split`, `_clause_rows`). The exact channel reads a clause's two
-qubits through reshaped views of the density matrix, and a sampled step on
-more than 13 qubits reads and writes the state in place through strided
-quarters of `psi.reshape(pair)`; below
-that a sampled step takes `_clause_rows`, which copies the state for every
-pair but (0, 1), because the copy costs less there than the views' extra
-calls. None needs per-clause tables: a channel step costs O(L 4^n) time and
-a few density matrices of memory (memory, not the per-step time, sets its
-ceiling), a sampled step O(2^n) and a few state vectors. `kron_embed` and
-`observables.build_hamiltonian` scatter 4x4 blocks through the same rows
-into full 2^n x 2^n operators, for spectra and tests, not per-step updates.
+`_clause_split`, `_clause_rows`). A sampled step on more than 13 qubits reads
+and writes the state in place through strided quarters of
+`psi.reshape(pair)`; below that it takes `_clause_rows`, which copies the
+state for every pair but (0, 1), because the copy costs less there than the
+views' extra calls. A sampled step costs O(2^n) and a few state vectors. The
+exact channel holds the state one of two ways (see `sectors`): packed
+Hamming-weight blocks, 16 * C(2n, n) bytes (41 MB at n = 12), read through
+per-clause index plans built from `_clause_rows` of the basis indices, so a
+step costs O(L C(2n, n)); or, for inputs that couple weights, the full matrix
+read through reshaped views, O(L 4^n) per step and a few density matrices of
+memory. `kron_embed` and `observables.build_hamiltonian` scatter 4x4 blocks
+through the same rows into full 2^n x 2^n operators, for spectra and tests,
+not per-step updates.
 
 Spectra go one Hamming-weight block at a time (`_weight_blocks`). If every
 entry that couples two different weights is exactly zero, `hermitian_eig`
-and the PSD check of `as_density_matrix` diagonalize each C(n, k) x C(n, k)
-weight block apart; otherwise the whole space is the one block. Blocks occur
-for the Hamiltonian of restricted (0, a, b, 0) and |11><11| clauses in the
-planted frame, and for every state the channel of such clauses reaches from
-the maximally mixed one.
+diagonalizes each C(n, k) x C(n, k) weight block apart, and the checks of
+`as_density_matrix` read each block apart (positivity by a Cholesky
+factorization, the smallest eigenvalue only when one fails); otherwise the
+whole space is the one block. Blocks occur for the Hamiltonian of restricted
+(0, a, b, 0) and |11><11| clauses in the planted frame, and for every state
+the channel of such clauses reaches from the maximally mixed one.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -79,7 +82,9 @@ def basis_state(n: int, index: int) -> np.ndarray:
 
 def maximally_mixed(n: int) -> np.ndarray:
     d = 2**n
-    return np.eye(d, dtype=complex) / d
+    rho = np.eye(d, dtype=complex)
+    rho /= d                       # in place: one 16 * 4^n byte array, not two
+    return rho
 
 
 def pure_density(psi: np.ndarray) -> np.ndarray:
@@ -99,21 +104,43 @@ def as_state_vector(psi) -> np.ndarray:
 
 def as_density_matrix(rho) -> np.ndarray:
     """Validate Hermiticity, trace and positivity of a density matrix."""
+    return _checked_density(rho)[0]
+
+
+def _checked_density(rho):
+    """`as_density_matrix`, also returning the `_weight_blocks` its checks read.
+
+    When no entry couples two weights, Hermiticity and positivity are checked
+    on the diagonal blocks alone: the zeros between them cannot break either.
+    """
     rho = np.asarray(rho, dtype=complex)
     num_qubits(rho)
     if rho.ndim != 2:
         raise DimensionMismatch("density matrix must be 2-D")
-    herm = np.max(np.abs(rho - rho.conj().T))
+    blocks = _weight_blocks(rho)
+    squares = [_block(rho, b) for b in blocks]
+    herm = max(np.max(np.abs(a - a.conj().T)) for a in squares)
     if herm > HERMITICITY_TOL:
         raise NotHermitian(f"density matrix deviates from Hermitian by {herm}")
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise DimensionMismatch(f"density matrix trace {tr} is not 1 within {TRACE_TOL}")
-    blocks = (rho[b][:, b] for b in _weight_blocks(rho))    # each block symmetrized alone
-    lo = min(np.linalg.eigvalsh((a + a.conj().T) / 2)[0] for a in blocks)
-    if lo < -PSD_TOL:
-        raise DimensionMismatch(f"density matrix has eigenvalue {lo} < -{PSD_TOL}")
-    return rho
+    squares = [(a + a.conj().T) / 2 for a in squares]   # each block symmetrized alone
+    if not all(_positive_definite(a + PSD_TOL * np.eye(len(a))) for a in squares):
+        lo = min(np.linalg.eigvalsh(a)[0] for a in squares)
+        if lo < -PSD_TOL:
+            raise DimensionMismatch(f"density matrix has eigenvalue {lo} < -{PSD_TOL}")
+    return rho, blocks
+
+
+def _positive_definite(a: np.ndarray) -> bool:
+    """Whether a Cholesky factorization of the Hermitian `a` succeeds: a few times
+    cheaper than its smallest eigenvalue, which only a failure then needs."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -152,21 +179,34 @@ def _hamming_weights(n: int) -> np.ndarray:
     return sum((_bits(n, q) for q in range(n)), np.zeros(2**n, dtype=int))
 
 
-def _weight_blocks(a: np.ndarray) -> list:
-    """Index arrays of a's Hamming-weight blocks, ascending in weight, when every
-    entry coupling two different weights is exactly zero; otherwise the whole
-    space as one block, `[slice(None)]`, so that `a[b][:, b]` is `a` itself.
+def _block(a: np.ndarray, b) -> np.ndarray:
+    """`a[b][:, b]` for an entry b of `_weight_blocks`, gathered in one pass."""
+    return a if isinstance(b, slice) else a[np.ix_(b, b)]
 
-    The check copies one block of rows at a time, at most C(n, n/2) x 2^n entries.
-    """
-    n = num_qubits(a)
+
+@lru_cache(maxsize=None)
+def _weight_index(n: int) -> tuple:
+    """The basis states of each Hamming weight 0..n, ascending, as read-only index arrays."""
     weights = _hamming_weights(n)
-    blocks = [np.flatnonzero(weights == k) for k in range(n + 1)]
+    blocks = tuple(np.flatnonzero(weights == k) for k in range(n + 1))
     for b in blocks:
-        rows = a[b]
-        if np.count_nonzero(rows) != np.count_nonzero(rows[:, b]):
-            return [slice(None)]
+        b.flags.writeable = False
     return blocks
+
+
+def _weight_blocks(a: np.ndarray, tol: float = 0.0) -> list:
+    """Index arrays of a's Hamming-weight blocks, ascending in weight, when every
+    entry coupling two different weights is zero (at most `tol` in magnitude);
+    otherwise the whole space as one block, `[slice(None)]`, so that
+    `a[b][:, b]` is `a` itself.
+
+    The check counts the nonzero entries of a once and of the diagonal blocks,
+    C(2n, n) entries in all, once more.
+    """
+    blocks = list(_weight_index(num_qubits(a)))
+    large = (lambda x: x) if tol == 0 else (lambda x: np.abs(x) > tol)
+    inside = sum(np.count_nonzero(large(a[np.ix_(b, b)])) for b in blocks)
+    return blocks if inside == np.count_nonzero(large(a)) else [slice(None)]
 
 
 def _pair_split(i: int, j: int, n: int) -> tuple:
@@ -247,7 +287,7 @@ def hermitian_eig(a: np.ndarray):
     if dev > HERMITICITY_TOL:
         raise NotHermitian(f"matrix deviates from Hermitian by {dev}")
     blocks = _weight_blocks(a)
-    parts = [np.linalg.eigh(a[b][:, b]) for b in blocks]
+    parts = [np.linalg.eigh(_block(a, b)) for b in blocks]
     if len(parts) == 1:
         return parts[0]
     vals = np.concatenate([w for w, _ in parts])

@@ -31,13 +31,19 @@ def spectator_spin(n: int, i: int, j: int) -> np.ndarray:
     return _spin_diagonal(n) - (1 - 2 * densesim._bits(n, i)) - (1 - 2 * densesim._bits(n, j))
 
 
-def frame_unitary(inst: Instance) -> np.ndarray | None:
-    """Product unitary of the planted basis, or None when absent/identity."""
+def _frame_blocks(inst: Instance) -> tuple | None:
+    """Single-qubit blocks of the planted basis, or None when absent/identity."""
     if inst.planted_basis is None:
         return None
     if all(np.array_equal(b, np.eye(2)) for b in inst.planted_basis):
         return None
-    return densesim.product_unitary(inst.planted_basis)
+    return inst.planted_basis
+
+
+def frame_unitary(inst: Instance) -> np.ndarray | None:
+    """Product unitary of the planted basis, or None when absent/identity."""
+    blocks = _frame_blocks(inst)
+    return None if blocks is None else densesim.product_unitary(blocks)
 
 
 def instance_spin_operators(inst: Instance):
@@ -82,10 +88,15 @@ class SpectralData:
     eigenvalues: np.ndarray
 
 
+def _eig_basis(h: np.ndarray, threshold: float):
+    """Eigenvalues of h, ascending, and the eigenvector columns of those strictly below threshold."""
+    vals, vecs = densesim.hermitian_eig(h)
+    return vals, vecs[:, vals < threshold]
+
+
 def _eig_projector(h: np.ndarray, threshold: float):
     """Eigenvalues of h, ascending, and the projector onto those strictly below threshold."""
-    vals, vecs = densesim.hermitian_eig(h)
-    sel = vecs[:, vals < threshold]
+    vals, sel = _eig_basis(h, threshold)
     return vals, sel @ sel.conj().T
 
 

@@ -1,0 +1,209 @@
+"""Property tests: `evolve` on Hamming-weight blocks against the full-space kernel.
+
+Eligible inputs (every clause on one Hamming weight of its pair in the
+planted frame, and rho0 block-diagonal by weight in that frame) run on packed
+blocks. The reference iterates the public full-space step
+`apply_step_channel` on the caller's matrix and reads the observables from
+dense operators: `build_hamiltonian`, `instance_spin_operators` and
+`ground_space_projector`. Ineligible inputs keep the full-space kernel, so
+their states and spin series equal the reference exactly.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qsatwalk import channel, densesim, sectors
+from qsatwalk.channel import apply_step_channel, evolve
+from qsatwalk.instance import Instance, conjugate_instance, make_clause
+from qsatwalk.observables import build_hamiltonian, ground_space_projector, instance_spin_operators
+
+from helpers import PROPERTY_SETTINGS, amplitudes, embed_oracle, random_product_basis
+
+TOL = 1e-12
+STEPS = 3
+
+
+def reference(rho, inst, steps):
+    """States rho_0..rho_steps by the full-space step, and (trH, trS, trS2, trPi0) of each."""
+    h = build_hamiltonian(inst)
+    ops = (h, *instance_spin_operators(inst), ground_space_projector(h))
+    states = [np.asarray(rho, dtype=complex)]
+    for _ in range(steps):
+        states.append(apply_step_channel(states[-1], inst))
+    series = np.array([[densesim.expectation(op, r) for r in states] for op in ops])
+    return states, series
+
+
+def series_of(out):
+    return np.array([out.trH, out.trS, out.trS2, out.trPi0])
+
+
+def assert_matches_reference(rho, inst, steps=STEPS):
+    out = evolve(rho, inst, steps, snapshot_schedule=range(steps + 1))
+    states, series = reference(rho, inst, steps)
+    assert np.max(np.abs(series_of(out) - series)) <= TOL
+    for t in range(steps + 1):
+        assert np.max(np.abs(out.snapshots[t] - states[t])) <= TOL
+    return out
+
+
+@st.composite
+def sector_clauses(draw, n, forms):
+    i, j = draw(st.permutations(range(n)))[:2]
+    form = draw(st.sampled_from(forms))
+    amps = (1, 0, 0, 0) if form == "zero-zero" else draw(amplitudes(form))
+    return make_clause(i, j, amps)
+
+
+@st.composite
+def block_diagonal_states(draw, n):
+    """Density matrix block-diagonal by Hamming weight, each block of a drawn rank
+    (zero allowed), so the total rank takes every value from 1 to 2^n."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    blocks = densesim._weight_index(n)
+    ranks = [draw(st.integers(0, len(b))) for b in blocks]
+    if sum(ranks) == 0:
+        ranks[draw(st.integers(0, n))] = 1
+    for b, rank in zip(blocks, ranks):
+        g = rng.standard_normal((len(b), rank)) + 1j * rng.standard_normal((len(b), rank))
+        rho[np.ix_(b, b)] = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@st.composite
+def eligible_cases(draw):
+    """A weight-conserving instance (restricted, |11>, |00> or mixed clauses) and a
+    block-diagonal state."""
+    n = draw(st.integers(2, 6))
+    forms = draw(st.sampled_from([("restricted",), ("type-ii",), ("restricted", "type-ii", "zero-zero")]))
+    clauses = draw(st.lists(sector_clauses(n, forms), min_size=1, max_size=6))
+    return Instance(n=n, clauses=tuple(clauses)), draw(block_diagonal_states(n))
+
+
+@st.composite
+def disguised_cases(draw):
+    """A planted restricted/|11> instance rotated by a random product basis, and a
+    state block-diagonal in its planted frame, rotated the same way."""
+    n = draw(st.integers(2, 5))
+    clauses = draw(st.lists(sector_clauses(n, ("restricted", "type-ii")), min_size=1, max_size=6))
+    planted = Instance(n=n, clauses=tuple(clauses), planted_basis=tuple(np.eye(2) for _ in range(n)))
+    basis = random_product_basis(n, draw(st.integers(0, 2**32 - 1)))
+    v = densesim.product_unitary(basis)
+    rho = draw(block_diagonal_states(n))
+    return conjugate_instance(planted, basis), v @ rho @ v.conj().T
+
+
+@PROPERTY_SETTINGS
+@given(eligible_cases())
+def test_sector_evolve_matches_full_kernel(case):
+    inst, rho = case
+    assert_matches_reference(rho, inst)
+    assert sectors._PREPARED[inst] is not None
+
+
+@PROPERTY_SETTINGS
+@given(disguised_cases())
+def test_sector_evolve_matches_full_kernel_in_disguised_frames(case):
+    inst, rho = case
+    assert_matches_reference(rho, inst)
+    assert sectors._PREPARED[inst].plans is not None      # the packed path ran
+
+
+def assert_exactly_full_kernel(rho, inst, steps=STEPS):
+    """States and spin series bit for bit; trH and trPi0 now read the clause weights
+    and a ground-space basis, so they agree to rounding."""
+    out = assert_matches_reference(rho, inst, steps)
+    states, series = reference(rho, inst, steps)
+    for t in range(steps + 1):
+        assert np.array_equal(out.snapshots[t], states[t])
+    assert np.array_equal(out.trS, series[1]) and np.array_equal(out.trS2, series[2])
+
+
+def test_ineligible_clause_keeps_full_kernel_exactly():
+    """A |00> + |11> clause couples weights 0 and 2 of its pair."""
+    rng = np.random.default_rng(21)
+    clauses = (make_clause(0, 2, (1, 0, 0, 1)), make_clause(1, 3, (0, 0.6, 0.8, 0)))
+    inst = Instance(n=4, clauses=clauses)
+    for rho in (densesim.maximally_mixed(4), densesim.random_density_matrix(4, rng)):
+        assert_exactly_full_kernel(rho, inst)
+    assert sectors._PREPARED[inst] is None
+
+
+def test_state_coupling_weights_keeps_full_kernel_exactly():
+    """An eligible instance started from a state with entries between weights."""
+    rng = np.random.default_rng(22)
+    inst = Instance(n=4, clauses=(make_clause(0, 1, (0, 0.6, 0.8j, 0)), make_clause(2, 3, (0, 0, 0, 1))))
+    rho = densesim.maximally_mixed(4)
+    rho[0, 3] = rho[3, 0] = 0.01
+    for start in (rho, densesim.random_density_matrix(4, rng)):
+        assert_exactly_full_kernel(start, inst)
+    assert sectors._PREPARED[inst].plans is None           # the packed path never stepped
+
+
+def _chunked_matches(inst, rho, a, b):
+    whole = evolve(rho, inst, a + b, snapshot_schedule=(a + b,))
+    first = evolve(rho, inst, a, snapshot_schedule=(a,))
+    second = evolve(first.snapshots[a], inst, b, snapshot_schedule=(b,))
+    joined = np.concatenate([series_of(first)[:, :a], series_of(second)], axis=1)
+    assert np.max(np.abs(series_of(whole) - joined)) <= TOL
+    assert np.max(np.abs(whole.snapshots[a + b] - second.snapshots[b])) <= TOL
+
+
+def test_chunked_evolve_equals_one_call():
+    """evolve(rho, a + b) against evolve(rho, a) then evolve(snapshot, b), on an eligible
+    (disguised) and an ineligible instance: the memo and pack/unpack round trip."""
+    planted = Instance(n=4, clauses=(make_clause(0, 1, (0, 0.6, 0.8, 0)), make_clause(1, 2, (0, 0, 0, 1)),
+                                     make_clause(2, 3, (0, 1, 1j, 0)), make_clause(0, 3, (0, 1, -1, 0))),
+                       planted_basis=tuple(np.eye(2) for _ in range(4)))
+    eligible = conjugate_instance(planted, random_product_basis(4, 23))
+    ineligible = Instance(n=4, clauses=(make_clause(0, 1, (1, 0, 0, 1)), make_clause(2, 3, (0, 1, 1, 0))))
+    for inst in (eligible, ineligible):
+        _chunked_matches(inst, densesim.maximally_mixed(4), 7, 5)
+    assert sectors._PREPARED[eligible].plans is not None
+    assert sectors._PREPARED[ineligible] is None
+
+
+def test_zero_steps_build_no_plans_and_n8_plans_are_small():
+    from qsatwalk.instance import generate_planted_restricted
+
+    inst = generate_planted_restricted(8, 16, seed=24)
+    evolve(densesim.maximally_mixed(8), inst, 0)
+    assert sectors._PREPARED[inst].plans is None
+    evolve(densesim.maximally_mixed(8), inst, 1)
+    assert 0 < sum(p.nbytes for p in sectors._PREPARED[inst].plans) < 2 * 2**20
+
+
+def test_wide_plans_stay_below_the_packed_state():
+    """Above _PLANS_MAX_QUBITS a step holds one clause's plan at a time and keeps none."""
+    from qsatwalk.instance import generate_planted_extended
+
+    n = sectors._PLANS_MAX_QUBITS + 1
+    inst = generate_planted_extended(n, 2, 0.5, seed=25)
+    packed_bytes = 16 * sectors._sectors(n).size
+    for terms in sectors._prepare(inst).terms:
+        assert sectors._sector_plan(terms, n).nbytes < packed_bytes
+    evolve(densesim.maximally_mixed(n), inst, 1)
+    assert sectors._PREPARED[inst].plans is None
+
+
+def test_dual_residuals_type_ii_term_matches_dense_projector():
+    """tr[Z_rest P rho] read from c against the dense embedded projector, in a frame."""
+    planted = Instance(n=4, clauses=(make_clause(1, 3, (0, 0, 0, 1)), make_clause(0, 2, (0, 0.6, 0.8, 0))),
+                       planted_basis=tuple(np.eye(2) for _ in range(4)))
+    basis = random_product_basis(4, 26)
+    inst = conjugate_instance(planted, basis)
+    v = densesim.product_unitary(basis)
+    rng = np.random.default_rng(27)
+    clause = inst.clauses[0]
+    terms = channel._clause_terms(clause, 4)
+    z = np.diag([1.0, -1.0])
+    zs = [b @ z @ b.conj().T for q, b in enumerate(basis) if q not in (1, 3)]
+    z_rest = sum(np.kron(np.kron(np.eye(2**q), z), np.eye(2 ** (3 - q))) for q in (0, 2))
+    proj = embed_oracle(np.outer(clause.amps, clause.amps.conj()), 1, 3, 4)
+    for _ in range(5):
+        rho = densesim.random_density_matrix(4, rng)
+        c = channel._reduce(rho, terms)[1].reshape(4, 4)
+        want = np.trace(v @ z_rest @ v.conj().T @ proj @ rho).real
+        assert abs(channel._spin_weight(c, zs) - want) <= TOL
