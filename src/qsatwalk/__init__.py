@@ -25,9 +25,7 @@ from .densesim import (
     hermitian_eig,
     kron_embed,
     maximally_mixed,
-    partial_trace,
     product_unitary,
-    pure_density,
 )
 from .observables import (
     SpectralData,
@@ -35,7 +33,6 @@ from .observables import (
     clause_projector,
     ground_space_projector,
     instance_spin_operators,
-    low_energy_weight,
     spectral_data,
 )
 from .channel import (
@@ -44,7 +41,6 @@ from .channel import (
     apply_step_channel,
     dual_residuals,
     evolve,
-    twirl,
     write_series_csv,
 )
 from .trajectory import (

@@ -9,18 +9,13 @@ state:
 The full step averages T_a uniformly over clauses. Everything here is exact
 arithmetic on a density matrix, and each clause update touches only its two
 qubits: with a = <phi|rho and c = <phi|rho|phi>, T_a(rho) - rho =
--phi (x) a - h.c. + G (x) c, so no embedded projector is built. `evolve`
-holds the state in one of two layouts.
-
-* Hamming-weight blocks (`sectors`). When every clause lies on one Hamming
-  weight of its pair in the instance's planted frame and rho0 has no entry
-  between weights there, every rho_t is block-diagonal by weight, and only
-  the packed blocks are kept and stepped: C(2n, n) entries instead of 4^n.
-* The full space. Every other input keeps the 2^n x 2^n matrix in the
-  caller's frame and reads and writes it through reshaped views, so a step
-  costs O(L 4^n). This kernel also serves `apply_*` and `dual_residuals`.
-  Index plans for the whole space would take several times the matrix per
-  clause, where the views are free, so the two layouts keep two kernels.
+-phi (x) a - h.c. + G (x) c, so no embedded projector is built. This
+module's kernel reads and writes the 2^n x 2^n matrix through reshaped
+views, O(4^n) per clause, for `apply_*`, `dual_residuals` and `evolve` on
+inputs that couple Hamming weights. `evolve` and `dual_residuals` work in the
+instance's planted frame, where S and S^2 are diagonal; `sectors` holds that
+frame's record and the packed Hamming-weight layout, which steps eligible
+inputs on C(2n, n) entries instead of 4^n.
 
 Stochastic pure-state sampling of the same process lives in `trajectory`.
 """
@@ -28,7 +23,6 @@ Stochastic pure-state sampling of the same process lives in `trajectory`.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,15 +33,6 @@ from .instance import ClauseForm, Instance, Clause, classify_clause
 
 RESYMMETRIZE_EVERY = 100
 DRIFT_TOL = 1e-6
-
-
-def twirl(rho: np.ndarray, q: int) -> np.ndarray:
-    """Replace qubit q by the maximally mixed state: (I_q/2) (x) tr_q[rho]."""
-    half = 0.5 * densesim.partial_trace(rho, q)
-    dl, dr = 2**q, len(half) // 2**q
-    out = np.zeros((dl, 2, dr, dl, 2, dr), dtype=complex)
-    out[:, 0, :, :, 0, :] = out[:, 1, :, :, 1, :] = half.reshape(dl, dr, dl, dr)
-    return out.reshape(2 * len(half), 2 * len(half))
 
 
 @dataclass(frozen=True)
@@ -179,37 +164,6 @@ def _energy(flat: np.ndarray, entries) -> float:
     return float((values.conj() @ flat[positions].sum(axis=1)).real)
 
 
-_FULL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()   # instances hash by identity
-
-
-class _FullRun:
-    """`evolve` on the 2^n x 2^n matrix in the caller's frame. The clause terms, H's
-    entries and a ground-space basis are kept with the instance in `_FULL`."""
-
-    def __init__(self, inst: Instance):
-        if inst not in _FULL:
-            d, h = 2**inst.n, observables.build_hamiltonian(inst)
-            _FULL[inst] = ([_clause_terms(c, inst.n) for c in inst.clauses],
-                           _pair_entries(inst.clauses, inst.n, lambda x, y: x * d + y),
-                           observables._eig_basis(h, observables.ZERO_TOL)[1])
-        self.terms, self.entries, self.ground = _FULL[inst]
-        self.s, self.s2 = observables.instance_spin_operators(inst)
-        self.squares = [(0, 2**inst.n)]
-
-    def observe(self, rho):
-        expect = densesim.expectation
-        return expect(self.s, rho), expect(self.s2, rho), np.vdot(self.ground, rho @ self.ground).real
-
-    def snapshot(self, rho):
-        return rho.copy()
-
-    def step(self, rho):
-        return _apply(rho, self.terms)
-
-    def energy(self, rho):
-        return _energy(rho.reshape(-1), self.entries)
-
-
 @dataclass
 class EvolutionSeries:
     """Scalar observables of rho_t for t = 0..steps, plus optional snapshots."""
@@ -244,16 +198,16 @@ def _resymmetrize(state: np.ndarray, squares, t: int) -> np.ndarray:
 def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -> EvolutionSeries:
     """Apply the step channel `steps` times, recording observables at every step.
 
-    Eligible inputs (see `sectors`) run on packed Hamming-weight blocks in
-    the planted frame, every other input on the full matrix.
-    Hermiticity and trace are re-symmetrized every 100 steps; drift beyond
-    1e-6 before a correction raises NumericalDrift. Snapshots are dense
-    2^n x 2^n matrices in the caller's frame, kept only at the requested
-    step indices. tr[H rho_t] is the sum of the clause weights tr[P_a rho_t],
-    which step t computes itself (the last one from H's entries); tr[Pi0 rho_t]
-    reads a basis of the ground space kept with the instance, so no dense H or
-    ground projector is built per call. Index plans are built at the first
-    step, not by `evolve(..., 0)`.
+    The state runs in the instance's planted frame, on packed Hamming-weight
+    blocks when the input allows it and on the whole matrix otherwise (see
+    `sectors`). Hermiticity and trace are re-symmetrized every 100 steps;
+    drift beyond 1e-6 before a correction raises NumericalDrift. Snapshots
+    are dense 2^n x 2^n matrices in the caller's frame, kept only at the
+    requested step indices. tr[H rho_t] is the sum of the clause weights
+    tr[P_a rho_t], which step t computes itself (the last one from H's
+    entries); tr[Pi0 rho_t] reads a basis of the ground space kept with the
+    instance, so no dense H or ground projector is built per call. Index
+    plans are built at the first step, not by `evolve(..., 0)`.
     """
     rho, blocks = densesim._checked_density(rho0)
     if steps < 0:
@@ -262,8 +216,7 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
         raise IndexOutOfRange("initial state dimension does not match instance")
     from . import sectors    # compiled on the first call, not by `import qsatwalk`
 
-    started = sectors.start(inst, rho, blocks)
-    run, state = started if started is not None else (_FullRun(inst), rho.copy())
+    run, state = sectors.start(inst, rho, blocks)
     wanted = set(int(t) for t in snapshot_schedule)
 
     trH = np.empty(steps + 1)
@@ -296,17 +249,6 @@ class ClauseResiduals:
         return float(max(np.max(self.residual_S), np.max(self.residual_S2)))
 
 
-def _spin_weight(c: np.ndarray, zs) -> float:
-    """tr[(sum_k Z_k) c] for c an operator on m qubits and Z_k = zs[k], a 2x2 on qubit k."""
-    m = len(zs)
-    total = 0.0
-    for k, z in enumerate(zs):
-        shape = (2**k, 2, 2 ** (m - 1 - k))
-        one = np.einsum("iajibj->ab", c.reshape(*shape, *shape))   # c's reduction to qubit k
-        total += float(np.sum(z.T * one).real)
-    return total
-
-
 def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
     """Per-clause deviation from the known drift of the spin diagnostics.
 
@@ -315,33 +257,32 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
     the clause form: restricted clauses leave S alone and raise S^2 by 2P;
     |11><11| clauses raise S by P and shift S^2 by -2P + 2*Z_rest*P. Clauses
     of any other form are scored against the restricted increments, so their
-    residuals simply report how far they stray from that law. The Z_rest
-    term is read from c = <phi|rho|phi>: the sum over the other qubits of
-    sigma_z, rotated into the planted frame, against c's one-qubit reductions.
+    residuals simply report how far they stray from that law. Everything is
+    read in the instance's planted frame, where S is diagonal: each sample
+    state is rotated into it once, and each clause is classified there. The
+    Z_rest term is tr[Z_rest c] for c = <phi|rho|phi>, with Z_rest the
+    diagonal sum of sigma_z over the other n-2 qubits.
     """
-    n = inst.n
-    s, s2 = observables.instance_spin_operators(inst)
-    frame = observables._frame_blocks(inst)
-    states = [densesim.as_density_matrix(r) for r in sample_states]
+    from . import sectors    # compiled on the first call, not by `import qsatwalk`
+
+    prep = sectors._prepare(inst)
+    spin, rest_spin = observables._spin_diagonal(inst.n), observables._spin_diagonal(inst.n - 2)
+    states = [prep.to_planted(densesim.as_density_matrix(r)) for r in sample_states]
     expect = densesim.expectation
     report = []
-    for idx, clause in enumerate(inst.clauses):
-        terms = _clause_terms(clause, n)
+    for idx, (clause, terms) in enumerate(zip(prep.clauses, prep.kernel(True)[0])):
         form = classify_clause(clause)
-        rest = [q for q in range(n) if q not in (clause.i, clause.j)]
-        zs = [densesim.SIGMA_Z if frame is None else frame[q] @ densesim.SIGMA_Z @ frame[q].conj().T
-              for q in rest]
         res_s = np.empty(len(states))
         res_s2 = np.empty(len(states))
         for k, rho in enumerate(states):
             out, energy = _apply(rho, [terms])   # energy = tr[P rho]
             if form is ClauseForm.TYPE_II:
-                c = _reduce(rho, terms)[1].reshape(2 ** (n - 2), 2 ** (n - 2))
-                delta_s, delta_s2 = energy, -2.0 * energy + 2.0 * _spin_weight(c, zs)
+                c = _reduce(rho, terms)[1].reshape(len(rest_spin), -1)
+                delta_s, delta_s2 = energy, -2.0 * energy + 2.0 * float(rest_spin @ np.diagonal(c).real)
             else:
                 delta_s, delta_s2 = 0.0, 2.0 * energy
-            res_s[k] = abs(expect(s, out) - expect(s, rho) - delta_s)
-            res_s2[k] = abs(expect(s2, out) - expect(s2, rho) - delta_s2)
+            res_s[k] = abs(expect(spin, out) - expect(spin, rho) - delta_s)
+            res_s2[k] = abs(expect(spin * spin, out) - expect(spin * spin, rho) - delta_s2)
         report.append(ClauseResiduals(index=idx, form=form, residual_S=res_s, residual_S2=res_s2))
     return report
 

@@ -54,8 +54,6 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 STATE_NORM_TOL = 1e-9
 
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 def num_qubits(obj) -> int:
     """Number of qubits of a state vector, density matrix, or square operator."""
@@ -85,11 +83,6 @@ def maximally_mixed(n: int) -> np.ndarray:
     rho = np.eye(d, dtype=complex)
     rho /= d                       # in place: one 16 * 4^n byte array, not two
     return rho
-
-
-def pure_density(psi: np.ndarray) -> np.ndarray:
-    psi = as_state_vector(psi)
-    return np.outer(psi, psi.conj())
 
 
 def as_state_vector(psi) -> np.ndarray:
@@ -257,18 +250,6 @@ def require_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     if not (square and np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-10):
         raise NotUnitary(f"{what} is not unitary within 1e-10")
     return u
-
-
-def partial_trace(rho: np.ndarray, q: int) -> np.ndarray:
-    """Trace out qubit q, returning the (n-1)-qubit reduced matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    n = num_qubits(rho)
-    if not 0 <= q < n:
-        raise IndexOutOfRange(f"qubit {q} outside register of size {n}")
-    dl, dr = 2**q, 2 ** (n - 1 - q)
-    r = rho.reshape(dl, 2, dr, dl, 2, dr)
-    out = r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]
-    return np.ascontiguousarray(out.reshape(dl * dr, dl * dr))
 
 
 def hermitian_eig(a: np.ndarray):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densesim
-from .errors import DegenerateSpectrum, InvalidTarget
+from .errors import DegenerateSpectrum
 from .instance import Instance, Clause
 
 ZERO_TOL = 1e-10
@@ -24,11 +24,6 @@ ZERO_TOL = 1e-10
 
 def _spin_diagonal(n: int) -> np.ndarray:
     return (n - 2 * densesim._hamming_weights(n)).astype(float)
-
-
-def spectator_spin(n: int, i: int, j: int) -> np.ndarray:
-    """Diagonal of the sum of sigma_z over every qubit except i and j."""
-    return _spin_diagonal(n) - (1 - 2 * densesim._bits(n, i)) - (1 - 2 * densesim._bits(n, j))
 
 
 def _frame_blocks(inst: Instance) -> tuple | None:
@@ -88,15 +83,10 @@ class SpectralData:
     eigenvalues: np.ndarray
 
 
-def _eig_basis(h: np.ndarray, threshold: float):
-    """Eigenvalues of h, ascending, and the eigenvector columns of those strictly below threshold."""
-    vals, vecs = densesim.hermitian_eig(h)
-    return vals, vecs[:, vals < threshold]
-
-
 def _eig_projector(h: np.ndarray, threshold: float):
     """Eigenvalues of h, ascending, and the projector onto those strictly below threshold."""
-    vals, sel = _eig_basis(h, threshold)
+    vals, vecs = densesim.hermitian_eig(h)
+    sel = vecs[:, vals < threshold]
     return vals, sel @ sel.conj().T
 
 
@@ -127,9 +117,3 @@ def ground_space_projector(h: np.ndarray) -> np.ndarray:
     """Projector onto eigenvalues below ZERO_TOL (zero matrix if none)."""
     return _eig_projector(h, ZERO_TOL)[1]
 
-
-def low_energy_weight(rho: np.ndarray, h: np.ndarray, threshold: float) -> float:
-    """Weight of rho on eigenstates of h with eigenvalue strictly below threshold."""
-    if threshold <= 0:
-        raise InvalidTarget(f"threshold must be positive, got {threshold}")
-    return densesim.expectation(_eig_projector(h, threshold)[1], rho)

@@ -1,34 +1,41 @@
-"""The exact channel on Hamming-weight blocks: the packed layout behind `channel.evolve`.
+"""The exact channel in the planted frame: the two layouts behind `channel.evolve`.
 
-An input is eligible when both of these hold in the instance's planted frame
-(the computational basis when it has none):
+Every input runs in the instance's planted frame (the computational basis
+when it has none), where the spin diagnostics S and S^2 are diagonal: the
+channel is covariant under product unitaries, so rho0 is rotated into the
+frame qubit by qubit and snapshots are rotated back. `channel.dual_residuals`
+reads the same record (`_prepare`). The state is one flat vector of square
+blocks (`_Sectors`), in one of two layouts:
 
-* every clause lies on one Hamming weight of its pair: |00>, span{|01>, |10>}
-  or |11>, each other amplitude at most `instance.FORM_TOL`;
-* rho0 has no entry between two weights: exact zeros in the identity frame,
-  at most FRAME_ZERO_TOL after rho0 is rotated into a planted frame.
+* Hamming-weight blocks, when every clause lies on one Hamming weight of its
+  pair, |00>, span{|01>, |10>} or |11> (each other amplitude at most
+  `instance.FORM_TOL`), and rho0 has no entry between two weights (exact
+  zeros in the identity frame, at most FRAME_ZERO_TOL after the rotation).
+  The channel of such clauses conserves weight, so every rho_t stays
+  block-diagonal, and only the C(n, k) x C(n, k) blocks are kept, packed into
+  C(2n, n) entries (41 MB instead of 256 MB at n = 12). Each clause reads
+  and writes them through an index plan (`_sector_plan`), a few numpy calls
+  per clause.
+* The whole space as one block, for every other input: the 2^n x 2^n matrix
+  row-major, stepped by `channel._apply` through reshaped views. Index plans
+  for the whole space would take several times the matrix per clause, where
+  the views are free, so the two layouts keep two kernels.
 
-The channel of such clauses conserves Hamming weight, so every rho_t stays
-block-diagonal, and only the C(n, k) x C(n, k) blocks are kept, packed into
-one vector of C(2n, n) entries (41 MB instead of 256 MB at n = 12). Each
-clause reads and writes them through an index plan (`_sector_plan`), a few
-numpy calls per clause. A disguised instance runs in its planted frame: the
-channel is covariant under product unitaries, so rho0 is rotated into it
-qubit by qubit and snapshots are rotated back. What an instance needs is
-kept with it in a `weakref.WeakKeyDictionary`: instances are immutable and
-hash by identity. `channel.evolve` imports this module on its first call.
+What an instance needs is kept with it in a `weakref.WeakKeyDictionary`:
+instances are immutable and hash by identity. `channel` imports this module
+on the first call that needs it.
 """
 
 from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import densesim, observables
-from .channel import _clause_terms, _energy, _hermitian_sum, _pair_entries
+from .channel import _apply, _clause_terms, _energy, _hermitian_sum, _pair_entries
 from .instance import FORM_TOL, Clause, Instance
 
 FRAME_ZERO_TOL = 1e-13     # rotating rho0 into a planted frame leaves rounding of this size between weights
@@ -38,12 +45,13 @@ _PAIR_WEIGHT = (0, 1, 1, 2)    # Hamming weight of the pair value 2*b_lo + b_hi
 
 @dataclass(frozen=True)
 class _Sectors:
-    """Packed layout of n-qubit matrices that are block-diagonal by Hamming weight.
+    """Packed layout of n-qubit matrices that are block-diagonal in `blocks`.
 
-    Block k holds the C(n, k) basis states of weight k (`blocks[k]`, ascending)
-    and `rank[x]` is the place of x in its block. The blocks' row-major
-    entries follow one another, so the entry (x, y) of a block sits at
-    `base[x] + rank[y]`, and `squares` lists each block's (start, size).
+    Block k holds the basis states `blocks[k]`, ascending (`slice(None)` for
+    the whole space as one block), and `rank[x]` is the place of x in its
+    block. The blocks' row-major entries follow one another, so the entry
+    (x, y) of a block sits at `base[x] + rank[y]`, and `squares` lists each
+    block's (start, size).
     """
 
     blocks: tuple
@@ -57,24 +65,31 @@ class _Sectors:
         return [state[start : start + m * m].reshape(m, m) for start, m in self.squares]
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
-        return np.concatenate([rho[np.ix_(b, b)].ravel() for b in self.blocks])
+        return np.concatenate([densesim._block(rho, b).ravel() for b in self.blocks])
 
     def unpack(self, state: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(self.rank),) * 2, dtype=complex)
+        d = len(self.rank)
+        if len(self.blocks) == 1:           # the whole space: the state is the matrix, row-major
+            return state.reshape(d, d).copy()
+        out = np.zeros((d, d), dtype=complex)
         for b, square in zip(self.blocks, self.views(state)):
             out[np.ix_(b, b)] = square
         return out
 
 
 @functools.lru_cache(maxsize=None)
-def _sectors(n: int) -> _Sectors:
-    weights, blocks = densesim._hamming_weights(n), densesim._weight_index(n)
-    sizes = np.array([len(b) for b in blocks])
+def _sectors(n: int, whole: bool = False) -> _Sectors:
+    """The Hamming-weight layout of n qubits or, with `whole`, the whole space as one block."""
+    if whole:
+        blocks, label = (slice(None),), np.zeros(2**n, dtype=np.intp)
+    else:
+        blocks, label = densesim._weight_index(n), densesim._hamming_weights(n)
+    sizes = np.bincount(label)
     starts = np.concatenate(([0], np.cumsum(sizes**2)))
     rank = np.empty(2**n, dtype=np.intp)
-    for b in blocks:
-        rank[b] = np.arange(len(b))
-    base = starts[weights] + rank * sizes[weights]
+    for b, m in zip(blocks, sizes):
+        rank[b] = np.arange(m)
+    base = starts[label] + rank * sizes[label]
     return _Sectors(blocks=blocks, rank=rank, base=base, diag=base + rank,
                     squares=list(zip(starts[:-1].tolist(), sizes.tolist())), size=int(starts[-1]))
 
@@ -180,24 +195,6 @@ def _add_sector_update(state, delta, terms: _SectorTerms, plan: _SectorPlan, wei
     return float(c[rest.diag].real.sum())
 
 
-def _sector_ground(entries, n: int) -> list:
-    """(k, basis) for each weight block k of H that holds ground states (eigenvalues
-    below ZERO_TOL), basis the block's columns of them. H is assembled packed from
-    its `_pair_entries`; a block is diagonalized only when a Cholesky factorization
-    of it less ZERO_TOL fails."""
-    sec = _sectors(n)
-    h = np.zeros(sec.size, dtype=complex)
-    positions, values = entries
-    np.add.at(h, positions, values[:, None])
-    ground, tol = [], observables.ZERO_TOL
-    for k, square in enumerate(sec.views(h)):
-        if densesim._positive_definite(square - tol * np.eye(len(square))):
-            continue                   # every eigenvalue is above ZERO_TOL: no eigh needed
-        vals, vecs = np.linalg.eigh(square)
-        ground.append((k, vecs[:, vals < tol]))
-    return ground
-
-
 def _conjugate(rho: np.ndarray, blocks) -> np.ndarray:
     """U rho U^dagger for U the tensor product of the 2x2 `blocks`, qubit 0 leftmost,
     applied one qubit at a time: no 2^n x 2^n U is built."""
@@ -216,75 +213,102 @@ def _weight_sector(amps: np.ndarray) -> int | None:
 
 @dataclass
 class _Prepared:
-    """What the block layout derives from an eligible instance alone.
+    """What the exact channel derives from an instance alone.
 
     `clauses` are the clauses in the planted frame (`frame`, None for the
-    identity), each cut to the weight of its pair it lies on, and `terms`
-    their kernel layout. `plans` is filled in by the first step when
-    n <= _PLANS_MAX_QUBITS.
+    identity) and `cut` the same clauses each cut to the weight of its pair
+    it lies on, or None when some clause lies on no single weight. `kernels`
+    memoizes each layout's `kernel`, and `plans` is filled in by the first
+    step on weight blocks when n <= _PLANS_MAX_QUBITS.
     """
 
     n: int
     frame: tuple | None
     clauses: list
-    terms: list
-    entries: tuple
-    ground: list
+    cut: list | None
+    kernels: dict = field(default_factory=dict)
     plans: list | None = None
 
+    def to_planted(self, rho: np.ndarray) -> np.ndarray:
+        return rho if self.frame is None else _conjugate(rho, [b.conj().T for b in self.frame])
 
-_PREPARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()   # instance -> _Prepared, or None
+    def kernel(self, whole: bool) -> tuple:
+        """(clause terms, H's `_pair_entries`) on the whole space, the `channel._apply` terms
+        of `clauses`, or on the weight blocks, the `_SectorTerms` of `cut`."""
+        if whole not in self.kernels:
+            sec, clauses = _sectors(self.n, whole), (self.clauses if whole else self.cut)
+            make = _clause_terms if whole else _sector_terms
+            self.kernels[whole] = ([make(c, self.n) for c in clauses],
+                                   _pair_entries(clauses, self.n, lambda x, y: sec.base[x] + sec.rank[y]))
+        return self.kernels[whole]
+
+    @functools.cached_property
+    def ground(self) -> list:
+        """(k, basis) for each block k of H that holds ground states (eigenvalues below
+        ZERO_TOL), basis the block's columns of them. H is assembled packed from its
+        entries, on the weight blocks when every clause lies on one weight, else on the
+        whole space; a block is diagonalized only when a Cholesky factorization of it
+        less ZERO_TOL fails."""
+        sec, (positions, values) = _sectors(self.n, self.cut is None), self.kernel(self.cut is None)[1]
+        h = np.zeros(sec.size, dtype=complex)
+        np.add.at(h, positions, values[:, None])
+        ground, tol = [], observables.ZERO_TOL
+        for k, square in enumerate(sec.views(h)):
+            if densesim._positive_definite(square - tol * np.eye(len(square))):
+                continue                   # every eigenvalue is above ZERO_TOL: no eigh needed
+            vals, vecs = np.linalg.eigh(square)
+            ground.append((k, vecs[:, vals < tol]))
+        return ground
 
 
-def _prepare(inst: Instance) -> _Prepared | None:
-    """The instance's `_Prepared`, or None when some clause lies on no single weight."""
-    if inst in _PREPARED:
-        return _PREPARED[inst]
-    frame = observables._frame_blocks(inst)
-    clauses = []
-    for c in inst.clauses:
-        amps = c.amps if frame is None else np.kron(frame[c.i], frame[c.j]).conj().T @ c.amps
-        w = _weight_sector(amps)
-        if w is None:
-            _PREPARED[inst] = None
-            return None
-        clauses.append(Clause(i=c.i, j=c.j, amps=np.where(np.equal(_PAIR_WEIGHT, w), amps, 0)))
-    sec = _sectors(inst.n)
-    entries = _pair_entries(clauses, inst.n, lambda x, y: sec.base[x] + sec.rank[y])
-    prep = _PREPARED[inst] = _Prepared(
-        n=inst.n, frame=frame, clauses=clauses, terms=[_sector_terms(c, inst.n) for c in clauses],
-        entries=entries, ground=_sector_ground(entries, inst.n),
-    )
-    return prep
+_PREPARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()   # instance -> _Prepared
+
+
+def _prepare(inst: Instance) -> _Prepared:
+    """The instance's `_Prepared`, built on first use."""
+    if inst not in _PREPARED:
+        frame = observables._frame_blocks(inst)
+        clauses = list(inst.clauses) if frame is None else [
+            Clause(i=c.i, j=c.j, amps=np.kron(frame[c.i], frame[c.j]).conj().T @ c.amps) for c in inst.clauses]
+        weights = [_weight_sector(c.amps) for c in clauses]
+        cut = None if None in weights else [
+            Clause(i=c.i, j=c.j, amps=np.where(np.equal(_PAIR_WEIGHT, w), c.amps, 0)) for c, w in zip(clauses, weights)]
+        _PREPARED[inst] = _Prepared(n=inst.n, frame=frame, clauses=clauses, cut=cut)
+    return _PREPARED[inst]
 
 
 def start(inst: Instance, rho: np.ndarray, blocks: list):
-    """(run, packed state) for `channel.evolve` when the input is eligible, else None.
+    """(run, packed state) for `channel.evolve`: on the weight blocks when every clause
+    lies on one weight and rho has no entry between weights in the planted frame, else
+    on the whole space as one block.
 
     `blocks` are the `densesim._weight_blocks` of rho in the caller's frame.
     """
     prep = _prepare(inst)
-    if prep is None:
-        return None
-    if prep.frame is not None:
-        rho = _conjugate(rho, [b.conj().T for b in prep.frame])
+    rho = prep.to_planted(rho)
+    if prep.frame is not None and prep.cut is not None:
         blocks = densesim._weight_blocks(rho, FRAME_ZERO_TOL)
-    if len(blocks) == 1:
-        return None
-    return SectorRun(prep), _sectors(inst.n).pack(rho)
+    run = _Run(prep, whole=prep.cut is None or len(blocks) == 1)
+    return run, run.sec.pack(rho)
 
 
-class SectorRun:
-    """`channel.evolve`'s steps and observables on the packed blocks in the planted frame."""
+class _Run:
+    """`channel.evolve`'s steps and observables in the planted frame, on one layout."""
 
-    def __init__(self, prep: _Prepared):
-        self.prep, self.sec = prep, _sectors(prep.n)
+    def __init__(self, prep: _Prepared, whole: bool):
+        self.prep, self.whole, self.sec = prep, whole, _sectors(prep.n, whole)
+        self.terms, self.entries = prep.kernel(whole)
         self.spin = observables._spin_diagonal(prep.n)
         self.squares = self.sec.squares
+        if whole and prep.cut is not None:    # H's ground blocks are weight blocks of the one square
+            weights = _sectors(prep.n).blocks
+            self.ground = [(0, weights[k], g) for k, g in prep.ground]
+        else:
+            self.ground = [(k, slice(None), g) for k, g in prep.ground]
 
     def observe(self, state):
         pop, squares = state[self.sec.diag].real, self.sec.views(state)
-        ground = sum(np.vdot(g, squares[k] @ g).real for k, g in self.prep.ground)
+        ground = sum(np.vdot(g, densesim._block(squares[k], b) @ g).real for k, b, g in self.ground)
         return self.spin @ pop, (self.spin * self.spin) @ pop, ground
 
     def snapshot(self, state):
@@ -293,14 +317,17 @@ class SectorRun:
 
     def step(self, state):
         prep, n = self.prep, self.prep.n
+        if self.whole:
+            out, energy = _apply(state.reshape(2**n, 2**n), self.terms)
+            return out.reshape(-1), energy
         if prep.plans is None and n <= _PLANS_MAX_QUBITS:
-            prep.plans = [_sector_plan(t, n) for t in prep.terms]
+            prep.plans = [_sector_plan(t, n) for t in self.terms]
         delta = np.zeros_like(state)
-        weight, rest = 1.0 / len(prep.terms), _sectors(n - 2)
+        weight, rest = 1.0 / len(self.terms), _sectors(n - 2)
         energy = sum(_add_sector_update(state, delta, t, prep.plans[k] if prep.plans else _sector_plan(t, n),
                                         weight, rest)
-                     for k, t in enumerate(prep.terms))
+                     for k, t in enumerate(self.terms))
         return _hermitian_sum(state, delta, self.squares), energy
 
     def energy(self, state):
-        return _energy(state, self.prep.entries)
+        return _energy(state, self.entries)

@@ -12,6 +12,8 @@ from qsatwalk.instance import make_clause
 from qsatwalk.observables import ZERO_TOL
 from qsatwalk.trajectory import haar_unitary
 
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
 PROPERTY_SETTINGS = settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -71,6 +73,11 @@ def apply_oracle(op4, i, j, psi):
 def embed_single(op2, q, n):
     """A single-qubit operator at position q of an n-qubit register."""
     return np.kron(np.kron(np.eye(2**q), np.asarray(op2, dtype=complex)), np.eye(2 ** (n - 1 - q)))
+
+
+def pure_density(psi):
+    psi = np.asarray(psi, dtype=complex)
+    return np.outer(psi, psi.conj())
 
 
 def random_state_vector(n, rng):
@@ -133,7 +140,7 @@ def papadimitriou_oracle(inst, b, seed):
 
 
 def twirl_oracle(x, q, n):
-    """(I/2 on qubit q) (x) tr_q[x], by tensor axes (independent of channel.twirl)."""
+    """(I/2 on qubit q) (x) tr_q[x], by tensor axes: the twirl the channel applies."""
     t = np.asarray(x, dtype=complex).reshape((2,) * (2 * n))
     reduced = np.trace(t, axis1=q, axis2=n + q)
     full = np.multiply.outer(reduced, np.eye(2) / 2)

@@ -23,7 +23,7 @@ from qsatwalk.observables import build_hamiltonian, instance_spin_operators, spe
 from qsatwalk.trajectory import haar_unitary, run_ensemble
 from qsatwalk.verify import channel_match, lemma1_residuals, max_cumulative_excess
 
-from helpers import planted_cnf, trace_distance
+from helpers import planted_cnf, pure_density, trace_distance
 
 
 def _criterion(number, name, ok, detail=""):
@@ -73,7 +73,7 @@ def test_criterion_3_general_clause_counterexample():
     plus_one = make_clause(0, 1, (0, 1, 0, 1))
     inst = Instance(n=3, clauses=(plus_one,))
     s, s2 = instance_spin_operators(inst)
-    rho = densesim.pure_density(densesim.basis_state(3, 0b011))
+    rho = pure_density(densesim.basis_state(3, 0b011))
     out = apply_clause_channel(rho, plus_one)
 
     direct_s = densesim.expectation(s, rho)
@@ -81,7 +81,7 @@ def test_criterion_3_general_clause_counterexample():
     evolved_s = densesim.expectation(s, out)
     evolved_s2 = densesim.expectation(s2, out)
 
-    rho_111 = densesim.pure_density(densesim.basis_state(3, 0b111))
+    rho_111 = pure_density(densesim.basis_state(3, 0b111))
     s2_before = densesim.expectation(s2, rho_111)
     s2_after = densesim.expectation(s2, apply_clause_channel(rho_111, plus_one))
 

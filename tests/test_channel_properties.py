@@ -3,7 +3,6 @@
 The oracle builds each clause projector with `helpers.embed_oracle` and the
 twirls by tensor-axis traces, then applies
 (1-P) rho (1-P) + 1/2 Tw_i(P rho P) + 1/2 Tw_j(P rho P) as dense products.
-`channel.twirl` itself is checked against the same tensor-axis twirl.
 """
 
 import itertools
@@ -14,13 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qsatwalk import densesim
-from qsatwalk.channel import apply_clause_channel, apply_step_channel, twirl
+from qsatwalk.channel import apply_clause_channel, apply_step_channel
 from qsatwalk.instance import Instance, make_clause
 from qsatwalk.observables import build_hamiltonian
 
-from helpers import (
-    FORMS, PROPERTY_SETTINGS, clause_channel_oracle, clauses, embed_oracle, twirl_oracle,
-)
+from helpers import FORMS, PROPERTY_SETTINGS, clause_channel_oracle, clauses, embed_oracle
 
 TOL = 1e-12
 
@@ -53,20 +50,6 @@ def assert_density_matrix(out):
     assert abs(np.trace(out) - 1.0) <= TOL
     assert np.max(np.abs(out - out.conj().T)) <= TOL
     assert np.linalg.eigvalsh(out)[0] >= -TOL
-
-
-@st.composite
-def twirl_cases(draw):
-    n = draw(st.integers(1, 6))
-    return n, draw(density_matrices(n))
-
-
-@PROPERTY_SETTINGS
-@given(twirl_cases())
-def test_twirl_matches_tensor_axis_oracle(case):
-    n, rho = case
-    for q in range(n):
-        assert np.max(np.abs(twirl(rho, q) - twirl_oracle(rho, q, n))) <= TOL
 
 
 @PROPERTY_SETTINGS

@@ -302,10 +302,12 @@ def test_entry_point_runs():
 
 
 def test_import_leaves_process_pool_unloaded():
+    """`import qsatwalk` loads neither the process pool nor `sectors`: both load on first use."""
     import subprocess
     import sys
 
-    code = "import sys, qsatwalk; print('concurrent.futures.process' in sys.modules)"
+    code = ("import sys, qsatwalk; "
+            "print([m for m in ('concurrent.futures.process', 'qsatwalk.sectors') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

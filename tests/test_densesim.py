@@ -14,7 +14,7 @@ from qsatwalk.errors import (
 )
 from qsatwalk.instance import generate_planted_restricted
 
-from helpers import embed_oracle, embed_single, random_hermitian, random_state_vector
+from helpers import embed_oracle, embed_single, pure_density, random_hermitian, random_state_vector
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -63,46 +63,6 @@ def test_embed_bad_indices():
         densesim.kron_embed(np.eye(4), 1, 1, 3)
     with pytest.raises(IndexOutOfRange):
         densesim.kron_embed(np.eye(4), 0, 3, 3)
-
-
-def test_partial_trace_product_state():
-    rho = densesim.pure_density(densesim.basis_state(2, 0b01))
-    reduced = densesim.partial_trace(rho, 0)
-    assert np.allclose(reduced, np.diag([0, 1]))
-
-
-def test_partial_trace_singlet_both_qubits():
-    singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-    rho = densesim.pure_density(singlet)
-    for q in (0, 1):
-        assert np.allclose(densesim.partial_trace(rho, q), np.eye(2) / 2)
-
-
-def test_partial_trace_maximally_mixed():
-    rho = densesim.maximally_mixed(3)
-    assert np.allclose(densesim.partial_trace(rho, 1), densesim.maximally_mixed(2))
-
-
-def test_partial_trace_preserves_trace_and_linearity():
-    rng = np.random.default_rng(11)
-    a = densesim.random_density_matrix(3, rng)
-    b = densesim.random_density_matrix(3, rng)
-    ta = densesim.partial_trace(a, 2)
-    tb = densesim.partial_trace(b, 2)
-    assert abs(np.trace(ta) - 1.0) < 1e-12
-    mix = densesim.partial_trace(0.3 * a + 0.7 * b, 2)
-    assert np.max(np.abs(mix - (0.3 * ta + 0.7 * tb))) < 1e-12
-
-
-def test_partial_trace_embed_consistency():
-    rng = np.random.default_rng(12)
-    rho = densesim.random_density_matrix(3, rng)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    a = (a + a.conj().T) / 2
-    big = embed_single(a, 1, 3)
-    lhs = densesim.partial_trace(big @ rho, 0)
-    rhs = embed_single(a, 0, 2) @ densesim.partial_trace(rho, 0)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_hermitian_eig_sigma_z():
@@ -208,8 +168,8 @@ def test_psd_check_rejects_a_negative_eigenvalue_across_weights():
 def test_psd_check_accepts_rank_deficient_block_states():
     for n in range(1, 6):
         for index in (0, 2**n - 1):
-            densesim.as_density_matrix(densesim.pure_density(densesim.basis_state(n, index)))
-    start = densesim.pure_density(densesim.basis_state(5, 0b00111))
+            densesim.as_density_matrix(pure_density(densesim.basis_state(n, index)))
+    start = pure_density(densesim.basis_state(5, 0b00111))
     series = evolve(start, generate_planted_restricted(5, 10, seed=8), 5, snapshot_schedule=(5,))
     rho = series.snapshots[5]
     assert len(densesim._weight_blocks(rho)) == 6

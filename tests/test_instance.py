@@ -28,7 +28,7 @@ from qsatwalk.instance import (
 )
 from qsatwalk.observables import build_hamiltonian, clause_projector
 
-from helpers import random_product_basis, random_state_vector
+from helpers import pure_density, random_product_basis, random_state_vector
 
 SINGLET = (0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0)
 
@@ -87,7 +87,7 @@ def test_generate_restricted_small():
     assert classify_clause(c) is ClauseForm.RESTRICTED_TYPE_I
     psi = inst.planted_state()
     assert np.allclose(psi, densesim.basis_state(2, 0))
-    assert densesim.expectation(clause_projector(c, 2), densesim.pure_density(psi)) < 1e-10
+    assert densesim.expectation(clause_projector(c, 2), pure_density(psi)) < 1e-10
 
 
 def test_generate_restricted_all_type_i():
@@ -119,7 +119,7 @@ def test_planted_state_annihilated_across_generators():
             generate_planted_restricted(4, 5, seed),
             generate_planted_extended(4, 5, 0.5, seed),
         ):
-            rho = densesim.pure_density(inst.planted_state())
+            rho = pure_density(inst.planted_state())
             for c in inst.clauses:
                 assert densesim.expectation(clause_projector(c, inst.n), rho) <= 1e-10
 
@@ -175,7 +175,7 @@ def test_conjugate_preserves_planted_energy():
     inst = generate_planted_extended(3, 4, 0.3, seed=8)
     basis = random_product_basis(3, 77)
     rotated = conjugate_instance(inst, basis)
-    rho = densesim.pure_density(rotated.planted_state())
+    rho = pure_density(rotated.planted_state())
     for c in rotated.clauses:
         assert densesim.expectation(clause_projector(c, 3), rho) <= 1e-10
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qsatwalk import densesim
-from qsatwalk.errors import DegenerateSpectrum, InvalidTarget
+from qsatwalk.errors import DegenerateSpectrum
 from qsatwalk.instance import (
     generate_no_instance,
     generate_planted_extended,
@@ -15,12 +15,10 @@ from qsatwalk.observables import (
     build_hamiltonian,
     clause_projector,
     instance_spin_operators,
-    low_energy_weight,
-    spectator_spin,
     spectral_data,
 )
 
-from helpers import embed_single, random_product_basis
+from helpers import SIGMA_Z, embed_single, random_product_basis
 
 SINGLET = (0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0)
 
@@ -55,7 +53,7 @@ def test_spin_squared_equals_square():
     for n in range(2, 6):
         s, s2 = spin_operators(n)
         assert s.shape == s2.shape == (2**n,)
-        s_dense = sum(embed_single(densesim.SIGMA_Z, q, n) for q in range(n))
+        s_dense = sum(embed_single(SIGMA_Z, q, n) for q in range(n))
         assert np.max(np.abs(np.diag(s) - s_dense)) < 1e-10
         assert np.max(np.abs(np.diag(s2) - s_dense @ s_dense)) < 1e-10
 
@@ -80,8 +78,8 @@ def test_type_i_clause_annihilates_pair_spin():
         inst = generate_planted_restricted(int(rng.integers(2, 5)), 1, int(rng.integers(2**31)))
         c = inst.clauses[0]
         proj = clause_projector(c, inst.n)
-        szi = embed_single(densesim.SIGMA_Z, c.i, inst.n)
-        szj = embed_single(densesim.SIGMA_Z, c.j, inst.n)
+        szi = embed_single(SIGMA_Z, c.i, inst.n)
+        szj = embed_single(SIGMA_Z, c.j, inst.n)
         assert np.max(np.abs(proj @ (szi + szj))) < 1e-10
         assert np.max(np.abs((szi + szj) @ proj)) < 1e-10
 
@@ -89,18 +87,10 @@ def test_type_i_clause_annihilates_pair_spin():
 def test_type_ii_clause_pair_spin_relation():
     c = make_clause(0, 2, (0, 0, 0, 1))
     proj = clause_projector(c, 3)
-    szi = embed_single(densesim.SIGMA_Z, 0, 3)
-    szj = embed_single(densesim.SIGMA_Z, 2, 3)
+    szi = embed_single(SIGMA_Z, 0, 3)
+    szj = embed_single(SIGMA_Z, 2, 3)
     assert np.max(np.abs(proj @ (szi + szj) + 2 * proj)) < 1e-10
     assert np.max(np.abs((szi + szj) @ proj + 2 * proj)) < 1e-10
-
-
-def test_spectator_spin_excludes_pair():
-    z = spectator_spin(3, 0, 2)
-    # remaining qubit is 1: diagonal is sigma_z on qubit 1
-    want = embed_single(densesim.SIGMA_Z, 1, 3)
-    assert z.shape == (8,)
-    assert np.allclose(np.diag(z), want)
 
 
 def test_hamiltonian_singlet():
@@ -143,18 +133,6 @@ def test_spectral_data_identity_hamiltonian():
 def test_spectral_data_rejects_zero_operator():
     with pytest.raises(DegenerateSpectrum):
         spectral_data(np.zeros((4, 4), dtype=complex))
-
-
-def test_low_energy_weight_cases():
-    inst = singlet_instance()
-    h = build_hamiltonian(inst)
-    rho = densesim.maximally_mixed(2)
-    assert abs(low_energy_weight(rho, h, 0.5) - 0.75) < 1e-9
-    assert abs(low_energy_weight(rho, h, 10.0) - 1.0) < 1e-9
-    planted = densesim.pure_density(inst.planted_state())
-    assert abs(low_energy_weight(planted, h, 1e-10) - 1.0) < 1e-9
-    with pytest.raises(InvalidTarget):
-        low_energy_weight(rho, h, 0.0)
 
 
 def test_spin_operators_follow_planted_frame():

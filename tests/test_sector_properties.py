@@ -13,26 +13,31 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsatwalk import channel, densesim, sectors
-from qsatwalk.channel import apply_step_channel, evolve
-from qsatwalk.instance import Instance, conjugate_instance, make_clause
-from qsatwalk.observables import build_hamiltonian, ground_space_projector, instance_spin_operators
+from qsatwalk import densesim, sectors
+from qsatwalk.channel import apply_step_channel, dual_residuals, evolve
+from qsatwalk.instance import ClauseForm, Instance, conjugate_instance, make_clause
+from qsatwalk.observables import build_hamiltonian, instance_spin_operators, spectral_data
 
-from helpers import PROPERTY_SETTINGS, amplitudes, embed_oracle, random_product_basis
+from helpers import PROPERTY_SETTINGS, amplitudes, random_product_basis
 
 TOL = 1e-12
 STEPS = 3
+# An eigensolver's ground projector is accurate to about eps * ||H|| / gap, and ||H|| <= L;
+# trPi0 compares two such projectors, so its bound adds PI0_K * L * eps / gap to TOL.
+PI0_K = 2
 
 
 def reference(rho, inst, steps):
-    """States rho_0..rho_steps by the full-space step, and (trH, trS, trS2, trPi0) of each."""
+    """States rho_0..rho_steps by the full-space step, (trH, trS, trS2, trPi0) of each,
+    and the gap of H above its ground space."""
     h = build_hamiltonian(inst)
-    ops = (h, *instance_spin_operators(inst), ground_space_projector(h))
+    data = spectral_data(h)
+    ops = (h, *instance_spin_operators(inst), data.ground_projector)
     states = [np.asarray(rho, dtype=complex)]
     for _ in range(steps):
         states.append(apply_step_channel(states[-1], inst))
     series = np.array([[densesim.expectation(op, r) for r in states] for op in ops])
-    return states, series
+    return states, series, data.epsilon
 
 
 def series_of(out):
@@ -41,8 +46,10 @@ def series_of(out):
 
 def assert_matches_reference(rho, inst, steps=STEPS):
     out = evolve(rho, inst, steps, snapshot_schedule=range(steps + 1))
-    states, series = reference(rho, inst, steps)
-    assert np.max(np.abs(series_of(out) - series)) <= TOL
+    states, series, gap = reference(rho, inst, steps)
+    err = np.max(np.abs(series_of(out) - series), axis=1)
+    assert np.all(err[:3] <= TOL)
+    assert err[3] <= TOL + PI0_K * inst.L * np.finfo(float).eps / gap
     for t in range(steps + 1):
         assert np.max(np.abs(out.snapshots[t] - states[t])) <= TOL
     return out
@@ -56,20 +63,24 @@ def sector_clauses(draw, n, forms):
     return make_clause(i, j, amps)
 
 
-@st.composite
-def block_diagonal_states(draw, n):
-    """Density matrix block-diagonal by Hamming weight, each block of a drawn rank
-    (zero allowed), so the total rank takes every value from 1 to 2^n."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def block_diagonal_state(n, ranks, rng):
+    """Density matrix block-diagonal by Hamming weight, block k of rank ranks[k]."""
     rho = np.zeros((2**n, 2**n), dtype=complex)
-    blocks = densesim._weight_index(n)
-    ranks = [draw(st.integers(0, len(b))) for b in blocks]
-    if sum(ranks) == 0:
-        ranks[draw(st.integers(0, n))] = 1
-    for b, rank in zip(blocks, ranks):
+    for b, rank in zip(densesim._weight_index(n), ranks):
         g = rng.standard_normal((len(b), rank)) + 1j * rng.standard_normal((len(b), rank))
         rho[np.ix_(b, b)] = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+@st.composite
+def block_diagonal_states(draw, n):
+    """`block_diagonal_state` with each block of a drawn rank (zero allowed), so the
+    total rank takes every value from 1 to 2^n."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ranks = [draw(st.integers(0, len(b))) for b in densesim._weight_index(n)]
+    if sum(ranks) == 0:
+        ranks[draw(st.integers(0, n))] = 1
+    return block_diagonal_state(n, ranks, rng)
 
 
 @st.composite
@@ -84,15 +95,19 @@ def eligible_cases(draw):
 
 @st.composite
 def disguised_cases(draw):
-    """A planted restricted/|11> instance rotated by a random product basis, and a
-    state block-diagonal in its planted frame, rotated the same way."""
+    """A planted restricted/|11> instance rotated by a random product basis, and either
+    a state block-diagonal in its planted frame, rotated the same way, or a full-rank
+    state, which couples weights in every frame; and whether the state is the former."""
     n = draw(st.integers(2, 5))
     clauses = draw(st.lists(sector_clauses(n, ("restricted", "type-ii")), min_size=1, max_size=6))
     planted = Instance(n=n, clauses=tuple(clauses), planted_basis=tuple(np.eye(2) for _ in range(n)))
     basis = random_product_basis(n, draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return conjugate_instance(planted, basis), densesim.random_density_matrix(n, rng), False
     v = densesim.product_unitary(basis)
     rho = draw(block_diagonal_states(n))
-    return conjugate_instance(planted, basis), v @ rho @ v.conj().T
+    return conjugate_instance(planted, basis), v @ rho @ v.conj().T, True
 
 
 @PROPERTY_SETTINGS
@@ -100,22 +115,39 @@ def disguised_cases(draw):
 def test_sector_evolve_matches_full_kernel(case):
     inst, rho = case
     assert_matches_reference(rho, inst)
-    assert sectors._PREPARED[inst] is not None
+    assert sectors._PREPARED[inst].cut is not None
 
 
 @PROPERTY_SETTINGS
 @given(disguised_cases())
 def test_sector_evolve_matches_full_kernel_in_disguised_frames(case):
-    inst, rho = case
+    inst, rho, packed = case
     assert_matches_reference(rho, inst)
-    assert sectors._PREPARED[inst].plans is not None      # the packed path ran
+    assert (sectors._PREPARED[inst].plans is not None) == packed      # which layout ran
+
+
+def test_small_gap_bounds_trpi0_by_the_gap():
+    """Three clauses on (0, 1), two equal and the third 3e-3 rad from them, with one on
+    (0, 2): H has an 8-fold ground space and a gap of 3.7e-6, so the two ground
+    projectors differ by more than TOL (4.8e-12 in trPi0 here) but within the gap bound."""
+    a, theta = (0, 0.6, 0.8, 0), np.arctan2(0.8, 0.6) + 3e-3
+    clauses = (make_clause(0, 1, a), make_clause(0, 1, a), make_clause(0, 1, (0, np.cos(theta), np.sin(theta), 0)),
+               make_clause(0, 2, (0, 0.6, 0.8j, 0)))
+    planted = Instance(n=5, clauses=clauses, planted_basis=tuple(np.eye(2) for _ in range(5)))
+    basis = random_product_basis(5, 3)
+    inst = conjugate_instance(planted, basis)
+    data = spectral_data(build_hamiltonian(inst))
+    assert data.ground_degeneracy == 8 and data.epsilon < 1e-5
+    v = densesim.product_unitary(basis)
+    rho = block_diagonal_state(5, [1, 5, 10, 10, 5, 1], np.random.default_rng(3))
+    assert_matches_reference(v @ rho @ v.conj().T, inst)
 
 
 def assert_exactly_full_kernel(rho, inst, steps=STEPS):
     """States and spin series bit for bit; trH and trPi0 now read the clause weights
     and a ground-space basis, so they agree to rounding."""
     out = assert_matches_reference(rho, inst, steps)
-    states, series = reference(rho, inst, steps)
+    states, series, _ = reference(rho, inst, steps)
     for t in range(steps + 1):
         assert np.array_equal(out.snapshots[t], states[t])
     assert np.array_equal(out.trS, series[1]) and np.array_equal(out.trS2, series[2])
@@ -128,7 +160,7 @@ def test_ineligible_clause_keeps_full_kernel_exactly():
     inst = Instance(n=4, clauses=clauses)
     for rho in (densesim.maximally_mixed(4), densesim.random_density_matrix(4, rng)):
         assert_exactly_full_kernel(rho, inst)
-    assert sectors._PREPARED[inst] is None
+    assert sectors._PREPARED[inst].cut is None
 
 
 def test_state_coupling_weights_keeps_full_kernel_exactly():
@@ -139,7 +171,9 @@ def test_state_coupling_weights_keeps_full_kernel_exactly():
     rho[0, 3] = rho[3, 0] = 0.01
     for start in (rho, densesim.random_density_matrix(4, rng)):
         assert_exactly_full_kernel(start, inst)
-    assert sectors._PREPARED[inst].plans is None           # the packed path never stepped
+    prep = sectors._PREPARED[inst]
+    assert prep.plans is None                              # the packed path never stepped
+    assert all(len(g) == len(densesim._weight_index(4)[k]) for k, g in prep.ground)   # H by weight block
 
 
 def _chunked_matches(inst, rho, a, b):
@@ -162,7 +196,7 @@ def test_chunked_evolve_equals_one_call():
     for inst in (eligible, ineligible):
         _chunked_matches(inst, densesim.maximally_mixed(4), 7, 5)
     assert sectors._PREPARED[eligible].plans is not None
-    assert sectors._PREPARED[ineligible] is None
+    assert sectors._PREPARED[ineligible].cut is None
 
 
 def test_zero_steps_build_no_plans_and_n8_plans_are_small():
@@ -182,28 +216,18 @@ def test_wide_plans_stay_below_the_packed_state():
     n = sectors._PLANS_MAX_QUBITS + 1
     inst = generate_planted_extended(n, 2, 0.5, seed=25)
     packed_bytes = 16 * sectors._sectors(n).size
-    for terms in sectors._prepare(inst).terms:
+    for terms in sectors._prepare(inst).kernel(False)[0]:
         assert sectors._sector_plan(terms, n).nbytes < packed_bytes
     evolve(densesim.maximally_mixed(n), inst, 1)
     assert sectors._PREPARED[inst].plans is None
 
 
-def test_dual_residuals_type_ii_term_matches_dense_projector():
-    """tr[Z_rest P rho] read from c against the dense embedded projector, in a frame."""
+def test_dual_residuals_classifies_clauses_in_the_planted_frame():
+    """A planted |11> clause and a restricted one, disguised: each keeps its own drift law."""
     planted = Instance(n=4, clauses=(make_clause(1, 3, (0, 0, 0, 1)), make_clause(0, 2, (0, 0.6, 0.8, 0))),
                        planted_basis=tuple(np.eye(2) for _ in range(4)))
-    basis = random_product_basis(4, 26)
-    inst = conjugate_instance(planted, basis)
-    v = densesim.product_unitary(basis)
+    inst = conjugate_instance(planted, random_product_basis(4, 26))
     rng = np.random.default_rng(27)
-    clause = inst.clauses[0]
-    terms = channel._clause_terms(clause, 4)
-    z = np.diag([1.0, -1.0])
-    zs = [b @ z @ b.conj().T for q, b in enumerate(basis) if q not in (1, 3)]
-    z_rest = sum(np.kron(np.kron(np.eye(2**q), z), np.eye(2 ** (3 - q))) for q in (0, 2))
-    proj = embed_oracle(np.outer(clause.amps, clause.amps.conj()), 1, 3, 4)
-    for _ in range(5):
-        rho = densesim.random_density_matrix(4, rng)
-        c = channel._reduce(rho, terms)[1].reshape(4, 4)
-        want = np.trace(v @ z_rest @ v.conj().T @ proj @ rho).real
-        assert abs(channel._spin_weight(c, zs) - want) <= TOL
+    report = dual_residuals(inst, [densesim.random_density_matrix(4, rng) for _ in range(5)])
+    assert [item.form for item in report] == [ClauseForm.TYPE_II, ClauseForm.RESTRICTED_TYPE_I]
+    assert max(item.max_residual for item in report) <= 1e-9
