@@ -15,7 +15,9 @@ apart by `ndim`. The qubit layout lives here alone (`_bits`, `_pair_split`,
 and writes the state in place through strided quarters of
 `psi.reshape(pair)`; below that it takes `_clause_rows`, which copies the
 state for every pair but (0, 1), because the copy costs less there than the
-views' extra calls. A sampled step costs O(2^n) and a few state vectors. The
+views' extra calls; on at most 5 qubits it reads a list of Python complex by
+the basis indices of `_clause_rows`. A sampled step costs O(2^n) and a few
+state vectors. The
 exact channel holds the state one of two ways (see `sectors`): packed
 Hamming-weight blocks, 16 * C(2n, n) bytes (41 MB at n = 12), read through
 per-clause index plans built from `_clause_rows` of the basis indices, so a

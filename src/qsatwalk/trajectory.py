@@ -11,33 +11,52 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
 
 * `_walk` advances one trajectory with one step function pair, `_measure`
   and `_write_back`; no per-clause index tables are built. It serves
-  `run_trajectory`, `decision.decide` (through `run_trajectory`),
-  `trajectory_step` and the ensemble chunks that `_lockstep` does not take.
-  How a step reads the drawn clause depends on n alone. At n <= 13
-  (`_ROWS_MAX_QUBITS`) it takes the 4 x 2^(n-2) matrix of
-  `densesim._clause_rows`, which is a transposing copy for every pair but
-  (0, 1), measures with one 4-vector product, and copies the rows back into
-  index order as a new unit vector. Above it, the step updates the walk's
-  own state in place through the strided quarters `[:, b_lo, :, b_hi, :]`
-  of the view `psi.reshape(pair)` and carries the state's squared norm,
-  norm2, as a scalar. The overlap sums phi's nonzero quarters only, and the
+  `run_trajectory`, `decision.decide` (through `run_trajectory`) and the
+  ensemble chunks that `_lockstep` does not take; `trajectory_step` calls
+  the same pair on one state. How a step holds the state and reads the
+  drawn clause depends on n alone, in three layouts:
+
+  - `_SCALARS`, at n <= 5 (`_SCALARS_MAX_QUBITS`): the state is a list of
+    Python complex, and the step reads and writes it by index with plain
+    Python arithmetic, through the basis indices of phi's nonzero rows of
+    `densesim._clause_rows`. On 2^n <= 32 amplitudes the dozen numpy calls
+    of a row step cost more than the arithmetic they do.
+  - `_ROWS`, up to n = 13 (`_ROWS_MAX_QUBITS`): the step takes the
+    4 x 2^(n-2) matrix of `_clause_rows`, which is a transposing copy for
+    every pair but (0, 1), measures with one 4-vector product, and copies
+    the rows back into index order as a new unit vector.
+  - `_VIEWS`, above 13 qubits: the step updates the walk's own state in
+    place through the strided quarters `[:, b_lo, :, b_hi, :]` of the view
+    `psi.reshape(pair)`.
+
+  `_SCALARS` and `_VIEWS` carry the state's squared norm, norm2, as a
+  scalar. The overlap sums phi's nonzero rows or quarters only, and the
   outcome is 1 when the draw is below p = q / norm2, q = ||overlap||^2.
   Outcome 0 subtracts phi's nonzero entries times the overlap from their
-  quarters and sets norm2 -= q, since ||(1 - P) v||^2 = ||v||^2 - q: no
-  copy, no full norm and no full rescale. Outcome 1 writes the four
-  quarters as the twirled phi times overlap / sqrt(q), and norm2 = 1. When
-  norm2 falls below 1/4, and at the end of the walk, the norm is recomputed
-  and the state rescaled to unit norm, so norm2 stays in [1/4, 1] and its
-  rounding cannot build up. Both layouts give the same states to rounding
-  (about 1e-15). The crossover: `run_trajectory` steps per second with the
-  views over those with the rows, separate processes pinned to one core
-  with `OMP_NUM_THREADS=1`, L = 2n clauses. Planted restricted ones (two
-  nonzero amplitudes) gain 1.4 to 2.2 at n = 12-16. Random ones with four
-  nonzero amplitudes set the rule: 0.63 at n=12, 0.92 at n=13 and 1.00 at
-  n=14 (10 alternating process pairs), 1.25 at n=15 and 1.5 at n=16. Below
-  14 qubits a view's strided quarters make short inner loops and extra
-  numpy calls that cost more, for four-amplitude clauses, than the row
-  copies they save.
+  rows or quarters and sets norm2 -= q, since ||(1 - P) v||^2 = ||v||^2 -
+  q: no copy, no full norm and no full rescale. Outcome 1 writes all four
+  as the twirled phi times overlap / sqrt(q), and norm2 = 1. When norm2
+  falls below 1/4, and at the end of the walk, the norm is recomputed and
+  the state rescaled to unit norm, so norm2 stays in [1/4, 1] and its
+  rounding cannot build up. The three layouts give the same states to
+  rounding (about 1e-15).
+
+  The crossovers were measured as `run_trajectory` steps per second,
+  separate processes pinned to one core with `OMP_NUM_THREADS=1`, L = 2n
+  clauses; planted restricted ones have two nonzero amplitudes, random
+  ones four, and the four-amplitude ones set both rules. Scalars over
+  rows: restricted 3.5 at n=2, 2.3 at n=4, 1.6 at n=5, 1.1 at n=6 and
+  0.72 at n=7; four-amplitude 1.9 at n=2, 1.4 at n=4 and 1.03 at n=5 (10
+  alternating process pairs), 0.65 at n=6 and 0.42 at n=7.
+  Views over rows: restricted 1.4 to 2.2 at n = 12-16; four-amplitude
+  0.63 at n=12, 0.92 at n=13 and 1.00 at n=14 (10 alternating process
+  pairs), 1.25 at n=15 and 1.5 at n=16. Below 14 qubits a view's strided
+  quarters make short inner loops and extra numpy calls that cost more,
+  for four-amplitude clauses, than the row copies they save.
+
+  A block's Haar unitaries (step 2d of the random stream below) are
+  computed by one stacked QR at the block's first outcome 1, and not at all
+  in a block without one; every block is still drawn in full.
 * `_lockstep` advances b trajectories together as one (b, 2^n) array.
   Per-clause index tables, `_clause_rows(arange(2^n))` stacked once per
   chunk, gather each trajectory's clause rows; measurement, collapse and
@@ -92,6 +111,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -105,7 +125,9 @@ _BLOCK = 64
 _LOCKSTEP_MIN = 4            # narrowest chunk that _lockstep runs faster than _walk
 _LOCKSTEP_MAX_QUBITS = 10    # above it, gathers through index tables cost more than `_walk`
 _LOCKSTEP_ENTRIES = 2**13    # widest lockstep batch, in b * 2^n state entries
+_SCALARS_MAX_QUBITS = 5      # at or below it, a step works on a list of Python complex
 _ROWS_MAX_QUBITS = 13        # above it, a step updates the state in place through strided views
+_SCALARS, _ROWS, _VIEWS = "scalars", "rows", "views"    # the step's layouts, from n alone
 _OBSERVED_ENTRIES = 2**18    # widest operator buffer of `_walk`, in state entries
 
 
@@ -134,76 +156,124 @@ def sample_initial_state(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _clause_ket(clause, n: int):
-    """What the step reads of a clause: the index split, phi on (lo, hi), phi as a
-    column, conj(phi) flat, i < j, and, above `_ROWS_MAX_QUBITS`, phi's nonzero
-    entries as (b_lo, b_hi, amplitude) (None at or below it)."""
+    """What the step reads of a clause: its layout, chosen from n alone, the index
+    split, phi on (lo, hi), i < j, and the layout's own terms:
+
+    * `_SCALARS` (n <= `_SCALARS_MAX_QUBITS`): for each nonzero entry of phi,
+      the basis indices of its `_clause_rows` row as a list, the entry and its
+      conjugate; for the outcome-1 write, which builds the state row by row,
+      an itemgetter that puts the rows' entries back into index order; and
+      phi flat as Python scalars;
+    * `_ROWS` (n <= `_ROWS_MAX_QUBITS`): phi as a column and conj(phi) flat;
+    * `_VIEWS`: phi's nonzero entries as (b_lo, b_hi, amplitude).
+    """
     pair, phi = _clause_split(clause, n)
-    nonzero = ([(int(x), int(y), complex(phi[x, y])) for x, y in zip(*np.nonzero(phi))]
-               if n > _ROWS_MAX_QUBITS else None)
-    return pair, phi, phi.reshape(4, 1), phi.conj().reshape(4), clause.i < clause.j, nonzero
+    if n <= _SCALARS_MAX_QUBITS:
+        rows = _clause_rows(np.arange(2**n), pair).tolist()
+        flat = phi.reshape(4).tolist()
+        layout, terms = _SCALARS, ([(rows[r], a, a.conjugate()) for r, a in enumerate(flat) if a],
+                                   itemgetter(*_from_clause_rows(np.arange(2**n), pair).tolist()),
+                                   flat)
+    elif n <= _ROWS_MAX_QUBITS:
+        layout, terms = _ROWS, (phi.reshape(4, 1), phi.conj().reshape(4))
+    else:
+        layout, terms = _VIEWS, [(int(x), int(y), complex(phi[x, y])) for x, y in zip(*np.nonzero(phi))]
+    return layout, pair, phi, clause.i < clause.j, terms
 
 
-def _measure(psi: np.ndarray, norm2: float, ket, draw: float):
+def _measure(psi, norm2: float, ket, draw: float):
     """Measure one clause on psi, whose squared norm is norm2.
 
     Returns psi as the step reads it, <phi|psi> on the other qubits, its
-    norm^2 q, and the outcome (1 when draw < p = q / norm2). At or below
-    `_ROWS_MAX_QUBITS` psi is read as the 4 x 2^(n-2) matrix of
-    `_clause_rows`, a copy unless the pair is (0, 1), and norm2 is 1; above
-    it, as the view `psi.reshape(pair)`, summing only phi's nonzero entries
-    over the strided quarters `[:, b_lo, :, b_hi, :]`. The drawn branch
-    raises DegenerateBranch when its probability is below
-    `BRANCH_NORM_FLOOR`: p for outcome 1, and above `_ROWS_MAX_QUBITS` 1 - p
-    for outcome 0 (at or below it `_write_back` checks that branch's norm).
+    norm^2 q, and the outcome (1 when draw < p = q / norm2). In the
+    `_SCALARS` layout psi is a list of complex and the overlap a list,
+    summed over phi's nonzero entries by index; in `_ROWS`, psi is read as
+    the 4 x 2^(n-2) matrix of `_clause_rows`, a copy unless the pair is
+    (0, 1), and norm2 is 1; in `_VIEWS`, as the view `psi.reshape(pair)`,
+    summing only phi's nonzero entries over the strided quarters
+    `[:, b_lo, :, b_hi, :]`. The drawn branch raises DegenerateBranch when
+    its probability is below `BRANCH_NORM_FLOOR`: p for outcome 1, and 1 - p
+    for outcome 0 (in `_ROWS`, `_write_back` checks that branch's norm).
     """
-    pair, _, _, phi_conj, _, nonzero = ket
-    if nonzero is None:
+    layout, pair, _, _, terms = ket
+    if layout is _SCALARS:
+        overlap = None
+        for rows, _, bra in terms[0]:
+            if overlap is None:
+                overlap = [bra * psi[i] for i in rows]
+            else:
+                for m, i in enumerate(rows):
+                    overlap[m] += bra * psi[i]
+        mat, q = psi, 0.0
+        for o in overlap:
+            q += o.real * o.real + o.imag * o.imag
+    elif layout is _ROWS:
         mat = _clause_rows(psi, pair)
-        overlap = phi_conj @ mat
+        overlap = terms[1] @ mat
+        q = np.vdot(overlap, overlap).real
     else:
         mat = psi.reshape(pair)
-        (x, y, amp), *rest = nonzero
+        (x, y, amp), *rest = terms
         overlap = mat[:, x, :, y, :] * amp.conjugate()
         term = None
         for x, y, amp in rest:
             term = np.multiply(mat[:, x, :, y, :], amp.conjugate(), out=term)
             overlap += term
-    q = np.vdot(overlap, overlap).real
+        q = np.vdot(overlap, overlap).real
     p = q / norm2
     if draw < p:
         if p < BRANCH_NORM_FLOOR:
             raise DegenerateBranch(f"unsatisfied branch has norm^2 {p}")
         return mat, overlap, q, 1
-    if nonzero is not None and 1 - p < BRANCH_NORM_FLOOR:
+    if layout is not _ROWS and 1 - p < BRANCH_NORM_FLOOR:
         raise DegenerateBranch(f"satisfied branch has norm^2 {1 - p}")
     return mat, overlap, q, 0
 
 
-def _write_back(psi: np.ndarray, norm2: float, ket, mat, overlap, q, u, coin: float):
+def _write_back(psi, norm2: float, ket, mat, overlap, q, u, coin: float):
     """The post-measurement state and its squared norm.
 
     u is None on outcome 0, which keeps (1 - P) psi. On outcome 1, P psi =
     phi (x) overlap, and u twirls phi on the clause's qubit i when coin < 0.5,
-    on qubit j otherwise. At or below `_ROWS_MAX_QUBITS` the state is a new
-    unit vector, copied back from the clause rows, and its norm^2 is 1.
-    Above it, psi itself is written through `mat`, its `reshape(pair)` view:
-    outcome 0 subtracts phi's nonzero entries times the overlap from their
-    quarters and lowers norm2 by q, with no copy and no rescale; outcome 1
-    writes the four quarters as twirled phi times overlap / sqrt(q), a unit
-    vector. When norm2 falls below 1/4, psi is rescaled to unit norm from
-    its recomputed norm, so the carried norm2 stays in [1/4, 1] and its
-    rounding cannot build up.
+    on qubit j otherwise. In `_ROWS` the state is a new unit vector, copied
+    back from the clause rows, and its norm^2 is 1. In `_SCALARS` and
+    `_VIEWS` psi itself is written, by index or through `mat`, its
+    `reshape(pair)` view: outcome 0 subtracts phi's nonzero entries times
+    the overlap from their rows or quarters and lowers norm2 by q, with no
+    copy and no rescale; outcome 1 writes all four as twirled phi times
+    overlap / sqrt(q), a unit vector (in `_SCALARS`, a new list gathered
+    into index order). When norm2 falls below 1/4, psi is
+    rescaled to unit norm from its recomputed norm, so the carried norm2
+    stays in [1/4, 1] and its rounding cannot build up.
     """
-    pair, phi, phi_col, _, i_is_lo, nonzero = ket
+    layout, pair, phi, i_is_lo, terms = ket
+    if layout is _SCALARS:
+        if u is None:
+            for rows, amp, _ in terms[0]:
+                for i, o in zip(rows, overlap):
+                    psi[i] -= amp * o
+            norm2 -= q
+            return (_unit(psi), 1.0) if norm2 < 0.25 else (psi, norm2)
+        (u00, u01), (u10, u11) = u.tolist()
+        p00, p01, p10, p11 = terms[2]
+        if (coin < 0.5) == i_is_lo:            # u @ phi
+            twirled = (u00 * p00 + u01 * p10, u00 * p01 + u01 * p11,
+                       u10 * p00 + u11 * p10, u10 * p01 + u11 * p11)
+        else:                                  # phi @ u.T
+            twirled = (p00 * u00 + p01 * u01, p00 * u10 + p01 * u11,
+                       p10 * u00 + p11 * u01, p10 * u10 + p11 * u11)
+        s = 1.0 / math.sqrt(q)
+        scaled = [o * s for o in overlap]
+        return list(terms[1]([t * o for t in twirled for o in scaled])), 1.0
     if u is None:
-        if nonzero is not None:
+        if layout is _VIEWS:
             term = None
-            for x, y, amp in nonzero:
+            for x, y, amp in terms:
                 term = np.multiply(overlap, amp, out=term)
                 mat[:, x, :, y, :] -= term
             norm2 -= q
             return (_unit(psi), 1.0) if norm2 < 0.25 else (psi, norm2)
-        mat = mat - phi_col * overlap
+        mat = mat - terms[0] * overlap
         r = np.vdot(mat, mat).real
         if r < BRANCH_NORM_FLOOR:
             raise DegenerateBranch(f"satisfied branch has norm^2 {r}")
@@ -211,7 +281,7 @@ def _write_back(psi: np.ndarray, norm2: float, ket, mat, overlap, q, u, coin: fl
     else:
         twirled = u @ phi if (coin < 0.5) == i_is_lo else phi @ u.T
         scaled = overlap * (1.0 / math.sqrt(q))
-        if nonzero is not None:
+        if layout is _VIEWS:
             for x in (0, 1):
                 for y in (0, 1):
                     np.multiply(scaled, twirled[x, y], out=mat[:, x, :, y, :])
@@ -220,8 +290,12 @@ def _write_back(psi: np.ndarray, norm2: float, ket, mat, overlap, q, u, coin: fl
     return _from_clause_rows(mat, pair), 1.0
 
 
-def _unit(psi: np.ndarray) -> np.ndarray:
-    """psi rescaled in place to unit norm, from its norm computed afresh."""
+def _unit(psi):
+    """psi rescaled to unit norm, from its norm computed afresh: an array in
+    place, a list as a new list."""
+    if isinstance(psi, list):
+        s = 1.0 / math.sqrt(sum([x.real * x.real + x.imag * x.imag for x in psi]))
+        return [x * s for x in psi]
     psi *= 1.0 / math.sqrt(np.vdot(psi, psi).real)
     return psi
 
@@ -239,10 +313,12 @@ def trajectory_step(psi: np.ndarray, inst: Instance, rng: np.random.Generator):
     if n != inst.n:
         raise DimensionMismatch(f"state has {n} qubits but instance has {inst.n}")
     ket = _clause_ket(inst.clauses[int(rng.integers(inst.L))], n)
+    if ket[0] is _SCALARS:
+        psi = psi.tolist()
     mat, overlap, q, outcome = _measure(psi, 1.0, ket, rng.random())
     coin, u = (rng.random(), haar_unitary(rng)) if outcome else (0.0, None)
     psi, norm2 = _write_back(psi, 1.0, ket, mat, overlap, q, u, coin)
-    return (psi if norm2 == 1.0 else _unit(psi)), outcome
+    return np.asarray(psi if norm2 == 1.0 else _unit(psi), dtype=complex), outcome
 
 
 def _squares(prepared, rows: int, d: int):
@@ -282,12 +358,15 @@ def _draw_block(rng: np.random.Generator, L: int):
 def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
     """T steps from a random basis state, with randomness drawn block by block.
 
-    Returns the outcome bits, the final state, and the prepared operators'
-    values at t = 0..T (None when there are none). The states awaiting
-    evaluation are kept at most `_OBSERVED_ENTRIES` entries at a time (at
-    least one state), so tracking operators adds a few state vectors.
+    Returns the outcome bits, the final state as an array, and the prepared
+    operators' values at t = 0..T (None when there are none). The states
+    awaiting evaluation are kept at most `_OBSERVED_ENTRIES` entries at a
+    time (at least one state), so tracking operators adds a few state
+    vectors. A block's Haar QR runs at its first outcome 1, if any.
     """
     psi, norm2 = sample_initial_state(n, rng), 1.0
+    if n <= _SCALARS_MAX_QUBITS:
+        psi = psi.tolist()
     outcomes = np.empty(T, dtype=np.int8)
     values = np.empty((len(prepared), T + 1)) if prepared else None
     width = max(1, min(_BLOCK, _OBSERVED_ENTRIES >> n)) if prepared else _BLOCK
@@ -297,7 +376,7 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
         clause, measure, coin, g = _draw_block(rng, len(kets))
         clause, measure, coin = clause.tolist(), measure.tolist(), coin.tolist()
         stop = min(start + _BLOCK, T)
-        haar = _haar_stack(g[0, : stop - start] + 1j * g[1, : stop - start])
+        haar = None
         for sub in range(start, stop, width):
             end = min(sub + width, stop)
             for t in range(sub, end):
@@ -306,13 +385,14 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
                 k = t - start
                 ket = kets[clause[k]]
                 mat, overlap, q, outcome = _measure(psi, norm2, ket, measure[k])
+                if outcome and haar is None:      # the block's first outcome 1
+                    haar = _haar_stack(g[0, : stop - start] + 1j * g[1, : stop - start])
                 psi, norm2 = _write_back(psi, norm2, ket, mat, overlap, q,
                                          haar[k] if outcome else None, coin[k])
                 outcomes[t] = outcome
             if prepared:
                 values[:, sub:end] = _observe(states[: end - sub], prepared, squares)
-    if norm2 != 1.0:
-        psi = _unit(psi)
+    psi = np.asarray(psi if norm2 == 1.0 else _unit(psi), dtype=complex)
     if prepared:
         values[:, T] = _observe(psi[None], prepared, squares)[:, 0]
     return outcomes, psi, values

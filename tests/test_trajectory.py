@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from qsatwalk import densesim
+from qsatwalk import densesim, trajectory
 from qsatwalk.errors import DegenerateBranch, DimensionMismatch, IndexOutOfRange
 from qsatwalk.instance import (
     Instance,
@@ -19,6 +19,7 @@ from qsatwalk.trajectory import (
     _BLOCK,
     _CHUNK,
     _ROWS_MAX_QUBITS,
+    _SCALARS_MAX_QUBITS,
     _clause_ket,
     _lockstep,
     _lockstep_tables,
@@ -107,10 +108,11 @@ def test_trajectory_step_singlet_outcome_probability():
     assert abs(ones / 4000 - 0.5) < 5 * np.sqrt(0.25 / 4000)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, _ROWS_MAX_QUBITS + 1, _ROWS_MAX_QUBITS + 3])
+@pytest.mark.parametrize("n", sorted({2, 3, 4, _SCALARS_MAX_QUBITS + 1,
+                                       _ROWS_MAX_QUBITS + 1, _ROWS_MAX_QUBITS + 3}))
 def test_trajectory_step_leaves_input_state_unchanged(n):
-    # for pair (0, 1) the step reads psi through a view, and above
-    # _ROWS_MAX_QUBITS it writes its state in place, so it must work on a copy
+    # for pair (0, 1) the row layout reads psi through a view, and the other
+    # layouts write their state in place, so the step must work on a copy
     rng = np.random.default_rng(46 + n)
     for i, j in itertools.permutations(range(n), 2):
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -162,8 +164,8 @@ def test_complete_pair_outcome_probabilities_sum_to_one():
 
 
 def test_trajectory_step_degenerate_branch_guard():
-    """A branch of norm^2 1e-15 raises, naming the branch, on both sides of
-    `_ROWS_MAX_QUBITS`. The clause is the singlet; the state is the triplet
+    """A branch of norm^2 1e-15 raises, naming the branch, in each of the
+    step's three layouts. The clause is the singlet; the state is the triplet
     with a 1e-15 share of singlet, measured with draw 0 (outcome 1), or the
     singlet with a 1e-15 share of triplet, measured with a draw just below 1
     (outcome 0)."""
@@ -179,7 +181,7 @@ def test_trajectory_step_degenerate_branch_guard():
             return self.draw
 
     eps = 10**-7.5
-    for n in (2, _ROWS_MAX_QUBITS + 1):
+    for n in (2, _SCALARS_MAX_QUBITS + 1, _ROWS_MAX_QUBITS + 1):
         for i, j in ((0, 1), (n - 1, 0)):
             inst = Instance(n=n, clauses=(make_clause(i, j, SINGLET),))
             singlet = apply_oracle(np.outer(SINGLET, np.conj(SINGLET)), i, j,
@@ -244,6 +246,30 @@ def test_run_trajectory_planted_start_counts_all_zeros():
     rec = run_trajectory(inst, 40, 11, keep_history=True)
     assert rec.N0 == 40
     assert np.all(rec.outcomes == 0)
+
+
+@pytest.mark.parametrize("n", [2, _SCALARS_MAX_QUBITS + 1, _ROWS_MAX_QUBITS + 1])
+def test_walk_runs_a_blocks_haar_qr_only_on_an_outcome_1(n, monkeypatch):
+    """`_walk` runs a block's stacked Haar QR at the block's first outcome 1
+    only: a walk whose start state satisfies every clause (basis projectors
+    on the complement of its bits) runs none, and a walk on the
+    complete-pair NO instance runs one per block that has an outcome 1, with
+    the outcomes of the same seed's uncounted run."""
+    T, seed = 5 * _BLOCK - 3, 12
+    bits = [(int(np.random.default_rng(seed).integers(2**n)) >> (n - 1 - q)) & 1 for q in range(n)]
+    satisfied = Instance(n=n, clauses=tuple(
+        make_clause(q, q + 1, np.eye(4)[2 * (1 - bits[q]) + 1 - bits[q + 1]]) for q in range(n - 1)))
+    no = generate_no_instance(n, "complete_pair")
+    reference = run_trajectory(no, T, seed, keep_history=True)
+    calls, haar_stack = [], trajectory._haar_stack
+    monkeypatch.setattr(trajectory, "_haar_stack", lambda z: calls.append(len(z)) or haar_stack(z))
+
+    assert run_trajectory(satisfied, T, seed).N0 == T and calls == []
+
+    rec = run_trajectory(no, T, seed, keep_history=True)
+    ones = [rec.outcomes[b : b + _BLOCK].any() for b in range(0, T, _BLOCK)]
+    assert len(calls) == sum(ones) > 0
+    assert np.array_equal(rec.outcomes, reference.outcomes)
 
 
 def test_run_trajectory_history_consistency():

@@ -8,8 +8,9 @@ when the draw is below <psi|P|psi>; the state after outcome 0 is
 (1-P) psi / norm, and after outcome 1 it is the Haar unitary on the target
 qubit applied to P psi / norm. A whole trajectory is replayed the same way
 from the block layout written in the `trajectory` module docstring. The
-number of qubits is drawn on both sides of `_ROWS_MAX_QUBITS`, where the
-step changes how it reads the clause.
+number of qubits is drawn on both sides of `_SCALARS_MAX_QUBITS` and of
+`_ROWS_MAX_QUBITS`, where the step changes how it holds the state and reads
+the clause.
 """
 
 import copy
@@ -26,6 +27,7 @@ from qsatwalk.trajectory import (
     _BLOCK,
     _CHUNK,
     _ROWS_MAX_QUBITS,
+    _SCALARS_MAX_QUBITS,
     _clause_ket,
     _prepare_ops,
     _walk,
@@ -79,7 +81,9 @@ def _check_step(inst, psi, seed):
 
 
 def _qubits(draw, narrow_max, wide_max):
-    return draw(st.sampled_from([*range(2, narrow_max + 1), *range(WIDE, wide_max + 1)]))
+    """n in 2..narrow_max, `_SCALARS_MAX_QUBITS` + 1 and WIDE..wide_max."""
+    return draw(st.sampled_from(sorted({*range(2, narrow_max + 1), _SCALARS_MAX_QUBITS + 1,
+                                        *range(WIDE, wide_max + 1)})))
 
 
 @st.composite
@@ -163,6 +167,32 @@ def test_run_trajectory_replays_block_stream(case):
     assert np.max(np.abs(rec.final_state - psi)) <= TOL
 
 
+def _carried_norm_walk(n, seed, monkeypatch):
+    """Ten blocks at n with 2n random four-amplitude clauses, replayed on the
+    oracle: for each step, whether the carried squared norm was rescaled,
+    its value after the step, the state's actual squared norm and whether
+    the outcome was 0; the run's record; and the oracle's outcomes and final
+    state."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(2 * n):
+        i, j = (int(q) for q in rng.choice(n, 2, replace=False))
+        drawn.append(make_clause(i, j, rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    inst = Instance(n=n, clauses=tuple(drawn))
+    T = 10 * _BLOCK
+    steps = []
+
+    def write_back(psi, norm2, ket, mat, overlap, q, u, coin):
+        out, carried = _write_back(psi, norm2, ket, mat, overlap, q, u, coin)
+        steps.append((u is None and norm2 - q < 0.25, carried, np.vdot(out, out).real, u is None))
+        return out, carried
+
+    monkeypatch.setattr(trajectory, "_write_back", write_back)
+    want, psi = _replay(inst, T, seed)
+    rec = run_trajectory(inst, T, seed, keep_history=True)
+    return np.array(steps).T, rec, want, psi
+
+
 @pytest.mark.parametrize("seed", [81, 82])
 def test_wide_walk_carried_norm_matches_oracle(seed, monkeypatch):
     """Above `_ROWS_MAX_QUBITS` a satisfied outcome lowers a carried squared
@@ -171,27 +201,30 @@ def test_wide_walk_carried_norm_matches_oracle(seed, monkeypatch):
     in ten blocks: after every step the carried value lies in [1/4, 1] and
     equals the state's squared norm, and the run replays on the oracle and
     ends at unit norm."""
-    rng = np.random.default_rng(seed)
-    drawn = []
-    for _ in range(2 * WIDE):
-        i, j = (int(q) for q in rng.choice(WIDE, 2, replace=False))
-        drawn.append(make_clause(i, j, rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-    inst = Instance(n=WIDE, clauses=tuple(drawn))
-    T = 10 * _BLOCK
-    steps = []
+    (rescaled, norm2, actual, _), rec, want, psi = _carried_norm_walk(WIDE, seed, monkeypatch)
 
-    def write_back(psi, norm2, ket, mat, overlap, q, u, coin):
-        out, carried = _write_back(psi, norm2, ket, mat, overlap, q, u, coin)
-        steps.append((u is None and norm2 - q < 0.25, carried, np.vdot(out, out).real))
-        return out, carried
-
-    monkeypatch.setattr(trajectory, "_write_back", write_back)
-    want, psi = _replay(inst, T, seed)
-
-    rec = run_trajectory(inst, T, seed, keep_history=True)
-
-    rescaled, norm2, actual = np.array(steps).T
     assert rescaled.sum() >= 20
+    assert np.all(norm2[rescaled == 1] == 1.0)
+    assert np.all((0.25 <= norm2) & (norm2 <= 1.0))
+    assert np.max(np.abs(norm2 - actual)) <= TOL
+    assert np.array_equal(rec.outcomes, want)
+    assert np.max(np.abs(rec.final_state - psi)) <= TOL
+    assert abs(np.linalg.norm(rec.final_state) - 1) <= TOL
+
+
+@pytest.mark.parametrize("seed", [83, 84])
+def test_scalar_walk_carried_norm_matches_oracle(seed, monkeypatch):
+    """At or below `_SCALARS_MAX_QUBITS` the step carries its squared norm as
+    the wide step does, on a list of Python complex: at n = 3, ten blocks of
+    four-amplitude clauses rescale many times, most satisfied outcomes leave
+    the carried value below 1, it stays in [1/4, 1] and equals the
+    state's squared norm, and the run replays on the oracle and ends at unit
+    norm."""
+    assert 3 <= _SCALARS_MAX_QUBITS
+    (rescaled, norm2, actual, kept), rec, want, psi = _carried_norm_walk(3, seed, monkeypatch)
+
+    assert rescaled.sum() >= 20
+    assert np.mean(norm2[kept == 1] < 1.0) > 0.5
     assert np.all(norm2[rescaled == 1] == 1.0)
     assert np.all((0.25 <= norm2) & (norm2 <= 1.0))
     assert np.max(np.abs(norm2 - actual)) <= TOL
