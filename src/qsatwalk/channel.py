@@ -126,18 +126,26 @@ def _apply(rho: np.ndarray, clauses: list) -> tuple[np.ndarray, float]:
 
 
 def apply_clause_channel(rho: np.ndarray, clause: Clause) -> np.ndarray:
-    """One clause update T_a applied to a density matrix."""
+    """One clause update T_a applied to a density matrix.
+
+    Raises NotHermitian when rho deviates from Hermitian by more than
+    `densesim.HERMITICITY_TOL`: the kernel writes the update as X + X^dagger,
+    which equals T_a(rho) - rho only for Hermitian rho.
+    """
     rho = np.asarray(rho, dtype=complex)
     n = densesim.num_qubits(rho)
+    densesim._check_hermitian(rho)
     if clause.i >= n or clause.j >= n:
         raise IndexOutOfRange(f"clause acts on ({clause.i}, {clause.j}) but state has n={n}")
     return _apply(rho, [_clause_terms(clause, n)])[0]
 
 
 def apply_step_channel(rho: np.ndarray, inst: Instance) -> np.ndarray:
-    """Uniform average of the clause updates over all L clauses."""
+    """Uniform average of the clause updates over all L clauses; raises
+    NotHermitian as `apply_clause_channel` does."""
     rho = np.asarray(rho, dtype=complex)
     n = densesim.num_qubits(rho)
+    densesim._check_hermitian(rho)
     if n != inst.n:
         raise IndexOutOfRange(f"state has {n} qubits but instance has {inst.n}")
     return _apply(rho, [_clause_terms(c, n) for c in inst.clauses])[0]

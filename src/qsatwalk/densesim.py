@@ -254,6 +254,13 @@ def require_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     return u
 
 
+def _check_hermitian(a: np.ndarray) -> None:
+    """Raise NotHermitian when max |a - a^dagger| exceeds HERMITICITY_TOL."""
+    dev = np.max(np.abs(a - a.conj().T))
+    if dev > HERMITICITY_TOL:
+        raise NotHermitian(f"matrix deviates from Hermitian by {dev}")
+
+
 def hermitian_eig(a: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, one Hamming-weight block at a time.
 
@@ -266,9 +273,7 @@ def hermitian_eig(a: np.ndarray):
     """
     a = np.asarray(a, dtype=complex)
     num_qubits(a)
-    dev = np.max(np.abs(a - a.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise NotHermitian(f"matrix deviates from Hermitian by {dev}")
+    _check_hermitian(a)
     blocks = _weight_blocks(a)
     parts = [np.linalg.eigh(_block(a, b)) for b in blocks]
     if len(parts) == 1:

@@ -55,13 +55,21 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
   for four-amplitude clauses, than the row copies they save.
 
   A block's Haar unitaries (step 2d of the random stream below) are
-  computed by one stacked QR at the block's first outcome 1, and not at all
-  in a block without one; every block is still drawn in full.
+  computed by one `_haar_stack` call at the block's first outcome 1, and
+  not at all in a block without one; every block is still drawn in full.
 * `_lockstep` advances b trajectories together as one (b, 2^n) array.
   Per-clause index tables, `_clause_rows(arange(2^n))` stacked once per
   chunk, gather each trajectory's clause rows; measurement, collapse and
   twirl then run over the whole batch, so a step's interpreter overhead is
-  paid once per batch instead of once per trajectory.
+  paid once per batch instead of once per trajectory. Each block draws every
+  generator into buffers allocated once per call, computes the batch's Haar
+  unitaries in one `_haar_stack` call and only the twirl each target draw
+  selects. Each trajectory carries its squared norm as `_walk` does, in a
+  (b,) vector: outcome 0 lowers it by q with no rescale, outcome 1 writes
+  a unit vector, and when some row's value falls below 1/4 the batch is
+  rescaled from its recomputed norms. Operator values are divided by the
+  carried norm of their state, and the DegenerateBranch check reads each
+  step's p and 1 - p once the block has run.
 
 `run_ensemble` picks the engine from the chunk width b and 2^n alone: a
 chunk runs in lockstep batches of at most 2^13 / 2^n trajectories when
@@ -83,14 +91,16 @@ T steps draws, from that generator and in this order:
    c. `random(_BLOCK)`: the target draws; on outcome 1 the twirl acts on
       the clause's qubit i when the draw is below 0.5, on qubit j otherwise;
    d. `standard_normal((2, _BLOCK, 2, 2))`: real and imaginary parts of a
-      complex Ginibre matrix per step, whose QR with the diagonal of R made
-      positive (`_haar_stack`) is the step's Haar unitary, used on outcome 1.
+      complex Ginibre matrix Z per step. The Q of Z = QR with R's diagonal
+      positive, which `_haar_stack` computes in closed form, is the step's
+      Haar unitary, used on outcome 1.
 
 Draw positions therefore never depend on outcomes: the outcomes of a T-step
 run are a prefix of those of any longer run with the same seed, and an
 ensemble's results do not depend on `workers` or on how trajectories are
 split into chunks. Both engines read every trajectory's generator in this
-order, and their arithmetic differs only in summation order (about 1e-16).
+order, and their arithmetic differs only in rounding (about 1e-16): in
+summation order, and in when a carried norm is recomputed.
 So an ensemble's n0 and zero frequencies equal those of
 `run_trajectory(inst, T, [m, k])` bit for bit whichever engine ran, unless
 a measurement draw falls within that rounding of <psi|P|psi>, and its
@@ -132,18 +142,28 @@ _OBSERVED_ENTRIES = 2**18    # widest operator buffer of `_walk`, in state entri
 
 
 def _haar_stack(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from complex Ginibre matrices on the last two axes.
+    """Haar unitaries from complex 2x2 Ginibre matrices on the last two axes.
 
-    QR with the phases of R's diagonal moved into Q, so R's diagonal is
-    positive and Q is Haar-distributed.
+    The Q of z = QR with R's diagonal positive, which makes Q Haar-distributed
+    (Mezzadri 2007), in closed form: for z = [[a, b], [c, d]] and r = |(a, c)|,
+    Q's columns are (a, c) / r and e^{i arg det z} (-conj(c), conj(a)) / r,
+    orthonormal by construction; det Q = e^{i arg det z} makes R[1, 1] =
+    det z / (r det Q) positive.
     """
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    a, b, c, d = z[..., 0, 0], z[..., 0, 1], z[..., 1, 0], z[..., 1, 1]
+    det = a * d - b * c
+    s = 1.0 / np.sqrt(a.real**2 + a.imag**2 + c.real**2 + c.imag**2)
+    phase = det * (s / np.abs(det))
+    q = np.empty_like(z)
+    q[..., 0, 0] = a * s
+    q[..., 1, 0] = c * s
+    q[..., 0, 1] = -phase * c.conj()
+    q[..., 1, 1] = phase * a.conj()
+    return q
 
 
 def haar_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed 2x2 unitary via QR of a complex Ginibre matrix."""
+    """Haar-distributed 2x2 unitary from a complex Ginibre matrix (`_haar_stack`)."""
     z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
     return _haar_stack(z)
 
@@ -362,7 +382,7 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
     operators' values at t = 0..T (None when there are none). The states
     awaiting evaluation are kept at most `_OBSERVED_ENTRIES` entries at a
     time (at least one state), so tracking operators adds a few state
-    vectors. A block's Haar QR runs at its first outcome 1, if any.
+    vectors. A block's Haar unitaries are computed at its first outcome 1, if any.
     """
     psi, norm2 = sample_initial_state(n, rng), 1.0
     if n <= _SCALARS_MAX_QUBITS:
@@ -435,31 +455,46 @@ def _sumsq(x: np.ndarray) -> np.ndarray:
 
 def _lockstep_tables(clauses, n: int):
     """What `_lockstep` reads per clause, stacked on axis 0: the basis indices of
-    `_clause_rows` (L, 4, 2^(n-2)), phi flat on (lo, hi), conj(phi), and i < j."""
+    `_clause_rows` (L, 4, 2^(n-2)); per twirled qubit (lower, higher), the ket
+    K that the Haar unitary multiplies from the left (phi, phi.T), conj(phi)
+    and -phi, each flat on (lo, hi) (L, 2, 3, 4); and i < j."""
     splits = [_clause_split(c, n) for c in clauses]
     rows = np.stack([_clause_rows(np.arange(2**n), pair) for pair, _ in splits])
-    phi = np.stack([ket.reshape(4) for _, ket in splits])
-    return rows, phi, phi.conj(), np.array([c.i < c.j for c in clauses])
+    kets = np.stack([[(phi, phi.conj(), -phi), (phi.T, phi.conj(), -phi)] for _, phi in splits])
+    return rows, kets.reshape(-1, 2, 3, 4), np.array([c.i < c.j for c in clauses])
 
 
-def _lockstep_block(tables, rngs, k: int, offset: np.ndarray):
-    """One block of `_lockstep`: every generator's `_draw_block`, and for the
-    first k steps, (k, b)-stacked per step and trajectory: the batch's flat
-    indices of the clause rows, conj(phi), -phi, the twirled phi used on
-    outcome 1, and the measurement draws."""
-    rows, phi, phi_conj, i_is_lo = tables
-    draws = [_draw_block(rng, len(phi)) for rng in rngs]
-    clause = np.array([c[:k] for c, _, _, _ in draws]).T              # (k, b)
-    measure = np.array([m[:k] for _, m, _, _ in draws]).T
-    coin = np.array([c[:k] for _, _, c, _ in draws]).T
-    g = np.array([g[:, :k] for _, _, _, g in draws])                  # (b, 2, k, 2, 2)
-    haar = _haar_stack(g[:, 0] + 1j * g[:, 1]).swapaxes(0, 1)         # (k, b, 2, 2)
-    ket = phi[clause].reshape(*clause.shape, 2, 2)
-    on_lo = ((coin < 0.5) == i_is_lo[clause])[..., None, None]
-    twirled = np.where(on_lo, haar @ ket, ket @ haar.swapaxes(-1, -2))
-    index = rows.reshape(len(phi), -1)[clause] + offset               # (k, b, 2^n)
-    return (index, phi_conj[clause][..., None, :], -phi[clause][..., None],
-            twirled.reshape(*clause.shape, 4, 1), measure)
+def _lockstep_block(tables, rngs, k: int, draws, slot: np.ndarray):
+    """One block of `_lockstep`: every generator's `_draw_block`, written into
+    the (b, ...) buffers `draws`, and for the first k steps, stacked (k, b,
+    ...) per step and trajectory: the flat indices (k, b, 4, 2^(n-2)) of the
+    clause rows in the step's slot of the batch's states, which `slot` (k, b,
+    1, 1) gives the start of, conj(phi) (k, b, 1, 4), -phi and the twirled
+    phi (k, b, 4, 1) written on outcome 0 and 1, and the measurement draws
+    (k, b, 1, 1).
+
+    Only the twirl that the target draw selects is computed: u @ phi on the
+    lower qubit, phi @ u.T = (u @ phi.T).T on the higher, so W = u @ K and
+    the higher qubit's rows swap W's off-diagonal entries.
+    """
+    rows, kets, i_is_lo = tables
+    clause, measure, coin, g = draws
+    for r, rng in enumerate(rngs):
+        clause[r], measure[r], coin[r], g[r] = _draw_block(rng, len(kets))
+    c = clause[:, :k].T                                               # (k, b)
+    hi = (coin[:, :k].T < 0.5) != i_is_lo[c]                         # the twirl is on the higher qubit
+    ket = kets[c, hi.view(np.int8)]                                   # (k, b, 3, 4)
+    u = _haar_stack(g[:, 0, :k] + 1j * g[:, 1, :k]).swapaxes(0, 1)    # (k, b, 2, 2)
+    u00, u01, u10, u11 = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    k00, k01, k10, k11 = (ket[..., 0, x] for x in range(4))
+    w01, w10 = u00 * k01 + u01 * k11, u10 * k00 + u11 * k10
+    twirled = np.empty((*c.shape, 4, 1), dtype=complex)
+    twirled[..., 0, 0] = u00 * k00 + u01 * k10
+    twirled[..., 1, 0] = np.where(hi, w10, w01)
+    twirled[..., 2, 0] = np.where(hi, w01, w10)
+    twirled[..., 3, 0] = u10 * k01 + u11 * k11
+    return (rows[c] + slot, ket[..., None, 1, :], ket[..., 2, :, None], twirled,
+            measure[:, :k].T[..., None, None])
 
 
 def _lockstep(tables, n: int, T: int, rngs, prepared=None):
@@ -467,49 +502,69 @@ def _lockstep(tables, n: int, T: int, rngs, prepared=None):
 
     Each trajectory reads its own generator in `_walk`'s order, so its
     outcomes are `_walk`'s. A step gathers every trajectory's clause rows
-    through the index tables, measures, collapses and twirls the whole batch,
-    and scatters the rows into the next slot of the block's states. Returns
-    N0 per trajectory (b,), the zero outcomes per step (T,), and (b, mean,
-    M2) of the prepared operators' values at t = 0..T over the batch (None
-    when there are no operators).
+    from the step's slot of the block's states, measures, collapses and
+    twirls the whole batch, and scatters the rows into the next slot. Each
+    trajectory carries its squared norm as `_walk` does: p = q / norm2;
+    outcome 0 subtracts phi times the overlap and lowers norm2 by q;
+    outcome 1 writes the twirled phi times overlap / sqrt(q) and sets norm2
+    = 1. When some norm2 falls below 1/4, every row is rescaled from its
+    recomputed norm. The block's p are kept, and the DegenerateBranch check
+    reads p and 1 - p once the block has run. Operator values are divided by
+    their slot's carried norm2. Returns N0 per trajectory (b,), the zero
+    outcomes per step (T,), and (b, mean, M2) of the prepared operators'
+    values at t = 0..T over the batch (None when there are no operators).
     """
     b, d = len(rngs), 2**n
-    offset = np.arange(b)[:, None] * d                 # row r of the batch starts at r * d
-    states = np.zeros((min(T, _BLOCK) + 1, b, d), dtype=complex)
+    slots = min(T, _BLOCK)
+    states = np.zeros((slots + 1, b, d), dtype=complex)
+    flat, flat_next = states.reshape(-1), states[1:].reshape(-1)     # flat_next[i] is flat[i + b d]
     states[0, np.arange(b), [int(rng.integers(d)) for rng in rngs]] = 1.0
+    norms = np.ones((slots + 1, b, 1, 1))                 # each slot's carried norm2
+    norm_rows = norms.reshape(slots + 1, b)
+    probs = np.empty((slots, b, 1, 1))                    # the block's p
+    slot = (np.arange(slots * b) * d).reshape(slots, b, 1, 1)
+    draws = (np.empty((b, _BLOCK), dtype=np.int64), np.empty((b, _BLOCK)), np.empty((b, _BLOCK)),
+             np.empty((b, 2, _BLOCK, 2, 2)))
     n0 = np.full(b, T, dtype=np.int64)
     zeros = np.empty(T, dtype=np.int64)
-    ones = np.empty((min(T, _BLOCK), b), dtype=bool)     # the block's outcomes
     mean = np.empty((len(prepared), T + 1)) if prepared else None
     m2 = np.empty((len(prepared), T + 1)) if prepared else None
-    squares = _squares(prepared, max(1, min(T, _BLOCK)) * b, d)
+    squares = _squares(prepared, max(1, slots) * b, d)
     for start in range(0, T, _BLOCK):
         k = min(_BLOCK, T - start)
-        index, bra, minus_phi, twirled, measure = _lockstep_block(tables, rngs, k, offset)
+        index, bra, minus_phi, twirled, measure = _lockstep_block(tables, rngs, k, draws, slot[:k])
+        norms[1 : k + 1] = 1.0                          # what outcome 1 leaves, and the rescale
         for t in range(k):
-            mat = states[t].reshape(-1)[index[t]].reshape(b, 4, -1)
+            mat = flat[index[t]]                                      # (b, 4, 2^(n-2))
             overlap = bra[t] @ mat                                    # (b, 1, 2^(n-2))
-            p = _sumsq(overlap)
-            out = measure[t] < p
-            keep = ~out[:, None, None]
-            new = np.where(keep, minus_phi[t], twirled[t]) * overlap
+            v = overlap.view(float)
+            q = v @ v.swapaxes(1, 2)                                  # (b, 1, 1)
+            out = measure[t] < np.divide(q, norms[t], out=probs[t])
+            keep = ~out
+            # outcome 1 rows of -phi become the twirled phi / sqrt(q)
+            new = np.divide(twirled[t], np.sqrt(q), out=minus_phi[t], where=out) * overlap
             np.add(new, mat, out=new, where=keep)
-            norm = np.where(out, p, _sumsq(new))
-            if norm.min() < BRANCH_NORM_FLOOR:
-                r = int(np.argmin(norm))
-                kind = "unsatisfied" if out[r] else "satisfied"
-                raise DegenerateBranch(f"{kind} branch has norm^2 {norm[r]}")
-            new *= (1.0 / np.sqrt(norm))[:, None, None]
-            states[t + 1].reshape(-1)[index[t]] = new.reshape(b, -1)
-            ones[t] = out
-        n0 -= ones[:k].sum(axis=0)
-        zeros[start : start + k] = b - ones[:k].sum(axis=1)
+            np.subtract(norms[t], q, out=norms[t + 1], where=keep)
+            if min(norm_rows[t + 1].tolist()) < 0.25:
+                new *= 1.0 / np.sqrt(_sumsq(new))[:, None, None]
+                norms[t + 1] = 1.0
+            flat_next[index[t]] = new
+        ones = measure < probs[:k]
+        branch = np.where(ones, probs[:k], 1 - probs[:k])
+        degenerate = branch < BRANCH_NORM_FLOOR
+        if degenerate.any():
+            t, r = divmod(int(np.argmax(degenerate)), b)              # the block's first
+            kind = "unsatisfied" if ones[t, r] else "satisfied"
+            raise DegenerateBranch(f"{kind} branch has norm^2 {branch[t, r, 0, 0]}")
+        ones = ones.reshape(k, b)
+        n0 -= ones.sum(axis=0)
+        zeros[start : start + k] = b - ones.sum(axis=1)
         if prepared:
             values = _observe(states[:k].reshape(k * b, d), prepared, squares).reshape(-1, k, b)
-            mean[:, start : start + k], m2[:, start : start + k] = _moments(values)
-        states[0] = states[k]
+            mean[:, start : start + k], m2[:, start : start + k] = _moments(values / norm_rows[:k])
+        states[0], norms[0] = states[k], norms[k]
     if prepared:
-        mean[:, T], m2[:, T] = _moments(_observe(states[0], prepared, squares))
+        mean[:, T], m2[:, T] = _moments(_observe(states[0], prepared, squares) / norm_rows[0])
     return n0, zeros, (b, mean, m2) if prepared else None
 
 

@@ -70,6 +70,14 @@ def apply_oracle(op4, i, j, psi):
     return np.moveaxis(out, [0, 1], [i, j]).reshape(-1)
 
 
+def haar_qr_oracle(z):
+    """Haar unitaries from complex Ginibre matrices on the last two axes by LAPACK
+    QR, with the phases of R's diagonal moved into Q (Mezzadri 2007)."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def embed_single(op2, q, n):
     """A single-qubit operator at position q of an n-qubit register."""
     return np.kron(np.kron(np.eye(2**q), np.asarray(op2, dtype=complex)), np.eye(2 ** (n - 1 - q)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsatwalk import densesim
+from qsatwalk import channel, densesim
 from qsatwalk.channel import (
     apply_clause_channel,
     apply_step_channel,
@@ -9,6 +9,7 @@ from qsatwalk.channel import (
     evolve,
     write_series_csv,
 )
+from qsatwalk.errors import NotHermitian
 from qsatwalk.instance import (
     ClauseForm,
     Instance,
@@ -78,6 +79,34 @@ def test_clause_channel_type_ii_mixture():
     out = apply_clause_channel(rho, clause)
     want = np.diag([0.0, 0.25, 0.25, 0.5]).astype(complex)
     assert np.max(np.abs(out - want)) < 1e-12
+
+
+def test_apply_rejects_non_hermitian_input():
+    """The kernel is exact for Hermitian rho only: E_12 at n=2 and a random
+    complex matrix at n=3 raise in both public entry points."""
+    e12 = np.zeros((4, 4))
+    e12[0, 1] = 1.0
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    for rho, inst in ((e12, singlet_instance()), (g, generate_planted_restricted(3, 4, seed=12))):
+        with pytest.raises(NotHermitian):
+            apply_clause_channel(rho, inst.clauses[0])
+        with pytest.raises(NotHermitian):
+            apply_step_channel(rho, inst)
+
+
+def test_apply_passes_hermitian_input_to_the_kernel_unchanged():
+    """The check only reads rho: a Hermitian input, and one off Hermitian by
+    less than HERMITICITY_TOL, map bit for bit as the kernel maps them."""
+    inst = generate_planted_extended(3, 4, 0.5, seed=13)
+    rng = np.random.default_rng(14)
+    rho = densesim.random_density_matrix(3, rng)
+    near = rho + 0.1 * densesim.HERMITICITY_TOL * rng.standard_normal((8, 8))
+    terms = [channel._clause_terms(c, 3) for c in inst.clauses]
+    for state in (rho, near):
+        assert np.array_equal(apply_clause_channel(state, inst.clauses[0]),
+                              channel._apply(state, terms[:1])[0])
+        assert np.array_equal(apply_step_channel(state, inst), channel._apply(state, terms)[0])
 
 
 def test_step_channel_single_clause_degenerate_average():

@@ -21,6 +21,7 @@ from qsatwalk.trajectory import (
     _ROWS_MAX_QUBITS,
     _SCALARS_MAX_QUBITS,
     _clause_ket,
+    _haar_stack,
     _lockstep,
     _lockstep_tables,
     _walk,
@@ -33,7 +34,13 @@ from qsatwalk.trajectory import (
 
 from qsatwalk.verify import channel_match
 
-from helpers import apply_oracle, random_product_basis, random_state_vector, trace_distance
+from helpers import (
+    apply_oracle,
+    haar_qr_oracle,
+    random_product_basis,
+    random_state_vector,
+    trace_distance,
+)
 
 SINGLET = (0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0)
 
@@ -47,6 +54,22 @@ def test_haar_unitary_is_unitary():
     for _ in range(200):
         u = haar_unitary(rng)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-12
+
+
+def test_haar_stack_matches_qr_oracle():
+    """The closed-form 2x2 kernel against LAPACK QR on 10^4 Ginibre matrices:
+    the same unitaries to rounding, Q^dagger Q = I, and R = Q^dagger Z upper
+    triangular with a positive real diagonal."""
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((10**4, 2, 2)) + 1j * rng.standard_normal((10**4, 2, 2))
+    q = _haar_stack(z)
+    q_dag = q.conj().swapaxes(-1, -2)
+    r = q_dag @ z
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.max(np.abs(q - haar_qr_oracle(z))) <= 1e-13
+    assert np.max(np.abs(q_dag @ q - np.eye(2))) <= 1e-14
+    assert np.max(np.abs(r[:, 1, 0])) <= 1e-13
+    assert np.all(diag.real > 0) and np.max(np.abs(diag.imag)) <= 1e-13
 
 
 def test_haar_unitary_deterministic_replay():

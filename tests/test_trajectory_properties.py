@@ -29,6 +29,8 @@ from qsatwalk.trajectory import (
     _ROWS_MAX_QUBITS,
     _SCALARS_MAX_QUBITS,
     _clause_ket,
+    _lockstep,
+    _lockstep_tables,
     _prepare_ops,
     _walk,
     _write_back,
@@ -167,18 +169,23 @@ def test_run_trajectory_replays_block_stream(case):
     assert np.max(np.abs(rec.final_state - psi)) <= TOL
 
 
+def _four_amplitude_instance(n, seed):
+    """2n clauses with four random complex amplitudes on random pairs of n qubits."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(2 * n):
+        i, j = (int(q) for q in rng.choice(n, 2, replace=False))
+        drawn.append(make_clause(i, j, rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    return Instance(n=n, clauses=tuple(drawn))
+
+
 def _carried_norm_walk(n, seed, monkeypatch):
     """Ten blocks at n with 2n random four-amplitude clauses, replayed on the
     oracle: for each step, whether the carried squared norm was rescaled,
     its value after the step, the state's actual squared norm and whether
     the outcome was 0; the run's record; and the oracle's outcomes and final
     state."""
-    rng = np.random.default_rng(seed)
-    drawn = []
-    for _ in range(2 * n):
-        i, j = (int(q) for q in rng.choice(n, 2, replace=False))
-        drawn.append(make_clause(i, j, rng.standard_normal(4) + 1j * rng.standard_normal(4)))
-    inst = Instance(n=n, clauses=tuple(drawn))
+    inst = _four_amplitude_instance(n, seed)
     T = 10 * _BLOCK
     steps = []
 
@@ -231,6 +238,34 @@ def test_scalar_walk_carried_norm_matches_oracle(seed, monkeypatch):
     assert np.array_equal(rec.outcomes, want)
     assert np.max(np.abs(rec.final_state - psi)) <= TOL
     assert abs(np.linalg.norm(rec.final_state) - 1) <= TOL
+
+
+@pytest.mark.parametrize("seed", [85, 86])
+def test_lockstep_carried_norm_matches_states(seed, monkeypatch):
+    """`_lockstep` carries each trajectory's squared norm as `_walk` does. With
+    a diagonal identity operator, `_observe` returns the squared norms of the
+    stored states, and `_moments` receives them divided by the carried norm2
+    of their slot: at n = 3, b = 8 and ten blocks of four-amplitude clauses,
+    after every step each state's squared norm lies in [1/4, 1], most are
+    below 1, and the carried value equals it; the batch rescales many
+    times; and n0 is that of the trajectories run one by one."""
+    n, b, T = 3, 8, 10 * _BLOCK
+    inst = _four_amplitude_instance(n, seed)
+    actual, ratio, rescales = [], [], []
+    observe, moments, sumsq = trajectory._observe, trajectory._moments, trajectory._sumsq
+    monkeypatch.setattr(trajectory, "_observe", lambda *a: actual.append(observe(*a)) or actual[-1])
+    monkeypatch.setattr(trajectory, "_moments", lambda v: ratio.append(v) or moments(v))
+    monkeypatch.setattr(trajectory, "_sumsq", lambda x: rescales.append(len(x)) or sumsq(x))
+    rngs = [np.random.default_rng([seed, k]) for k in range(b)]
+    n0, _, _ = _lockstep(_lockstep_tables(inst.clauses, n), n, T, rngs, _prepare_ops([("I", np.ones(2**n))]))
+    actual = np.concatenate([a.reshape(-1) for a in actual])       # slots t = 0..T, b rows each
+    ratio = np.concatenate([r.reshape(-1) for r in ratio])
+
+    assert len(actual) == (T + 1) * b and len(rescales) >= 20
+    assert np.all((0.25 - TOL <= actual) & (actual <= 1 + TOL))
+    assert np.mean(actual < 1 - 1e-9) > 0.5
+    assert np.max(np.abs(ratio - 1)) <= TOL
+    assert np.array_equal(n0, [run_trajectory(inst, T, [seed, k]).N0 for k in range(b)])
 
 
 @pytest.mark.parametrize("seed", [3, 4])
