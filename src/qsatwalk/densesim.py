@@ -11,19 +11,13 @@ n = 12) and a state vector 16 * 2^n bytes (16 MB at n = 20). An operator is
 a dense 2^n x 2^n matrix or, when it is diagonal in the computational basis,
 the real length-2^n vector of its diagonal; `expectation` tells the two
 apart by `ndim`. The qubit layout lives here alone (`_bits`, `_pair_split`,
-`_clause_split`, `_clause_rows`). A sampled step on more than 13 qubits reads
-and writes the state in place through strided quarters of
-`psi.reshape(pair)`; below that it takes `_clause_rows`, which copies the
-state for every pair but (0, 1), because the copy costs less there than the
-views' extra calls; on at most 5 qubits it reads a list of Python complex by
-the basis indices of `_clause_rows`. A sampled step costs O(2^n) and a few
-state vectors. The
-exact channel holds the state one of two ways (see `sectors`): packed
-Hamming-weight blocks, 16 * C(2n, n) bytes (41 MB at n = 12), read through
-per-clause index plans built from `_clause_rows` of the basis indices, so a
-step costs O(L C(2n, n)); or, for inputs that couple weights, the full matrix
-read through reshaped views, O(L 4^n) per step and a few density matrices of
-memory. `kron_embed` and `observables.build_hamiltonian` scatter 4x4 blocks
+`_clause_split`, `_clause_rows`); the `trajectory` module docstring says how
+a sampled step reads a state through it. The exact channel holds the state
+one of two ways (see `sectors`): packed Hamming-weight blocks, 16 * C(2n, n)
+bytes (41 MB at n = 12), read through per-clause index plans built from
+`_clause_rows` of the basis indices, so a step costs O(L C(2n, n)); or, for
+inputs that couple weights, the full matrix read through reshaped views,
+O(L 4^n) per step and a few density matrices of memory. `kron_embed` and `observables.build_hamiltonian` scatter 4x4 blocks
 through the same rows into full 2^n x 2^n operators, for spectra and tests,
 not per-step updates.
 
@@ -54,7 +48,6 @@ from .errors import (
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
-STATE_NORM_TOL = 1e-9
 
 
 def num_qubits(obj) -> int:
@@ -85,16 +78,6 @@ def maximally_mixed(n: int) -> np.ndarray:
     rho = np.eye(d, dtype=complex)
     rho /= d                       # in place: one 16 * 4^n byte array, not two
     return rho
-
-
-def as_state_vector(psi) -> np.ndarray:
-    """Validate norm and dtype of a pure state; returns a complex array."""
-    psi = np.asarray(psi, dtype=complex)
-    num_qubits(psi)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > STATE_NORM_TOL:
-        raise DimensionMismatch(f"state vector norm {norm} is not 1 within {STATE_NORM_TOL}")
-    return psi
 
 
 def as_density_matrix(rho) -> np.ndarray:
@@ -224,11 +207,6 @@ def _clause_rows(x: np.ndarray, pair: tuple) -> np.ndarray:
     order the entries where qubits (lo, hi) are (b_lo, b_hi); a view of x only for the
     pair (0, 1), a transposing copy otherwise."""
     return x.reshape(pair).transpose(1, 3, 0, 2, 4).reshape(4, -1)
-
-
-def _from_clause_rows(rows: np.ndarray, pair: tuple) -> np.ndarray:
-    """Inverse of `_clause_rows`: the flat length-2^n vector."""
-    return rows.reshape(2, 2, *pair[0::2]).transpose(2, 0, 3, 1, 4).reshape(-1)
 
 
 def _scatter_add(out: np.ndarray, op4: np.ndarray, pair: tuple) -> None:

@@ -14,45 +14,41 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
   `run_trajectory`, `decision.decide` (through `run_trajectory`) and the
   ensemble chunks that `_lockstep` does not take; `trajectory_step` calls
   the same pair on one state. How a step holds the state and reads the
-  drawn clause depends on n alone, in three layouts:
+  drawn clause depends on n alone, in two layouts:
 
-  - `_SCALARS`, at n <= 5 (`_SCALARS_MAX_QUBITS`): the state is a list of
+  - `_SCALARS`, at n <= 6 (`_SCALARS_MAX_QUBITS`): the state is a list of
     Python complex, and the step reads and writes it by index with plain
     Python arithmetic, through the basis indices of phi's nonzero rows of
-    `densesim._clause_rows`. On 2^n <= 32 amplitudes the dozen numpy calls
-    of a row step cost more than the arithmetic they do.
-  - `_ROWS`, up to n = 13 (`_ROWS_MAX_QUBITS`): the step takes the
-    4 x 2^(n-2) matrix of `_clause_rows`, which is a transposing copy for
-    every pair but (0, 1), measures with one 4-vector product, and copies
-    the rows back into index order as a new unit vector.
-  - `_VIEWS`, above 13 qubits: the step updates the walk's own state in
+    `densesim._clause_rows`.
+  - `_VIEWS`, above 6 qubits: the step updates the walk's own state in
     place through the strided quarters `[:, b_lo, :, b_hi, :]` of the view
     `psi.reshape(pair)`.
 
-  `_SCALARS` and `_VIEWS` carry the state's squared norm, norm2, as a
-  scalar. The overlap sums phi's nonzero rows or quarters only, and the
-  outcome is 1 when the draw is below p = q / norm2, q = ||overlap||^2.
-  Outcome 0 subtracts phi's nonzero entries times the overlap from their
-  rows or quarters and sets norm2 -= q, since ||(1 - P) v||^2 = ||v||^2 -
-  q: no copy, no full norm and no full rescale. Outcome 1 writes all four
-  as the twirled phi times overlap / sqrt(q), and norm2 = 1. When norm2
-  falls below 1/4, and at the end of the walk, the norm is recomputed and
-  the state rescaled to unit norm, so norm2 stays in [1/4, 1] and its
-  rounding cannot build up. The three layouts give the same states to
-  rounding (about 1e-15).
+  Both carry the state's squared norm, norm2, as a scalar. The overlap
+  sums phi's nonzero rows or quarters only, and the outcome is 1 when the
+  draw is below p = q / norm2, q = ||overlap||^2. Outcome 0 subtracts
+  phi's nonzero entries times the overlap from their rows or quarters and
+  sets norm2 -= q, since ||(1 - P) v||^2 = ||v||^2 - q: no copy, no full
+  norm and no full rescale. Outcome 1 writes all four as the twirled phi
+  times overlap / sqrt(q), and norm2 = 1. When norm2 falls below 1/4, and
+  at the end of the walk, the norm is recomputed and the state rescaled to
+  unit norm, so norm2 stays in [1/4, 1] and its rounding cannot build up.
+  The two layouts give the same states to rounding (about 1e-15).
 
-  The crossovers were measured as `run_trajectory` steps per second,
-  separate processes pinned to one core with `OMP_NUM_THREADS=1`, L = 2n
-  clauses; planted restricted ones have two nonzero amplitudes, random
-  ones four, and the four-amplitude ones set both rules. Scalars over
-  rows: restricted 3.5 at n=2, 2.3 at n=4, 1.6 at n=5, 1.1 at n=6 and
-  0.72 at n=7; four-amplitude 1.9 at n=2, 1.4 at n=4 and 1.03 at n=5 (10
-  alternating process pairs), 0.65 at n=6 and 0.42 at n=7.
-  Views over rows: restricted 1.4 to 2.2 at n = 12-16; four-amplitude
-  0.63 at n=12, 0.92 at n=13 and 1.00 at n=14 (10 alternating process
-  pairs), 1.25 at n=15 and 1.5 at n=16. Below 14 qubits a view's strided
-  quarters make short inner loops and extra numpy calls that cost more,
-  for four-amplitude clauses, than the row copies they save.
+  The crossover was measured as `run_trajectory` steps per second (T =
+  2000, seeds 0-9), in separate processes pinned to one core with
+  `OMP_NUM_THREADS=1`, on L = 2n clauses: planted restricted ones, with
+  two nonzero amplitudes, and random ones with four. Views over scalars,
+  medians of 10 alternating process pairs: restricted 0.49 at n=5, 0.79 at
+  n=6 and 1.39 at n=7; four-amplitude 0.49, 0.78 and 1.31. On 2^n <= 64
+  amplitudes a view step's dozen numpy calls cost more than the Python
+  arithmetic they replace. Up to 13 qubits the views' short strided inner
+  loops also cost more than a step that copies the clause's 4 x 2^(n-2)
+  rows out of the state and back: views over such a copying step, same
+  grid, were 0.49, 0.60, 0.75 and 0.88 at n = 8, 10, 12 and 13 on
+  four-amplitude clauses, and 0.84, 1.02, 1.48 and 1.69 on restricted ones.
+  No benchmark workload runs those sizes, so the copying step is not kept
+  and one in-place step serves every register above the scalar one.
 
   A block's Haar unitaries (step 2d of the random stream below) are
   computed by one `_haar_stack` call at the block's first outcome 1, and
@@ -125,7 +121,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .densesim import _clause_rows, _clause_split, _from_clause_rows, basis_state, num_qubits
+from .densesim import _clause_rows, _clause_split, basis_state, num_qubits
 from .errors import DegenerateBranch, DimensionMismatch, IndexOutOfRange
 from .instance import Instance
 
@@ -135,9 +131,8 @@ _BLOCK = 64
 _LOCKSTEP_MIN = 4            # narrowest chunk that _lockstep runs faster than _walk
 _LOCKSTEP_MAX_QUBITS = 10    # above it, gathers through index tables cost more than `_walk`
 _LOCKSTEP_ENTRIES = 2**13    # widest lockstep batch, in b * 2^n state entries
-_SCALARS_MAX_QUBITS = 5      # at or below it, a step works on a list of Python complex
-_ROWS_MAX_QUBITS = 13        # above it, a step updates the state in place through strided views
-_SCALARS, _ROWS, _VIEWS = "scalars", "rows", "views"    # the step's layouts, from n alone
+_SCALARS_MAX_QUBITS = 6      # at or below it, a step works on a list of Python complex
+_SCALARS, _VIEWS = "scalars", "views"    # the step's layouts, from n alone
 _OBSERVED_ENTRIES = 2**18    # widest operator buffer of `_walk`, in state entries
 
 
@@ -184,18 +179,15 @@ def _clause_ket(clause, n: int):
       conjugate; for the outcome-1 write, which builds the state row by row,
       an itemgetter that puts the rows' entries back into index order; and
       phi flat as Python scalars;
-    * `_ROWS` (n <= `_ROWS_MAX_QUBITS`): phi as a column and conj(phi) flat;
     * `_VIEWS`: phi's nonzero entries as (b_lo, b_hi, amplitude).
     """
     pair, phi = _clause_split(clause, n)
     if n <= _SCALARS_MAX_QUBITS:
-        rows = _clause_rows(np.arange(2**n), pair).tolist()
+        rows = _clause_rows(np.arange(2**n), pair)
         flat = phi.reshape(4).tolist()
-        layout, terms = _SCALARS, ([(rows[r], a, a.conjugate()) for r, a in enumerate(flat) if a],
-                                   itemgetter(*_from_clause_rows(np.arange(2**n), pair).tolist()),
+        layout, terms = _SCALARS, ([(r, a, a.conjugate()) for r, a in zip(rows.tolist(), flat) if a],
+                                   itemgetter(*np.argsort(rows.ravel()).tolist()),
                                    flat)
-    elif n <= _ROWS_MAX_QUBITS:
-        layout, terms = _ROWS, (phi.reshape(4, 1), phi.conj().reshape(4))
     else:
         layout, terms = _VIEWS, [(int(x), int(y), complex(phi[x, y])) for x, y in zip(*np.nonzero(phi))]
     return layout, pair, phi, clause.i < clause.j, terms
@@ -207,13 +199,11 @@ def _measure(psi, norm2: float, ket, draw: float):
     Returns psi as the step reads it, <phi|psi> on the other qubits, its
     norm^2 q, and the outcome (1 when draw < p = q / norm2). In the
     `_SCALARS` layout psi is a list of complex and the overlap a list,
-    summed over phi's nonzero entries by index; in `_ROWS`, psi is read as
-    the 4 x 2^(n-2) matrix of `_clause_rows`, a copy unless the pair is
-    (0, 1), and norm2 is 1; in `_VIEWS`, as the view `psi.reshape(pair)`,
-    summing only phi's nonzero entries over the strided quarters
-    `[:, b_lo, :, b_hi, :]`. The drawn branch raises DegenerateBranch when
-    its probability is below `BRANCH_NORM_FLOOR`: p for outcome 1, and 1 - p
-    for outcome 0 (in `_ROWS`, `_write_back` checks that branch's norm).
+    summed over phi's nonzero entries by index; in `_VIEWS`, psi is read as
+    the view `psi.reshape(pair)`, summing only phi's nonzero entries over
+    the strided quarters `[:, b_lo, :, b_hi, :]`. The drawn branch raises
+    DegenerateBranch when its probability is below `BRANCH_NORM_FLOOR`: p
+    for outcome 1, and 1 - p for outcome 0.
     """
     layout, pair, _, _, terms = ket
     if layout is _SCALARS:
@@ -227,10 +217,6 @@ def _measure(psi, norm2: float, ket, draw: float):
         mat, q = psi, 0.0
         for o in overlap:
             q += o.real * o.real + o.imag * o.imag
-    elif layout is _ROWS:
-        mat = _clause_rows(psi, pair)
-        overlap = terms[1] @ mat
-        q = np.vdot(overlap, overlap).real
     else:
         mat = psi.reshape(pair)
         (x, y, amp), *rest = terms
@@ -245,7 +231,7 @@ def _measure(psi, norm2: float, ket, draw: float):
         if p < BRANCH_NORM_FLOOR:
             raise DegenerateBranch(f"unsatisfied branch has norm^2 {p}")
         return mat, overlap, q, 1
-    if layout is not _ROWS and 1 - p < BRANCH_NORM_FLOOR:
+    if 1 - p < BRANCH_NORM_FLOOR:
         raise DegenerateBranch(f"satisfied branch has norm^2 {1 - p}")
     return mat, overlap, q, 0
 
@@ -255,25 +241,30 @@ def _write_back(psi, norm2: float, ket, mat, overlap, q, u, coin: float):
 
     u is None on outcome 0, which keeps (1 - P) psi. On outcome 1, P psi =
     phi (x) overlap, and u twirls phi on the clause's qubit i when coin < 0.5,
-    on qubit j otherwise. In `_ROWS` the state is a new unit vector, copied
-    back from the clause rows, and its norm^2 is 1. In `_SCALARS` and
-    `_VIEWS` psi itself is written, by index or through `mat`, its
-    `reshape(pair)` view: outcome 0 subtracts phi's nonzero entries times
-    the overlap from their rows or quarters and lowers norm2 by q, with no
-    copy and no rescale; outcome 1 writes all four as twirled phi times
-    overlap / sqrt(q), a unit vector (in `_SCALARS`, a new list gathered
-    into index order). When norm2 falls below 1/4, psi is
-    rescaled to unit norm from its recomputed norm, so the carried norm2
-    stays in [1/4, 1] and its rounding cannot build up.
+    on qubit j otherwise. psi itself is written, by index in `_SCALARS` or
+    through `mat`, its `reshape(pair)` view, in `_VIEWS`: outcome 0
+    subtracts phi's nonzero entries times the overlap from their rows or
+    quarters and lowers norm2 by q, with no copy and no rescale; outcome 1
+    writes all four as twirled phi times overlap / sqrt(q), a unit vector
+    (in `_SCALARS`, a new list gathered into index order). When norm2 falls
+    below 1/4, psi is rescaled to unit norm from its recomputed norm, so the
+    carried norm2 stays in [1/4, 1] and its rounding cannot build up.
     """
-    layout, pair, phi, i_is_lo, terms = ket
-    if layout is _SCALARS:
-        if u is None:
+    layout, _, phi, i_is_lo, terms = ket
+    if u is None:
+        if layout is _SCALARS:
             for rows, amp, _ in terms[0]:
                 for i, o in zip(rows, overlap):
                     psi[i] -= amp * o
-            norm2 -= q
-            return (_unit(psi), 1.0) if norm2 < 0.25 else (psi, norm2)
+        else:
+            term = None
+            for x, y, amp in terms:
+                term = np.multiply(overlap, amp, out=term)
+                mat[:, x, :, y, :] -= term
+        norm2 -= q
+        return (_unit(psi), 1.0) if norm2 < 0.25 else (psi, norm2)
+    s = 1.0 / math.sqrt(q)
+    if layout is _SCALARS:
         (u00, u01), (u10, u11) = u.tolist()
         p00, p01, p10, p11 = terms[2]
         if (coin < 0.5) == i_is_lo:            # u @ phi
@@ -282,32 +273,14 @@ def _write_back(psi, norm2: float, ket, mat, overlap, q, u, coin: float):
         else:                                  # phi @ u.T
             twirled = (p00 * u00 + p01 * u01, p00 * u10 + p01 * u11,
                        p10 * u00 + p11 * u01, p10 * u10 + p11 * u11)
-        s = 1.0 / math.sqrt(q)
         scaled = [o * s for o in overlap]
         return list(terms[1]([t * o for t in twirled for o in scaled])), 1.0
-    if u is None:
-        if layout is _VIEWS:
-            term = None
-            for x, y, amp in terms:
-                term = np.multiply(overlap, amp, out=term)
-                mat[:, x, :, y, :] -= term
-            norm2 -= q
-            return (_unit(psi), 1.0) if norm2 < 0.25 else (psi, norm2)
-        mat = mat - terms[0] * overlap
-        r = np.vdot(mat, mat).real
-        if r < BRANCH_NORM_FLOOR:
-            raise DegenerateBranch(f"satisfied branch has norm^2 {r}")
-        mat = mat * (1.0 / math.sqrt(r))
-    else:
-        twirled = u @ phi if (coin < 0.5) == i_is_lo else phi @ u.T
-        scaled = overlap * (1.0 / math.sqrt(q))
-        if layout is _VIEWS:
-            for x in (0, 1):
-                for y in (0, 1):
-                    np.multiply(scaled, twirled[x, y], out=mat[:, x, :, y, :])
-            return psi, 1.0
-        mat = twirled.reshape(4, 1) * scaled
-    return _from_clause_rows(mat, pair), 1.0
+    twirled = u @ phi if (coin < 0.5) == i_is_lo else phi @ u.T
+    scaled = overlap * s
+    for x in (0, 1):
+        for y in (0, 1):
+            np.multiply(scaled, twirled[x, y], out=mat[:, x, :, y, :])
+    return psi, 1.0
 
 
 def _unit(psi):

@@ -132,8 +132,6 @@ def test_expectation_rejects_complex_result():
 
 def test_state_and_density_validation():
     with pytest.raises(DimensionMismatch):
-        densesim.as_state_vector(np.array([1.0, 1.0]))
-    with pytest.raises(DimensionMismatch):
         densesim.num_qubits(np.zeros(3))
     rng = np.random.default_rng(7)
     rho = densesim.random_density_matrix(2, rng)

@@ -18,7 +18,6 @@ from qsatwalk.observables import build_hamiltonian, clause_projector, instance_s
 from qsatwalk.trajectory import (
     _BLOCK,
     _CHUNK,
-    _ROWS_MAX_QUBITS,
     _SCALARS_MAX_QUBITS,
     _clause_ket,
     _haar_stack,
@@ -131,11 +130,9 @@ def test_trajectory_step_singlet_outcome_probability():
     assert abs(ones / 4000 - 0.5) < 5 * np.sqrt(0.25 / 4000)
 
 
-@pytest.mark.parametrize("n", sorted({2, 3, 4, _SCALARS_MAX_QUBITS + 1,
-                                       _ROWS_MAX_QUBITS + 1, _ROWS_MAX_QUBITS + 3}))
+@pytest.mark.parametrize("n", sorted({2, 3, 4, _SCALARS_MAX_QUBITS, _SCALARS_MAX_QUBITS + 1, 14, 16}))
 def test_trajectory_step_leaves_input_state_unchanged(n):
-    # for pair (0, 1) the row layout reads psi through a view, and the other
-    # layouts write their state in place, so the step must work on a copy
+    # both layouts write their state in place, so the step must work on a copy
     rng = np.random.default_rng(46 + n)
     for i, j in itertools.permutations(range(n), 2):
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -154,10 +151,12 @@ def test_trajectory_step_leaves_input_state_unchanged(n):
 
 @pytest.mark.parametrize("kind", ["restricted", "4-amplitude"])
 def test_wide_walk_writes_its_own_state(kind):
-    """Above `_ROWS_MAX_QUBITS` a step updates the walk's state in place: two
+    """Above `_SCALARS_MAX_QUBITS` a step updates the walk's state in place: two
     blocks of steps of both outcomes allocate less than one more state vector
-    (a step that built each new state beside the old one would need two)."""
-    n = _ROWS_MAX_QUBITS + 3
+    (a step that built each new state beside the old one would need two). At
+    n = 16 the state outweighs the block's draw buffers, which at small n are
+    larger than a state vector."""
+    n = 16
     rng = np.random.default_rng(47)
     if kind == "restricted":
         inst = generate_planted_restricted(n, 2 * n, 47)
@@ -188,10 +187,10 @@ def test_complete_pair_outcome_probabilities_sum_to_one():
 
 def test_trajectory_step_degenerate_branch_guard():
     """A branch of norm^2 1e-15 raises, naming the branch, in each of the
-    step's three layouts. The clause is the singlet; the state is the triplet
-    with a 1e-15 share of singlet, measured with draw 0 (outcome 1), or the
-    singlet with a 1e-15 share of triplet, measured with a draw just below 1
-    (outcome 0)."""
+    step's two layouts and at a wide n. The clause is the singlet; the state
+    is the triplet with a 1e-15 share of singlet, measured with draw 0
+    (outcome 1), or the singlet with a 1e-15 share of triplet, measured with
+    a draw just below 1 (outcome 0)."""
 
     class ForcedRng:
         def __init__(self, draw):
@@ -204,7 +203,7 @@ def test_trajectory_step_degenerate_branch_guard():
             return self.draw
 
     eps = 10**-7.5
-    for n in (2, _SCALARS_MAX_QUBITS + 1, _ROWS_MAX_QUBITS + 1):
+    for n in (2, _SCALARS_MAX_QUBITS + 1, 14):
         for i, j in ((0, 1), (n - 1, 0)):
             inst = Instance(n=n, clauses=(make_clause(i, j, SINGLET),))
             singlet = apply_oracle(np.outer(SINGLET, np.conj(SINGLET)), i, j,
@@ -271,7 +270,7 @@ def test_run_trajectory_planted_start_counts_all_zeros():
     assert np.all(rec.outcomes == 0)
 
 
-@pytest.mark.parametrize("n", [2, _SCALARS_MAX_QUBITS + 1, _ROWS_MAX_QUBITS + 1])
+@pytest.mark.parametrize("n", [2, _SCALARS_MAX_QUBITS, _SCALARS_MAX_QUBITS + 1, 14])
 def test_walk_runs_a_blocks_haar_qr_only_on_an_outcome_1(n, monkeypatch):
     """`_walk` runs a block's stacked Haar QR at the block's first outcome 1
     only: a walk whose start state satisfies every clause (basis projectors

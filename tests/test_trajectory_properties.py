@@ -8,9 +8,10 @@ when the draw is below <psi|P|psi>; the state after outcome 0 is
 (1-P) psi / norm, and after outcome 1 it is the Haar unitary on the target
 qubit applied to P psi / norm. A whole trajectory is replayed the same way
 from the block layout written in the `trajectory` module docstring. The
-number of qubits is drawn on both sides of `_SCALARS_MAX_QUBITS` and of
-`_ROWS_MAX_QUBITS`, where the step changes how it holds the state and reads
-the clause.
+number of qubits is drawn on both sides of `_SCALARS_MAX_QUBITS`, where the
+step changes how it holds the state and reads the clause, and in a wide band
+from 14 qubits, where the strided quarters of the in-place step have long
+inner axes.
 """
 
 import copy
@@ -26,7 +27,6 @@ from qsatwalk.observables import build_hamiltonian
 from qsatwalk.trajectory import (
     _BLOCK,
     _CHUNK,
-    _ROWS_MAX_QUBITS,
     _SCALARS_MAX_QUBITS,
     _clause_ket,
     _lockstep,
@@ -43,7 +43,7 @@ from qsatwalk.trajectory import (
 from helpers import PROPERTY_SETTINGS, apply_oracle, clauses, random_state_vector
 
 TOL = 1e-12
-WIDE = _ROWS_MAX_QUBITS + 1          # the fewest qubits a step reads through strided views
+WIDE = 14          # the narrowest register of the wide band
 
 
 def _projector(clause):
@@ -108,12 +108,13 @@ EDGE_AMPS = {"restricted": (0, 0.6, 0.8j, 0), "type-ii": (0, 0, 0, 1j),
 
 
 @pytest.mark.parametrize("form", sorted(EDGE_AMPS))
-@pytest.mark.parametrize("n", range(_ROWS_MAX_QUBITS, WIDE + 3))
+@pytest.mark.parametrize("n", [*range(_SCALARS_MAX_QUBITS + 1, _SCALARS_MAX_QUBITS + 4),
+                               *range(WIDE - 1, WIDE + 3)])
 def test_trajectory_step_edge_pairs_match_oracle(n, form):
     """Pairs with lo = 0 and hi = n-1, in both clause orders, plus the last
-    adjacent pair and (1, 0), on both sides of the layout rule and two qubits
-    beyond it; a state with <psi|P|psi> = 1/2 so that both outcomes occur
-    among the seeds."""
+    adjacent pair and (1, 0), on the three registers above the layout rule
+    and on 13 to 16 qubits; a state with <psi|P|psi> = 1/2 so that both
+    outcomes occur among the seeds."""
     rng = np.random.default_rng(n)
     for i, j in [(0, n - 1), (n - 1, 0), (n - 2, n - 1), (1, 0)]:
         clause = make_clause(i, j, EDGE_AMPS[form])
@@ -202,7 +203,7 @@ def _carried_norm_walk(n, seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", [81, 82])
 def test_wide_walk_carried_norm_matches_oracle(seed, monkeypatch):
-    """Above `_ROWS_MAX_QUBITS` a satisfied outcome lowers a carried squared
+    """Above `_SCALARS_MAX_QUBITS` a satisfied outcome lowers a carried squared
     norm instead of rescaling the state, which is rescaled once the carried
     value falls below 1/4. With four-amplitude clauses that happens many times
     in ten blocks: after every step the carried value lies in [1/4, 1] and
