@@ -26,7 +26,7 @@ import numpy as np
 from . import channel, densesim
 from .errors import InvalidPromise, InvalidTarget
 from .instance import Instance
-from .trajectory import run_trajectory
+from .trajectory import _seed_json, run_trajectory
 
 
 class Variant(enum.Enum):
@@ -104,10 +104,14 @@ def decision_params(c: float, L: int, n: int, variant: Variant = Variant.RESTRIC
 
 
 def decide(inst: Instance, params: DecisionParams, master_seed) -> Verdict:
-    """Run one trajectory of params.T steps and threshold its zero count."""
+    """Run one trajectory of params.T steps and threshold its zero count.
+
+    The verdict's seed is the trajectory record's: master_seed as given, or
+    None for a Generator.
+    """
     record = run_trajectory(inst, params.T, master_seed)
     decision = "YES" if record.N0 >= params.N_int else "NO"
-    return Verdict(decision=decision, N0=record.N0, params=params, seed=master_seed)
+    return Verdict(decision=decision, N0=record.N0, params=params, seed=record.seed)
 
 
 def convergence_steps(n: int, L: int, epsilon: float, p: float, variant: Variant = Variant.RESTRICTED) -> int:
@@ -144,6 +148,6 @@ def verdict_to_json(verdict: Verdict) -> str:
         "N_int": verdict.params.N_int,
         "f": verdict.params.f,
         "variant": verdict.params.variant.value,
-        "seed": verdict.seed,
+        "seed": _seed_json(verdict.seed),
     }
     return json.dumps(doc, indent=1)

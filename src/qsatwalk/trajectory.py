@@ -9,20 +9,28 @@ in `channel`; the zero-outcome count N0 is the decision statistic.
 On an unsatisfied outcome the projected state is a product phi (x) a, and
 the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
 
-* `_walk` advances one trajectory with one step function pair, `_measure`
-  and `_write_back`; no per-clause index tables are built. It serves
-  `run_trajectory`, `decision.decide` (through `run_trajectory`) and the
-  ensemble chunks that `_lockstep` does not take; `trajectory_step` calls
-  the same pair on one state. How a step holds the state and reads the
-  drawn clause depends on n alone, in two layouts:
+* `_walk` advances one trajectory block by block; no per-clause index
+  tables are built. It serves `run_trajectory`, `decision.decide` (through
+  `run_trajectory`) and the ensemble chunks that `_lockstep` does not take.
+  Each block's clause, measurement and target draws become Python lists
+  once, and one call of the layout's steps function runs the whole block
+  (with operators to track, one call per step, after the state is copied
+  out). The layout depends on n alone:
 
-  - `_SCALARS`, at n <= 6 (`_SCALARS_MAX_QUBITS`): the state is a list of
-    Python complex, and the step reads and writes it by index with plain
-    Python arithmetic, through the basis indices of phi's nonzero rows of
-    `densesim._clause_rows`.
-  - `_VIEWS`, above 6 qubits: the step updates the walk's own state in
-    place through the strided quarters `[:, b_lo, :, b_hi, :]` of the view
-    `psi.reshape(pair)`.
+  - scalar, at n <= 6 (`_SCALARS_MAX_QUBITS`): `_scalar_steps` steps a list
+    of Python complex through the block inline, with no function call per
+    step. Its clause (`_scalar_ket`) holds, per rest index, the basis
+    indices of phi's nonzero rows of `densesim._clause_rows` as one tuple,
+    and the rows' amplitudes and their conjugates as tuples. The overlap is
+    one comprehension over those tuples and outcome 0 one loop, with the
+    arithmetic written out for one nonzero amplitude (basis and |11>
+    projectors), two (restricted clauses) and four; a clause with three
+    reads all four rows, one of them zero.
+  - views, above 6 qubits: `_views_steps` calls `_measure` and `_write_back`
+    per step, which update the walk's own state in place through the
+    strided quarters `[:, b_lo, :, b_hi, :]` of the view
+    `psi.reshape(pair)`. `trajectory_step` calls the same pair on one state
+    at every n, since the views work from n = 2.
 
   Both carry the state's squared norm, norm2, as a scalar. The overlap
   sums phi's nonzero rows or quarters only, and the outcome is 1 when the
@@ -39,20 +47,21 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
   2000, seeds 0-9), in separate processes pinned to one core with
   `OMP_NUM_THREADS=1`, on L = 2n clauses: planted restricted ones, with
   two nonzero amplitudes, and random ones with four. Views over scalars,
-  medians of 10 alternating process pairs: restricted 0.49 at n=5, 0.79 at
-  n=6 and 1.39 at n=7; four-amplitude 0.49, 0.78 and 1.31. On 2^n <= 64
-  amplitudes a view step's dozen numpy calls cost more than the Python
-  arithmetic they replace. Up to 13 qubits the views' short strided inner
-  loops also cost more than a step that copies the clause's 4 x 2^(n-2)
-  rows out of the state and back: views over such a copying step, same
-  grid, were 0.49, 0.60, 0.75 and 0.88 at n = 8, 10, 12 and 13 on
-  four-amplitude clauses, and 0.84, 1.02, 1.48 and 1.69 on restricted ones.
-  No benchmark workload runs those sizes, so the copying step is not kept
-  and one in-place step serves every register above the scalar one.
+  medians of 10 alternating process pairs: restricted 0.66 at n=6 and 1.11
+  at n=7; four-amplitude 0.59 and 1.09. On 2^n <= 64 amplitudes a view
+  step's dozen numpy calls cost more than the Python arithmetic they
+  replace. Up to 13 qubits the views' short strided inner loops also cost
+  more than a step that copies the clause's 4 x 2^(n-2) rows out of the
+  state and back: views over such a copying step, same grid, were 0.49,
+  0.60, 0.75 and 0.88 at n = 8, 10, 12 and 13 on four-amplitude clauses,
+  and 0.84, 1.02, 1.48 and 1.69 on restricted ones. No benchmark workload
+  runs those sizes, so the copying step is not kept and one in-place step
+  serves every register above the scalar one.
 
   A block's Haar unitaries (step 2d of the random stream below) are
   computed by one `_haar_stack` call at the block's first outcome 1, and
   not at all in a block without one; every block is still drawn in full.
+  The scalar layout converts them once to flat 4-lists of Python complex.
 * `_lockstep` advances b trajectories together as one (b, 2^n) array.
   Per-clause index tables, `_clause_rows(arange(2^n))` stacked once per
   chunk, gather each trajectory's clause rows; measurement, collapse and
@@ -82,10 +91,14 @@ T steps draws, from that generator and in this order:
 2. for each block of `_BLOCK` = 64 steps, always a full block even when
    fewer steps remain:
    a. `integers(L, size=_BLOCK)`: the clause measured at each step;
-   b. `random(_BLOCK)`: the measurement draws; the outcome is 1 (the
-      clause is violated) when the draw is below <psi|P|psi>;
-   c. `random(_BLOCK)`: the target draws; on outcome 1 the twirl acts on
-      the clause's qubit i when the draw is below 0.5, on qubit j otherwise;
+   b. `_BLOCK` uniform draws, the measurement draws; the outcome is 1
+      (the clause is violated) when the draw is below <psi|P|psi>;
+   c. `_BLOCK` uniform draws, the target draws; on outcome 1 the twirl
+      acts on the clause's qubit i when the draw is below 0.5, on qubit j
+      otherwise. Steps b and c are one call, `random((2, _BLOCK))`; each
+      double takes a fixed share of the bit generator's output, with
+      nothing buffered between calls, so it reads the stream exactly as two
+      `random(_BLOCK)` calls would;
    d. `standard_normal((2, _BLOCK, 2, 2))`: real and imaginary parts of a
       complex Ginibre matrix Z per step. The Q of Z = QR with R's diagonal
       positive, which `_haar_stack` computes in closed form, is the step's
@@ -132,7 +145,6 @@ _LOCKSTEP_MIN = 4            # narrowest chunk that _lockstep runs faster than _
 _LOCKSTEP_MAX_QUBITS = 10    # above it, gathers through index tables cost more than `_walk`
 _LOCKSTEP_ENTRIES = 2**13    # widest lockstep batch, in b * 2^n state entries
 _SCALARS_MAX_QUBITS = 6      # at or below it, a step works on a list of Python complex
-_SCALARS, _VIEWS = "scalars", "views"    # the step's layouts, from n alone
 _OBSERVED_ENTRIES = 2**18    # widest operator buffer of `_walk`, in state entries
 
 
@@ -171,61 +183,56 @@ def sample_initial_state(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _clause_ket(clause, n: int):
-    """What the step reads of a clause: its layout, chosen from n alone, the index
-    split, phi on (lo, hi), i < j, and the layout's own terms:
+    """What `_walk`'s step reads of a clause, in the layout that n selects:
+    `_scalar_ket` at n <= `_SCALARS_MAX_QUBITS`, `_views_ket` above."""
+    return _scalar_ket(clause, n) if n <= _SCALARS_MAX_QUBITS else _views_ket(clause, n)
 
-    * `_SCALARS` (n <= `_SCALARS_MAX_QUBITS`): for each nonzero entry of phi,
-      the basis indices of its `_clause_rows` row as a list, the entry and its
-      conjugate; for the outcome-1 write, which builds the state row by row,
-      an itemgetter that puts the rows' entries back into index order; and
-      phi flat as Python scalars;
-    * `_VIEWS`: phi's nonzero entries as (b_lo, b_hi, amplitude).
-    """
+
+def _scalar_ket(clause, n: int):
+    """The clause as `_scalar_steps` reads it: for each rest index, the basis
+    indices of phi's nonzero `_clause_rows` rows as a tuple (of all four rows
+    when three or more are nonzero), those rows' amplitudes and their
+    conjugates as tuples; phi flat as Python scalars, on (lo, hi); for the
+    outcome-1 write, which builds the state row by row, an itemgetter that
+    puts the rows' entries back into index order; and i < j."""
     pair, phi = _clause_split(clause, n)
-    if n <= _SCALARS_MAX_QUBITS:
-        rows = _clause_rows(np.arange(2**n), pair)
-        flat = phi.reshape(4).tolist()
-        layout, terms = _SCALARS, ([(r, a, a.conjugate()) for r, a in zip(rows.tolist(), flat) if a],
-                                   itemgetter(*np.argsort(rows.ravel()).tolist()),
-                                   flat)
-    else:
-        layout, terms = _VIEWS, [(int(x), int(y), complex(phi[x, y])) for x, y in zip(*np.nonzero(phi))]
-    return layout, pair, phi, clause.i < clause.j, terms
+    rows = _clause_rows(np.arange(2**n), pair)
+    flat = phi.reshape(4).tolist()
+    kept = [m for m in range(4) if flat[m]]
+    if len(kept) > 2:
+        kept = [0, 1, 2, 3]
+    amps = tuple(flat[m] for m in kept)
+    return (list(zip(*rows[kept].tolist())), amps, tuple(a.conjugate() for a in amps), flat,
+            itemgetter(*np.argsort(rows.ravel()).tolist()), clause.i < clause.j)
 
 
-def _measure(psi, norm2: float, ket, draw: float):
+def _views_ket(clause, n: int):
+    """The clause as `_measure` and `_write_back` read it: the index split, phi
+    on (lo, hi), i < j, and phi's nonzero entries as (b_lo, b_hi, amplitude)."""
+    pair, phi = _clause_split(clause, n)
+    terms = [(int(x), int(y), complex(phi[x, y])) for x, y in zip(*np.nonzero(phi))]
+    return pair, phi, clause.i < clause.j, terms
+
+
+def _measure(psi: np.ndarray, norm2: float, ket, draw: float):
     """Measure one clause on psi, whose squared norm is norm2.
 
-    Returns psi as the step reads it, <phi|psi> on the other qubits, its
-    norm^2 q, and the outcome (1 when draw < p = q / norm2). In the
-    `_SCALARS` layout psi is a list of complex and the overlap a list,
-    summed over phi's nonzero entries by index; in `_VIEWS`, psi is read as
-    the view `psi.reshape(pair)`, summing only phi's nonzero entries over
-    the strided quarters `[:, b_lo, :, b_hi, :]`. The drawn branch raises
-    DegenerateBranch when its probability is below `BRANCH_NORM_FLOOR`: p
-    for outcome 1, and 1 - p for outcome 0.
+    Returns the view `psi.reshape(pair)`, <phi|psi> on the other qubits,
+    its norm^2 q, and the outcome (1 when draw < p = q / norm2). The overlap
+    sums only phi's nonzero entries over the strided quarters `[:, b_lo, :,
+    b_hi, :]` of the view. The drawn branch raises DegenerateBranch when its
+    probability is below `BRANCH_NORM_FLOOR`: p for outcome 1, and 1 - p
+    for outcome 0.
     """
-    layout, pair, _, _, terms = ket
-    if layout is _SCALARS:
-        overlap = None
-        for rows, _, bra in terms[0]:
-            if overlap is None:
-                overlap = [bra * psi[i] for i in rows]
-            else:
-                for m, i in enumerate(rows):
-                    overlap[m] += bra * psi[i]
-        mat, q = psi, 0.0
-        for o in overlap:
-            q += o.real * o.real + o.imag * o.imag
-    else:
-        mat = psi.reshape(pair)
-        (x, y, amp), *rest = terms
-        overlap = mat[:, x, :, y, :] * amp.conjugate()
-        term = None
-        for x, y, amp in rest:
-            term = np.multiply(mat[:, x, :, y, :], amp.conjugate(), out=term)
-            overlap += term
-        q = np.vdot(overlap, overlap).real
+    pair, _, _, terms = ket
+    mat = psi.reshape(pair)
+    (x, y, amp), *rest = terms
+    overlap = mat[:, x, :, y, :] * amp.conjugate()
+    term = None
+    for x, y, amp in rest:
+        term = np.multiply(mat[:, x, :, y, :], amp.conjugate(), out=term)
+        overlap += term
+    q = np.vdot(overlap, overlap).real
     p = q / norm2
     if draw < p:
         if p < BRANCH_NORM_FLOOR:
@@ -236,47 +243,29 @@ def _measure(psi, norm2: float, ket, draw: float):
     return mat, overlap, q, 0
 
 
-def _write_back(psi, norm2: float, ket, mat, overlap, q, u, coin: float):
+def _write_back(psi: np.ndarray, norm2: float, ket, mat, overlap, q, u, coin: float):
     """The post-measurement state and its squared norm.
 
     u is None on outcome 0, which keeps (1 - P) psi. On outcome 1, P psi =
     phi (x) overlap, and u twirls phi on the clause's qubit i when coin < 0.5,
-    on qubit j otherwise. psi itself is written, by index in `_SCALARS` or
-    through `mat`, its `reshape(pair)` view, in `_VIEWS`: outcome 0
-    subtracts phi's nonzero entries times the overlap from their rows or
-    quarters and lowers norm2 by q, with no copy and no rescale; outcome 1
-    writes all four as twirled phi times overlap / sqrt(q), a unit vector
-    (in `_SCALARS`, a new list gathered into index order). When norm2 falls
-    below 1/4, psi is rescaled to unit norm from its recomputed norm, so the
-    carried norm2 stays in [1/4, 1] and its rounding cannot build up.
+    on qubit j otherwise. psi itself is written through `mat`, its
+    `reshape(pair)` view: outcome 0 subtracts phi's nonzero entries times
+    the overlap from their quarters and lowers norm2 by q, with no copy and
+    no rescale; outcome 1 writes all four as twirled phi times overlap /
+    sqrt(q), a unit vector. When norm2 falls below 1/4, psi is rescaled to
+    unit norm from its recomputed norm, so the carried norm2 stays in
+    [1/4, 1] and its rounding cannot build up.
     """
-    layout, _, phi, i_is_lo, terms = ket
+    _, phi, i_is_lo, terms = ket
     if u is None:
-        if layout is _SCALARS:
-            for rows, amp, _ in terms[0]:
-                for i, o in zip(rows, overlap):
-                    psi[i] -= amp * o
-        else:
-            term = None
-            for x, y, amp in terms:
-                term = np.multiply(overlap, amp, out=term)
-                mat[:, x, :, y, :] -= term
+        term = None
+        for x, y, amp in terms:
+            term = np.multiply(overlap, amp, out=term)
+            mat[:, x, :, y, :] -= term
         norm2 -= q
         return (_unit(psi), 1.0) if norm2 < 0.25 else (psi, norm2)
-    s = 1.0 / math.sqrt(q)
-    if layout is _SCALARS:
-        (u00, u01), (u10, u11) = u.tolist()
-        p00, p01, p10, p11 = terms[2]
-        if (coin < 0.5) == i_is_lo:            # u @ phi
-            twirled = (u00 * p00 + u01 * p10, u00 * p01 + u01 * p11,
-                       u10 * p00 + u11 * p10, u10 * p01 + u11 * p11)
-        else:                                  # phi @ u.T
-            twirled = (p00 * u00 + p01 * u01, p00 * u10 + p01 * u11,
-                       p10 * u00 + p11 * u01, p10 * u10 + p11 * u11)
-        scaled = [o * s for o in overlap]
-        return list(terms[1]([t * o for t in twirled for o in scaled])), 1.0
     twirled = u @ phi if (coin < 0.5) == i_is_lo else phi @ u.T
-    scaled = overlap * s
+    scaled = overlap * (1.0 / math.sqrt(q))
     for x in (0, 1):
         for y in (0, 1):
             np.multiply(scaled, twirled[x, y], out=mat[:, x, :, y, :])
@@ -305,13 +294,11 @@ def trajectory_step(psi: np.ndarray, inst: Instance, rng: np.random.Generator):
     n = num_qubits(psi)
     if n != inst.n:
         raise DimensionMismatch(f"state has {n} qubits but instance has {inst.n}")
-    ket = _clause_ket(inst.clauses[int(rng.integers(inst.L))], n)
-    if ket[0] is _SCALARS:
-        psi = psi.tolist()
+    ket = _views_ket(inst.clauses[int(rng.integers(inst.L))], n)
     mat, overlap, q, outcome = _measure(psi, 1.0, ket, rng.random())
     coin, u = (rng.random(), haar_unitary(rng)) if outcome else (0.0, None)
     psi, norm2 = _write_back(psi, 1.0, ket, mat, overlap, q, u, coin)
-    return np.asarray(psi if norm2 == 1.0 else _unit(psi), dtype=complex), outcome
+    return psi if norm2 == 1.0 else _unit(psi), outcome
 
 
 def _squares(prepared, rows: int, d: int):
@@ -342,53 +329,139 @@ def _real_vdot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _draw_block(rng: np.random.Generator, L: int):
-    """One block of draws, in the order the module docstring lists: clauses,
-    measurement draws, target draws, and the Ginibre parts (2, _BLOCK, 2, 2)."""
-    return (rng.integers(L, size=_BLOCK), rng.random(_BLOCK), rng.random(_BLOCK),
-            rng.standard_normal((2, _BLOCK, 2, 2)))
+    """One block of draws, in the order the module docstring lists: clauses;
+    the uniform draws (2, _BLOCK), measurement draws in row 0 and target
+    draws in row 1; and the Ginibre parts (2, _BLOCK, 2, 2)."""
+    return rng.integers(L, size=_BLOCK), rng.random((2, _BLOCK)), rng.standard_normal((2, _BLOCK, 2, 2))
+
+
+def _scalar_steps(psi: list, norm2: float, kets, draws, ks, haar, bits: bytearray):
+    """Steps ks of a block on psi, a list of Python complex, inline.
+
+    draws holds the block's clauses, measurement draws and target draws as
+    lists, and its Ginibre parts (2, k, 2, 2) for its k steps; haar is None
+    until the block's first outcome 1, which computes the block's Haar
+    unitaries in one `_haar_stack` call, as flat 4-lists. Each step's
+    outcome is appended to bits. Returns psi, norm2 and haar.
+
+    The overlap sums the ket's rows (`_scalar_ket`) per rest index, in one
+    comprehension whose arithmetic is written out for one, two and four
+    rows, and outcome 0 subtracts from the same rows in one loop. Outcome 1
+    builds a new list, the twirled phi times overlap / sqrt(q), and
+    outcome 0 rescales psi into a new list when the carried norm2 falls
+    below 1/4; otherwise psi is written in place.
+    """
+    clause, measure, coin, g = draws
+    append = bits.append
+    for k in ks:
+        idx, amps, bras, phi, order, i_is_lo = kets[clause[k]]
+        rows = len(bras)
+        if rows == 1:
+            (b0,) = bras
+            overlap = [b0 * psi[i] for (i,) in idx]
+        elif rows == 2:
+            b0, b1 = bras
+            overlap = [b0 * psi[i] + b1 * psi[j] for i, j in idx]
+        else:
+            b0, b1, b2, b3 = bras
+            overlap = [b0 * psi[i] + b1 * psi[j] + b2 * psi[x] + b3 * psi[y] for i, j, x, y in idx]
+        q = 0.0
+        for o in overlap:
+            q += o.real * o.real + o.imag * o.imag
+        p = q / norm2
+        if measure[k] < p:
+            if p < BRANCH_NORM_FLOOR:
+                raise DegenerateBranch(f"unsatisfied branch has norm^2 {p}")
+            if haar is None:
+                haar = _haar_stack(g[0] + 1j * g[1]).reshape(-1, 4).tolist()
+            u00, u01, u10, u11 = haar[k]
+            p00, p01, p10, p11 = phi
+            if (coin[k] < 0.5) == i_is_lo:         # u @ phi
+                twirled = (u00 * p00 + u01 * p10, u00 * p01 + u01 * p11,
+                           u10 * p00 + u11 * p10, u10 * p01 + u11 * p11)
+            else:                                  # phi @ u.T
+                twirled = (p00 * u00 + p01 * u01, p00 * u10 + p01 * u11,
+                           p10 * u00 + p11 * u01, p10 * u10 + p11 * u11)
+            s = 1.0 / math.sqrt(q)
+            scaled = [o * s for o in overlap]
+            psi, norm2 = list(order([t * o for t in twirled for o in scaled])), 1.0
+            append(1)
+            continue
+        if 1 - p < BRANCH_NORM_FLOOR:
+            raise DegenerateBranch(f"satisfied branch has norm^2 {1 - p}")
+        if rows == 1:
+            (a0,) = amps
+            for (i,), o in zip(idx, overlap):
+                psi[i] -= a0 * o
+        elif rows == 2:
+            a0, a1 = amps
+            for (i, j), o in zip(idx, overlap):
+                psi[i] -= a0 * o
+                psi[j] -= a1 * o
+        else:
+            a0, a1, a2, a3 = amps
+            for (i, j, x, y), o in zip(idx, overlap):
+                psi[i] -= a0 * o
+                psi[j] -= a1 * o
+                psi[x] -= a2 * o
+                psi[y] -= a3 * o
+        norm2 -= q
+        if norm2 < 0.25:
+            psi, norm2 = _unit(psi), 1.0
+        append(0)
+    return psi, norm2, haar
+
+
+def _views_steps(psi: np.ndarray, norm2: float, kets, draws, ks, haar, bits: bytearray):
+    """`_scalar_steps` on an array state, one `_measure` and `_write_back` per step."""
+    clause, measure, coin, g = draws
+    for k in ks:
+        ket = kets[clause[k]]
+        mat, overlap, q, outcome = _measure(psi, norm2, ket, measure[k])
+        if outcome and haar is None:
+            haar = _haar_stack(g[0] + 1j * g[1])
+        psi, norm2 = _write_back(psi, norm2, ket, mat, overlap, q, haar[k] if outcome else None, coin[k])
+        bits.append(outcome)
+    return psi, norm2, haar
 
 
 def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
     """T steps from a random basis state, with randomness drawn block by block.
 
     Returns the outcome bits, the final state as an array, and the prepared
-    operators' values at t = 0..T (None when there are none). The states
-    awaiting evaluation are kept at most `_OBSERVED_ENTRIES` entries at a
-    time (at least one state), so tracking operators adds a few state
-    vectors. A block's Haar unitaries are computed at its first outcome 1, if any.
+    operators' values at t = 0..T (None when there are none). Without
+    operators each block is one call of the layout's steps; with them, one
+    call per step, after the state is copied out. The states awaiting
+    evaluation are kept at most `_OBSERVED_ENTRIES` entries at a time (at
+    least one state), so tracking operators adds a few state vectors.
     """
     psi, norm2 = sample_initial_state(n, rng), 1.0
+    steps = _views_steps
     if n <= _SCALARS_MAX_QUBITS:
-        psi = psi.tolist()
-    outcomes = np.empty(T, dtype=np.int8)
+        psi, steps = psi.tolist(), _scalar_steps
+    bits = bytearray()
     values = np.empty((len(prepared), T + 1)) if prepared else None
     width = max(1, min(_BLOCK, _OBSERVED_ENTRIES >> n)) if prepared else _BLOCK
     states = np.empty((width, 2**n), dtype=complex) if prepared else None
     squares = _squares(prepared, width, 2**n)
     for start in range(0, T, _BLOCK):
-        clause, measure, coin, g = _draw_block(rng, len(kets))
-        clause, measure, coin = clause.tolist(), measure.tolist(), coin.tolist()
+        clause, uniform, g = _draw_block(rng, len(kets))
         stop = min(start + _BLOCK, T)
+        draws = (clause.tolist(), *uniform.tolist(), g[:, : stop - start])
+        if not prepared:
+            psi, norm2, _ = steps(psi, norm2, kets, draws, range(stop - start), None, bits)
+            continue
         haar = None
         for sub in range(start, stop, width):
             end = min(sub + width, stop)
             for t in range(sub, end):
-                if prepared:
-                    np.multiply(psi, 1.0 / math.sqrt(norm2), out=states[t - sub])
-                k = t - start
-                ket = kets[clause[k]]
-                mat, overlap, q, outcome = _measure(psi, norm2, ket, measure[k])
-                if outcome and haar is None:      # the block's first outcome 1
-                    haar = _haar_stack(g[0, : stop - start] + 1j * g[1, : stop - start])
-                psi, norm2 = _write_back(psi, norm2, ket, mat, overlap, q,
-                                         haar[k] if outcome else None, coin[k])
-                outcomes[t] = outcome
-            if prepared:
-                values[:, sub:end] = _observe(states[: end - sub], prepared, squares)
+                np.multiply(psi, 1.0 / math.sqrt(norm2), out=states[t - sub])
+                psi, norm2, haar = steps(psi, norm2, kets, draws, (t - start,), haar, bits)
+            values[:, sub:end] = _observe(states[: end - sub], prepared, squares)
     psi = np.asarray(psi if norm2 == 1.0 else _unit(psi), dtype=complex)
     if prepared:
         values[:, T] = _observe(psi[None], prepared, squares)[:, 0]
-    return outcomes, psi, values
+    return np.frombuffer(bits, dtype=np.int8).copy(), psi, values
 
 
 def _moments(values: np.ndarray):
@@ -451,9 +524,10 @@ def _lockstep_block(tables, rngs, k: int, draws, slot: np.ndarray):
     the higher qubit's rows swap W's off-diagonal entries.
     """
     rows, kets, i_is_lo = tables
-    clause, measure, coin, g = draws
+    clause, uniform, g = draws
     for r, rng in enumerate(rngs):
-        clause[r], measure[r], coin[r], g[r] = _draw_block(rng, len(kets))
+        clause[r], uniform[r], g[r] = _draw_block(rng, len(kets))
+    measure, coin = uniform[:, 0], uniform[:, 1]
     c = clause[:, :k].T                                               # (k, b)
     hi = (coin[:, :k].T < 0.5) != i_is_lo[c]                         # the twirl is on the higher qubit
     ket = kets[c, hi.view(np.int8)]                                   # (k, b, 3, 4)
@@ -496,8 +570,7 @@ def _lockstep(tables, n: int, T: int, rngs, prepared=None):
     norm_rows = norms.reshape(slots + 1, b)
     probs = np.empty((slots, b, 1, 1))                    # the block's p
     slot = (np.arange(slots * b) * d).reshape(slots, b, 1, 1)
-    draws = (np.empty((b, _BLOCK), dtype=np.int64), np.empty((b, _BLOCK)), np.empty((b, _BLOCK)),
-             np.empty((b, 2, _BLOCK, 2, 2)))
+    draws = (np.empty((b, _BLOCK), dtype=np.int64), np.empty((b, 2, _BLOCK)), np.empty((b, 2, _BLOCK, 2, 2)))
     n0 = np.full(b, T, dtype=np.int64)
     zeros = np.empty(T, dtype=np.int64)
     mean = np.empty((len(prepared), T + 1)) if prepared else None
@@ -554,6 +627,15 @@ def _as_generator(rng):
     if isinstance(rng, np.random.Generator):
         return rng, None
     return np.random.default_rng(rng), rng
+
+
+def _seed_json(seed):
+    """A seed as the JSON writers record it: an integer or a (nested) list of
+    them as plain Python ints, whatever integer type it came as; None for
+    anything else, such as a generator, whose state no integer names."""
+    if isinstance(seed, (int, np.integer, list, tuple, np.ndarray)):
+        return np.asarray(seed).tolist()
+    return None
 
 
 def run_trajectory(inst: Instance, T: int, rng, keep_history: bool = False) -> TrajectoryRecord:
@@ -692,9 +774,9 @@ def write_ensemble_summary(stats: EnsembleStats, path, extra: dict | None = None
         "T": stats.T,
         "mean_N0": stats.mean_N0,
         "stddev_N0": stats.stddev_N0,
-        "master_seed": stats.master_seed,
+        "master_seed": _seed_json(stats.master_seed),
         **(extra or {}),
     }
+    text = json.dumps(doc, indent=1)        # before opening: a failure leaves the file as it was
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")

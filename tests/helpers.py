@@ -19,6 +19,15 @@ PROPERTY_SETTINGS = settings(
 )
 FORMS = ("restricted", "type-ii", "arbitrary")
 
+# seeds the samplers accept, each made afresh, with what the JSON writers record for it
+SEED_KINDS = {
+    "int": (lambda: 3, 3),
+    "list": (lambda: [3, 4], [3, 4]),
+    "int64": (lambda: np.int64(3), 3),
+    "int64-array": (lambda: np.array([3, 4], dtype=np.int64), [3, 4]),
+    "generator": (lambda: np.random.default_rng(3), None),
+}
+
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 
 

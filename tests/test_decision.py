@@ -19,7 +19,7 @@ from qsatwalk.instance import (
     make_clause,
 )
 
-from helpers import random_product_basis
+from helpers import SEED_KINDS, random_product_basis
 
 SINGLET = (0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0)
 
@@ -158,6 +158,20 @@ def test_verdict_json_fields():
     doc = json.loads(verdict_to_json(decide(inst, params, 3)))
     assert set(doc) == {"decision", "N0", "T", "N_int", "f", "variant", "seed"}
     assert doc["T"] == 1568 and doc["N_int"] == 1350 and doc["variant"] == "restricted"
+
+
+@pytest.mark.parametrize("kind", sorted(SEED_KINDS))
+def test_verdict_json_writes_every_seed_kind(kind):
+    """The verdict keeps the trajectory record's seed (None for a generator),
+    and the JSON holds it as plain ints."""
+    import json
+
+    make, written = SEED_KINDS[kind]
+    seed = make()
+    verdict = decide(generate_no_instance(2, "complete_pair"), decision_params(1.0, 4, 2), seed)
+
+    assert (verdict.seed is None) == isinstance(seed, np.random.Generator)
+    assert json.loads(verdict_to_json(verdict))["seed"] == written
 
 
 def test_decide_acceptance_rates_small_scale():

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -29,11 +31,13 @@ from qsatwalk.trajectory import (
     run_trajectory,
     sample_initial_state,
     trajectory_step,
+    write_ensemble_summary,
 )
 
 from qsatwalk.verify import channel_match
 
 from helpers import (
+    SEED_KINDS,
     apply_oracle,
     haar_qr_oracle,
     random_product_basis,
@@ -396,6 +400,27 @@ def test_ensemble_basis_covariance_two_sample():
     b = run_ensemble(rotated, T, m, master_seed=13)
     result = scipy_stats.ks_2samp(a.n0, b.n0, method="asymp")
     assert result.pvalue > 0.01
+
+
+@pytest.mark.parametrize("kind", sorted(SEED_KINDS))
+def test_ensemble_summary_writes_every_seed_kind(kind, tmp_path):
+    """The summary holds the master seed as plain ints, and a summary that
+    cannot be written leaves the file as it was."""
+    make, written = SEED_KINDS[kind]
+    seed = make()
+    inst = generate_no_instance(2, "complete_pair")
+    if isinstance(seed, np.random.Generator):      # run_ensemble takes no generator
+        stats = dataclasses.replace(run_ensemble(inst, 5, 3, 7), master_seed=seed)
+    else:
+        stats = run_ensemble(inst, 5, 3, seed)
+    path = tmp_path / "summary.json"
+
+    write_ensemble_summary(stats, path)
+    assert json.loads(path.read_text())["master_seed"] == written
+
+    with pytest.raises(TypeError):
+        write_ensemble_summary(stats, path, extra={"unwritable": object()})
+    assert json.loads(path.read_text())["master_seed"] == written
 
 
 def test_run_ensemble_rejects_empty():

@@ -32,6 +32,7 @@ from qsatwalk.trajectory import (
     _lockstep,
     _lockstep_tables,
     _prepare_ops,
+    _scalar_steps,
     _walk,
     _write_back,
     haar_unitary,
@@ -170,13 +171,17 @@ def test_run_trajectory_replays_block_stream(case):
     assert np.max(np.abs(rec.final_state - psi)) <= TOL
 
 
-def _four_amplitude_instance(n, seed):
-    """2n clauses with four random complex amplitudes on random pairs of n qubits."""
+def _random_instance(n, seed, nonzero=4):
+    """2n clauses with `nonzero` random complex amplitudes, at random positions,
+    on random pairs of n qubits."""
     rng = np.random.default_rng(seed)
     drawn = []
     for _ in range(2 * n):
         i, j = (int(q) for q in rng.choice(n, 2, replace=False))
-        drawn.append(make_clause(i, j, rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        if nonzero < 4:
+            amps[rng.choice(4, 4 - nonzero, replace=False)] = 0
+        drawn.append(make_clause(i, j, amps))
     return Instance(n=n, clauses=tuple(drawn))
 
 
@@ -185,8 +190,11 @@ def _carried_norm_walk(n, seed, monkeypatch):
     oracle: for each step, whether the carried squared norm was rescaled,
     its value after the step, the state's actual squared norm and whether
     the outcome was 0; the run's record; and the oracle's outcomes and final
-    state."""
-    inst = _four_amplitude_instance(n, seed)
+    state. A wide step is watched through `_write_back`; the scalar walk's
+    block calls of `_scalar_steps` are split into one call per step, and a
+    satisfied step was rescaled when it returns a new list instead of the
+    list it wrote in place."""
+    inst = _random_instance(n, seed)
     T = 10 * _BLOCK
     steps = []
 
@@ -195,10 +203,38 @@ def _carried_norm_walk(n, seed, monkeypatch):
         steps.append((u is None and norm2 - q < 0.25, carried, np.vdot(out, out).real, u is None))
         return out, carried
 
+    def scalar_steps(psi, norm2, kets, draws, ks, haar, bits):
+        for k in ks:
+            before = psi
+            psi, norm2, haar = _scalar_steps(psi, norm2, kets, draws, (k,), haar, bits)
+            kept = bits[-1] == 0
+            steps.append((kept and psi is not before, norm2, np.vdot(psi, psi).real, kept))
+        return psi, norm2, haar
+
     monkeypatch.setattr(trajectory, "_write_back", write_back)
+    monkeypatch.setattr(trajectory, "_scalar_steps", scalar_steps)
     want, psi = _replay(inst, T, seed)
     rec = run_trajectory(inst, T, seed, keep_history=True)
     return np.array(steps).T, rec, want, psi
+
+
+@pytest.mark.parametrize("nonzero", [1, 2, 3, 4])
+def test_scalar_walks_replay_for_each_amplitude_count(nonzero):
+    """Scalar walks on clauses with 1, 2, 3 or 4 nonzero amplitudes, at random
+    positions, replay on the oracle for three blocks at every n of the
+    scalar layout, with both outcomes among them. No form of `helpers.FORMS`
+    has three nonzero amplitudes."""
+    ones, T = 0, 3 * _BLOCK
+    for n in range(2, _SCALARS_MAX_QUBITS + 1):
+        inst = _random_instance(n, 90 + 10 * nonzero + n, nonzero)
+        want, psi = _replay(inst, T, n)
+
+        rec = run_trajectory(inst, T, n, keep_history=True)
+
+        assert np.array_equal(rec.outcomes, want)
+        assert np.max(np.abs(rec.final_state - psi)) <= TOL
+        ones += want.sum()
+    assert 0 < ones < (_SCALARS_MAX_QUBITS - 1) * T
 
 
 @pytest.mark.parametrize("seed", [81, 82])
@@ -251,7 +287,7 @@ def test_lockstep_carried_norm_matches_states(seed, monkeypatch):
     below 1, and the carried value equals it; the batch rescales many
     times; and n0 is that of the trajectories run one by one."""
     n, b, T = 3, 8, 10 * _BLOCK
-    inst = _four_amplitude_instance(n, seed)
+    inst = _random_instance(n, seed)
     actual, ratio, rescales = [], [], []
     observe, moments, sumsq = trajectory._observe, trajectory._moments, trajectory._sumsq
     monkeypatch.setattr(trajectory, "_observe", lambda *a: actual.append(observe(*a)) or actual[-1])
