@@ -211,20 +211,22 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
     `sectors`). Hermiticity and trace are re-symmetrized every 100 steps;
     drift beyond 1e-6 before a correction raises NumericalDrift. Snapshots
     are dense 2^n x 2^n matrices in the caller's frame, kept only at the
-    requested step indices. tr[H rho_t] is the sum of the clause weights
-    tr[P_a rho_t], which step t computes itself (the last one from H's
-    entries); tr[Pi0 rho_t] reads a basis of the ground space kept with the
-    instance, so no dense H or ground projector is built per call. Index
-    plans are built at the first step, not by `evolve(..., 0)`.
+    requested step indices. tr[H rho_t] comes from step t itself (the trace
+    of its H rho on weight blocks, the clause weights tr[P_a rho_t] on the
+    whole space; the last one from H's entries); tr[Pi0 rho_t] reads a
+    basis of the ground space kept with the instance, so no dense H or
+    ground projector is built per call. Index plans are built at the first
+    step, not by `evolve(..., 0)`.
     """
-    rho, blocks = densesim._checked_density(rho0)
+    rho, squares = densesim._checked_density(rho0)
     if steps < 0:
         raise IndexOutOfRange(f"steps must be >= 0, got {steps}")
     if densesim.num_qubits(rho) != inst.n:
         raise IndexOutOfRange("initial state dimension does not match instance")
     from . import sectors    # compiled on the first call, not by `import qsatwalk`
 
-    run, state = sectors.start(inst, rho, blocks)
+    run, state = sectors.start(inst, rho, squares)
+    del squares                # the packed state holds a copy; the checked blocks go now
     wanted = set(int(t) for t in snapshot_schedule)
 
     trH = np.empty(steps + 1)

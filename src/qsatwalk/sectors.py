@@ -13,9 +13,18 @@ blocks (`_Sectors`), in one of two layouts:
   zeros in the identity frame, at most FRAME_ZERO_TOL after the rotation).
   The channel of such clauses conserves weight, so every rho_t stays
   block-diagonal, and only the C(n, k) x C(n, k) blocks are kept, packed into
-  C(2n, n) entries (41 MB instead of 256 MB at n = 12). Each clause reads
-  and writes them through an index plan (`_sector_plan`), a few numpy calls
-  per clause.
+  C(2n, n) entries (41 MB instead of 256 MB at n = 12). Summed over clauses,
+  the kernel's -phi (x) a terms are P_a rho, so one step is
+
+      E(rho) = rho - w (H rho + rho H) + w sum_a G_a (x) c_a,   w = 1/L,
+
+  with c_a = <phi_a|rho|phi_a> and G_a = P_a + K_a. H rho is one matrix
+  product per weight block, H_k @ rho_k, with the packed H kept on the
+  instance's record (one packed state in size), and tr[H rho] is the sum of
+  their traces. Only c_a and G_a (x) c_a go through an index plan per clause
+  (`_sector_plan`): one gather and one scatter into the same positions. G
+  stays per clause, so a tilt of P against K (z P + K, with z on the H rho
+  term) fits the same form.
 * The whole space as one block, for every other input: the 2^n x 2^n matrix
   row-major, stepped by `channel._apply` through reshaped views. Index plans
   for the whole space would take several times the matrix per clause, where
@@ -29,6 +38,7 @@ on the first call that needs it.
 from __future__ import annotations
 
 import functools
+import itertools
 import weakref
 from dataclasses import dataclass, field
 
@@ -64,9 +74,6 @@ class _Sectors:
     def views(self, state: np.ndarray) -> list:
         return [state[start : start + m * m].reshape(m, m) for start, m in self.squares]
 
-    def pack(self, rho: np.ndarray) -> np.ndarray:
-        return np.concatenate([densesim._block(rho, b).ravel() for b in self.blocks])
-
     def unpack(self, state: np.ndarray) -> np.ndarray:
         d = len(self.rank)
         if len(self.blocks) == 1:           # the whole space: the state is the matrix, row-major
@@ -96,21 +103,21 @@ def _sectors(n: int, whole: bool = False) -> _Sectors:
 
 @dataclass(frozen=True)
 class _SectorTerms:
-    """A clause on one Hamming weight of its pair, in the layout the sector kernel reads.
+    """A clause on one Hamming weight of its pair, in the layout the packed step reads.
 
-    `rows` lists the pair values 2*b_lo + b_hi where phi is nonzero, all of
-    weight `weight`, `phi` the amplitudes there and `g` G = P + K on
-    rows x rows. Outside `rows`, G is diagonal: `g_extra` at the pair values
-    `extra`.
+    `pairs` lists the pair values (b, b2), each 2*b_lo + b_hi, of the entries
+    (b (x) r, b2 (x) s) that c = <phi|rho|phi> reads and G (x) c writes:
+    first rows x rows, for `rows` the pair values where phi is nonzero (all
+    of one weight), then (e, e) for each other pair value e where G is
+    nonzero, since outside rows G = P + K is diagonal. `ket` holds
+    conj(phi_b) phi_b2 for the first len(ket) pairs and `g` G[b, b2] for
+    every pair.
     """
 
     pair: tuple
-    weight: int
-    rows: tuple
-    phi: np.ndarray
+    pairs: tuple
+    ket: np.ndarray
     g: np.ndarray
-    extra: tuple
-    g_extra: np.ndarray
 
 
 def _sector_terms(clause: Clause, n: int) -> _SectorTerms:
@@ -119,80 +126,26 @@ def _sector_terms(clause: Clause, n: int) -> _SectorTerms:
     for x, y, x2, y2, val in terms.g:
         g[2 * x + y, 2 * x2 + y2] = val
     rows = [2 * x + y for x, y, _ in terms.phi]
-    extra = [b for b in range(4) if b not in rows and g[b, b] != 0]
-    return _SectorTerms(
-        pair=terms.pair, weight=_PAIR_WEIGHT[rows[0]], rows=tuple(rows),
-        phi=np.array([amp for _, _, amp in terms.phi]), g=g[np.ix_(rows, rows)],
-        extra=tuple(extra), g_extra=g[extra, extra],
-    )
+    phi = np.array([amp for _, _, amp in terms.phi])
+    pairs = [*itertools.product(rows, repeat=2), *((b, b) for b in range(4) if b not in rows and g[b, b] != 0)]
+    return _SectorTerms(pair=terms.pair, pairs=tuple(pairs), ket=np.outer(phi.conj(), phi).ravel(),
+                        g=np.array([g[b, b2] for b, b2 in pairs]))
 
 
-@dataclass(frozen=True)
-class _SectorPlan:
-    """Where one clause reads and writes the packed state (see `_sector_plan`)."""
+def _sector_plan(terms: _SectorTerms, n: int) -> np.ndarray:
+    """Index plan of one clause into the packed n-qubit state, shape
+    (len(terms.pairs), C(2n-4, n-2)).
 
-    rows: np.ndarray     # (len(rows), A) positions of the entries (b (x) r, y) that a = <phi|rho reads
-    runs: np.ndarray     # (len(rows), C) places in a of the entries (r, b2 (x) s) that make up c
-    extra: np.ndarray    # (len(extra), C) positions of the entries (b (x) r, b (x) s) of G (x) c
-
-    @property
-    def nbytes(self) -> int:
-        return self.rows.nbytes + self.runs.nbytes + self.extra.nbytes
-
-
-def _sector_plan(terms: _SectorTerms, n: int) -> _SectorPlan:
-    """Index plan of one clause into the packed n-qubit state.
-
-    The rows of rho that a = <phi|rho reads are b (x) r over the clause's
-    pair values b and every rest index r (the other n-2 qubits), and each is
-    a whole row of its weight block. So a lists, for each r in the order of
-    weight then index, the block row of b (x) r, and row k of `rows` holds
-    where those entries of rho sit for b = rows[k]: ascending runs of
-    consecutive positions, read and written in one sweep. c = <phi|rho|phi>
-    is laid out like a packed (n-2)-qubit matrix, entry (r, s) over
-    weight(r) = weight(s); row k of `runs` holds where its entry
-    (r, rows[k] (x) s) sits in a, and row k of `extra` where rho's entry
-    (extra[k] (x) r, extra[k] (x) s) sits.
+    c = <phi|rho|phi> is laid out like a packed (n-2)-qubit matrix, entry
+    (r, s) over weight(r) = weight(s), and row k holds, in that order, where
+    rho's entry (b (x) r, b2 (x) s) sits for (b, b2) = terms.pairs[k]. Both
+    lie in one weight block of rho, since b and b2 have one weight.
     """
     sec, rest = _sectors(n), _sectors(n - 2)
     full = densesim._clause_rows(np.arange(2**n), terms.pair)   # full index of b (x) r, row b
-    widths = [len(sec.blocks[j + terms.weight]) for j in range(n - 1)]   # a's row length per weight of r
-    starts = np.cumsum([0] + [len(r) * m for r, m in zip(rest.blocks, widths)])
-
-    def square_runs(first, second):   # first[r] + second[s] over the packed (n-2)-qubit order of (r, s)
-        return np.concatenate([np.add.outer(first[r], second[r]).ravel() for r in rest.blocks])
-
-    rows = [np.concatenate([np.add.outer(sec.base[full[b][r]], np.arange(m)).ravel()
-                            for r, m in zip(rest.blocks, widths)])
-            for b in terms.rows]
-    row_start = np.empty(2 ** (n - 2), dtype=np.intp)
-    for j, r in enumerate(rest.blocks):
-        row_start[r] = starts[j] + widths[j] * np.arange(len(r))
-    runs = [square_runs(row_start, sec.rank[full[b]]) for b in terms.rows]
-    extra = [square_runs(sec.base[full[b]], sec.rank[full[b]]) for b in terms.extra]
-    return _SectorPlan(rows=np.array(rows), runs=np.array(runs),
-                       extra=np.array(extra, dtype=np.intp).reshape(len(extra), rest.size))
-
-
-def _add_sector_update(state, delta, terms: _SectorTerms, plan: _SectorPlan, weight: float,
-                       rest: _Sectors) -> float:
-    """`channel._add_clause_update` on packed states: add to `delta` an X with
-    X + X^dagger = weight * (T_a(rho) - rho) and return tr[P_a rho].
-
-    a = <phi|rho is gathered through `plan.rows` and c = <phi|rho|phi> from a
-    through `plan.runs`. The update to the rows b (x) r of the clause's own
-    pair values is -phi_b a plus G[b, b2] c / 2 on the entries of c's run
-    b2; G's diagonal outside `rows` adds g_extra c / 2 through `plan.extra`.
-    A handful of numpy calls per clause, whatever n.
-    """
-    a = terms.phi.conj() @ state[plan.rows]
-    c = terms.phi @ a[plan.runs]
-    update = np.multiply.outer(-weight * terms.phi, a)
-    for row, own in zip(update, (0.5 * weight * terms.g)[:, :, None] * c):
-        row[plan.runs] += own
-    delta[plan.rows] += update
-    delta[plan.extra] += (0.5 * weight * terms.g_extra)[:, None] * c
-    return float(c[rest.diag].real.sum())
+    return np.array([np.concatenate([np.add.outer(sec.base[full[b][r]], sec.rank[full[b2][r]]).ravel()
+                                     for r in rest.blocks])
+                     for b, b2 in terms.pairs])
 
 
 def _conjugate(rho: np.ndarray, blocks) -> np.ndarray:
@@ -218,8 +171,9 @@ class _Prepared:
     `clauses` are the clauses in the planted frame (`frame`, None for the
     identity) and `cut` the same clauses each cut to the weight of its pair
     it lies on, or None when some clause lies on no single weight. `kernels`
-    memoizes each layout's `kernel`, and `plans` is filled in by the first
-    step on weight blocks when n <= _PLANS_MAX_QUBITS.
+    memoizes each layout's `kernel`, `weight_h` holds H's weight blocks once
+    `ground` or a packed step reads them, and `plans` is filled in by the
+    first step on weight blocks when n <= _PLANS_MAX_QUBITS.
     """
 
     n: int
@@ -242,18 +196,28 @@ class _Prepared:
                                    _pair_entries(clauses, self.n, lambda x, y: sec.base[x] + sec.rank[y]))
         return self.kernels[whole]
 
+    def hamiltonian(self, whole: bool) -> list:
+        """H's square blocks on one layout, views of one packed array assembled from
+        its `_pair_entries`."""
+        sec, (positions, values) = _sectors(self.n, whole), self.kernel(whole)[1]
+        h = np.zeros(sec.size, dtype=complex)
+        np.add.at(h, positions, values[:, None])
+        return sec.views(h)
+
+    @functools.cached_property
+    def weight_h(self) -> list:
+        """H's weight blocks, kept for the packed step: one packed state in size."""
+        return self.hamiltonian(False)
+
     @functools.cached_property
     def ground(self) -> list:
         """(k, basis) for each block k of H that holds ground states (eigenvalues below
-        ZERO_TOL), basis the block's columns of them. H is assembled packed from its
-        entries, on the weight blocks when every clause lies on one weight, else on the
-        whole space; a block is diagonalized only when a Cholesky factorization of it
+        ZERO_TOL), basis the block's columns of them. H is read by weight block when
+        every clause lies on one weight, else on the whole space (assembled for this
+        and dropped); a block is diagonalized only when a Cholesky factorization of it
         less ZERO_TOL fails."""
-        sec, (positions, values) = _sectors(self.n, self.cut is None), self.kernel(self.cut is None)[1]
-        h = np.zeros(sec.size, dtype=complex)
-        np.add.at(h, positions, values[:, None])
         ground, tol = [], observables.ZERO_TOL
-        for k, square in enumerate(sec.views(h)):
+        for k, square in enumerate(self.hamiltonian(True) if self.cut is None else self.weight_h):
             if densesim._positive_definite(square - tol * np.eye(len(square))):
                 continue                   # every eigenvalue is above ZERO_TOL: no eigh needed
             vals, vecs = np.linalg.eigh(square)
@@ -277,19 +241,22 @@ def _prepare(inst: Instance) -> _Prepared:
     return _PREPARED[inst]
 
 
-def start(inst: Instance, rho: np.ndarray, blocks: list):
+def start(inst: Instance, rho: np.ndarray, squares: list):
     """(run, packed state) for `channel.evolve`: on the weight blocks when every clause
     lies on one weight and rho has no entry between weights in the planted frame, else
     on the whole space as one block.
 
-    `blocks` are the `densesim._weight_blocks` of rho in the caller's frame.
+    `squares` are the `densesim._weight_squares` of rho in the caller's frame, which
+    the packed state copies when that is the planted frame.
     """
     prep = _prepare(inst)
     rho = prep.to_planted(rho)
-    if prep.frame is not None and prep.cut is not None:
-        blocks = densesim._weight_blocks(rho, FRAME_ZERO_TOL)
-    run = _Run(prep, whole=prep.cut is None or len(blocks) == 1)
-    return run, run.sec.pack(rho)
+    if prep.cut is None:
+        squares = [rho]
+    elif prep.frame is not None:
+        squares = densesim._weight_squares(rho, FRAME_ZERO_TOL)
+    run = _Run(prep, whole=len(squares) == 1)
+    return run, np.concatenate([square.ravel() for square in squares])
 
 
 class _Run:
@@ -322,11 +289,15 @@ class _Run:
             return out.reshape(-1), energy
         if prep.plans is None and n <= _PLANS_MAX_QUBITS:
             prep.plans = [_sector_plan(t, n) for t in self.terms]
-        delta = np.zeros_like(state)
-        weight, rest = 1.0 / len(self.terms), _sectors(n - 2)
-        energy = sum(_add_sector_update(state, delta, t, prep.plans[k] if prep.plans else _sector_plan(t, n),
-                                        weight, rest)
-                     for k, t in enumerate(self.terms))
+        delta, weight = np.empty_like(state), 1.0 / len(self.terms)
+        for h, rho, out in zip(prep.weight_h, self.sec.views(state), self.sec.views(delta)):
+            np.matmul(h, rho, out=out)                 # H rho, one weight block at a time
+        energy = float(delta[self.sec.diag].real.sum())
+        delta *= -weight
+        for k, t in enumerate(self.terms):
+            plan = prep.plans[k] if prep.plans else _sector_plan(t, n)
+            c = t.ket @ state[plan[: len(t.ket)]]
+            delta[plan] += (0.5 * weight * t.g)[:, None] * c
         return _hermitian_sum(state, delta, self.squares), energy
 
     def energy(self, state):

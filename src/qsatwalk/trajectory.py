@@ -638,6 +638,16 @@ def _seed_json(seed):
     return None
 
 
+def _integer_seed(seed) -> bool:
+    """Whether `seed` is an int, a numpy integer, or a (nested) sequence of them:
+    the entropy that `np.random.default_rng([seed, k])` takes."""
+    if isinstance(seed, np.ndarray):
+        return seed.dtype.kind in "iu"
+    if isinstance(seed, (list, tuple)):
+        return all(_integer_seed(s) for s in seed)
+    return isinstance(seed, (int, np.integer))
+
+
 def run_trajectory(inst: Instance, T: int, rng, keep_history: bool = False) -> TrajectoryRecord:
     """Run one trajectory of T steps and count the satisfied (0) outcomes."""
     if T < 0:
@@ -717,11 +727,16 @@ def run_ensemble(
     `observables.instance_spin_operators` returns S and S^2, a 2-D one a dense
     2^n x 2^n matrix, and any other shape raises DimensionMismatch. Results do
     not depend on `workers`; at most one process is started per chunk.
+    `master_seed` is an int, a numpy integer or a sequence of them; any other
+    kind (a `Generator`, a float) raises TypeError before any trajectory runs.
     """
     if M < 1:
         raise IndexOutOfRange(f"M must be >= 1, got {M}")
     if T < 0:
         raise IndexOutOfRange(f"T must be >= 0, got {T}")
+    if not _integer_seed(master_seed):
+        raise TypeError("master_seed must be an int, a numpy integer or a sequence of them, "
+                        f"got {type(master_seed).__name__}")
     ops = list((operators or {}).items())
     for name, op in ops:
         if np.shape(op) not in ((2**inst.n,), (2**inst.n, 2**inst.n)):

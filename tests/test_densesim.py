@@ -152,14 +152,14 @@ def test_psd_check_rejects_a_negative_eigenvalue_in_one_weight_block():
     rho[0, 0] = 0.2
     rho[np.ix_([1, 2, 4], [1, 2, 4])] = 0.3 * np.ones((3, 3)) - 0.1 * np.eye(3)   # 0.8, -0.1, -0.1
     rho[np.ix_([3, 5], [3, 5])] = [[0.1, 0.35], [0.35, 0.1]]                      # 0.45, -0.25
-    assert len(densesim._weight_blocks(rho)) == 4
+    assert len(densesim._weight_squares(rho)) == 4
     assert abs(_named_eigenvalue(rho) - (-0.25)) < 1e-12
 
 
 def test_psd_check_rejects_a_negative_eigenvalue_across_weights():
     rho = np.eye(4, dtype=complex) / 4
     rho[0, 3] = rho[3, 0] = 0.3                                                   # -0.05
-    assert densesim._weight_blocks(rho) == [slice(None)]
+    assert len(densesim._weight_squares(rho)) == 1
     assert abs(_named_eigenvalue(rho) - (-0.05)) < 1e-12
 
 
@@ -170,7 +170,7 @@ def test_psd_check_accepts_rank_deficient_block_states():
     start = pure_density(densesim.basis_state(5, 0b00111))
     series = evolve(start, generate_planted_restricted(5, 10, seed=8), 5, snapshot_schedule=(5,))
     rho = series.snapshots[5]
-    assert len(densesim._weight_blocks(rho)) == 6
+    assert len(densesim._weight_squares(rho)) == 6
     assert np.sum(np.abs(np.linalg.eigvalsh(rho)) < 1e-12) >= 8     # rank-deficient
     densesim.as_density_matrix(rho)
 

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsatwalk import densesim, sectors
+from qsatwalk import channel, densesim, sectors
 from qsatwalk.channel import apply_step_channel, dual_residuals, evolve
 from qsatwalk.instance import ClauseForm, Instance, conjugate_instance, make_clause
 from qsatwalk.observables import build_hamiltonian, instance_spin_operators, spectral_data
@@ -206,7 +206,9 @@ def test_zero_steps_build_no_plans_and_n8_plans_are_small():
     evolve(densesim.maximally_mixed(8), inst, 0)
     assert sectors._PREPARED[inst].plans is None
     evolve(densesim.maximally_mixed(8), inst, 1)
-    assert 0 < sum(p.nbytes for p in sectors._PREPARED[inst].plans) < 2 * 2**20
+    # each of the 16 restricted clauses reads c through 2 x 2 rows and writes G (x) c through
+    # 2 more (|00> and |11>), each one position per entry of a packed 6-qubit matrix, C(12, 6)
+    assert 0 < sum(p.nbytes for p in sectors._PREPARED[inst].plans) <= 16 * 6 * 924 * np.intp().itemsize
 
 
 def test_wide_plans_stay_below_the_packed_state():
@@ -220,6 +222,45 @@ def test_wide_plans_stay_below_the_packed_state():
         assert sectors._sector_plan(terms, n).nbytes < packed_bytes
     evolve(densesim.maximally_mixed(n), inst, 1)
     assert sectors._PREPARED[inst].plans is None
+
+
+def _packed_h_cases():
+    """Restricted, extended and disguised instances at n = 2..6."""
+    from qsatwalk.instance import generate_planted_extended, generate_planted_restricted
+
+    for n in range(2, 7):
+        yield generate_planted_restricted(n, 2 * n, seed=30 + n)
+        yield generate_planted_extended(n, 2 * n, 0.5, seed=40 + n)
+        yield conjugate_instance(generate_planted_extended(n, n + 1, 0.3, seed=50 + n), random_product_basis(n, 60 + n))
+
+
+def test_packed_h_is_the_hamiltonian_in_the_planted_frame():
+    """The packed H the step multiplies by equals the weight blocks of `build_hamiltonian`,
+    rotated into the planted frame, and that rotated H has nothing between weights."""
+    for inst in _packed_h_cases():
+        prep = sectors._prepare(inst)
+        frame = prep.frame or [np.eye(2)] * inst.n
+        v = densesim.product_unitary(frame)
+        h = v.conj().T @ build_hamiltonian(inst) @ v
+        for square, b in zip(prep.weight_h, densesim._weight_index(inst.n)):
+            assert np.max(np.abs(square - h[np.ix_(b, b)])) <= TOL
+            h[np.ix_(b, b)] = 0
+        assert np.max(np.abs(h)) <= TOL
+
+
+def test_packed_step_energy_equals_the_entries_energy():
+    """tr[H rho] from the traces of the block products H_k rho_k equals `channel._energy`
+    over H's entries, and the dense tr[H rho] in the planted frame."""
+    rng = np.random.default_rng(28)
+    for inst in _packed_h_cases():
+        n, prep = inst.n, sectors._prepare(inst)
+        rho = block_diagonal_state(n, [len(b) for b in densesim._weight_index(n)], rng)
+        run = sectors._Run(prep, whole=False)
+        state = np.concatenate([densesim._block(rho, b).ravel() for b in densesim._weight_index(n)])
+        _, energy = run.step(state)
+        v = densesim.product_unitary(prep.frame or [np.eye(2)] * n)
+        assert abs(energy - channel._energy(state, run.entries)) <= TOL
+        assert abs(energy - densesim.expectation(v.conj().T @ build_hamiltonian(inst) @ v, rho)) <= TOL
 
 
 def test_dual_residuals_classifies_clauses_in_the_planted_frame():

@@ -60,7 +60,7 @@ def assert_matches_full_eigh(h):
 @given(instances(("restricted",)) | instances(("type-ii",)) | instances(("restricted", "type-ii")))
 def test_weight_conserving_hamiltonian_splits_into_blocks(inst):
     h = build_hamiltonian(inst)
-    assert len(densesim._weight_blocks(h)) == inst.n + 1
+    assert len(densesim._weight_squares(h)) == inst.n + 1
     assert_matches_full_eigh(h)
 
 

@@ -402,6 +402,15 @@ def test_ensemble_basis_covariance_two_sample():
     assert result.pvalue > 0.01
 
 
+@pytest.mark.parametrize("seed", [np.random.default_rng(3), 3.0, [3, 4.5]], ids=["generator", "float", "float-list"])
+def test_run_ensemble_rejects_other_seed_kinds_before_any_chunk(seed, monkeypatch):
+    chunks = []
+    monkeypatch.setattr(trajectory, "_ensemble_chunk", chunks.append)
+    with pytest.raises(TypeError, match="an int, a numpy integer or a sequence of them"):
+        run_ensemble(generate_no_instance(2, "complete_pair"), 5, 3, seed)
+    assert chunks == []
+
+
 @pytest.mark.parametrize("kind", sorted(SEED_KINDS))
 def test_ensemble_summary_writes_every_seed_kind(kind, tmp_path):
     """The summary holds the master seed as plain ints, and a summary that
