@@ -218,15 +218,15 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
     ground projector is built per call. Index plans are built at the first
     step, not by `evolve(..., 0)`.
     """
-    rho, squares = densesim._checked_density(rho0)
+    rho, packed = densesim._checked_density(rho0)
     if steps < 0:
         raise IndexOutOfRange(f"steps must be >= 0, got {steps}")
     if densesim.num_qubits(rho) != inst.n:
         raise IndexOutOfRange("initial state dimension does not match instance")
     from . import sectors    # compiled on the first call, not by `import qsatwalk`
 
-    run, state = sectors.start(inst, rho, squares)
-    del squares                # the packed state holds a copy; the checked blocks go now
+    run, state = sectors.start(inst, rho, packed)
+    del packed                 # the state itself in the identity frame; in another, freed now
     wanted = set(int(t) for t in snapshot_schedule)
 
     trH = np.empty(steps + 1)

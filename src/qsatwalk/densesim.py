@@ -21,14 +21,22 @@ O(L 4^n) per step and a few density matrices of memory. `kron_embed` and `observ
 through the same rows into full 2^n x 2^n operators, for spectra and tests,
 not per-step updates.
 
-Spectra go one Hamming-weight block at a time (`_weight_squares`). If every
-entry that couples two different weights is exactly zero, `hermitian_eig`
-diagonalizes each C(n, k) x C(n, k) weight block apart, and the checks of
-`as_density_matrix` read each block apart (positivity by a Cholesky
-factorization, the smallest eigenvalue only when one fails); otherwise the
-whole space is the one block. Blocks occur for the Hamiltonian of restricted
-(0, a, b, 0) and |11><11| clauses in the planted frame, and for every state
-the channel of such clauses reaches from the maximally mixed one.
+Spectra and checks go one Hamming-weight block at a time. `_weight_packed`
+gathers a matrix's C(n, k) x C(n, k) weight blocks into one fresh packed
+vector, each block through its own flat positions (`_weight_positions`,
+built per block and call), and returns it when every entry that couples two
+different weights is zero; `_weight_views` reads the blocks as views of it,
+and `_weight_squares` returns those views or, for a matrix that couples
+weights, the whole space as the one block. `hermitian_eig` diagonalizes
+each block apart. The checks of `as_density_matrix` read each block apart:
+Hermiticity against the block's conjugate transpose, written into one
+temporary of the packed layout that then becomes the Hermitian parts, and
+positivity by a Cholesky factorization of each part (the smallest
+eigenvalue only when one fails). `channel.evolve` keeps the packed vector
+as its state (see `sectors`). Blocks occur for the Hamiltonian of
+restricted (0, a, b, 0) and |11><11| clauses in the planted frame, and for
+every state the channel of such clauses reaches from the maximally mixed
+one.
 """
 
 from __future__ import annotations
@@ -86,30 +94,45 @@ def as_density_matrix(rho) -> np.ndarray:
 
 
 def _checked_density(rho):
-    """`as_density_matrix`, also returning the `_weight_squares` its checks read.
+    """`as_density_matrix`, also returning the packed weight blocks its checks read.
 
-    When no entry couples two weights, Hermiticity and positivity are checked
-    on the diagonal blocks alone: the zeros between them cannot break either.
+    Returns (rho, packed): packed is `_weight_packed(rho)`, one fresh vector of
+    rho's Hamming-weight blocks, or None when an entry couples two weights. In
+    the first case Hermiticity and positivity are checked on the blocks alone,
+    views of packed: the zeros between them cannot break either. Every block's
+    conjugate transpose goes into one temporary of packed's layout, which is
+    compared with the block and then becomes the Hermitian parts in two passes
+    over the whole temporary; each part's diagonal takes PSD_TOL in place before
+    its Cholesky factorization.
     """
     rho = np.asarray(rho, dtype=complex)
-    num_qubits(rho)
+    n = num_qubits(rho)
     if rho.ndim != 2:
         raise DimensionMismatch("density matrix must be 2-D")
-    squares = _weight_squares(rho)
-    herm = max(np.max(np.abs(a - a.conj().T)) for a in squares)
+    packed = _weight_packed(rho)
+    checked = rho if packed is None else packed
+    hermitian = np.empty(checked.shape, dtype=complex)      # C order, for the diagonal strides below
+    squares, parts = ([rho], [hermitian]) if packed is None else (
+        _weight_views(packed, n), _weight_views(hermitian, n))
+    deviations = []
+    for a, h in zip(squares, parts):
+        np.conjugate(a.T, out=h)
+        deviations.append(np.max(np.abs(a - h)))
+    herm = max(deviations)
     if herm > HERMITICITY_TOL:
         raise NotHermitian(f"density matrix deviates from Hermitian by {herm}")
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise DimensionMismatch(f"density matrix trace {tr} is not 1 within {TRACE_TOL}")
-    def hermitian(a):          # each block symmetrized alone, one at a time
-        return (a + a.conj().T) / 2
-
-    if not all(_positive_definite(hermitian(a) + PSD_TOL * np.eye(len(a))) for a in squares):
-        lo = min(np.linalg.eigvalsh(hermitian(a))[0] for a in squares)
+    hermitian += checked
+    hermitian *= 0.5                       # (a + a^dagger) / 2, block by block
+    for h in parts:
+        h.reshape(-1)[:: len(h) + 1] += PSD_TOL
+    if not all(_positive_definite(h) for h in parts):
+        lo = min(np.linalg.eigvalsh((a + a.conj().T) / 2)[0] for a in squares)
         if lo < -PSD_TOL:
             raise DimensionMismatch(f"density matrix has eigenvalue {lo} < -{PSD_TOL}")
-    return rho, squares
+    return rho, packed
 
 
 def _positive_definite(a: np.ndarray) -> bool:
@@ -173,17 +196,44 @@ def _weight_index(n: int) -> tuple:
     return blocks
 
 
-def _weight_squares(a: np.ndarray, tol: float = 0.0) -> list:
-    """a's Hamming-weight blocks `a[b][:, b]` for b in `_weight_index`, each gathered
-    once, when every entry coupling two different weights is zero (at most `tol` in
-    magnitude); otherwise the whole space as one block, `[a]`.
+def _weight_positions(b: np.ndarray, n: int) -> np.ndarray:
+    """Flat position x * 2^n + y of each entry (x, y) of the weight block on the basis
+    states b, an (m, m) array: built per block and call, not kept (all blocks together
+    take 22 MB at n = 12)."""
+    return np.add.outer(b * 2**n, b)
 
-    The check counts the nonzero entries of a once and of the gathered blocks,
-    C(2n, n) entries in all, once more (`_count_large`).
+
+def _weight_views(packed: np.ndarray, n: int) -> list:
+    """The weight blocks of a packed vector, as views: the blocks of `_weight_index`
+    in turn, each row-major, C(2n, n) entries in all."""
+    views, start = [], 0
+    for b in _weight_index(n):
+        m = len(b)
+        views.append(packed[start : start + m * m].reshape(m, m))
+        start += m * m
+    return views
+
+
+def _weight_packed(a: np.ndarray, tol: float = 0.0) -> np.ndarray | None:
+    """a's Hamming-weight blocks `a[b][:, b]` for b in `_weight_index`, gathered into
+    one fresh packed vector (`_weight_views`), when every entry coupling two different
+    weights is zero (at most `tol` in magnitude); otherwise None.
+
+    The check counts the nonzero entries of a once and of the packed vector,
+    C(2n, n) entries, once more (`_count_large`).
     """
-    squares = [a[np.ix_(b, b)] for b in _weight_index(num_qubits(a))]
-    inside = sum(_count_large(s, tol) for s in squares)
-    return squares if inside == _count_large(a, tol) else [a]
+    n, flat = num_qubits(a), a.reshape(-1)       # a copy only when a is not C-ordered
+    packed = np.empty(sum(len(b) ** 2 for b in _weight_index(n)), dtype=complex)
+    for b, square in zip(_weight_index(n), _weight_views(packed, n)):
+        np.take(flat, _weight_positions(b, n), out=square)
+    return packed if _count_large(packed, tol) == _count_large(a, tol) else None
+
+
+def _weight_squares(a: np.ndarray, tol: float = 0.0) -> list:
+    """a's Hamming-weight blocks, views of `_weight_packed(a, tol)`, or the whole space
+    as one block, `[a]`, when an entry couples two weights."""
+    packed = _weight_packed(a, tol)
+    return [a] if packed is None else _weight_views(packed, num_qubits(a))
 
 
 def _count_large(x: np.ndarray, tol: float) -> int:

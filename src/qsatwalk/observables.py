@@ -12,6 +12,7 @@ projector and the Hamiltonian need no such treatment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,8 +23,12 @@ from .instance import Instance, Clause
 ZERO_TOL = 1e-10
 
 
+@lru_cache(maxsize=None)
 def _spin_diagonal(n: int) -> np.ndarray:
-    return (n - 2 * densesim._hamming_weights(n)).astype(float)
+    """S's diagonal, n - 2 * hamming(x), kept per n and read-only."""
+    z = (n - 2 * densesim._hamming_weights(n)).astype(float)
+    z.flags.writeable = False
+    return z
 
 
 def _frame_blocks(inst: Instance) -> tuple | None:
@@ -51,7 +56,7 @@ def instance_spin_operators(inst: Instance):
     z = _spin_diagonal(inst.n)
     v = frame_unitary(inst)
     if v is None:
-        return z, z * z
+        return z.copy(), z * z
     vd = v.conj().T
     return (v * z) @ vd, (v * (z * z)) @ vd
 

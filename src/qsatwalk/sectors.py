@@ -30,6 +30,15 @@ blocks (`_Sectors`), in one of two layouts:
   for the whole space would take several times the matrix per clause, where
   the views are free, so the two layouts keep two kernels.
 
+Into and out of the packed layout: `densesim._checked_density` checks rho0
+on its weight blocks, gathered into one fresh packed vector, and in the
+identity frame `start` adopts that vector as the state, with no copy; in a
+planted frame rho0 is rotated and gathered once more. The whole space is
+copied, so the state never shares memory with rho0. `_Sectors.unpack`
+writes a snapshot with one flat scatter per weight block. The positions of
+all blocks together (22 MB at n = 12) are never held at once, and none is
+kept between calls.
+
 What an instance needs is kept with it in a `weakref.WeakKeyDictionary`:
 instances are immutable and hash by identity. `channel` imports this module
 on the first call that needs it.
@@ -75,13 +84,15 @@ class _Sectors:
         return [state[start : start + m * m].reshape(m, m) for start, m in self.squares]
 
     def unpack(self, state: np.ndarray) -> np.ndarray:
+        """The dense matrix, a fresh array: each weight block goes in with one flat
+        scatter through its `densesim._weight_positions`."""
         d = len(self.rank)
         if len(self.blocks) == 1:           # the whole space: the state is the matrix, row-major
             return state.reshape(d, d).copy()
-        out = np.zeros((d, d), dtype=complex)
+        n, out = d.bit_length() - 1, np.zeros(d * d, dtype=complex)
         for b, square in zip(self.blocks, self.views(state)):
-            out[np.ix_(b, b)] = square
-        return out
+            out[densesim._weight_positions(b, n)] = square
+        return out.reshape(d, d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,17 +121,18 @@ class _SectorTerms:
     first rows x rows, for `rows` the pair values where phi is nonzero (all
     of one weight), then (e, e) for each other pair value e where G is
     nonzero, since outside rows G = P + K is diagonal. `ket` holds
-    conj(phi_b) phi_b2 for the first len(ket) pairs and `g` G[b, b2] for
-    every pair.
+    conj(phi_b) phi_b2 for the first `rows` pairs, and `half_wg` (w/2) G[b, b2]
+    for every pair, w = 1/L the step's clause weight.
     """
 
     pair: tuple
     pairs: tuple
     ket: np.ndarray
-    g: np.ndarray
+    rows: int
+    half_wg: np.ndarray
 
 
-def _sector_terms(clause: Clause, n: int) -> _SectorTerms:
+def _sector_terms(clause: Clause, n: int, weight: float) -> _SectorTerms:
     terms = _clause_terms(clause, n)
     g = np.zeros((4, 4), dtype=complex)
     for x, y, x2, y2, val in terms.g:
@@ -129,7 +141,7 @@ def _sector_terms(clause: Clause, n: int) -> _SectorTerms:
     phi = np.array([amp for _, _, amp in terms.phi])
     pairs = [*itertools.product(rows, repeat=2), *((b, b) for b in range(4) if b not in rows and g[b, b] != 0)]
     return _SectorTerms(pair=terms.pair, pairs=tuple(pairs), ket=np.outer(phi.conj(), phi).ravel(),
-                        g=np.array([g[b, b2] for b, b2 in pairs]))
+                        rows=len(rows) ** 2, half_wg=0.5 * weight * np.array([g[b, b2] for b, b2 in pairs]))
 
 
 def _sector_plan(terms: _SectorTerms, n: int) -> np.ndarray:
@@ -191,8 +203,9 @@ class _Prepared:
         of `clauses`, or on the weight blocks, the `_SectorTerms` of `cut`."""
         if whole not in self.kernels:
             sec, clauses = _sectors(self.n, whole), (self.clauses if whole else self.cut)
-            make = _clause_terms if whole else _sector_terms
-            self.kernels[whole] = ([make(c, self.n) for c in clauses],
+            terms = ([_clause_terms(c, self.n) for c in clauses] if whole else
+                     [_sector_terms(c, self.n, 1.0 / len(clauses)) for c in clauses])
+            self.kernels[whole] = (terms,
                                    _pair_entries(clauses, self.n, lambda x, y: sec.base[x] + sec.rank[y]))
         return self.kernels[whole]
 
@@ -241,22 +254,25 @@ def _prepare(inst: Instance) -> _Prepared:
     return _PREPARED[inst]
 
 
-def start(inst: Instance, rho: np.ndarray, squares: list):
+def start(inst: Instance, rho: np.ndarray, packed: np.ndarray | None):
     """(run, packed state) for `channel.evolve`: on the weight blocks when every clause
     lies on one weight and rho has no entry between weights in the planted frame, else
     on the whole space as one block.
 
-    `squares` are the `densesim._weight_squares` of rho in the caller's frame, which
-    the packed state copies when that is the planted frame.
+    `packed` is `densesim._weight_packed(rho)` in the caller's frame, a fresh vector
+    (or None), which becomes the state when that is the planted frame. The state never
+    shares memory with rho: `channel._resymmetrize` writes it in place.
     """
     prep = _prepare(inst)
-    rho = prep.to_planted(rho)
+    planted = prep.to_planted(rho)             # rho itself in the identity frame, else a fresh array
     if prep.cut is None:
-        squares = [rho]
+        packed = None
     elif prep.frame is not None:
-        squares = densesim._weight_squares(rho, FRAME_ZERO_TOL)
-    run = _Run(prep, whole=len(squares) == 1)
-    return run, np.concatenate([square.ravel() for square in squares])
+        packed = densesim._weight_packed(planted, FRAME_ZERO_TOL)
+    if packed is not None:
+        return _Run(prep, whole=False), packed
+    state = np.array(planted, order="C") if planted is rho else planted
+    return _Run(prep, whole=True), state.reshape(-1)
 
 
 class _Run:
@@ -266,6 +282,7 @@ class _Run:
         self.prep, self.whole, self.sec = prep, whole, _sectors(prep.n, whole)
         self.terms, self.entries = prep.kernel(whole)
         self.spin = observables._spin_diagonal(prep.n)
+        self.spin2 = self.spin * self.spin
         self.squares = self.sec.squares
         if whole and prep.cut is not None:    # H's ground blocks are weight blocks of the one square
             weights = _sectors(prep.n).blocks
@@ -276,7 +293,7 @@ class _Run:
     def observe(self, state):
         pop, squares = state[self.sec.diag].real, self.sec.views(state)
         ground = sum(np.vdot(g, densesim._block(squares[k], b) @ g).real for k, b, g in self.ground)
-        return self.spin @ pop, (self.spin * self.spin) @ pop, ground
+        return self.spin @ pop, self.spin2 @ pop, ground
 
     def snapshot(self, state):
         rho = self.sec.unpack(state)
@@ -289,15 +306,14 @@ class _Run:
             return out.reshape(-1), energy
         if prep.plans is None and n <= _PLANS_MAX_QUBITS:
             prep.plans = [_sector_plan(t, n) for t in self.terms]
-        delta, weight = np.empty_like(state), 1.0 / len(self.terms)
+        delta = np.empty_like(state)
         for h, rho, out in zip(prep.weight_h, self.sec.views(state), self.sec.views(delta)):
             np.matmul(h, rho, out=out)                 # H rho, one weight block at a time
         energy = float(delta[self.sec.diag].real.sum())
-        delta *= -weight
-        for k, t in enumerate(self.terms):
-            plan = prep.plans[k] if prep.plans else _sector_plan(t, n)
-            c = t.ket @ state[plan[: len(t.ket)]]
-            delta[plan] += (0.5 * weight * t.g)[:, None] * c
+        delta *= -1.0 / len(self.terms)
+        for t, plan in zip(self.terms, prep.plans or (_sector_plan(t, n) for t in self.terms)):
+            c = t.ket @ state[plan[: t.rows]]
+            delta[plan] += np.multiply.outer(t.half_wg, c)
         return _hermitian_sum(state, delta, self.squares), energy
 
     def energy(self, state):

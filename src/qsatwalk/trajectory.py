@@ -29,8 +29,11 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
   - views, above 6 qubits: `_views_steps` calls `_measure` and `_write_back`
     per step, which update the walk's own state in place through the
     strided quarters `[:, b_lo, :, b_hi, :]` of the view
-    `psi.reshape(pair)`. `trajectory_step` calls the same pair on one state
-    at every n, since the views work from n = 2.
+    `psi.reshape(pair)`. The overlap and each product term go into two
+    quarter-size buffers (`_work`) that the walk allocates once, so a step
+    allocates nothing of the state's size on either outcome.
+    `trajectory_step` calls the same pair on one state at every n, since
+    the views work from n = 2, with buffers of its own.
 
   Both carry the state's squared norm, norm2, as a scalar. The overlap
   sums phi's nonzero rows or quarters only, and the outcome is 1 when the
@@ -127,6 +130,7 @@ target and `haar_unitary`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -214,24 +218,30 @@ def _views_ket(clause, n: int):
     return pair, phi, clause.i < clause.j, terms
 
 
-def _measure(psi: np.ndarray, norm2: float, ket, draw: float):
+def _work(n: int) -> np.ndarray:
+    """The two quarter-size buffers (2, 2^(n-2)) that `_measure` and `_write_back`
+    write into: the overlap, and one product term at a time."""
+    return np.empty((2, 2 ** (n - 2)), dtype=complex)
+
+
+def _measure(psi: np.ndarray, norm2: float, ket, draw: float, work: np.ndarray):
     """Measure one clause on psi, whose squared norm is norm2.
 
     Returns the view `psi.reshape(pair)`, <phi|psi> on the other qubits,
     its norm^2 q, and the outcome (1 when draw < p = q / norm2). The overlap
     sums only phi's nonzero entries over the strided quarters `[:, b_lo, :,
-    b_hi, :]` of the view. The drawn branch raises DegenerateBranch when its
-    probability is below `BRANCH_NORM_FLOOR`: p for outcome 1, and 1 - p
-    for outcome 0.
+    b_hi, :]` of the view, into work[0] with each term in work[1] (`_work`),
+    so a step allocates nothing of the state's size. The drawn branch raises
+    DegenerateBranch when its probability is below `BRANCH_NORM_FLOOR`: p for
+    outcome 1, and 1 - p for outcome 0.
     """
     pair, _, _, terms = ket
     mat = psi.reshape(pair)
+    overlap, term = work.reshape(2, *pair[0::2])
     (x, y, amp), *rest = terms
-    overlap = mat[:, x, :, y, :] * amp.conjugate()
-    term = None
+    np.multiply(mat[:, x, :, y, :], amp.conjugate(), out=overlap)
     for x, y, amp in rest:
-        term = np.multiply(mat[:, x, :, y, :], amp.conjugate(), out=term)
-        overlap += term
+        overlap += np.multiply(mat[:, x, :, y, :], amp.conjugate(), out=term)
     q = np.vdot(overlap, overlap).real
     p = q / norm2
     if draw < p:
@@ -243,8 +253,8 @@ def _measure(psi: np.ndarray, norm2: float, ket, draw: float):
     return mat, overlap, q, 0
 
 
-def _write_back(psi: np.ndarray, norm2: float, ket, mat, overlap, q, u, coin: float):
-    """The post-measurement state and its squared norm.
+def _write_back(psi: np.ndarray, norm2: float, ket, mat, overlap, q, u, coin: float, work: np.ndarray):
+    """The post-measurement state and its squared norm, with `_measure`'s work buffers.
 
     u is None on outcome 0, which keeps (1 - P) psi. On outcome 1, P psi =
     phi (x) overlap, and u twirls phi on the clause's qubit i when coin < 0.5,
@@ -258,17 +268,16 @@ def _write_back(psi: np.ndarray, norm2: float, ket, mat, overlap, q, u, coin: fl
     """
     _, phi, i_is_lo, terms = ket
     if u is None:
-        term = None
+        term = work[1].reshape(overlap.shape)
         for x, y, amp in terms:
-            term = np.multiply(overlap, amp, out=term)
-            mat[:, x, :, y, :] -= term
+            mat[:, x, :, y, :] -= np.multiply(overlap, amp, out=term)
         norm2 -= q
         return (_unit(psi), 1.0) if norm2 < 0.25 else (psi, norm2)
     twirled = u @ phi if (coin < 0.5) == i_is_lo else phi @ u.T
-    scaled = overlap * (1.0 / math.sqrt(q))
+    overlap *= 1.0 / math.sqrt(q)
     for x in (0, 1):
         for y in (0, 1):
-            np.multiply(scaled, twirled[x, y], out=mat[:, x, :, y, :])
+            np.multiply(overlap, twirled[x, y], out=mat[:, x, :, y, :])
     return psi, 1.0
 
 
@@ -294,10 +303,10 @@ def trajectory_step(psi: np.ndarray, inst: Instance, rng: np.random.Generator):
     n = num_qubits(psi)
     if n != inst.n:
         raise DimensionMismatch(f"state has {n} qubits but instance has {inst.n}")
-    ket = _views_ket(inst.clauses[int(rng.integers(inst.L))], n)
-    mat, overlap, q, outcome = _measure(psi, 1.0, ket, rng.random())
+    ket, work = _views_ket(inst.clauses[int(rng.integers(inst.L))], n), _work(n)
+    mat, overlap, q, outcome = _measure(psi, 1.0, ket, rng.random(), work)
     coin, u = (rng.random(), haar_unitary(rng)) if outcome else (0.0, None)
-    psi, norm2 = _write_back(psi, 1.0, ket, mat, overlap, q, u, coin)
+    psi, norm2 = _write_back(psi, 1.0, ket, mat, overlap, q, u, coin, work)
     return psi if norm2 == 1.0 else _unit(psi), outcome
 
 
@@ -412,15 +421,16 @@ def _scalar_steps(psi: list, norm2: float, kets, draws, ks, haar, bits: bytearra
     return psi, norm2, haar
 
 
-def _views_steps(psi: np.ndarray, norm2: float, kets, draws, ks, haar, bits: bytearray):
-    """`_scalar_steps` on an array state, one `_measure` and `_write_back` per step."""
+def _views_steps(psi: np.ndarray, norm2: float, kets, draws, ks, haar, bits: bytearray, work: np.ndarray):
+    """`_scalar_steps` on an array state, one `_measure` and `_write_back` per step,
+    both writing into the walk's `_work` buffers."""
     clause, measure, coin, g = draws
     for k in ks:
         ket = kets[clause[k]]
-        mat, overlap, q, outcome = _measure(psi, norm2, ket, measure[k])
+        mat, overlap, q, outcome = _measure(psi, norm2, ket, measure[k], work)
         if outcome and haar is None:
             haar = _haar_stack(g[0] + 1j * g[1])
-        psi, norm2 = _write_back(psi, norm2, ket, mat, overlap, q, haar[k] if outcome else None, coin[k])
+        psi, norm2 = _write_back(psi, norm2, ket, mat, overlap, q, haar[k] if outcome else None, coin[k], work)
         bits.append(outcome)
     return psi, norm2, haar
 
@@ -436,9 +446,10 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None):
     least one state), so tracking operators adds a few state vectors.
     """
     psi, norm2 = sample_initial_state(n, rng), 1.0
-    steps = _views_steps
     if n <= _SCALARS_MAX_QUBITS:
         psi, steps = psi.tolist(), _scalar_steps
+    else:
+        steps = functools.partial(_views_steps, work=_work(n))
     bits = bytearray()
     values = np.empty((len(prepared), T + 1)) if prepared else None
     width = max(1, min(_BLOCK, _OBSERVED_ENTRIES >> n)) if prepared else _BLOCK

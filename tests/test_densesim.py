@@ -175,6 +175,42 @@ def test_psd_check_accepts_rank_deficient_block_states():
     densesim.as_density_matrix(rho)
 
 
+def _block_diagonal(n, rng):
+    """A random complex matrix with nothing between Hamming weights, and a copy with
+    one entry between weights 0 and 1 at 1e-14."""
+    a = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    weights = densesim._hamming_weights(n)
+    a[weights[:, None] != weights[None, :]] = 0
+    near = a.copy()
+    near[0, 1] = 1e-14
+    return a, near
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_weight_squares_are_the_gathered_blocks(n):
+    """The packed intake gives `a[np.ix_(b, b)]` for each weight block bit for bit, on
+    C-ordered and transposed input, with tol = 0 and with FRAME_ZERO_TOL; the blocks
+    are views of one fresh vector; input coupling weights gives `[a]`."""
+    from qsatwalk.sectors import FRAME_ZERO_TOL
+
+    a, near = _block_diagonal(n, np.random.default_rng(60 + n))
+    blocks = densesim._weight_index(n)
+    for x in (a, a.T, near):
+        tols = (FRAME_ZERO_TOL,) if x is near else (0.0, FRAME_ZERO_TOL)
+        for tol in tols:
+            squares = densesim._weight_squares(x, tol)
+            assert len(squares) == n + 1
+            for b, square in zip(blocks, squares):
+                assert np.array_equal(square, x[np.ix_(b, b)])
+            packed = densesim._weight_packed(x, tol)
+            assert packed.ndim == 1 and not np.shares_memory(packed, x)
+            assert all(np.shares_memory(square, packed) for square in densesim._weight_views(packed, n))
+    for x, tol in ((near, 0.0), (near, 1e-15)):
+        squares = densesim._weight_squares(x, tol)
+        assert len(squares) == 1 and squares[0] is x
+        assert densesim._weight_packed(x, tol) is None
+
+
 def test_product_unitary_order():
     u = densesim.product_unitary([SZ, np.eye(2)])
     assert np.allclose(u, np.diag([1, 1, -1, -1]))

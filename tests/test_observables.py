@@ -150,3 +150,17 @@ def test_spin_operators_follow_planted_frame():
     # planted state sits at the top of the spin ladder in its own frame
     psi = rotated.planted_state()
     assert abs(densesim.expectation(s_rot, psi) - 3.0) < 1e-9
+
+
+def test_spin_operators_are_the_callers_to_write():
+    """S's diagonal is kept per n and read-only; the operators returned are fresh arrays
+    that the caller may write without changing the next call's."""
+    for inst in (Instance(n=3, clauses=(make_clause(0, 1, (0, 0, 0, 1)),)),
+                 generate_planted_restricted(3, 3, seed=23)):
+        s, s2 = instance_spin_operators(inst)
+        want_s, want_s2 = s.copy(), s2.copy()
+        s[...] = 7.0
+        s2 += 1.0
+        again = instance_spin_operators(inst)
+        assert np.array_equal(again[0], want_s) and np.array_equal(again[1], want_s2)
+        assert all(op.flags.writeable for op in again)

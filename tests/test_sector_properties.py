@@ -9,6 +9,8 @@ dense operators: `build_hamiltonian`, `instance_spin_operators` and
 their states and spin series equal the reference exactly.
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -272,3 +274,74 @@ def test_dual_residuals_classifies_clauses_in_the_planted_frame():
     report = dual_residuals(inst, [densesim.random_density_matrix(4, rng) for _ in range(5)])
     assert [item.form for item in report] == [ClauseForm.TYPE_II, ClauseForm.RESTRICTED_TYPE_I]
     assert max(item.max_residual for item in report) <= 1e-9
+
+
+def test_unpack_inverts_the_packing_exactly():
+    """`_Sectors.unpack` scatters a packed vector into the dense matrix from which
+    `densesim._weight_packed` gathers it again, bit for bit, at n = 2..8."""
+    rng = np.random.default_rng(29)
+    for n in range(2, 9):
+        sec = sectors._sectors(n)
+        packed = rng.standard_normal(sec.size) + 1j * rng.standard_normal(sec.size)
+        dense = sec.unpack(packed)
+        assert np.array_equal(densesim._weight_packed(dense), packed)
+        for b, square in zip(densesim._weight_index(n), sec.views(packed)):
+            assert np.array_equal(dense[np.ix_(b, b)], square)
+            dense[np.ix_(b, b)] = 0
+        assert not dense.any()                                 # nothing between weights
+
+
+def _chain_cases():
+    from qsatwalk.instance import generate_planted_extended, generate_planted_restricted
+
+    for n in (3, 5, 7):
+        yield generate_planted_restricted(n, 2 * n, seed=70 + n), True
+        yield generate_planted_extended(n, 2 * n, 0.5, seed=80 + n), True
+        yield conjugate_instance(generate_planted_extended(n, n + 1, 0.3, seed=90 + n),
+                                 random_product_basis(n, 95 + n)), False
+
+
+def test_chained_two_step_calls_equal_one_long_call():
+    """Ten `evolve` calls of 2 steps, each from the last one's snapshot (the benchmark's
+    pattern), against one call of 20: series and final snapshot bit for bit in the
+    identity frame, where a snapshot unpacks the state and the next call gathers the
+    same entries back; in a disguised frame each call rotates into the planted frame
+    and back, so there they agree to rounding."""
+    for inst, exact in _chain_cases():
+        rho = densesim.maximally_mixed(inst.n)
+        whole = evolve(rho, inst, 20, snapshot_schedule=(20,))
+        parts = []
+        for _ in range(10):
+            out = evolve(rho, inst, 2, snapshot_schedule=(2,))
+            parts.append(series_of(out)[:, :2])
+            rho = out.snapshots[2]
+        joined = np.concatenate([*parts, series_of(out)[:, 2:]], axis=1)
+        if exact:
+            assert np.array_equal(joined, series_of(whole))
+            assert np.array_equal(rho, whole.snapshots[20])
+        else:
+            assert np.max(np.abs(joined - series_of(whole))) <= TOL
+            assert np.max(np.abs(rho - whole.snapshots[20])) <= TOL
+
+
+def test_evolve_leaves_rho0_alone_and_snapshots_own_their_memory():
+    """On weight blocks in the identity and a disguised frame, and on the whole space:
+    the state `sectors.start` returns never shares memory with rho0 (`_resymmetrize`
+    writes it in place), a 100-step run leaves rho0 unchanged, and no
+    snapshot shares memory with rho0 or with another snapshot."""
+    rng = np.random.default_rng(30)
+    planted = Instance(n=3, clauses=(make_clause(0, 1, (0, 0.6, 0.8, 0)), make_clause(1, 2, (0, 0, 0, 1))),
+                       planted_basis=tuple(np.eye(2) for _ in range(3)))
+    cases = ((planted, densesim.maximally_mixed(3), False),
+             (conjugate_instance(planted, random_product_basis(3, 31)), densesim.maximally_mixed(3), False),
+             (planted, densesim.random_density_matrix(3, rng), True),
+             (Instance(n=3, clauses=(make_clause(0, 2, (1, 0, 0, 1)),)), densesim.maximally_mixed(3), True))
+    for inst, rho0, whole in cases:
+        before = rho0.copy()
+        run, state = sectors.start(inst, *densesim._checked_density(rho0))
+        assert run.whole == whole and not np.shares_memory(state, rho0)
+        out = evolve(rho0, inst, 100, snapshot_schedule=(0, 1, 100))
+        assert np.array_equal(rho0, before)
+        snaps = list(out.snapshots.values())
+        assert not any(np.shares_memory(s, rho0) for s in snaps)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(snaps, 2))

@@ -198,8 +198,8 @@ def _carried_norm_walk(n, seed, monkeypatch):
     T = 10 * _BLOCK
     steps = []
 
-    def write_back(psi, norm2, ket, mat, overlap, q, u, coin):
-        out, carried = _write_back(psi, norm2, ket, mat, overlap, q, u, coin)
+    def write_back(psi, norm2, ket, mat, overlap, q, u, coin, work):
+        out, carried = _write_back(psi, norm2, ket, mat, overlap, q, u, coin, work)
         steps.append((u is None and norm2 - q < 0.25, carried, np.vdot(out, out).real, u is None))
         return out, carried
 
