@@ -14,8 +14,8 @@ module's kernel reads and writes the 2^n x 2^n matrix through reshaped
 views, O(4^n) per clause, for `apply_*`, `dual_residuals` and `evolve` on
 inputs that couple Hamming weights. `evolve` and `dual_residuals` work in the
 instance's planted frame, where S and S^2 are diagonal; `sectors` holds that
-frame's record and the packed Hamming-weight layout, which steps eligible
-inputs on C(2n, n) entries instead of 4^n.
+frame's record and steps eligible inputs on the packed Hamming-weight layout
+of `densesim._Sectors`, C(2n, n) entries instead of 4^n.
 
 Stochastic pure-state sampling of the same process lives in `trajectory`.
 """
@@ -105,15 +105,13 @@ def _add_clause_update(rho: np.ndarray, delta: np.ndarray, terms: _ClauseTerms, 
     return float(np.trace(c.reshape(d // 4, d // 4)).real)
 
 
-def _hermitian_sum(state: np.ndarray, delta: np.ndarray, squares) -> np.ndarray:
-    """state + delta + delta^dagger, for a layout of square blocks `squares`, (start, size)
-    in the flat array; delta is overwritten."""
+def _hermitian_sum(state: np.ndarray, delta: np.ndarray, sec) -> np.ndarray:
+    """state + delta + delta^dagger over the square blocks of the layout `sec`, a
+    `densesim._Sectors`; delta is overwritten."""
     out = state + delta
-    flat_out = out.reshape(-1)
-    flat_conj = np.conjugate(delta, out=delta).reshape(-1)   # in place: no temporary for conj(delta)
-    for start, m in squares:
-        block = flat_out[start : start + m * m].reshape(m, m)
-        block += flat_conj[start : start + m * m].reshape(m, m).T
+    np.conjugate(delta, out=delta)             # in place: no temporary for conj(delta)
+    for block, conj in zip(sec.views(out), sec.views(delta)):
+        block += conj.T
     return out
 
 
@@ -122,7 +120,7 @@ def _apply(rho: np.ndarray, clauses: list) -> tuple[np.ndarray, float]:
     delta = np.zeros(rho.shape, dtype=complex)   # C order: the kernel writes through reshaped views
     weight = 1.0 / len(clauses)
     energy = sum(_add_clause_update(rho, delta, terms, weight) for terms in clauses)
-    return _hermitian_sum(rho, delta, [(0, len(rho))]), energy
+    return _hermitian_sum(rho, delta, densesim._sectors(densesim.num_qubits(rho), whole=True)), energy
 
 
 def apply_clause_channel(rho: np.ndarray, clause: Clause) -> np.ndarray:
@@ -188,11 +186,10 @@ class EvolutionSeries:
             yield t, self.trH[t], self.trS[t], self.trS2[t], self.trPi0[t]
 
 
-def _resymmetrize(state: np.ndarray, squares, t: int) -> np.ndarray:
-    """Hermitian part of the state over its square blocks, at unit trace; raise
-    NumericalDrift when either had drifted by more than DRIFT_TOL."""
-    flat = state.reshape(-1)
-    views = [flat[start : start + m * m].reshape(m, m) for start, m in squares]
+def _resymmetrize(state: np.ndarray, sec, t: int) -> np.ndarray:
+    """Hermitian part of the state over the square blocks of its layout `sec`, at unit
+    trace; raise NumericalDrift when either had drifted by more than DRIFT_TOL."""
+    views = sec.views(state)
     herm = max(np.max(np.abs(v - v.conj().T)) for v in views)
     tr_err = abs(sum(np.trace(v).real for v in views) - 1.0)
     if herm > DRIFT_TOL or tr_err > DRIFT_TOL:
@@ -243,7 +240,7 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
             break
         state, trH[t] = run.step(state)
         if (t + 1) % RESYMMETRIZE_EVERY == 0:
-            state = _resymmetrize(state, run.squares, t + 1)
+            state = _resymmetrize(state, run.sec, t + 1)
     return EvolutionSeries(steps=steps, trH=trH, trS=trS, trS2=trS2, trPi0=trPi0, snapshots=snapshots)
 
 

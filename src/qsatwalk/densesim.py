@@ -12,35 +12,17 @@ a dense 2^n x 2^n matrix or, when it is diagonal in the computational basis,
 the real length-2^n vector of its diagonal; `expectation` tells the two
 apart by `ndim`. The qubit layout lives here alone (`_bits`, `_pair_split`,
 `_clause_split`, `_clause_rows`); the `trajectory` module docstring says how
-a sampled step reads a state through it. The exact channel holds the state
-one of two ways (see `sectors`): packed Hamming-weight blocks, 16 * C(2n, n)
-bytes (41 MB at n = 12), stepped by one matrix product per block and
-per-clause index plans built from `_clause_rows` of the basis indices; or, for
-inputs that couple weights, the full matrix read through reshaped views,
-O(L 4^n) per step and a few density matrices of memory. `kron_embed` and `observables.build_hamiltonian` scatter 4x4 blocks
-through the same rows into full 2^n x 2^n operators, for spectra and tests,
-not per-step updates.
-
-Spectra and checks go one Hamming-weight block at a time. `_weight_packed`
-gathers a matrix's C(n, k) x C(n, k) weight blocks into one fresh packed
-vector, each block through its own flat positions (`_weight_positions`,
-built per block and call), and returns it when every entry that couples two
-different weights is zero; `_weight_views` reads the blocks as views of it,
-and `_weight_squares` returns those views or, for a matrix that couples
-weights, the whole space as the one block. `hermitian_eig` diagonalizes
-each block apart. The checks of `as_density_matrix` read each block apart:
-Hermiticity against the block's conjugate transpose, written into one
-temporary of the packed layout that then becomes the Hermitian parts, and
-positivity by a Cholesky factorization of each part (the smallest
-eigenvalue only when one fails). `channel.evolve` keeps the packed vector
-as its state (see `sectors`). Blocks occur for the Hamiltonian of
-restricted (0, a, b, 0) and |11><11| clauses in the planted frame, and for
-every state the channel of such clauses reaches from the maximally mixed
-one.
+a sampled step reads a state through it. The packed Hamming-weight layout
+lives here too, described once in the `_Sectors` docstring: `hermitian_eig`
+diagonalizes each weight block apart, `as_density_matrix` checks each apart,
+and the exact channel (`sectors`) keeps its state in it. `kron_embed` and
+`observables.build_hamiltonian` scatter 4x4 blocks through the clause rows
+into full 2^n x 2^n operators, for spectra and tests, not per-step updates.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -96,24 +78,23 @@ def as_density_matrix(rho) -> np.ndarray:
 def _checked_density(rho):
     """`as_density_matrix`, also returning the packed weight blocks its checks read.
 
-    Returns (rho, packed): packed is `_weight_packed(rho)`, one fresh vector of
-    rho's Hamming-weight blocks, or None when an entry couples two weights. In
-    the first case Hermiticity and positivity are checked on the blocks alone,
-    views of packed: the zeros between them cannot break either. Every block's
-    conjugate transpose goes into one temporary of packed's layout, which is
-    compared with the block and then becomes the Hermitian parts in two passes
-    over the whole temporary; each part's diagonal takes PSD_TOL in place before
-    its Cholesky factorization.
+    Returns (rho, packed): packed is `_sectors(n).pack(rho)`, or None when an
+    entry couples two weights. In the first case Hermiticity and positivity
+    are checked on the blocks alone, views of packed: the zeros between them
+    cannot break either. Every block's conjugate transpose goes into one
+    temporary of packed's layout, which is compared with the block and then
+    becomes the Hermitian parts in two passes over the whole temporary; each
+    part's diagonal takes PSD_TOL in place before its Cholesky factorization.
     """
     rho = np.asarray(rho, dtype=complex)
     n = num_qubits(rho)
     if rho.ndim != 2:
         raise DimensionMismatch("density matrix must be 2-D")
-    packed = _weight_packed(rho)
+    sec = _sectors(n)
+    packed = sec.pack(rho)
     checked = rho if packed is None else packed
     hermitian = np.empty(checked.shape, dtype=complex)      # C order, for the diagonal strides below
-    squares, parts = ([rho], [hermitian]) if packed is None else (
-        _weight_views(packed, n), _weight_views(hermitian, n))
+    squares, parts = ([rho], [hermitian]) if packed is None else (sec.views(packed), sec.views(hermitian))
     deviations = []
     for a, h in zip(squares, parts):
         np.conjugate(a.T, out=h)
@@ -186,65 +167,88 @@ def _block(a: np.ndarray, b) -> np.ndarray:
     return a if isinstance(b, slice) else a[np.ix_(b, b)]
 
 
-@lru_cache(maxsize=None)
-def _weight_index(n: int) -> tuple:
-    """The basis states of each Hamming weight 0..n, ascending, as read-only index arrays."""
-    weights = _hamming_weights(n)
-    blocks = tuple(np.flatnonzero(weights == k) for k in range(n + 1))
-    for b in blocks:
-        b.flags.writeable = False
-    return blocks
+@dataclass(frozen=True)
+class _Sectors:
+    """Packed layout of n-qubit matrices that are block-diagonal in `blocks`.
 
+    Block k holds the basis states `blocks[k]`, ascending: the states of
+    Hamming weight k in `_sectors(n)`, read-only index arrays, or the whole
+    space as one block, `slice(None)`, in `_sectors(n, whole=True)`. The
+    blocks' row-major entries follow one another in one flat vector, C(2n, n)
+    entries for the weight blocks (41 MB at n = 12, against 256 MB for the
+    matrix) and 4^n, the matrix itself, for the whole space. `rank[x]` is the
+    place of x in its block, so the entry (x, y) of a block sits at
+    `base[x] + rank[y]` and a diagonal one at `diag[x]`; `squares` lists each
+    block's (start, size) and `size` the entries in all.
 
-def _weight_positions(b: np.ndarray, n: int) -> np.ndarray:
-    """Flat position x * 2^n + y of each entry (x, y) of the weight block on the basis
-    states b, an (m, m) array: built per block and call, not kept (all blocks together
-    take 22 MB at n = 12)."""
-    return np.add.outer(b * 2**n, b)
-
-
-def _weight_views(packed: np.ndarray, n: int) -> list:
-    """The weight blocks of a packed vector, as views: the blocks of `_weight_index`
-    in turn, each row-major, C(2n, n) entries in all."""
-    views, start = [], 0
-    for b in _weight_index(n):
-        m = len(b)
-        views.append(packed[start : start + m * m].reshape(m, m))
-        start += m * m
-    return views
-
-
-def _weight_packed(a: np.ndarray, tol: float = 0.0) -> np.ndarray | None:
-    """a's Hamming-weight blocks `a[b][:, b]` for b in `_weight_index`, gathered into
-    one fresh packed vector (`_weight_views`), when every entry coupling two different
-    weights is zero (at most `tol` in magnitude); otherwise None.
-
-    The check counts the nonzero entries of a once and of the packed vector,
-    C(2n, n) entries, once more (`_count_large`).
+    `pack` gathers a matrix's weight blocks into a fresh vector, `views` reads
+    a vector's blocks as (m, m) views, and `unpack` scatters them into a fresh
+    dense matrix. Both go through a block's flat positions x * 2^n + y, built
+    per block and call and never kept: all of them together take 22 MB at
+    n = 12.
     """
-    n, flat = num_qubits(a), a.reshape(-1)       # a copy only when a is not C-ordered
-    packed = np.empty(sum(len(b) ** 2 for b in _weight_index(n)), dtype=complex)
-    for b, square in zip(_weight_index(n), _weight_views(packed, n)):
-        np.take(flat, _weight_positions(b, n), out=square)
-    return packed if _count_large(packed, tol) == _count_large(a, tol) else None
+
+    blocks: tuple
+    rank: np.ndarray
+    base: np.ndarray
+    diag: np.ndarray
+    squares: list
+    size: int
+
+    def views(self, state: np.ndarray) -> list:
+        """Each block of a packed vector, or of a C-ordered matrix read flat, as a view."""
+        flat = state.reshape(-1)
+        return [flat[start : start + m * m].reshape(m, m) for start, m in self.squares]
+
+    def pack(self, a: np.ndarray, tol: float = 0.0) -> np.ndarray | None:
+        """The 2^n x 2^n a's weight blocks `a[b][:, b]`, gathered into one fresh vector
+        when every entry coupling two different weights is zero (at most `tol` in
+        magnitude); otherwise None. The check counts the nonzero entries of a once
+        and of the packed vector, C(2n, n) entries, once more (`_count_large`)."""
+        d, flat = len(self.rank), np.ascontiguousarray(a).reshape(-1)   # a copy only when a is not C-ordered
+        packed = np.empty(self.size, dtype=complex)
+        for b, square in zip(self.blocks, self.views(packed)):
+            np.take(flat, np.add.outer(b * d, b), out=square)
+        return packed if _count_large(packed, tol) == _count_large(flat, tol) else None
+
+    def unpack(self, state: np.ndarray) -> np.ndarray:
+        """The dense matrix, a fresh array: one flat scatter per weight block."""
+        d = len(self.rank)
+        if len(self.blocks) == 1:           # one block: the state is the matrix, row-major
+            return state.reshape(d, d).copy()
+        out = np.zeros(d * d, dtype=complex)
+        for b, square in zip(self.blocks, self.views(state)):
+            out[np.add.outer(b * d, b)] = square
+        return out.reshape(d, d)
 
 
-def _weight_squares(a: np.ndarray, tol: float = 0.0) -> list:
-    """a's Hamming-weight blocks, views of `_weight_packed(a, tol)`, or the whole space
-    as one block, `[a]`, when an entry couples two weights."""
-    packed = _weight_packed(a, tol)
-    return [a] if packed is None else _weight_views(packed, num_qubits(a))
+@lru_cache(maxsize=None)
+def _sectors(n: int, whole: bool = False) -> _Sectors:
+    """The Hamming-weight layout of n qubits or, with `whole`, the whole space as one block."""
+    if whole:
+        blocks, label = (slice(None),), np.zeros(2**n, dtype=np.intp)
+    else:
+        label = _hamming_weights(n)
+        blocks = tuple(np.flatnonzero(label == k) for k in range(n + 1))
+        for b in blocks:
+            b.flags.writeable = False
+    sizes = np.bincount(label)
+    starts = np.concatenate(([0], np.cumsum(sizes**2)))
+    rank = np.empty(2**n, dtype=np.intp)
+    for b, m in zip(blocks, sizes):
+        rank[b] = np.arange(m)
+    base = starts[label] + rank * sizes[label]
+    return _Sectors(blocks=blocks, rank=rank, base=base, diag=base + rank,
+                    squares=list(zip(starts[:-1].tolist(), sizes.tolist())), size=int(starts[-1]))
 
 
 def _count_large(x: np.ndarray, tol: float) -> int:
-    """How many entries of the complex x exceed `tol` in magnitude or, with tol = 0,
-    how many of their real and imaginary parts are nonzero: one vectorized pass
-    over a C-contiguous x, several times faster than counting complex entries."""
+    """How many entries of the C-contiguous complex x exceed `tol` in magnitude or,
+    with tol = 0, how many of their real and imaginary parts are nonzero: one
+    vectorized pass, several times faster than counting complex entries."""
     if tol:
         return np.count_nonzero(np.abs(x) > tol)
-    if x.flags.c_contiguous:
-        return np.count_nonzero(x.view(np.float64) != 0)
-    return np.count_nonzero(x.real != 0) + np.count_nonzero(x.imag != 0)
+    return np.count_nonzero(x.view(np.float64) != 0)
 
 
 def _pair_split(i: int, j: int, n: int) -> tuple:
@@ -310,9 +314,11 @@ def hermitian_eig(a: np.ndarray):
     when the input deviates from Hermitian by more than HERMITICITY_TOL.
     """
     a = np.asarray(a, dtype=complex)
-    num_qubits(a)
+    n = num_qubits(a)
     _check_hermitian(a)
-    parts = [np.linalg.eigh(s) for s in _weight_squares(a)]
+    sec = _sectors(n)
+    packed = sec.pack(a)
+    parts = [np.linalg.eigh(s) for s in ([a] if packed is None else sec.views(packed))]
     if len(parts) == 1:
         return parts[0]
     vals = np.concatenate([w for w, _ in parts])
@@ -320,7 +326,7 @@ def hermitian_eig(a: np.ndarray):
     column = np.argsort(order)                   # where each block eigenvector lands
     vecs = np.zeros(a.shape, dtype=complex)
     start = 0
-    for b, (w, v) in zip(_weight_index(num_qubits(a)), parts):
+    for b, (w, v) in zip(sec.blocks, parts):
         vecs[np.ix_(b, column[start : start + len(w)])] = v
         start += len(w)
     return vals[order], vecs

@@ -4,16 +4,15 @@ Every input runs in the instance's planted frame (the computational basis
 when it has none), where the spin diagnostics S and S^2 are diagonal: the
 channel is covariant under product unitaries, so rho0 is rotated into the
 frame qubit by qubit and snapshots are rotated back. `channel.dual_residuals`
-reads the same record (`_prepare`). The state is one flat vector of square
-blocks (`_Sectors`), in one of two layouts:
+reads the same record (`_prepare`). The state is one flat vector in one of
+the two layouts of `densesim._Sectors`, whose docstring describes them:
 
 * Hamming-weight blocks, when every clause lies on one Hamming weight of its
   pair, |00>, span{|01>, |10>} or |11> (each other amplitude at most
   `instance.FORM_TOL`), and rho0 has no entry between two weights (exact
   zeros in the identity frame, at most FRAME_ZERO_TOL after the rotation).
   The channel of such clauses conserves weight, so every rho_t stays
-  block-diagonal, and only the C(n, k) x C(n, k) blocks are kept, packed into
-  C(2n, n) entries (41 MB instead of 256 MB at n = 12). Summed over clauses,
+  block-diagonal, and only its weight blocks are kept. Summed over clauses,
   the kernel's -phi (x) a terms are P_a rho, so one step is
 
       E(rho) = rho - w (H rho + rho H) + w sum_a G_a (x) c_a,   w = 1/L,
@@ -31,13 +30,11 @@ blocks (`_Sectors`), in one of two layouts:
   the views are free, so the two layouts keep two kernels.
 
 Into and out of the packed layout: `densesim._checked_density` checks rho0
-on its weight blocks, gathered into one fresh packed vector, and in the
-identity frame `start` adopts that vector as the state, with no copy; in a
-planted frame rho0 is rotated and gathered once more. The whole space is
-copied, so the state never shares memory with rho0. `_Sectors.unpack`
-writes a snapshot with one flat scatter per weight block. The positions of
-all blocks together (22 MB at n = 12) are never held at once, and none is
-kept between calls.
+on its weight blocks, packed into one fresh vector (`_Sectors.pack`), and
+in the identity frame `start` adopts that vector as the state, with no
+copy; in a planted frame rho0 is rotated and packed once more. The whole
+space is copied, so the state never shares memory with rho0. A snapshot is
+`_Sectors.unpack` of the state.
 
 What an instance needs is kept with it in a `weakref.WeakKeyDictionary`:
 instances are immutable and hash by identity. `channel` imports this module
@@ -60,56 +57,6 @@ from .instance import FORM_TOL, Clause, Instance
 FRAME_ZERO_TOL = 1e-13     # rotating rho0 into a planted frame leaves rounding of this size between weights
 _PLANS_MAX_QUBITS = 10     # above this, a step builds each clause's index plan anew and drops it (see README)
 _PAIR_WEIGHT = (0, 1, 1, 2)    # Hamming weight of the pair value 2*b_lo + b_hi
-
-
-@dataclass(frozen=True)
-class _Sectors:
-    """Packed layout of n-qubit matrices that are block-diagonal in `blocks`.
-
-    Block k holds the basis states `blocks[k]`, ascending (`slice(None)` for
-    the whole space as one block), and `rank[x]` is the place of x in its
-    block. The blocks' row-major entries follow one another, so the entry
-    (x, y) of a block sits at `base[x] + rank[y]`, and `squares` lists each
-    block's (start, size).
-    """
-
-    blocks: tuple
-    rank: np.ndarray
-    base: np.ndarray
-    diag: np.ndarray
-    squares: list
-    size: int
-
-    def views(self, state: np.ndarray) -> list:
-        return [state[start : start + m * m].reshape(m, m) for start, m in self.squares]
-
-    def unpack(self, state: np.ndarray) -> np.ndarray:
-        """The dense matrix, a fresh array: each weight block goes in with one flat
-        scatter through its `densesim._weight_positions`."""
-        d = len(self.rank)
-        if len(self.blocks) == 1:           # the whole space: the state is the matrix, row-major
-            return state.reshape(d, d).copy()
-        n, out = d.bit_length() - 1, np.zeros(d * d, dtype=complex)
-        for b, square in zip(self.blocks, self.views(state)):
-            out[densesim._weight_positions(b, n)] = square
-        return out.reshape(d, d)
-
-
-@functools.lru_cache(maxsize=None)
-def _sectors(n: int, whole: bool = False) -> _Sectors:
-    """The Hamming-weight layout of n qubits or, with `whole`, the whole space as one block."""
-    if whole:
-        blocks, label = (slice(None),), np.zeros(2**n, dtype=np.intp)
-    else:
-        blocks, label = densesim._weight_index(n), densesim._hamming_weights(n)
-    sizes = np.bincount(label)
-    starts = np.concatenate(([0], np.cumsum(sizes**2)))
-    rank = np.empty(2**n, dtype=np.intp)
-    for b, m in zip(blocks, sizes):
-        rank[b] = np.arange(m)
-    base = starts[label] + rank * sizes[label]
-    return _Sectors(blocks=blocks, rank=rank, base=base, diag=base + rank,
-                    squares=list(zip(starts[:-1].tolist(), sizes.tolist())), size=int(starts[-1]))
 
 
 @dataclass(frozen=True)
@@ -153,7 +100,7 @@ def _sector_plan(terms: _SectorTerms, n: int) -> np.ndarray:
     rho's entry (b (x) r, b2 (x) s) sits for (b, b2) = terms.pairs[k]. Both
     lie in one weight block of rho, since b and b2 have one weight.
     """
-    sec, rest = _sectors(n), _sectors(n - 2)
+    sec, rest = densesim._sectors(n), densesim._sectors(n - 2)
     full = densesim._clause_rows(np.arange(2**n), terms.pair)   # full index of b (x) r, row b
     return np.array([np.concatenate([np.add.outer(sec.base[full[b][r]], sec.rank[full[b2][r]]).ravel()
                                      for r in rest.blocks])
@@ -202,7 +149,7 @@ class _Prepared:
         """(clause terms, H's `_pair_entries`) on the whole space, the `channel._apply` terms
         of `clauses`, or on the weight blocks, the `_SectorTerms` of `cut`."""
         if whole not in self.kernels:
-            sec, clauses = _sectors(self.n, whole), (self.clauses if whole else self.cut)
+            sec, clauses = densesim._sectors(self.n, whole), (self.clauses if whole else self.cut)
             terms = ([_clause_terms(c, self.n) for c in clauses] if whole else
                      [_sector_terms(c, self.n, 1.0 / len(clauses)) for c in clauses])
             self.kernels[whole] = (terms,
@@ -212,7 +159,7 @@ class _Prepared:
     def hamiltonian(self, whole: bool) -> list:
         """H's square blocks on one layout, views of one packed array assembled from
         its `_pair_entries`."""
-        sec, (positions, values) = _sectors(self.n, whole), self.kernel(whole)[1]
+        sec, (positions, values) = densesim._sectors(self.n, whole), self.kernel(whole)[1]
         h = np.zeros(sec.size, dtype=complex)
         np.add.at(h, positions, values[:, None])
         return sec.views(h)
@@ -259,7 +206,7 @@ def start(inst: Instance, rho: np.ndarray, packed: np.ndarray | None):
     lies on one weight and rho has no entry between weights in the planted frame, else
     on the whole space as one block.
 
-    `packed` is `densesim._weight_packed(rho)` in the caller's frame, a fresh vector
+    `packed` is `densesim._sectors(n).pack(rho)` in the caller's frame, a fresh vector
     (or None), which becomes the state when that is the planted frame. The state never
     shares memory with rho: `channel._resymmetrize` writes it in place.
     """
@@ -268,7 +215,7 @@ def start(inst: Instance, rho: np.ndarray, packed: np.ndarray | None):
     if prep.cut is None:
         packed = None
     elif prep.frame is not None:
-        packed = densesim._weight_packed(planted, FRAME_ZERO_TOL)
+        packed = densesim._sectors(prep.n).pack(planted, FRAME_ZERO_TOL)
     if packed is not None:
         return _Run(prep, whole=False), packed
     state = np.array(planted, order="C") if planted is rho else planted
@@ -279,13 +226,12 @@ class _Run:
     """`channel.evolve`'s steps and observables in the planted frame, on one layout."""
 
     def __init__(self, prep: _Prepared, whole: bool):
-        self.prep, self.whole, self.sec = prep, whole, _sectors(prep.n, whole)
+        self.prep, self.whole, self.sec = prep, whole, densesim._sectors(prep.n, whole)
         self.terms, self.entries = prep.kernel(whole)
         self.spin = observables._spin_diagonal(prep.n)
         self.spin2 = self.spin * self.spin
-        self.squares = self.sec.squares
         if whole and prep.cut is not None:    # H's ground blocks are weight blocks of the one square
-            weights = _sectors(prep.n).blocks
+            weights = densesim._sectors(prep.n).blocks
             self.ground = [(0, weights[k], g) for k, g in prep.ground]
         else:
             self.ground = [(k, slice(None), g) for k, g in prep.ground]
@@ -314,7 +260,7 @@ class _Run:
         for t, plan in zip(self.terms, prep.plans or (_sector_plan(t, n) for t in self.terms)):
             c = t.ket @ state[plan[: t.rows]]
             delta[plan] += np.multiply.outer(t.half_wg, c)
-        return _hermitian_sum(state, delta, self.squares), energy
+        return _hermitian_sum(state, delta, self.sec), energy
 
     def energy(self, state):
         return _energy(state, self.entries)

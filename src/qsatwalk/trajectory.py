@@ -138,8 +138,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .densesim import _clause_rows, _clause_split, basis_state, num_qubits
-from .errors import DegenerateBranch, DimensionMismatch, IndexOutOfRange
+from .densesim import HERMITICITY_TOL, _clause_rows, _clause_split, basis_state, num_qubits
+from .errors import DegenerateBranch, DimensionMismatch, IndexOutOfRange, NotHermitian
 from .instance import Instance
 
 BRANCH_NORM_FLOOR = 1e-14
@@ -736,7 +736,10 @@ def run_ensemble(
     recorded at every step t = 0..T (mean and standard error across the
     ensemble): a 1-D array is a diagonal operator given by its diagonal, as
     `observables.instance_spin_operators` returns S and S^2, a 2-D one a dense
-    2^n x 2^n matrix, and any other shape raises DimensionMismatch. Results do
+    2^n x 2^n matrix, and any other shape raises DimensionMismatch; one that
+    deviates from Hermitian by more than `densesim.HERMITICITY_TOL` (a 1-D one
+    by its imaginary parts) raises NotHermitian, both before any trajectory
+    runs. Results do
     not depend on `workers`; at most one process is started per chunk.
     `master_seed` is an int, a numpy integer or a sequence of them; any other
     kind (a `Generator`, a float) raises TypeError before any trajectory runs.
@@ -752,6 +755,9 @@ def run_ensemble(
     for name, op in ops:
         if np.shape(op) not in ((2**inst.n,), (2**inst.n, 2**inst.n)):
             raise DimensionMismatch(f"operator {name!r} has shape {np.shape(op)} on {inst.n} qubits")
+        dev = np.max(np.abs(np.imag(op) if np.ndim(op) == 1 else op - np.conj(op).T))
+        if dev > HERMITICITY_TOL:      # a diagonal operator: its imaginary parts
+            raise NotHermitian(f"operator {name!r} deviates from Hermitian by {dev}")
     payloads = [
         (inst, T, start, min(start + _CHUNK, M), master_seed, ops)
         for start in range(0, M, _CHUNK)

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
+from qsatwalk import densesim
 from qsatwalk.classical import CnfInstance
 from qsatwalk.instance import make_clause
 from qsatwalk.observables import ZERO_TOL
@@ -106,6 +107,14 @@ def random_hermitian(n, rng):
     d = 2**n
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2
+
+
+def weight_squares(a, tol=0.0):
+    """a's Hamming-weight blocks, views of `_Sectors.pack(a, tol)`, or the whole space
+    as one block, `[a]`, when an entry couples two weights."""
+    sec = densesim._sectors(densesim.num_qubits(a))
+    packed = sec.pack(a, tol)
+    return [a] if packed is None else sec.views(packed)
 
 
 def trace_distance(a, b):

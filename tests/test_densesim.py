@@ -14,7 +14,7 @@ from qsatwalk.errors import (
 )
 from qsatwalk.instance import generate_planted_restricted
 
-from helpers import embed_oracle, embed_single, pure_density, random_hermitian, random_state_vector
+from helpers import embed_oracle, embed_single, pure_density, random_hermitian, random_state_vector, weight_squares
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -140,6 +140,16 @@ def test_state_and_density_validation():
         densesim.as_density_matrix(rho + np.array([[0, 1e-3, 0, 0]] + [[0] * 4] * 3))
 
 
+@pytest.mark.parametrize("check", [densesim.hermitian_eig, densesim.as_density_matrix])
+@pytest.mark.parametrize("shape, message", [((3, 3), "dimension 3 is not a power of two"),
+                                            ((2, 4), r"expected a square matrix, got shape \(2, 4\)")])
+def test_shape_is_checked_before_the_weight_blocks(check, shape, message):
+    """A matrix not square, or not 2^n on a side, raises DimensionMismatch in the words
+    of `num_qubits`, before the Hermiticity check or the packing reads it."""
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        check(np.eye(*shape, dtype=complex))
+
+
 def _named_eigenvalue(rho):
     """The eigenvalue the PSD check names in its message."""
     with pytest.raises(DimensionMismatch, match="eigenvalue") as err:
@@ -152,14 +162,14 @@ def test_psd_check_rejects_a_negative_eigenvalue_in_one_weight_block():
     rho[0, 0] = 0.2
     rho[np.ix_([1, 2, 4], [1, 2, 4])] = 0.3 * np.ones((3, 3)) - 0.1 * np.eye(3)   # 0.8, -0.1, -0.1
     rho[np.ix_([3, 5], [3, 5])] = [[0.1, 0.35], [0.35, 0.1]]                      # 0.45, -0.25
-    assert len(densesim._weight_squares(rho)) == 4
+    assert len(weight_squares(rho)) == 4
     assert abs(_named_eigenvalue(rho) - (-0.25)) < 1e-12
 
 
 def test_psd_check_rejects_a_negative_eigenvalue_across_weights():
     rho = np.eye(4, dtype=complex) / 4
     rho[0, 3] = rho[3, 0] = 0.3                                                   # -0.05
-    assert len(densesim._weight_squares(rho)) == 1
+    assert len(weight_squares(rho)) == 1
     assert abs(_named_eigenvalue(rho) - (-0.05)) < 1e-12
 
 
@@ -170,7 +180,7 @@ def test_psd_check_accepts_rank_deficient_block_states():
     start = pure_density(densesim.basis_state(5, 0b00111))
     series = evolve(start, generate_planted_restricted(5, 10, seed=8), 5, snapshot_schedule=(5,))
     rho = series.snapshots[5]
-    assert len(densesim._weight_squares(rho)) == 6
+    assert len(weight_squares(rho)) == 6
     assert np.sum(np.abs(np.linalg.eigvalsh(rho)) < 1e-12) >= 8     # rank-deficient
     densesim.as_density_matrix(rho)
 
@@ -189,26 +199,29 @@ def _block_diagonal(n, rng):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_weight_squares_are_the_gathered_blocks(n):
     """The packed intake gives `a[np.ix_(b, b)]` for each weight block bit for bit, on
-    C-ordered and transposed input, with tol = 0 and with FRAME_ZERO_TOL; the blocks
-    are views of one fresh vector; input coupling weights gives `[a]`."""
+    C-ordered, transposed and reversed input, with tol = 0 and with FRAME_ZERO_TOL; the blocks
+    are views of one fresh vector; input coupling weights gives `[a]`; the cached block
+    index arrays are read-only."""
     from qsatwalk.sectors import FRAME_ZERO_TOL
 
     a, near = _block_diagonal(n, np.random.default_rng(60 + n))
-    blocks = densesim._weight_index(n)
-    for x in (a, a.T, near):
+    sec = densesim._sectors(n)
+    blocks = sec.blocks
+    assert not any(b.flags.writeable for b in blocks)          # kept for the process: read-only
+    for x in (a, a.T, a[::-1, ::-1], near):
         tols = (FRAME_ZERO_TOL,) if x is near else (0.0, FRAME_ZERO_TOL)
         for tol in tols:
-            squares = densesim._weight_squares(x, tol)
+            squares = weight_squares(x, tol)
             assert len(squares) == n + 1
             for b, square in zip(blocks, squares):
                 assert np.array_equal(square, x[np.ix_(b, b)])
-            packed = densesim._weight_packed(x, tol)
+            packed = sec.pack(x, tol)
             assert packed.ndim == 1 and not np.shares_memory(packed, x)
-            assert all(np.shares_memory(square, packed) for square in densesim._weight_views(packed, n))
+            assert all(np.shares_memory(square, packed) for square in sec.views(packed))
     for x, tol in ((near, 0.0), (near, 1e-15)):
-        squares = densesim._weight_squares(x, tol)
+        squares = weight_squares(x, tol)
         assert len(squares) == 1 and squares[0] is x
-        assert densesim._weight_packed(x, tol) is None
+        assert sec.pack(x, tol) is None
 
 
 def test_product_unitary_order():

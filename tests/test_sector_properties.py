@@ -68,7 +68,7 @@ def sector_clauses(draw, n, forms):
 def block_diagonal_state(n, ranks, rng):
     """Density matrix block-diagonal by Hamming weight, block k of rank ranks[k]."""
     rho = np.zeros((2**n, 2**n), dtype=complex)
-    for b, rank in zip(densesim._weight_index(n), ranks):
+    for b, rank in zip(densesim._sectors(n).blocks, ranks):
         g = rng.standard_normal((len(b), rank)) + 1j * rng.standard_normal((len(b), rank))
         rho[np.ix_(b, b)] = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -79,7 +79,7 @@ def block_diagonal_states(draw, n):
     """`block_diagonal_state` with each block of a drawn rank (zero allowed), so the
     total rank takes every value from 1 to 2^n."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ranks = [draw(st.integers(0, len(b))) for b in densesim._weight_index(n)]
+    ranks = [draw(st.integers(0, len(b))) for b in densesim._sectors(n).blocks]
     if sum(ranks) == 0:
         ranks[draw(st.integers(0, n))] = 1
     return block_diagonal_state(n, ranks, rng)
@@ -175,7 +175,7 @@ def test_state_coupling_weights_keeps_full_kernel_exactly():
         assert_exactly_full_kernel(start, inst)
     prep = sectors._PREPARED[inst]
     assert prep.plans is None                              # the packed path never stepped
-    assert all(len(g) == len(densesim._weight_index(4)[k]) for k, g in prep.ground)   # H by weight block
+    assert all(len(g) == len(densesim._sectors(4).blocks[k]) for k, g in prep.ground)   # H by weight block
 
 
 def _chunked_matches(inst, rho, a, b):
@@ -219,7 +219,7 @@ def test_wide_plans_stay_below_the_packed_state():
 
     n = sectors._PLANS_MAX_QUBITS + 1
     inst = generate_planted_extended(n, 2, 0.5, seed=25)
-    packed_bytes = 16 * sectors._sectors(n).size
+    packed_bytes = 16 * densesim._sectors(n).size
     for terms in sectors._prepare(inst).kernel(False)[0]:
         assert sectors._sector_plan(terms, n).nbytes < packed_bytes
     evolve(densesim.maximally_mixed(n), inst, 1)
@@ -244,7 +244,7 @@ def test_packed_h_is_the_hamiltonian_in_the_planted_frame():
         frame = prep.frame or [np.eye(2)] * inst.n
         v = densesim.product_unitary(frame)
         h = v.conj().T @ build_hamiltonian(inst) @ v
-        for square, b in zip(prep.weight_h, densesim._weight_index(inst.n)):
+        for square, b in zip(prep.weight_h, densesim._sectors(inst.n).blocks):
             assert np.max(np.abs(square - h[np.ix_(b, b)])) <= TOL
             h[np.ix_(b, b)] = 0
         assert np.max(np.abs(h)) <= TOL
@@ -256,9 +256,9 @@ def test_packed_step_energy_equals_the_entries_energy():
     rng = np.random.default_rng(28)
     for inst in _packed_h_cases():
         n, prep = inst.n, sectors._prepare(inst)
-        rho = block_diagonal_state(n, [len(b) for b in densesim._weight_index(n)], rng)
+        rho = block_diagonal_state(n, [len(b) for b in densesim._sectors(n).blocks], rng)
         run = sectors._Run(prep, whole=False)
-        state = np.concatenate([densesim._block(rho, b).ravel() for b in densesim._weight_index(n)])
+        state = np.concatenate([densesim._block(rho, b).ravel() for b in densesim._sectors(n).blocks])
         _, energy = run.step(state)
         v = densesim.product_unitary(prep.frame or [np.eye(2)] * n)
         assert abs(energy - channel._energy(state, run.entries)) <= TOL
@@ -278,17 +278,24 @@ def test_dual_residuals_classifies_clauses_in_the_planted_frame():
 
 def test_unpack_inverts_the_packing_exactly():
     """`_Sectors.unpack` scatters a packed vector into the dense matrix from which
-    `densesim._weight_packed` gathers it again, bit for bit, at n = 2..8."""
+    `_Sectors.pack` gathers it again, bit for bit, at n = 2..8; on the whole-space
+    record the one view is the row-major matrix and `unpack` a fresh copy of it."""
     rng = np.random.default_rng(29)
     for n in range(2, 9):
-        sec = sectors._sectors(n)
+        sec = densesim._sectors(n)
         packed = rng.standard_normal(sec.size) + 1j * rng.standard_normal(sec.size)
         dense = sec.unpack(packed)
-        assert np.array_equal(densesim._weight_packed(dense), packed)
-        for b, square in zip(densesim._weight_index(n), sec.views(packed)):
+        assert np.array_equal(sec.pack(dense), packed)
+        for b, square in zip(densesim._sectors(n).blocks, sec.views(packed)):
             assert np.array_equal(dense[np.ix_(b, b)], square)
             dense[np.ix_(b, b)] = 0
         assert not dense.any()                                 # nothing between weights
+        whole = densesim._sectors(n, whole=True)
+        flat = rng.standard_normal(4**n) + 1j * rng.standard_normal(4**n)
+        (view,) = whole.views(flat)
+        assert np.shares_memory(view, flat) and np.array_equal(view, flat.reshape(2**n, 2**n))
+        dense = whole.unpack(flat)
+        assert not np.shares_memory(dense, flat) and np.array_equal(dense, view)
 
 
 def _chain_cases():

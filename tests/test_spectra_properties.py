@@ -14,7 +14,7 @@ from qsatwalk import densesim
 from qsatwalk.instance import Instance, conjugate_instance, make_clause
 from qsatwalk.observables import ZERO_TOL, build_hamiltonian, spectral_data
 
-from helpers import PROPERTY_SETTINGS, amplitudes, random_product_basis
+from helpers import PROPERTY_SETTINGS, amplitudes, random_product_basis, weight_squares
 
 TOL = 1e-12
 
@@ -60,7 +60,7 @@ def assert_matches_full_eigh(h):
 @given(instances(("restricted",)) | instances(("type-ii",)) | instances(("restricted", "type-ii")))
 def test_weight_conserving_hamiltonian_splits_into_blocks(inst):
     h = build_hamiltonian(inst)
-    assert len(densesim._weight_squares(h)) == inst.n + 1
+    assert len(weight_squares(h)) == inst.n + 1
     assert_matches_full_eigh(h)
 
 

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from qsatwalk import densesim, trajectory
-from qsatwalk.errors import DegenerateBranch, DimensionMismatch, IndexOutOfRange
+from qsatwalk.errors import DegenerateBranch, DimensionMismatch, IndexOutOfRange, NotHermitian
 from qsatwalk.instance import (
     Instance,
     conjugate_instance,
@@ -448,3 +448,15 @@ def test_run_ensemble_rejects_operator_of_wrong_size(op):
     inst = generate_planted_restricted(3, 2, seed=52)
     with pytest.raises(DimensionMismatch):
         run_ensemble(inst, 5, 2, master_seed=1, operators={"op": op})
+
+
+@pytest.mark.parametrize("op", [1 + 1j * np.arange(8), np.triu(np.ones((8, 8)))], ids=["vector", "matrix"])
+def test_run_ensemble_rejects_non_hermitian_operators_before_any_chunk(op, monkeypatch):
+    """A diagonal with imaginary parts, or a dense matrix off its conjugate transpose,
+    would have its means read as real parts; both raise before anything runs."""
+    chunks = []
+    monkeypatch.setattr(trajectory, "_ensemble_chunk", chunks.append)
+    inst = generate_planted_restricted(3, 2, seed=52)
+    with pytest.raises(NotHermitian, match="operator 'A' deviates from Hermitian by [17]\\.0$"):
+        run_ensemble(inst, 5, 2, master_seed=1, operators={"S": np.ones(8), "A": op})
+    assert chunks == []
