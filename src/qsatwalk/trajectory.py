@@ -739,8 +739,8 @@ def run_ensemble(
     2^n x 2^n matrix, and any other shape raises DimensionMismatch; one that
     deviates from Hermitian by more than `densesim.HERMITICITY_TOL` (a 1-D one
     by its imaginary parts) raises NotHermitian, both before any trajectory
-    runs. Results do
-    not depend on `workers`; at most one process is started per chunk.
+    runs. Results do not depend on `workers`; at most one process is started
+    per chunk.
     `master_seed` is an int, a numpy integer or a sequence of them; any other
     kind (a `Generator`, a float) raises TypeError before any trajectory runs.
     """
@@ -756,7 +756,7 @@ def run_ensemble(
         if np.shape(op) not in ((2**inst.n,), (2**inst.n, 2**inst.n)):
             raise DimensionMismatch(f"operator {name!r} has shape {np.shape(op)} on {inst.n} qubits")
         dev = np.max(np.abs(np.imag(op) if np.ndim(op) == 1 else op - np.conj(op).T))
-        if dev > HERMITICITY_TOL:      # a diagonal operator: its imaginary parts
+        if dev > HERMITICITY_TOL:
             raise NotHermitian(f"operator {name!r} deviates from Hermitian by {dev}")
     payloads = [
         (inst, T, start, min(start + _CHUNK, M), master_seed, ops)

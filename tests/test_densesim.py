@@ -207,7 +207,7 @@ def test_weight_squares_are_the_gathered_blocks(n):
     a, near = _block_diagonal(n, np.random.default_rng(60 + n))
     sec = densesim._sectors(n)
     blocks = sec.blocks
-    assert not any(b.flags.writeable for b in blocks)          # kept for the process: read-only
+    assert not any(b.flags.writeable for b in blocks)          # cached for the process: read-only
     for x in (a, a.T, a[::-1, ::-1], near):
         tols = (FRAME_ZERO_TOL,) if x is near else (0.0, FRAME_ZERO_TOL)
         for tol in tols:

@@ -286,7 +286,7 @@ def test_unpack_inverts_the_packing_exactly():
         packed = rng.standard_normal(sec.size) + 1j * rng.standard_normal(sec.size)
         dense = sec.unpack(packed)
         assert np.array_equal(sec.pack(dense), packed)
-        for b, square in zip(densesim._sectors(n).blocks, sec.views(packed)):
+        for b, square in zip(sec.blocks, sec.views(packed)):
             assert np.array_equal(dense[np.ix_(b, b)], square)
             dense[np.ix_(b, b)] = 0
         assert not dense.any()                                 # nothing between weights
