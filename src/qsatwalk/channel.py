@@ -190,9 +190,9 @@ def _resymmetrize(state: np.ndarray, sec, t: int) -> np.ndarray:
     """Hermitian part of the state over the square blocks of its layout `sec`, at unit
     trace; raise NumericalDrift when either had drifted by more than DRIFT_TOL."""
     views = sec.views(state)
-    herm = max(np.max(np.abs(v - v.conj().T)) for v in views)
+    herm = np.max([np.max(np.abs(v - v.conj().T)) for v in views])   # NaN-propagating
     tr_err = abs(sum(np.trace(v).real for v in views) - 1.0)
-    if herm > DRIFT_TOL or tr_err > DRIFT_TOL:
+    if not (herm <= DRIFT_TOL and tr_err <= DRIFT_TOL):
         raise NumericalDrift(f"drift at step {t}: hermiticity {herm}, trace error {tr_err}")
     for v in views:
         v[...] = (v + v.conj().T) / 2

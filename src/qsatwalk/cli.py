@@ -1,7 +1,9 @@
 """Command-line front end: generate, evolve, sample, decide, classical, spectrum, verify, report.
 
 Exit-code protocol: 0 success (or YES verdict), 1 NO verdict / no assignment
-found, 2 usage or input errors, 3 capacity breach, 4 verification failure.
+found and nothing else, 2 usage or input errors (every `QsatwalkError` and
+every `OSError`, reported by `main` as `error: <message>`), 3 capacity
+breach, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -12,18 +14,7 @@ import sys
 
 from . import __version__, channel, decision, densesim, observables, verify
 from .classical import assignment_string, papadimitriou, parse_dimacs
-from .errors import (
-    CertificationFailed,
-    DegenerateSpectrum,
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidPromise,
-    InvalidTarget,
-    NotUnitary,
-    ParseError,
-    QubitPairInvalid,
-    ZeroVector,
-)
+from .errors import InvalidPromise, QsatwalkError
 from .instance import (
     clause_census,
     generate_no_instance,
@@ -37,21 +28,6 @@ from .trajectory import run_ensemble, write_ensemble_csv, write_ensemble_summary
 
 DENSITY_QUBIT_CAP = 12
 VECTOR_QUBIT_CAP = 20
-
-_USAGE_ERRORS = (
-    ParseError,
-    InvalidPromise,
-    InvalidTarget,
-    QubitPairInvalid,
-    ZeroVector,
-    NotUnitary,
-    DimensionMismatch,
-    CertificationFailed,
-    DegenerateSpectrum,
-    IndexOutOfRange,
-    FileNotFoundError,
-)
-
 
 def _int_at_least(low: int, what: str):
     """argparse type: an integer >= low (seeds >= 0, as numpy requires; workers >= 1)."""
@@ -104,8 +80,7 @@ def _over_capacity(n: int, cap: int, what: str) -> bool:
 def cmd_generate(args) -> int:
     sampled = args.kind in ("restricted", "extended", "no-random")
     if sampled and args.seed is None:
-        print("error: --seed is required for sampled generation", file=sys.stderr)
-        return 2
+        raise QsatwalkError("--seed is required for sampled generation")
     if args.kind == "no-random" and _over_capacity(args.n, DENSITY_QUBIT_CAP, "certification"):
         return 3   # certifying a random NO instance diagonalizes the dense 2^n x 2^n H
     if args.kind == "restricted":
@@ -176,11 +151,7 @@ def cmd_decide(args) -> int:
     if _over_capacity(inst.n, VECTOR_QUBIT_CAP, "state-vector"):
         return 3
     if inst.promise is None or inst.promise.c is None:
-        print(
-            "error: the decision procedure needs a promise gap c on the instance",
-            file=sys.stderr,
-        )
-        return 2
+        raise InvalidPromise("the decision procedure needs a promise gap c on the instance")
     variant = decision.Variant(args.variant)
     params = decision.decision_params(inst.promise.c, inst.L, inst.n, variant)
     verdict = decision.decide(inst, params, args.seed)
@@ -341,7 +312,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (QsatwalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

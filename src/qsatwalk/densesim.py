@@ -99,11 +99,11 @@ def _checked_density(rho):
     for a, h in zip(squares, parts):
         np.conjugate(a.T, out=h)
         deviations.append(np.max(np.abs(a - h)))
-    herm = max(deviations)
-    if herm > HERMITICITY_TOL:
+    herm = np.max(deviations)             # NaN-propagating, unlike the builtin max
+    if not herm <= HERMITICITY_TOL:
         raise NotHermitian(f"density matrix deviates from Hermitian by {herm}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise DimensionMismatch(f"density matrix trace {tr} is not 1 within {TRACE_TOL}")
     hermitian += checked
     hermitian *= 0.5                       # (a + a^dagger) / 2, block by block
@@ -111,7 +111,7 @@ def _checked_density(rho):
         h.reshape(-1)[:: len(h) + 1] += PSD_TOL
     if not all(_positive_definite(h) for h in parts):
         lo = min(np.linalg.eigvalsh((a + a.conj().T) / 2)[0] for a in squares)
-        if lo < -PSD_TOL:
+        if not lo >= -PSD_TOL:
             raise DimensionMismatch(f"density matrix has eigenvalue {lo} < -{PSD_TOL}")
     return rho, packed
 
@@ -296,11 +296,13 @@ def require_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     return u
 
 
-def _check_hermitian(a: np.ndarray) -> None:
-    """Raise NotHermitian when max |a - a^dagger| exceeds HERMITICITY_TOL."""
-    dev = np.max(np.abs(a - a.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise NotHermitian(f"matrix deviates from Hermitian by {dev}")
+def _check_hermitian(a, what: str = "matrix") -> None:
+    """Raise NotHermitian, naming `what`, unless max |a - a^dagger| is at most
+    HERMITICITY_TOL, which NaN is not. A 1-D a is a diagonal, held to its imaginary
+    parts as (a - a*) / 2, which a NaN real part makes NaN."""
+    dev = np.max(np.abs((a - np.conj(a)) / 2 if np.ndim(a) == 1 else a - np.conj(a).T))
+    if not dev <= HERMITICITY_TOL:
+        raise NotHermitian(f"{what} deviates from Hermitian by {dev}")
 
 
 def hermitian_eig(a: np.ndarray):
@@ -353,6 +355,6 @@ def expectation(a: np.ndarray, state: np.ndarray) -> float:
         val = np.vdot(state, a @ state)
     else:
         val = np.einsum("ij,ji->", a, state)
-    if abs(val.imag) > 1e-8:
+    if not abs(val.imag) <= 1e-8:
         raise NonRealExpectation(f"expectation has imaginary part {val.imag}")
     return float(val.real)

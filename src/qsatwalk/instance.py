@@ -53,7 +53,7 @@ class Clause:
         if amps.shape != (4,):
             raise ZeroVector(f"amplitude vector has shape {amps.shape}, expected (4,)")
         norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > AMP_NORM_TOL:
+        if not abs(norm2 - 1.0) <= AMP_NORM_TOL:
             raise ZeroVector(f"amplitude vector has squared norm {norm2}, violating normalization")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
@@ -296,8 +296,8 @@ def _complex_pairs(vec) -> list:
 
 def _from_pairs(pairs, field_name):
     try:
-        return np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
-    except (TypeError, IndexError, ValueError) as exc:
+        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed [re, im] pair list: {exc}", field=field_name)
 
 

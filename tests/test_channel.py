@@ -9,7 +9,7 @@ from qsatwalk.channel import (
     evolve,
     write_series_csv,
 )
-from qsatwalk.errors import NotHermitian
+from qsatwalk.errors import IndexOutOfRange, NotHermitian, NumericalDrift
 from qsatwalk.instance import (
     ClauseForm,
     Instance,
@@ -107,6 +107,46 @@ def test_apply_passes_hermitian_input_to_the_kernel_unchanged():
         assert np.array_equal(apply_clause_channel(state, inst.clauses[0]),
                               channel._apply(state, terms[:1])[0])
         assert np.array_equal(apply_step_channel(state, inst), channel._apply(state, terms)[0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: apply_clause_channel(densesim.maximally_mixed(2), make_clause(0, 2, SINGLET)),
+         r"^clause acts on \(0, 2\) but state has n=2$"),
+        (lambda: apply_step_channel(densesim.maximally_mixed(2), generate_planted_restricted(3, 2, seed=1)),
+         "^state has 2 qubits but instance has 3$"),
+        (lambda: evolve(densesim.maximally_mixed(2), generate_planted_restricted(3, 2, seed=1), 1),
+         "^initial state dimension does not match instance$"),
+    ],
+    ids=["clause-outside-state", "step-qubit-count", "evolve-qubit-count"],
+)
+def test_channel_rejects_a_state_of_another_width(call, message):
+    with pytest.raises(IndexOutOfRange, match=message):
+        call()
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["weight-blocks", "whole-space"])
+def test_resymmetrize_projects_drift_within_tolerance_and_raises_beyond(whole):
+    """A state off Hermitian, and off unit trace, by less than DRIFT_TOL comes back
+    Hermitian at unit trace, block by block; drift beyond DRIFT_TOL raises."""
+    rng = np.random.default_rng(5)
+    rho = densesim.random_density_matrix(3, rng)
+    sec = densesim._sectors(3, whole=whole)
+    if whole:
+        state = rho.reshape(-1)
+    else:
+        weight = densesim._hamming_weights(3)
+        state = sec.pack(np.where(weight[:, None] == weight, rho, 0))
+        state /= sum(np.trace(v).real for v in sec.views(state))
+    noise = 0.02 * channel.DRIFT_TOL * (rng.standard_normal(state.shape) + 1j * rng.standard_normal(state.shape))
+    out = channel._resymmetrize(state + noise, sec, 100)
+    views = sec.views(out)
+    assert max(np.max(np.abs(v - v.conj().T)) for v in views) == 0.0
+    assert abs(sum(np.trace(v).real for v in views) - 1.0) <= 1e-14
+    assert np.max(np.abs(out - state)) <= channel.DRIFT_TOL
+    with pytest.raises(NumericalDrift, match="^drift at step 100: hermiticity"):
+        channel._resymmetrize(state + 100 * noise, sec, 100)
 
 
 def test_step_channel_single_clause_degenerate_average():

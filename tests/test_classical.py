@@ -116,5 +116,24 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf x 1\n1 2 0\n")
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: CnfInstance(n=0, clauses=()), DimensionMismatch, "^need n >= 1, got 0$"),
+        (lambda: CnfInstance(n=2, clauses=(((0, False),),)), ParseError, "^clause 0 has 1 literals, expected 2$"),
+        (lambda: CnfInstance(n=2, clauses=(((0, False), (2, True)),)), ParseError,
+         r"^clause 0 uses variable 2, outside \[0, 2\)$"),
+        (lambda: parse_dimacs("p cnf 2 1\n1 x 0\n"), ParseError, r"^non-integer literal \(line 2\)$"),
+        (lambda: parse_dimacs("c no problem line\n"), ParseError, r"^missing problem line \(field 'p cnf'\)$"),
+        (lambda: parse_dimacs("p cnf 2 2\n1 2 0\n"), ParseError, "^problem line declares 2 clauses, found 1$"),
+    ],
+    ids=["n-0", "one-literal", "variable-outside-n", "non-integer-literal", "no-problem-line",
+         "clause-count"],
+)
+def test_cnf_checks_name_what_they_reject(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_assignment_string():
     assert assignment_string([True, False, True]) == "101"

@@ -139,12 +139,16 @@ def _exit_code(argv):
         ["generate", "--kind", "restricted", "-n", "3", "-L", "2", "--seed", "0", "--promise-c", "-1",
          "-o", "g.json"],
         ["classical", "bad.cnf", "--seed", "0"],
+        ["decide", "no.json", "--seed", "0", "-o", "."],
+        ["evolve", "no.json", "-T", "1", "-o", "."],
+        ["classical", ".", "--seed", "0"],
     ],
     ids=["sample-M0", "sample-T-2", "evolve-T-2", "sample-seed-1", "sample-workers0",
          "sample-workers-1", "decide-seed-1",
          "classical-seed-1", "classical-b-nan", "classical-b-inf", "classical-b-1e400",
          "generate-seed-1", "generate-promise-c-nan", "generate-promise-c-1",
-         "classical-problem-line"],
+         "classical-problem-line", "decide-output-directory", "evolve-output-directory",
+         "classical-directory"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv):
     # exit 1 means NO / no assignment found, so a usage error must not produce it
@@ -264,6 +268,14 @@ def test_verify_runs_every_check(capsys):
     }
 
 
+def test_run_suites_rejects_unknown_names():
+    from qsatwalk import verify
+    from qsatwalk.errors import QsatwalkError
+
+    with pytest.raises(QsatwalkError, match=r"^unknown verify suite\(s\): \['lemma2'\]$"):
+        verify.run_suites(["lemma1", "lemma2"])
+
+
 def test_verify_flags_corrupted_normalization(tmp_path, capsys):
     bad = {
         "n": 2,
@@ -276,6 +288,21 @@ def test_verify_flags_corrupted_normalization(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "instance-normalization" in captured.out
     assert "instance-normalization" in captured.err
+
+
+@pytest.mark.parametrize("argv, code, stream, line", [
+    (["decide", "nan.json", "--seed", "0"], 2, "err", "error: amplitude vector has squared norm nan"),
+    (["spectrum", "nan.json"], 2, "err", "error: amplitude vector has squared norm nan"),
+    (["verify", "--suite", "fixtures", "nan.json"], 4, "out", "FAIL fixtures:instance-normalization"),
+], ids=["decide", "spectrum", "verify"])
+def test_nan_amplitude_file_is_rejected(tmp_path, capsys, monkeypatch, argv, code, stream, line):
+    """A NaN amplitude in a file that promises NO fails the clause normalization check."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.json").write_text(
+        '{"n": 2, "clauses": [{"i": 0, "j": 1, "amps": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}],'
+        ' "promise": {"kind": "no", "c": 1.0}}')
+    assert cli.main(argv) == code
+    assert getattr(capsys.readouterr(), stream).startswith(line)
 
 
 def test_report_contents(tmp_path, capsys):

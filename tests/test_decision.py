@@ -66,6 +66,20 @@ def test_params_rejects_non_finite_gap():
             decision_params(c, 4, 2)
 
 
+@pytest.mark.parametrize(
+    "L, n, variant, message",
+    [
+        (0, 2, Variant.RESTRICTED, "^need L >= 1 and n >= 2, got L=0, n=2$"),
+        (4, 1, Variant.RESTRICTED, "^need L >= 1 and n >= 2, got L=4, n=1$"),
+        (4, 2, "restricted", "^unknown variant 'restricted'$"),
+    ],
+    ids=["L-0", "n-1", "variant-string"],
+)
+def test_params_rejects_bad_sizes_and_variants(L, n, variant, message):
+    with pytest.raises(InvalidPromise, match=message):
+        decision_params(1.0, L, n, variant)
+
+
 def test_params_rejects_bad_gap():
     with pytest.raises(InvalidPromise):
         decision_params(0.0, 4, 2)

@@ -4,15 +4,19 @@ import re
 import numpy as np
 import pytest
 
-from qsatwalk import densesim
-from qsatwalk.channel import evolve
+from qsatwalk import channel, densesim
+from qsatwalk.channel import apply_step_channel, evolve
 from qsatwalk.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NonRealExpectation,
     NotHermitian,
+    NumericalDrift,
+    ParseError,
+    ZeroVector,
 )
-from qsatwalk.instance import generate_planted_restricted
+from qsatwalk.instance import Clause, deserialize, generate_planted_restricted
+from qsatwalk.trajectory import run_ensemble
 
 from helpers import embed_oracle, embed_single, pure_density, random_hermitian, random_state_vector, weight_squares
 
@@ -148,6 +152,67 @@ def test_shape_is_checked_before_the_weight_blocks(check, shape, message):
     of `num_qubits`, before the Hermiticity check or the packing reads it."""
     with pytest.raises(DimensionMismatch, match=f"^{message}$"):
         check(np.eye(*shape, dtype=complex))
+
+
+def _nan_state():
+    """I/4 with one NaN between two states of weight 1: every block check sees it
+    in the second of three blocks, past the first block's finite deviation."""
+    rho = densesim.maximally_mixed(2)
+    rho[1, 2] = np.nan
+    return rho
+
+
+NAN_FILE = '{"n": 2, "clauses": [{"i": 0, "j": 1, "amps": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}]}'
+NAN_DIAGONAL = np.array([np.nan, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Clause(0, 1, np.array([np.nan, 0, 0, 1])), ZeroVector, "squared norm nan"),
+        (lambda: deserialize(NAN_FILE), ParseError, r"squared norm nan.*clauses\[0\]"),
+        (lambda: densesim.as_density_matrix(_nan_state()), NotHermitian,
+         "^density matrix deviates from Hermitian by nan$"),
+        (lambda: densesim.hermitian_eig(_nan_state()), NotHermitian, "^matrix deviates from Hermitian by nan$"),
+        (lambda: apply_step_channel(_nan_state(), generate_planted_restricted(2, 1, seed=0)), NotHermitian,
+         "^matrix deviates from Hermitian by nan$"),
+        (lambda: evolve(_nan_state(), generate_planted_restricted(2, 1, seed=0), 1), NotHermitian,
+         "^density matrix deviates from Hermitian by nan$"),
+        (lambda: run_ensemble(generate_planted_restricted(2, 1, seed=0), 1, 1, 0, operators={"S": NAN_DIAGONAL}),
+         NotHermitian, "^operator 'S' deviates from Hermitian by nan$"),
+        (lambda: densesim.expectation(NAN_DIAGONAL, densesim.basis_state(2, 1)), NonRealExpectation,
+         "imaginary part nan"),
+        (lambda: channel._resymmetrize(densesim._sectors(2).pack(_nan_state()), densesim._sectors(2), 100),
+         NumericalDrift, "hermiticity nan"),
+    ],
+    ids=["clause", "deserialize", "as_density_matrix", "hermitian_eig", "apply_step_channel", "evolve",
+         "run_ensemble", "expectation", "resymmetrize"],
+)
+def test_nan_fails_each_entry_points_own_check(call, error, message):
+    """A check written `x > tol` is false for NaN; each is written `not x <= tol`."""
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: densesim.num_qubits(np.zeros((2, 2, 2))), DimensionMismatch, "^expected a vector or matrix, got ndim=3$"),
+        (lambda: densesim.basis_state(2, 4), IndexOutOfRange, r"^basis index 4 outside \[0, 2\^2\)$"),
+        (lambda: densesim.as_density_matrix(np.full(4, 0.5)), DimensionMismatch, "^density matrix must be 2-D$"),
+        (lambda: densesim.as_density_matrix(np.eye(4) / 2), DimensionMismatch, r"^density matrix trace \(2\+0j\) is not 1"),
+        (lambda: densesim.kron_embed(np.eye(2), 0, 1, 2), DimensionMismatch, r"^expected a 4x4 operator, got shape \(2, 2\)$"),
+        (lambda: densesim.product_unitary([np.eye(2), np.eye(4)]), DimensionMismatch,
+         r"^block 1 has shape \(4, 4\), expected 2x2$"),
+        (lambda: densesim.expectation(np.eye(2), np.zeros((2, 2, 2))), DimensionMismatch,
+         "^state must be a vector or a square matrix$"),
+    ],
+    ids=["num_qubits-3-d", "basis_state-index", "density-1-d", "density-trace", "kron_embed-2x2",
+         "product_unitary-4x4", "expectation-3-d"],
+)
+def test_malformed_input_names_the_broken_invariant(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def _named_eigenvalue(rho):

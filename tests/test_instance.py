@@ -15,6 +15,7 @@ from qsatwalk.errors import (
 )
 from qsatwalk.instance import (
     ClauseForm,
+    Instance,
     Promise,
     classify_clause,
     clause_census,
@@ -251,8 +252,9 @@ def test_promise_gap_must_be_finite_and_positive(kind, c):
     [
         ([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], ["clauses[1]", "amplitude"]),
         ([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [0.0, 0.0]], ["clauses[1]", "normalization"]),
+        ([[0.0, 0.0], [1.0, 0.0, 7.0], [0.0, 0.0], [0.0, 0.0]], ["clauses[1].amps", "pair"]),
     ],
-    ids=["three-amplitudes", "denormalized"],
+    ids=["three-amplitudes", "denormalized", "three-element-pair"],
 )
 def test_deserialize_names_the_clause_the_constructor_rejects(amps, words):
     doc = json.loads(serialize(generate_planted_restricted(3, 3, seed=1)))
@@ -260,6 +262,38 @@ def test_deserialize_names_the_clause_the_constructor_rejects(amps, words):
     with pytest.raises(ParseError) as err:
         deserialize(json.dumps(doc))
     assert all(word in str(err.value) for word in words)
+
+
+def _edited(edit):
+    """A valid planted n=2 instance's document, changed by edit(doc), as JSON text."""
+    doc = json.loads(serialize(generate_planted_restricted(2, 1, seed=1)))
+    doc["promise"] = {"kind": "yes"}
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "^top-level value must be an object$"),
+        (_edited(lambda doc: doc.update(n=1)), r"qubit count must be an integer >= 2, got 1 \(field 'n'\)"),
+        (_edited(lambda doc: doc.update(clauses=[])), r"missing or empty clause list \(field 'clauses'\)"),
+        (_edited(lambda doc: doc.update(clauses=[[0, 1]])), r"clause must be an object \(field 'clauses\[0\]'\)"),
+        (_edited(lambda doc: doc["clauses"][0].pop("amps")), r"clause missing 'amps' \(field 'clauses\[0\]'\)"),
+        (_edited(lambda doc: doc["clauses"][0].update(i="0")), "qubit indices must be integers"),
+        (_edited(lambda doc: doc["planted_basis"].pop()), "planted basis must list 2 single-qubit blocks"),
+        (_edited(lambda doc: doc["planted_basis"][1].pop()),
+         r"each basis block needs 4 entries \(field 'planted_basis\[1\]'\)"),
+        (_edited(lambda doc: doc.update(promise="yes")), r"promise must be an object with a 'kind' \(field 'promise'\)"),
+        (_edited(lambda doc: doc.update(promise={"kind": "no", "c": "1"})), "promise gap c must be a number"),
+        (_edited(lambda doc: doc["clauses"][0].update(j=2)), r"^clause 0 acts on \(0, 2\) but n=2$"),
+    ],
+    ids=["top-level-list", "n-1", "no-clauses", "clause-list", "clause-missing-amps", "string-index",
+         "short-basis", "short-basis-block", "promise-string", "promise-c-string", "clause-outside-n"],
+)
+def test_deserialize_rejects_each_malformed_field(text, message):
+    with pytest.raises(ParseError, match=message):
+        deserialize(text)
 
 
 def test_deserialize_rejects_unknown_promise_kind():
@@ -307,3 +341,45 @@ def test_instance_rejects_out_of_range_clause():
         from qsatwalk.instance import Instance
 
         Instance(n=2, clauses=(make_clause(0, 3, (0, 1, 0, 0)),))
+
+
+PAIR = make_clause(0, 1, (0, 0.6, 0.8, 0))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Promise(kind="no"), InvalidPromise, "^a NO promise requires a gap c > 0$"),
+        (lambda: Instance(n=1, clauses=(PAIR,)), QubitPairInvalid, "^instances need n >= 2 qubits, got n=1$"),
+        (lambda: Instance(n=2, clauses=()), ZeroVector, "^instances need at least one clause$"),
+        (lambda: Instance(n=2, clauses=(PAIR,), planted_basis=(np.eye(2),)), NotUnitary,
+         "^planted basis has 1 blocks, expected 2$"),
+        (lambda: Instance(n=2, clauses=(PAIR,)).planted_qubit_states(), InvalidPromise,
+         "^instance carries no planted basis$"),
+        (lambda: Instance(n=2, clauses=(make_clause(0, 1, (1, 0, 0, 0)),), planted_basis=(np.eye(2),) * 2),
+         InvalidPromise, "^planted state has energy 1.0 on clause 0"),
+        (lambda: generate_planted_extended(3, 2, 1.5, seed=0), InvalidPromise, r"^typeII_fraction must lie in \[0, 1\]"),
+        (lambda: generate_no_instance(1, "complete_pair"), QubitPairInvalid, "^need n >= 2, got 1$"),
+        (lambda: generate_no_instance(2, "complete_triple"), InvalidPromise, "^unknown NO-instance style 'complete_triple'$"),
+        (lambda: generate_no_instance(2, "random_certified"), InvalidPromise,
+         "^random_certified needs c_target > 0, got None$"),
+        (lambda: conjugate_instance(Instance(n=2, clauses=(PAIR,)), [np.eye(2)]), NotUnitary,
+         "^basis has 1 blocks, expected 2$"),
+    ],
+    ids=["no-promise-without-gap", "n-1", "no-clauses", "short-planted-basis", "no-planted-basis",
+         "planted-state-violates", "typeii-fraction", "no-instance-n-1", "no-instance-style",
+         "no-instance-no-target", "short-conjugating-basis"],
+)
+def test_instance_api_rejects_invalid_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_complete_pair_certification_checks_its_gap(monkeypatch):
+    """The complete pair's H is the identity on (0, 1); a Hamiltonian whose smallest
+    eigenvalue is not 1 fails its certification."""
+    from qsatwalk import observables
+
+    monkeypatch.setattr(observables, "build_hamiltonian", lambda inst: np.eye(4) / 2)
+    with pytest.raises(CertificationFailed, match="^complete pair certification gave min eig 0.5$"):
+        generate_no_instance(2, "complete_pair")

@@ -248,6 +248,34 @@ class _ForcedStream:
 
 
 @pytest.mark.parametrize("start, draw, kind", [(0, 0.0, "unsatisfied"), (1, 1 - 1e-16, "satisfied")])
+def test_scalar_steps_degenerate_branch_guard(start, draw, kind):
+    """The scalar layout's copy of the guard: basis state |start> measured by a clause
+    with a 1e-15 share of |00>, at a draw that picks the branch of that size."""
+    eps = 10**-7.5
+    inst = Instance(n=2, clauses=(make_clause(0, 1, (eps, 1, 0, 0)),))
+    psi = densesim.basis_state(2, start).tolist()
+    draws = ([0], [draw], [0.0], np.zeros((2, 1, 2, 2)))
+    with pytest.raises(DegenerateBranch, match=f"^{kind} branch"):
+        trajectory._scalar_steps(psi, 1.0, [_clause_ket(inst.clauses[0], 2)], draws, range(1), None, bytearray())
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: sample_initial_state(0, np.random.default_rng(0)), IndexOutOfRange, "^need n >= 1, got 0$"),
+        (lambda: trajectory_step(densesim.basis_state(2, 0), generate_planted_restricted(3, 2, seed=1),
+                                 np.random.default_rng(0)), DimensionMismatch, "^state has 2 qubits but instance has 3$"),
+        (lambda: run_trajectory(generate_planted_restricted(3, 2, seed=1), -1, 0), IndexOutOfRange,
+         "^T must be >= 0, got -1$"),
+    ],
+    ids=["initial-state-n-0", "step-qubit-count", "trajectory-T-1"],
+)
+def test_sampler_checks_name_what_they_reject(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("start, draw, kind", [(0, 0.0, "unsatisfied"), (1, 1 - 1e-16, "satisfied")])
 def test_lockstep_degenerate_branch_guard_per_trajectory(start, draw, kind):
     """One trajectory of four reaches a branch of norm^2 about 1e-15; the batch raises."""
     eps = 10**-7.5
