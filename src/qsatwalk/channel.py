@@ -131,7 +131,7 @@ def apply_clause_channel(rho: np.ndarray, clause: Clause) -> np.ndarray:
     which equals T_a(rho) - rho only for Hermitian rho.
     """
     rho = np.asarray(rho, dtype=complex)
-    n = densesim.num_qubits(rho)
+    n = densesim._matrix_qubits(rho, "density matrix")
     densesim._check_hermitian(rho)
     if clause.i >= n or clause.j >= n:
         raise IndexOutOfRange(f"clause acts on ({clause.i}, {clause.j}) but state has n={n}")
@@ -142,7 +142,7 @@ def apply_step_channel(rho: np.ndarray, inst: Instance) -> np.ndarray:
     """Uniform average of the clause updates over all L clauses; raises
     NotHermitian as `apply_clause_channel` does."""
     rho = np.asarray(rho, dtype=complex)
-    n = densesim.num_qubits(rho)
+    n = densesim._matrix_qubits(rho, "density matrix")
     densesim._check_hermitian(rho)
     if n != inst.n:
         raise IndexOutOfRange(f"state has {n} qubits but instance has {inst.n}")

@@ -61,12 +61,12 @@ def _promise_doc(inst):
 
 
 def _emit(text: str, path) -> None:
-    """Print text, and also write it to path when one is given."""
-    print(text)
+    """Write text to path when one is given, then print it: a failed write prints nothing."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
             fh.write("\n")
+    print(text)
 
 
 def _over_capacity(n: int, cap: int, what: str) -> bool:

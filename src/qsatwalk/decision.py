@@ -10,6 +10,13 @@ accepting when the zero-outcome count reaches ceil(N). The extended variant
 step budget, and a 2fLn threshold slack. A YES instance passes with
 probability >= 2/3 and a NO instance with probability <= 1/3; both margins
 are loose in practice.
+
+`decide` stops its walk at the first step where the verdict is fixed: the
+zero count N0 never falls, so YES is certain once N0_t >= N_int and NO once
+t - N0_t > T - N_int. Draw positions never depend on outcomes, so the walk
+is a prefix of the full T-step run of the same seed and the verdict is the
+full run's, bit for bit; it reports the step it stopped at and the zero
+count over those steps.
 """
 
 from __future__ import annotations
@@ -24,9 +31,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import channel, densesim
-from .errors import InvalidPromise, InvalidTarget
+from .errors import IndexOutOfRange, InvalidPromise, InvalidTarget
 from .instance import Instance
-from .trajectory import _seed_json, run_trajectory
+from .trajectory import _as_generator, _clause_ket, _seed_json, _walk
 
 
 class Variant(enum.Enum):
@@ -54,9 +61,10 @@ class DecisionParams:
 @dataclass(frozen=True)
 class Verdict:
     decision: str  # "YES" or "NO"
-    N0: int
+    N0: int        # zero outcomes over the first `steps` steps
     params: DecisionParams
     seed: object
+    steps: int | None = None   # the step at which the verdict was fixed, at most params.T
 
 
 def decision_params(c: float, L: int, n: int, variant: Variant = Variant.RESTRICTED) -> DecisionParams:
@@ -104,14 +112,25 @@ def decision_params(c: float, L: int, n: int, variant: Variant = Variant.RESTRIC
 
 
 def decide(inst: Instance, params: DecisionParams, master_seed) -> Verdict:
-    """Run one trajectory of params.T steps and threshold its zero count.
+    """Walk one trajectory of at most params.T steps until its zero count settles the threshold.
 
-    The verdict's seed is the trajectory record's: master_seed as given, or
-    None for a Generator.
+    The walk stops at the first step after which N0 >= N_int (YES, with N0 ==
+    N_int) or steps - N0 > T - N_int (NO, with steps - N0 == T - N_int + 1),
+    and the decision is that of `run_trajectory(inst, params.T, master_seed)`.
+    The generator is read through the block in which the verdict is fixed
+    and no further, so a DegenerateBranch that a full run would meet after
+    that step is not raised. The verdict's seed is the trajectory record's:
+    master_seed as given, or None for a Generator.
     """
-    record = run_trajectory(inst, params.T, master_seed)
-    decision = "YES" if record.N0 >= params.N_int else "NO"
-    return Verdict(decision=decision, N0=record.N0, params=params, seed=record.seed)
+    if params.T < 0:
+        raise IndexOutOfRange(f"T must be >= 0, got {params.T}")
+    gen, seed = _as_generator(master_seed)
+    kets = [_clause_ket(c, inst.n) for c in inst.clauses]
+    outcomes, _, _ = _walk(kets, inst.n, params.T, gen, n_int=params.N_int)
+    steps = len(outcomes)
+    n0 = steps - int(outcomes.sum())
+    decision = "YES" if n0 >= params.N_int else "NO"
+    return Verdict(decision=decision, N0=n0, params=params, seed=seed, steps=steps)
 
 
 def convergence_steps(n: int, L: int, epsilon: float, p: float, variant: Variant = Variant.RESTRICTED) -> int:
@@ -144,6 +163,7 @@ def verdict_to_json(verdict: Verdict) -> str:
     doc = {
         "decision": verdict.decision,
         "N0": verdict.N0,
+        "steps": verdict.steps,
         "T": verdict.params.T,
         "N_int": verdict.params.N_int,
         "f": verdict.params.f,

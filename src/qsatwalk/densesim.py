@@ -54,6 +54,15 @@ def num_qubits(obj) -> int:
     return n
 
 
+def _matrix_qubits(a: np.ndarray, what: str) -> int:
+    """`num_qubits` of an array that must be a matrix; a vector raises
+    DimensionMismatch naming `what`."""
+    n = num_qubits(a)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"{what} must be 2-D")
+    return n
+
+
 def basis_state(n: int, index: int) -> np.ndarray:
     """Computational basis state |index> on n qubits."""
     if not 0 <= index < 2**n:
@@ -87,9 +96,7 @@ def _checked_density(rho):
     part's diagonal takes PSD_TOL in place before its Cholesky factorization.
     """
     rho = np.asarray(rho, dtype=complex)
-    n = num_qubits(rho)
-    if rho.ndim != 2:
-        raise DimensionMismatch("density matrix must be 2-D")
+    n = _matrix_qubits(rho, "density matrix")
     sec = _sectors(n)
     packed = sec.pack(rho)
     checked = rho if packed is None else packed
@@ -313,10 +320,11 @@ def hermitian_eig(a: np.ndarray):
     C(n, k) basis states is diagonalized on its own, the eigenvalues are
     merged in ascending order, and each eigenvector is supported on one
     block; otherwise the whole space is the one block. Raises NotHermitian
-    when the input deviates from Hermitian by more than HERMITICITY_TOL.
+    when the input deviates from Hermitian by more than HERMITICITY_TOL, and
+    DimensionMismatch when it is not a square matrix.
     """
     a = np.asarray(a, dtype=complex)
-    n = num_qubits(a)
+    n = _matrix_qubits(a, "matrix")
     _check_hermitian(a)
     sec = _sectors(n)
     packed = sec.pack(a)

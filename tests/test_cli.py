@@ -140,6 +140,7 @@ def _exit_code(argv):
          "-o", "g.json"],
         ["classical", "bad.cnf", "--seed", "0"],
         ["decide", "no.json", "--seed", "0", "-o", "."],
+        ["report", "no.json", "-o", "."],
         ["evolve", "no.json", "-T", "1", "-o", "."],
         ["classical", ".", "--seed", "0"],
     ],
@@ -147,7 +148,8 @@ def _exit_code(argv):
          "sample-workers-1", "decide-seed-1",
          "classical-seed-1", "classical-b-nan", "classical-b-inf", "classical-b-1e400",
          "generate-seed-1", "generate-promise-c-nan", "generate-promise-c-1",
-         "classical-problem-line", "decide-output-directory", "evolve-output-directory",
+         "classical-problem-line", "decide-output-directory", "report-output-directory",
+         "evolve-output-directory",
          "classical-directory"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv):
@@ -157,7 +159,9 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "sat.cnf").write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
     (tmp_path / "bad.cnf").write_text("p cnf x 1\n1 2 0\n")
     assert _exit_code(argv) == 2
-    assert "error" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "error" in err
+    assert out == ""        # nothing, not even a verdict, when the command fails
     assert not (tmp_path / "run.csv").exists() and not (tmp_path / "g.json").exists()
 
 
@@ -174,8 +178,10 @@ def test_decide_exit_codes(tmp_path, capsys):
     yes_path = tmp_path / "yes.json"
     save_instance(yes, yes_path)
     assert cli.main(["decide", str(yes_path), "--seed", "0"]) == 0
+    capsys.readouterr()
     assert cli.main(["decide", str(yes_path), "--seed", "1", "-o", str(tmp_path / "v.json")]) == 0
     verdict = json.loads((tmp_path / "v.json").read_text())
+    assert json.loads(capsys.readouterr().out) == verdict       # printed as written
     assert verdict["decision"] == "YES"
     assert verdict["T"] == 1568 and verdict["N_int"] == 1350
 

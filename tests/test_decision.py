@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -15,9 +18,11 @@ from qsatwalk.instance import (
     Instance,
     conjugate_instance,
     generate_no_instance,
+    generate_planted_extended,
     generate_planted_restricted,
     make_clause,
 )
+from qsatwalk.trajectory import _BLOCK, _draw_block, run_trajectory
 
 from helpers import SEED_KINDS, random_product_basis
 
@@ -156,12 +161,13 @@ def test_decide_degenerate_zero_steps():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         params = decision_params(8.0, 2, 2)
-    # zero threshold accepts any run, including an empty one
-    from dataclasses import replace
-
+    # zero threshold accepts any run, including an empty one, and is met before any step
     zero = replace(params, T=0, N=0.0, N_int=0)
     v = decide(inst, zero, 1)
     assert v.N0 == 0 and v.decision == "YES"
+    assert params.T == 8 and params.N_int == 0
+    v = decide(inst, params, 1)
+    assert (v.decision, v.N0, v.steps) == ("YES", 0, 0)
 
 
 def test_verdict_json_fields():
@@ -170,8 +176,66 @@ def test_verdict_json_fields():
     inst = generate_no_instance(2, "complete_pair")
     params = decision_params(1.0, 4, 2)
     doc = json.loads(verdict_to_json(decide(inst, params, 3)))
-    assert set(doc) == {"decision", "N0", "T", "N_int", "f", "variant", "seed"}
+    assert set(doc) == {"decision", "N0", "steps", "T", "N_int", "f", "variant", "seed"}
     assert doc["T"] == 1568 and doc["N_int"] == 1350 and doc["variant"] == "restricted"
+    assert doc["steps"] <= doc["T"]
+
+
+# (instance, params, seeds): the reference NO and YES instances of criterion 6, an extended
+# instance under the extended budget, and a 7-qubit one, whose walk steps through array views,
+# under a threshold near its median zero count so that both verdicts occur
+EARLY_STOP_CASES = {
+    "reference-no": (lambda: generate_no_instance(2, "complete_pair"),
+                     lambda: decision_params(1.0, 4, 2), range(100)),
+    "reference-yes": (lambda: generate_planted_restricted(2, 4, seed=602),
+                      lambda: decision_params(1.0, 4, 2), range(100)),
+    "extended": (lambda: generate_planted_extended(3, 2, 0.5, seed=71),
+                 lambda: decision_params(1.0, 2, 3, Variant.EXTENDED), range(20)),
+    "views-n7": (lambda: generate_planted_restricted(7, 14, seed=70),
+                 lambda: replace(decision_params(1.0, 14, 7), T=200, N_int=186), range(20)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EARLY_STOP_CASES))
+def test_decide_stops_where_its_verdict_is_fixed(case):
+    """The verdict is the full-length threshold's, and the walk stops at the
+    first step that fixes it: YES with N0 == N_int, NO with one outcome 1 more
+    than T - N_int allows. Its N0 is that of a run of `steps` steps."""
+    make_inst, make_params, seeds = EARLY_STOP_CASES[case]
+    inst, params = make_inst(), make_params()
+    decisions = set()
+    for seed in seeds:
+        v = decide(inst, params, seed)
+        full = run_trajectory(inst, params.T, seed)
+        assert v.decision == ("YES" if full.N0 >= params.N_int else "NO"), seed
+        assert 0 <= v.steps <= params.T
+        if v.decision == "YES":
+            assert v.N0 == params.N_int
+        else:
+            assert v.steps - v.N0 == params.T - params.N_int + 1
+        assert run_trajectory(inst, v.steps, seed).N0 == v.N0
+        decisions.add(v.decision)
+    if case == "views-n7":
+        assert decisions == {"YES", "NO"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 44], ids=["seed-0", "seed-1", "block-edge-44"])
+def test_decide_reads_the_generator_through_the_settling_block(seed):
+    """A Generator is left where the initial draw and ceil(steps / 64) blocks
+    leave it: no block is drawn once the verdict is fixed, also when it is
+    fixed on a block's last step (seed 44 stops at step 896 = 14 blocks)."""
+    inst = generate_no_instance(2, "complete_pair")
+    params = decision_params(1.0, 4, 2)
+    rng = np.random.default_rng(seed)
+    v = decide(inst, params, rng)
+    assert v.steps == decide(inst, params, seed).steps
+    if seed == 44:
+        assert v.steps % _BLOCK == 0
+    fresh = np.random.default_rng(seed)
+    fresh.integers(2**inst.n)
+    for _ in range(math.ceil(v.steps / _BLOCK)):
+        _draw_block(fresh, inst.L)
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", sorted(SEED_KINDS))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsatwalk import channel, densesim
-from qsatwalk.channel import apply_step_channel, evolve
+from qsatwalk.channel import apply_clause_channel, apply_step_channel, evolve
 from qsatwalk.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -200,6 +200,11 @@ def test_nan_fails_each_entry_points_own_check(call, error, message):
         (lambda: densesim.num_qubits(np.zeros((2, 2, 2))), DimensionMismatch, "^expected a vector or matrix, got ndim=3$"),
         (lambda: densesim.basis_state(2, 4), IndexOutOfRange, r"^basis index 4 outside \[0, 2\^2\)$"),
         (lambda: densesim.as_density_matrix(np.full(4, 0.5)), DimensionMismatch, "^density matrix must be 2-D$"),
+        (lambda: densesim.hermitian_eig(np.ones(4)), DimensionMismatch, "^matrix must be 2-D$"),
+        (lambda: apply_clause_channel(np.ones(4) / 4, generate_planted_restricted(2, 1, seed=0).clauses[0]),
+         DimensionMismatch, "^density matrix must be 2-D$"),
+        (lambda: apply_step_channel(np.ones(4) / 4, generate_planted_restricted(2, 1, seed=0)),
+         DimensionMismatch, "^density matrix must be 2-D$"),
         (lambda: densesim.as_density_matrix(np.eye(4) / 2), DimensionMismatch, r"^density matrix trace \(2\+0j\) is not 1"),
         (lambda: densesim.kron_embed(np.eye(2), 0, 1, 2), DimensionMismatch, r"^expected a 4x4 operator, got shape \(2, 2\)$"),
         (lambda: densesim.product_unitary([np.eye(2), np.eye(4)]), DimensionMismatch,
@@ -207,8 +212,8 @@ def test_nan_fails_each_entry_points_own_check(call, error, message):
         (lambda: densesim.expectation(np.eye(2), np.zeros((2, 2, 2))), DimensionMismatch,
          "^state must be a vector or a square matrix$"),
     ],
-    ids=["num_qubits-3-d", "basis_state-index", "density-1-d", "density-trace", "kron_embed-2x2",
-         "product_unitary-4x4", "expectation-3-d"],
+    ids=["num_qubits-3-d", "basis_state-index", "density-1-d", "hermitian_eig-1-d", "apply_clause_channel-1-d",
+         "apply_step_channel-1-d", "density-trace", "kron_embed-2x2", "product_unitary-4x4", "expectation-3-d"],
 )
 def test_malformed_input_names_the_broken_invariant(call, error, message):
     with pytest.raises(error, match=message):
