@@ -11,12 +11,14 @@ step budget, and a 2fLn threshold slack. A YES instance passes with
 probability >= 2/3 and a NO instance with probability <= 1/3; both margins
 are loose in practice.
 
-`decide` stops its walk at the first step where the verdict is fixed: the
-zero count N0 never falls, so YES is certain once N0_t >= N_int and NO once
-t - N0_t > T - N_int. Draw positions never depend on outcomes, so the walk
-is a prefix of the full T-step run of the same seed and the verdict is the
-full run's, bit for bit; it reports the step it stopped at and the zero
-count over those steps.
+`decide` stops a NO walk at the first step where its verdict is fixed:
+the one count never falls, so NO is certain once t - N0_t > T - N_int.
+Draw positions never depend on outcomes, so the walk is a prefix of the
+full T-step run of the same seed and the verdict is the full run's, bit for
+bit; it reports the step it stopped at and the zero count over those steps.
+A YES walk runs all T steps, so its N0 is the full count and N0 - N_int its
+margin above the threshold (stopping it once N0_t >= N_int would be as
+exact, but would report N0 = N_int every time).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class Verdict:
     N0: int        # zero outcomes over the first `steps` steps
     params: DecisionParams
     seed: object
-    steps: int | None = None   # the step at which the verdict was fixed, at most params.T
+    steps: int | None = None   # steps walked: params.T for YES, the step that fixed a NO
 
 
 def decision_params(c: float, L: int, n: int, variant: Variant = Variant.RESTRICTED) -> DecisionParams:
@@ -112,21 +114,22 @@ def decision_params(c: float, L: int, n: int, variant: Variant = Variant.RESTRIC
 
 
 def decide(inst: Instance, params: DecisionParams, master_seed) -> Verdict:
-    """Walk one trajectory of at most params.T steps until its zero count settles the threshold.
+    """Walk one trajectory of at most params.T steps and threshold its zero count.
 
-    The walk stops at the first step after which N0 >= N_int (YES, with N0 ==
-    N_int) or steps - N0 > T - N_int (NO, with steps - N0 == T - N_int + 1),
-    and the decision is that of `run_trajectory(inst, params.T, master_seed)`.
-    The generator is read through the block in which the verdict is fixed
-    and no further, so a DegenerateBranch that a full run would meet after
-    that step is not raised. The verdict's seed is the trajectory record's:
-    master_seed as given, or None for a Generator.
+    The walk stops at the first step after which steps - N0 > T - N_int (NO,
+    with steps - N0 == T - N_int + 1) and otherwise runs all T steps (YES,
+    with N0 >= N_int); the decision is that of `run_trajectory(inst,
+    params.T, master_seed)`. A NO walk reads the generator through the block
+    in which its verdict is fixed and no further, so a DegenerateBranch that
+    a full run would meet after that step is not raised. The verdict's seed
+    is the trajectory record's: master_seed as given, or None for a
+    Generator.
     """
     if params.T < 0:
         raise IndexOutOfRange(f"T must be >= 0, got {params.T}")
     gen, seed = _as_generator(master_seed)
     kets = [_clause_ket(c, inst.n) for c in inst.clauses]
-    outcomes, _, _ = _walk(kets, inst.n, params.T, gen, n_int=params.N_int)
+    outcomes, _, _ = _walk(kets, inst.n, params.T, gen, ones_limit=params.T - params.N_int + 1)
     steps = len(outcomes)
     n0 = steps - int(outcomes.sum())
     decision = "YES" if n0 >= params.N_int else "NO"

@@ -11,8 +11,8 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
 
 * `_walk` advances one trajectory block by block; no per-clause index
   tables are built. It serves `run_trajectory`, `decision.decide` (which
-  passes its threshold, so the walk stops at the step that fixes the
-  verdict) and the ensemble chunks that `_lockstep` does not take.
+  passes a limit on the outcomes 1, so a NO walk stops at the step that
+  fixes its verdict) and the ensemble chunks that `_lockstep` does not take.
   Each block's clause, measurement and target draws become Python lists
   once, and one call of the layout's steps function runs the whole block
   (with operators to track, one call per step, after the state is copied
@@ -119,12 +119,12 @@ So an ensemble's n0 and zero frequencies equal those of
 a measurement draw falls within that rounding of <psi|P|psi>, and its
 operator means agree with per-trajectory values to rounding.
 
-A decision (`decision.decide`) walks only up to the step at which its
+A NO decision (`decision.decide`) walks only up to the step at which its
 verdict is fixed, and reads its generator only through the block in which
 that step falls: the initial draw and ceil(steps / _BLOCK) blocks. Its
 outcomes are a prefix of the full T-step run's, so its verdict is the full
 run's; a DegenerateBranch that the full run would raise after that step is
-not raised.
+not raised. A YES decision walks all T steps.
 
 Operator standard errors come from exact pairwise moments: a `_lockstep`
 batch gives (count, mean, M2) of its values in two passes, a `_walk` gives
@@ -443,7 +443,7 @@ def _views_steps(psi: np.ndarray, norm2: float, kets, draws, ks, haar, bits: byt
     return psi, norm2, haar
 
 
-def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None, n_int=None):
+def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None, ones_limit=None):
     """T steps from a random basis state, with randomness drawn block by block.
 
     Returns the outcome bits, the final state as an array, and the prepared
@@ -453,12 +453,10 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None, n_int=N
     evaluation are kept at most `_OBSERVED_ENTRIES` entries at a time (at
     least one state), so tracking operators adds a few state vectors.
 
-    With a threshold n_int (and no operators) the walk stops at the first
-    step after which its zero count reaches n_int or its one count exceeds
-    T - n_int: the count of a full run then lies on the same side of n_int,
-    and the bits end at that step. A block is cut where the verdict could
-    first be fixed, min(zeros still needed, ones still needed) steps ahead,
-    and runs on from there until it is; no block is drawn once it is.
+    With a ones_limit (and no operators) the walk stops at its ones_limit-th
+    outcome 1, so the bits end there. A block is cut where that could first
+    happen, as many steps ahead as ones are still missing, and runs on from
+    there until it does; no block is drawn once it has.
     """
     psi, norm2 = sample_initial_state(n, rng), 1.0
     if n <= _SCALARS_MAX_QUBITS:
@@ -470,23 +468,20 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None, n_int=N
     width = max(1, min(_BLOCK, _OBSERVED_ENTRIES >> n)) if prepared else _BLOCK
     states = np.empty((width, 2**n), dtype=complex) if prepared else None
     squares = _squares(prepared, width, 2**n)
-    need = None if n_int is None else (n_int, T - n_int + 1)    # (zeros, ones) left to fix the verdict
+    ones_left = T + 1 if ones_limit is None else ones_limit    # more than T: never reached
     for start in range(0, T, _BLOCK):
-        if need is not None and min(need) <= 0:
+        if ones_left <= 0:
             break
         clause, uniform, g = _draw_block(rng, len(kets))
         stop = min(start + _BLOCK, T)
         draws = (clause.tolist(), *uniform.tolist(), g[:, : stop - start])
-        if need is not None:
-            k, haar = 0, None
-            while k < stop - start and min(need) > 0:
-                cut = min(stop - start, k + min(need))
-                psi, norm2, haar = steps(psi, norm2, kets, draws, range(k, cut), haar, bits)
-                ones = bits.count(1, start + k)
-                need, k = (need[0] - (cut - k - ones), need[1] - ones), cut
-            continue
         if not prepared:
-            psi, norm2, _ = steps(psi, norm2, kets, draws, range(stop - start), None, bits)
+            k, haar = 0, None
+            while k < stop - start and ones_left > 0:
+                cut = min(stop - start, k + ones_left)
+                psi, norm2, haar = steps(psi, norm2, kets, draws, range(k, cut), haar, bits)
+                ones_left -= bits.count(1, start + k)
+                k = cut
             continue
         haar = None
         for sub in range(start, stop, width):

@@ -161,13 +161,16 @@ def test_decide_degenerate_zero_steps():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         params = decision_params(8.0, 2, 2)
-    # zero threshold accepts any run, including an empty one, and is met before any step
+    # zero threshold accepts any run, including an empty one; a YES walk runs all T steps
     zero = replace(params, T=0, N=0.0, N_int=0)
     v = decide(inst, zero, 1)
     assert v.N0 == 0 and v.decision == "YES"
     assert params.T == 8 and params.N_int == 0
     v = decide(inst, params, 1)
-    assert (v.decision, v.N0, v.steps) == ("YES", 0, 0)
+    assert (v.decision, v.N0, v.steps) == ("YES", run_trajectory(inst, 8, 1).N0, 8)
+    # a threshold above T rejects any run, and is fixed before any step
+    v = decide(inst, replace(params, N_int=9), 1)
+    assert (v.decision, v.N0, v.steps) == ("NO", 0, 0)
 
 
 def test_verdict_json_fields():
@@ -198,9 +201,9 @@ EARLY_STOP_CASES = {
 
 @pytest.mark.parametrize("case", sorted(EARLY_STOP_CASES))
 def test_decide_stops_where_its_verdict_is_fixed(case):
-    """The verdict is the full-length threshold's, and the walk stops at the
-    first step that fixes it: YES with N0 == N_int, NO with one outcome 1 more
-    than T - N_int allows. Its N0 is that of a run of `steps` steps."""
+    """The verdict is the full-length threshold's. A NO walk stops at the first
+    step that fixes it, with one outcome 1 more than T - N_int allows; a YES
+    walk runs all T steps. Its N0 is that of a run of `steps` steps."""
     make_inst, make_params, seeds = EARLY_STOP_CASES[case]
     inst, params = make_inst(), make_params()
     decisions = set()
@@ -210,7 +213,7 @@ def test_decide_stops_where_its_verdict_is_fixed(case):
         assert v.decision == ("YES" if full.N0 >= params.N_int else "NO"), seed
         assert 0 <= v.steps <= params.T
         if v.decision == "YES":
-            assert v.N0 == params.N_int
+            assert v.steps == params.T and v.N0 == full.N0
         else:
             assert v.steps - v.N0 == params.T - params.N_int + 1
         assert run_trajectory(inst, v.steps, seed).N0 == v.N0
@@ -219,16 +222,20 @@ def test_decide_stops_where_its_verdict_is_fixed(case):
         assert decisions == {"YES", "NO"}
 
 
-@pytest.mark.parametrize("seed", [0, 1, 44], ids=["seed-0", "seed-1", "block-edge-44"])
-def test_decide_reads_the_generator_through_the_settling_block(seed):
+@pytest.mark.parametrize("kind, seed", [("no", 0), ("no", 1), ("no", 44), ("yes", 0)],
+                         ids=["seed-0", "seed-1", "block-edge-44", "yes-seed-0"])
+def test_decide_reads_the_generator_through_the_settling_block(kind, seed):
     """A Generator is left where the initial draw and ceil(steps / 64) blocks
-    leave it: no block is drawn once the verdict is fixed, also when it is
-    fixed on a block's last step (seed 44 stops at step 896 = 14 blocks)."""
-    inst = generate_no_instance(2, "complete_pair")
+    leave it: no block is drawn once a NO verdict is fixed, also when it is
+    fixed on a block's last step (seed 44 stops at step 896 = 14 blocks), and
+    a YES walk draws the full run's ceil(T / 64) blocks."""
+    inst = (generate_no_instance(2, "complete_pair") if kind == "no"
+            else generate_planted_restricted(2, 4, seed=602))
     params = decision_params(1.0, 4, 2)
     rng = np.random.default_rng(seed)
     v = decide(inst, params, rng)
     assert v.steps == decide(inst, params, seed).steps
+    assert v.decision == kind.upper()
     if seed == 44:
         assert v.steps % _BLOCK == 0
     fresh = np.random.default_rng(seed)
