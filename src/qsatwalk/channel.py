@@ -119,7 +119,9 @@ def _apply(rho: np.ndarray, clauses: list) -> tuple[np.ndarray, float]:
     """Uniform average of the clause updates, and tr[H rho] for the input state."""
     delta = np.zeros(rho.shape, dtype=complex)   # C order: the kernel writes through reshaped views
     weight = 1.0 / len(clauses)
-    energy = sum(_add_clause_update(rho, delta, terms, weight) for terms in clauses)
+    energy = 0.0
+    for terms in clauses:       # left to right: the builtin sum rounds otherwise from Python 3.12
+        energy += _add_clause_update(rho, delta, terms, weight)
     return _hermitian_sum(rho, delta, densesim._sectors(densesim.num_qubits(rho), whole=True)), energy
 
 

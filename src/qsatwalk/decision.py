@@ -35,7 +35,7 @@ import numpy as np
 from . import channel, densesim
 from .errors import IndexOutOfRange, InvalidPromise, InvalidTarget
 from .instance import Instance
-from .trajectory import _as_generator, _clause_ket, _seed_json, _walk
+from .trajectory import _as_generator, _compiled, _seed_json, _walk
 
 
 class Variant(enum.Enum):
@@ -128,8 +128,8 @@ def decide(inst: Instance, params: DecisionParams, master_seed) -> Verdict:
     if params.T < 0:
         raise IndexOutOfRange(f"T must be >= 0, got {params.T}")
     gen, seed = _as_generator(master_seed)
-    kets = [_clause_ket(c, inst.n) for c in inst.clauses]
-    outcomes, _, _ = _walk(kets, inst.n, params.T, gen, ones_limit=params.T - params.N_int + 1)
+    ones_limit = params.T - params.N_int + 1
+    outcomes, _, _ = _walk(_compiled(inst).kets, inst.n, params.T, gen, ones_limit=ones_limit)
     steps = len(outcomes)
     n0 = steps - int(outcomes.sum())
     decision = "YES" if n0 >= params.N_int else "NO"
@@ -144,8 +144,8 @@ def convergence_steps(n: int, L: int, epsilon: float, p: float, variant: Variant
     """
     if not 0.0 < p < 1.0:
         raise InvalidTarget(f"target overlap p must lie in (0, 1), got {p}")
-    if epsilon <= 0:
-        raise InvalidTarget(f"spectral gap must be positive, got {epsilon}")
+    if not epsilon > 0 or not math.isfinite(epsilon):
+        raise InvalidTarget(f"spectral gap must be positive and finite, got {epsilon}")
     base = Fraction(n * n * L) / (2 * (1 - _decimal(p)) * _decimal(epsilon))
     if variant is Variant.EXTENDED:
         base *= 5

@@ -18,25 +18,31 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
   (with operators to track, one call per step, after the state is copied
   out). The layout depends on n alone:
 
-  - scalar, at n <= 6 (`_SCALARS_MAX_QUBITS`): `_scalar_steps` steps a list
-    of Python complex through the block inline, with no function call per
-    step. Its clause (`_scalar_ket`) holds, per rest index, the basis
+  - scalar, at 3 <= n <= 6 (`_SCALARS_MAX_QUBITS`): `_scalar_steps` steps a
+    list of Python complex through the block inline, with no function call
+    per step. Its clause (`_scalar_ket`) holds, per rest index, the basis
     indices of phi's nonzero rows of `densesim._clause_rows` as one tuple,
     and the rows' amplitudes and their conjugates as tuples. The overlap is
     one comprehension over those tuples and outcome 0 one loop, with the
     arithmetic written out for one nonzero amplitude (basis and |11>
     projectors), two (restricted clauses) and four; a clause with three
     reads all four rows, one of them zero.
+  - pair, at n = 2: `_pair_steps` reads the same `_scalar_ket`, which there
+    holds one rest index whose rows are in index order, and does what
+    `_scalar_steps` does with no loop over rest indices: the overlap is one
+    sum, outcome 0 subtracts from each row and outcome 1 writes the four
+    twirled entries as the new list. Its operations are `_scalar_steps`' in
+    the same order, so the two give the same outcomes and states bit for bit.
   - views, above 6 qubits: `_views_steps` calls `_measure` and `_write_back`
     per step, which update the walk's own state in place through the
     strided quarters `[:, b_lo, :, b_hi, :]` of the view
     `psi.reshape(pair)`. The overlap and each product term go into two
     quarter-size buffers (`_work`) that the walk allocates once, so a step
     allocates nothing of the state's size on either outcome.
-    `trajectory_step` calls the same pair on one state at every n, since
-    the views work from n = 2, with buffers of its own.
+    `trajectory_step` calls `_measure` and `_write_back` on one state at
+    every n, since the views work from n = 2, with buffers of its own.
 
-  Both carry the state's squared norm, norm2, as a scalar. The overlap
+  All three carry the state's squared norm, norm2, as a scalar. The overlap
   sums phi's nonzero rows or quarters only, and the outcome is 1 when the
   draw is below p = q / norm2, q = ||overlap||^2. Outcome 0 subtracts
   phi's nonzero entries times the overlap from their rows or quarters and
@@ -45,13 +51,19 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
   times overlap / sqrt(q), and norm2 = 1. When norm2 falls below 1/4, and
   at the end of the walk, the norm is recomputed and the state rescaled to
   unit norm, so norm2 stays in [1/4, 1] and its rounding cannot build up.
-  The two layouts give the same states to rounding (about 1e-15).
+  A list's norm is summed left to right, not by the builtin `sum`, which
+  rounds otherwise from Python 3.12. The views give the list layouts'
+  states to rounding (about 1e-15).
 
-  The crossover was measured as `run_trajectory` steps per second (T =
-  2000, seeds 0-9), in separate processes pinned to one core with
-  `OMP_NUM_THREADS=1`, on L = 2n clauses: planted restricted ones, with
-  two nonzero amplitudes, and random ones with four. Views over scalars,
-  medians of 10 alternating process pairs: restricted 0.66 at n=6 and 1.11
+  Each layout was measured against its neighbour as `run_trajectory` steps
+  per second (T = 2000, seeds 0-9), in separate processes pinned to one
+  core with `OMP_NUM_THREADS=1`, as medians of 10 alternating process
+  pairs. Pair over scalar at n = 2 (best of three): 1.70 on criterion 6's
+  planted restricted instance, 1.62 on the complete-pair NO instance and
+  1.50 on four random four-amplitude clauses; at n >= 3 a clause leaves
+  2^(n-2) rest indices, so the pair step does not apply. Views over
+  scalars, on L = 2n clauses, planted restricted ones with two nonzero
+  amplitudes and random ones with four: restricted 0.66 at n=6 and 1.11
   at n=7; four-amplitude 0.59 and 1.09. On 2^n <= 64 amplitudes a view
   step's dozen numpy calls cost more than the Python arithmetic they
   replace. Up to 13 qubits the views' short strided inner loops also cost
@@ -65,7 +77,10 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
   A block's Haar unitaries (step 2d of the random stream below) are
   computed by one `_haar_stack` call at the block's first outcome 1, and
   not at all in a block without one; every block is still drawn in full.
-  The scalar layout converts them once to flat 4-lists of Python complex.
+  The list layouts convert them once to flat 4-lists of Python complex.
+
+  The walks read an instance's clause kets, and `_lockstep` its tables,
+  from one record per instance (`_Compiled`), built on first use.
 * `_lockstep` advances b trajectories together as one (b, 2^n) array.
   Per-clause index tables, `_clause_rows(arange(2^n))` stacked once per
   chunk, gather each trajectory's clause rows; measurement, collapse and
@@ -141,6 +156,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -201,12 +217,13 @@ def _clause_ket(clause, n: int):
 
 
 def _scalar_ket(clause, n: int):
-    """The clause as `_scalar_steps` reads it: for each rest index, the basis
-    indices of phi's nonzero `_clause_rows` rows as a tuple (of all four rows
-    when three or more are nonzero), those rows' amplitudes and their
-    conjugates as tuples; phi flat as Python scalars, on (lo, hi); for the
-    outcome-1 write, which builds the state row by row, an itemgetter that
-    puts the rows' entries back into index order; and i < j."""
+    """The clause as `_scalar_steps` and `_pair_steps` read it: for each rest
+    index, the basis indices of phi's nonzero `_clause_rows` rows as a tuple
+    (of all four rows when three or more are nonzero), those rows'
+    amplitudes and their conjugates as tuples; phi flat as Python scalars,
+    on (lo, hi); for the outcome-1 write, which builds the state row by row,
+    an itemgetter that puts the rows' entries back into index order (the
+    identity at n = 2); and i < j."""
     pair, phi = _clause_split(clause, n)
     rows = _clause_rows(np.arange(2**n), pair)
     flat = phi.reshape(4).tolist()
@@ -293,7 +310,10 @@ def _unit(psi):
     """psi rescaled to unit norm, from its norm computed afresh: an array in
     place, a list as a new list."""
     if isinstance(psi, list):
-        s = 1.0 / math.sqrt(sum([x.real * x.real + x.imag * x.imag for x in psi]))
+        norm2 = 0.0
+        for x in psi:           # left to right: the builtin sum rounds otherwise from Python 3.12
+            norm2 += x.real * x.real + x.imag * x.imag
+        s = 1.0 / math.sqrt(norm2)
         return [x * s for x in psi]
     psi *= 1.0 / math.sqrt(np.vdot(psi, psi).real)
     return psi
@@ -429,6 +449,68 @@ def _scalar_steps(psi: list, norm2: float, kets, draws, ks, haar, bits: bytearra
     return psi, norm2, haar
 
 
+def _pair_steps(psi: list, norm2: float, kets, draws, ks, haar, bits: bytearray):
+    """`_scalar_steps` at n = 2, where a clause covers the whole register: its
+    ket holds one rest index, whose rows are in index order, so the overlap
+    is one sum, outcome 0 subtracts from each row and outcome 1 writes the
+    twirled phi times overlap / sqrt(q) as the new list. The operations are
+    `_scalar_steps`' in the same order, so outcomes and states agree bit for
+    bit; the arithmetic is written out for one, two and four rows, as there.
+    """
+    clause, measure, coin, g = draws
+    append = bits.append
+    for k in ks:
+        (idx,), amps, bras, phi, _, i_is_lo = kets[clause[k]]
+        rows = len(bras)
+        if rows == 1:
+            (i,), (b0,) = idx, bras
+            o = b0 * psi[i]
+        elif rows == 2:
+            (i, j), (b0, b1) = idx, bras
+            o = b0 * psi[i] + b1 * psi[j]
+        else:
+            (i, j, x, y), (b0, b1, b2, b3) = idx, bras
+            o = b0 * psi[i] + b1 * psi[j] + b2 * psi[x] + b3 * psi[y]
+        q = o.real * o.real + o.imag * o.imag
+        p = q / norm2
+        if measure[k] < p:
+            if p < BRANCH_NORM_FLOOR:
+                raise DegenerateBranch(f"unsatisfied branch has norm^2 {p}")
+            if haar is None:
+                haar = _haar_stack(g[0] + 1j * g[1]).reshape(-1, 4).tolist()
+            u00, u01, u10, u11 = haar[k]
+            p00, p01, p10, p11 = phi
+            o *= 1.0 / math.sqrt(q)
+            if (coin[k] < 0.5) == i_is_lo:         # u @ phi
+                psi = [(u00 * p00 + u01 * p10) * o, (u00 * p01 + u01 * p11) * o,
+                       (u10 * p00 + u11 * p10) * o, (u10 * p01 + u11 * p11) * o]
+            else:                                  # phi @ u.T
+                psi = [(p00 * u00 + p01 * u01) * o, (p00 * u10 + p01 * u11) * o,
+                       (p10 * u00 + p11 * u01) * o, (p10 * u10 + p11 * u11) * o]
+            norm2 = 1.0
+            append(1)
+            continue
+        if 1 - p < BRANCH_NORM_FLOOR:
+            raise DegenerateBranch(f"satisfied branch has norm^2 {1 - p}")
+        if rows == 1:
+            psi[i] -= amps[0] * o
+        elif rows == 2:
+            a0, a1 = amps
+            psi[i] -= a0 * o
+            psi[j] -= a1 * o
+        else:
+            a0, a1, a2, a3 = amps
+            psi[i] -= a0 * o
+            psi[j] -= a1 * o
+            psi[x] -= a2 * o
+            psi[y] -= a3 * o
+        norm2 -= q
+        if norm2 < 0.25:
+            psi, norm2 = _unit(psi), 1.0
+        append(0)
+    return psi, norm2, haar
+
+
 def _views_steps(psi: np.ndarray, norm2: float, kets, draws, ks, haar, bits: bytearray, work: np.ndarray):
     """`_scalar_steps` on an array state, one `_measure` and `_write_back` per step,
     both writing into the walk's `_work` buffers."""
@@ -447,7 +529,10 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None, ones_li
     """T steps from a random basis state, with randomness drawn block by block.
 
     Returns the outcome bits, the final state as an array, and the prepared
-    operators' values at t = 0..T (None when there are none). Without
+    operators' values at t = 0..T (None when there are none). The layout
+    follows from n (the module docstring gives the measurements): a list
+    stepped by `_pair_steps` at n = 2 and by `_scalar_steps` up to
+    `_SCALARS_MAX_QUBITS`, an array stepped by `_views_steps` above. Without
     operators each block is one call of the layout's steps; with them, one
     call per step, after the state is copied out. The states awaiting
     evaluation are kept at most `_OBSERVED_ENTRIES` entries at a time (at
@@ -460,7 +545,7 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None, ones_li
     """
     psi, norm2 = sample_initial_state(n, rng), 1.0
     if n <= _SCALARS_MAX_QUBITS:
-        psi, steps = psi.tolist(), _scalar_steps
+        psi, steps = psi.tolist(), _pair_steps if n == 2 else _scalar_steps
     else:
         steps = functools.partial(_views_steps, work=_work(n))
     bits = bytearray()
@@ -647,6 +732,38 @@ def _lockstep(tables, n: int, T: int, rngs, prepared=None):
 
 
 @dataclass(frozen=True)
+class _Compiled:
+    """What the walks read of an instance's clauses, each built on first use:
+    `kets`, the `_clause_ket` of each clause for `_walk`, and `tables`, the
+    `_lockstep_tables` (read-only). It holds the clauses, not the instance,
+    so `_COMPILED` drops it with the instance."""
+
+    n: int
+    clauses: tuple
+
+    @functools.cached_property
+    def kets(self) -> list:
+        return [_clause_ket(c, self.n) for c in self.clauses]
+
+    @functools.cached_property
+    def tables(self) -> tuple:
+        tables = _lockstep_tables(self.clauses, self.n)
+        for a in tables:
+            a.flags.writeable = False
+        return tables
+
+
+_COMPILED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()   # instance -> _Compiled
+
+
+def _compiled(inst: Instance) -> _Compiled:
+    """The instance's `_Compiled`: instances are immutable and hash by identity."""
+    if inst not in _COMPILED:
+        _COMPILED[inst] = _Compiled(n=inst.n, clauses=inst.clauses)
+    return _COMPILED[inst]
+
+
+@dataclass(frozen=True)
 class TrajectoryRecord:
     N0: int
     T: int
@@ -685,7 +802,7 @@ def run_trajectory(inst: Instance, T: int, rng, keep_history: bool = False) -> T
     if T < 0:
         raise IndexOutOfRange(f"T must be >= 0, got {T}")
     gen, seed = _as_generator(rng)
-    outcomes, psi, _ = _walk([_clause_ket(c, inst.n) for c in inst.clauses], inst.n, T, gen)
+    outcomes, psi, _ = _walk(_compiled(inst).kets, inst.n, T, gen)
     return TrajectoryRecord(
         N0=T - int(np.sum(outcomes)),
         T=T,
@@ -732,11 +849,11 @@ def _ensemble_chunk(payload):
     rngs = [np.random.default_rng([master_seed, k]) for k in range(start, stop)]
     width = min(len(rngs), _LOCKSTEP_ENTRIES >> n)
     if width >= _LOCKSTEP_MIN and n <= _LOCKSTEP_MAX_QUBITS:
-        tables = _lockstep_tables(inst.clauses, n)
+        tables = _compiled(inst).tables
         runs = (_lockstep(tables, n, T, rngs[i : i + width], prepared)
                 for i in range(0, len(rngs), width))
     else:
-        kets = [_clause_ket(c, n) for c in inst.clauses]
+        kets = _compiled(inst).kets
         walks = (_walk(kets, n, T, rng, prepared) for rng in rngs)
         runs = ((np.array([T - outcomes.sum(dtype=np.int64)]), 1 - outcomes.astype(np.int64),
                  (1, values, 0.0) if ops else None) for outcomes, _, values in walks)

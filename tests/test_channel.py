@@ -1,3 +1,6 @@
+import builtins
+import math
+
 import numpy as np
 import pytest
 
@@ -304,3 +307,24 @@ def test_series_csv_format(tmp_path):
     first = lines[2].split(",")
     assert first[0] == "0"
     assert abs(float(first[1]) - 0.25) < 1e-16
+
+
+def test_whole_space_energy_does_not_depend_on_the_builtin_sum(monkeypatch):
+    """tr[H rho] on the whole space is the clause energies summed left to right, not by
+    the builtin `sum`, which Python 3.12 made compensated: with `channel.sum`
+    replaced by `math.fsum`, `evolve` on an instance whose clauses lie on no single
+    weight gives the same series. The inputs are ones on which the two sums differ."""
+    rng = np.random.default_rng(71)
+    inst = Instance(n=3, clauses=tuple(
+        make_clause(*(int(q) for q in rng.choice(3, 2, replace=False)),
+                    rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(6)))
+    energies, update = [], channel._add_clause_update
+    monkeypatch.setattr(channel, "_add_clause_update", lambda *a: energies.append(update(*a)) or energies[-1])
+    want = evolve(densesim.maximally_mixed(3), inst, 40)
+    monkeypatch.setattr(channel, "sum", math.fsum, raising=False)
+    got = evolve(densesim.maximally_mixed(3), inst, 40)
+
+    for name in ("trH", "trS", "trS2", "trPi0"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    steps = [energies[k : k + inst.L] for k in range(0, len(energies), inst.L)]
+    assert len(steps) == 2 * 40 and any(builtins.sum(e) != math.fsum(e) for e in steps)

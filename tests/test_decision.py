@@ -144,6 +144,9 @@ def test_convergence_steps_rejects_bad_targets():
         convergence_steps(2, 1, 1.0, 0.0)
     with pytest.raises(InvalidTarget):
         convergence_steps(2, 1, 0.0, 0.5)
+    for gap, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf")):
+        with pytest.raises(InvalidTarget, match=f"^spectral gap must be positive and finite, got {shown}$"):
+            convergence_steps(4, 8, gap, 0.9)
 
 
 def test_decide_deterministic():

@@ -1,6 +1,9 @@
+import builtins
 import dataclasses
+import gc
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -259,6 +262,124 @@ def test_scalar_steps_degenerate_branch_guard(start, draw, kind):
         trajectory._scalar_steps(psi, 1.0, [_clause_ket(inst.clauses[0], 2)], draws, range(1), None, bytearray())
 
 
+@pytest.mark.parametrize("steps, n", [("_pair_steps", 2), ("_scalar_steps", 3)], ids=["pair-n2", "scalar-n3"])
+@pytest.mark.parametrize("pair_value, draw, kind", [(0, 0.0, "unsatisfied"), (1, 1 - 1e-16, "satisfied")])
+def test_layout_degenerate_branch_guard(steps, n, pair_value, draw, kind):
+    """Each list layout's copy of the guard, as in `test_scalar_steps_degenerate_branch_guard`:
+    `_pair_steps`, which runs every n = 2 walk, and `_scalar_steps` at n = 3, its
+    narrowest register in a walk. The start state has pair value `pair_value` on
+    qubits (0, 1) and 0 on the rest."""
+    eps = 10**-7.5
+    clause = make_clause(0, 1, (eps, 1, 0, 0))
+    psi = densesim.basis_state(n, pair_value << (n - 2)).tolist()
+    draws = ([0], [draw], [0.0], np.zeros((2, 1, 2, 2)))
+    with pytest.raises(DegenerateBranch, match=f"^{kind} branch"):
+        getattr(trajectory, steps)(psi, 1.0, [_clause_ket(clause, n)], draws, range(1), None, bytearray())
+
+
+def _pair_instance(kind, seed):
+    """Four clauses on qubits (0, 1) or (1, 0), drawn at random, each with random complex
+    amplitudes on the positions `kind` names: one basis position, |01> and |10>
+    (restricted), |11>, three positions or all four."""
+    rng = np.random.default_rng(seed)
+    clauses = []
+    for _ in range(4):
+        positions = {"basis": [int(rng.integers(4))], "restricted": [1, 2], "11": [3],
+                     "three": sorted(rng.choice(4, 3, replace=False)), "four": [0, 1, 2, 3]}[kind]
+        amps = np.zeros(4, dtype=complex)
+        amps[positions] = rng.standard_normal(len(positions)) + 1j * rng.standard_normal(len(positions))
+        clauses.append(make_clause(*((0, 1) if rng.random() < 0.5 else (1, 0)), amps))
+    return Instance(n=2, clauses=tuple(clauses))
+
+
+def _steps_one_by_one(steps, kets, seed, blocks):
+    """`blocks` blocks of a seeded n = 2 walk, one `steps` call per step: the bits and,
+    after each step, the state (copied), its carried norm2 and whether the step
+    returned a new list on outcome 0, i.e. rescaled."""
+    rng = np.random.default_rng(seed)
+    psi, norm2 = densesim.basis_state(2, int(rng.integers(4))).tolist(), 1.0
+    bits, states, norms, rescaled = bytearray(), [], [], []
+    for _ in range(blocks):
+        clause, uniform, g = trajectory._draw_block(rng, len(kets))
+        draws, haar = (clause.tolist(), *uniform.tolist(), g), None
+        for k in range(_BLOCK):
+            before = psi
+            psi, norm2, haar = steps(psi, norm2, kets, draws, (k,), haar, bits)
+            states.append(list(psi))
+            norms.append(norm2)
+            rescaled.append(bits[-1] == 0 and psi is not before)
+    return bits, states, norms, rescaled
+
+
+@pytest.mark.parametrize("kind", ["basis", "restricted", "11", "three", "four"])
+def test_pair_steps_match_scalar_steps(kind):
+    """On the same draws, `_pair_steps` gives `_scalar_steps`' outcomes, states and carried
+    norms bit for bit after every step, on both outcomes and through the rescales
+    at norm2 < 1/4 (none of these draws gives one on |11> projectors, whose
+    walks rarely leave the satisfied states)."""
+    inst = _pair_instance(kind, 42)
+    kets = [_clause_ket(c, 2) for c in inst.clauses]
+    ones = rescales = 0
+    for seed in range(8):
+        pair = _steps_one_by_one(trajectory._pair_steps, kets, seed, 6)
+        scalar = _steps_one_by_one(trajectory._scalar_steps, kets, seed, 6)
+        assert pair == scalar
+        ones += sum(pair[0])
+        rescales += sum(pair[3])
+    assert 0 < ones < 8 * 6 * _BLOCK
+    assert rescales > 0 or kind == "11"
+
+
+@pytest.mark.parametrize("kind", ["basis", "restricted", "11", "three", "four"])
+def test_pair_walks_match_scalar_walks(kind, monkeypatch):
+    """`_walk` at n = 2 steps through `_pair_steps`, and gives the outcomes and final
+    states (np.array_equal) that it gives with `_scalar_steps` monkeypatched in,
+    with and without a ones_limit; limits of 1, 3 and 40 ones cut blocks inside,
+    where the walk splits a block's steps over several calls, and some walks
+    stop early."""
+    inst = _pair_instance(kind, 42)
+    kets = [_clause_ket(c, 2) for c in inst.clauses]
+    T, runs, calls = 5 * _BLOCK - 7, {}, set()
+    for name in ("_pair_steps", "_scalar_steps"):
+        monkeypatch.setattr(trajectory, "_pair_steps",
+                            lambda *a, f=getattr(trajectory, name), name=name: calls.add(name) or f(*a))
+        runs[name] = [_walk(kets, 2, T, np.random.default_rng(seed), ones_limit=limit)[:2]
+                      for seed in range(8) for limit in (None, 1, 3, 40)]
+    for (bits, psi), (want_bits, want_psi) in zip(runs["_pair_steps"], runs["_scalar_steps"]):
+        assert np.array_equal(bits, want_bits) and np.array_equal(psi, want_psi)
+    assert calls == {"_pair_steps", "_scalar_steps"}
+    assert {len(bits) for bits, _ in runs["_pair_steps"]} - {T}
+
+
+def test_scalar_rescale_does_not_depend_on_the_builtin_sum(monkeypatch):
+    """A list state's norm is summed left to right, not by the builtin `sum`, which
+    Python 3.12 made compensated: with `trajectory.sum` replaced by `math.fsum`,
+    `_unit` and seeded scalar walks at n = 2 and 3 give the same states. The
+    inputs are ones on which the two sums differ."""
+    crafted = [1, *[1e-8] * 6, 1e-8j]       # squared norm: 1 + 6.7e-16 by fsum, 1.0 left to right
+    walks = [(_random_clauses(n, 60 + n), 8 * _BLOCK, seed) for n in (2, 3) for seed in range(4)]
+    seen, unit = [], trajectory._unit
+    monkeypatch.setattr(trajectory, "_unit", lambda psi: seen.append(list(psi)) or unit(psi))
+    want = unit(list(crafted)), [run_trajectory(*walk, keep_history=True) for walk in walks]
+    monkeypatch.setattr(trajectory, "sum", math.fsum, raising=False)
+    got = unit(list(crafted)), [run_trajectory(*walk, keep_history=True) for walk in walks]
+
+    assert got[0] == want[0]
+    for rec, ref in zip(got[1], want[1]):
+        assert np.array_equal(rec.outcomes, ref.outcomes) and np.array_equal(rec.final_state, ref.final_state)
+    squares = [[x.real * x.real + x.imag * x.imag for x in psi] for psi in [crafted, *seen]]
+    assert builtins.sum(squares[0]) != math.fsum(squares[0])
+    assert any(builtins.sum(sq) != math.fsum(sq) for sq in squares[1:])
+
+
+def _random_clauses(n, seed):
+    """2n clauses with four random complex amplitudes on random pairs of n qubits."""
+    rng = np.random.default_rng(seed)
+    return Instance(n=n, clauses=tuple(
+        make_clause(*(int(q) for q in rng.choice(n, 2, replace=False)),
+                    rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(2 * n)))
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -330,6 +451,33 @@ def test_walk_runs_a_blocks_haar_qr_only_on_an_outcome_1(n, monkeypatch):
     ones = [rec.outcomes[b : b + _BLOCK].any() for b in range(0, T, _BLOCK)]
     assert len(calls) == sum(ones) > 0
     assert np.array_equal(rec.outcomes, reference.outcomes)
+
+
+def test_walks_build_what_they_read_once_per_instance(monkeypatch):
+    """`run_trajectory`, `decide` and both ensemble engines read the clause kets and
+    lockstep tables from one record per instance: each is built on the first call
+    that needs it and no more, the tables are read-only, and the record goes with
+    the instance."""
+    from qsatwalk.decision import decide, decision_params
+
+    built = []
+    for name in ("_clause_ket", "_lockstep_tables"):
+        monkeypatch.setattr(trajectory, name, lambda *a, f=getattr(trajectory, name), name=name:
+                            built.append(name) or f(*a))
+    inst = generate_planted_restricted(3, 4, seed=7)
+    for seed in range(3):
+        run_trajectory(inst, 70, seed)
+        decide(inst, decision_params(1.0, 4, 3), seed)
+        run_ensemble(inst, 10, 1, seed)                  # one trajectory: `_walk`
+        run_ensemble(inst, 10, 8, seed)                  # a lockstep batch
+    assert built == ["_clause_ket"] * inst.L + ["_lockstep_tables"]
+    tables = trajectory._compiled(inst).tables
+    assert not any(a.flags.writeable for a in tables)
+
+    kept = len(trajectory._COMPILED)
+    del inst
+    gc.collect()
+    assert len(trajectory._COMPILED) == kept - 1
 
 
 def test_run_trajectory_history_consistency():
