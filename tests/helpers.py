@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qsatwalk import densesim
 from qsatwalk.classical import CnfInstance
-from qsatwalk.instance import make_clause
+from qsatwalk.instance import Instance, make_clause
 from qsatwalk.observables import ZERO_TOL
 from qsatwalk.trajectory import haar_unitary
 
@@ -96,6 +96,20 @@ def embed_single(op2, q, n):
 def pure_density(psi):
     psi = np.asarray(psi, dtype=complex)
     return np.outer(psi, psi.conj())
+
+
+def random_instance(n, seed, nonzero=4):
+    """2n clauses with `nonzero` random complex amplitudes, at random positions,
+    on random pairs of n qubits."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(2 * n):
+        i, j = (int(q) for q in rng.choice(n, 2, replace=False))
+        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        if nonzero < 4:
+            amps[rng.choice(4, 4 - nonzero, replace=False)] = 0
+        drawn.append(make_clause(i, j, amps))
+    return Instance(n=n, clauses=tuple(drawn))
 
 
 def random_state_vector(n, rng):

@@ -25,7 +25,7 @@ from qsatwalk.instance import (
 from qsatwalk.observables import clause_projector, instance_spin_operators
 from qsatwalk.verify import cumulative_excess, dual_sample, lemma1_residuals
 
-from helpers import evolve_oracle, pure_density, random_product_basis, twirl_oracle
+from helpers import evolve_oracle, pure_density, random_instance, random_product_basis, twirl_oracle
 
 SINGLET = (0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0)
 
@@ -314,10 +314,7 @@ def test_whole_space_energy_does_not_depend_on_the_builtin_sum(monkeypatch):
     the builtin `sum`, which Python 3.12 made compensated: with `channel.sum`
     replaced by `math.fsum`, `evolve` on an instance whose clauses lie on no single
     weight gives the same series. The inputs are ones on which the two sums differ."""
-    rng = np.random.default_rng(71)
-    inst = Instance(n=3, clauses=tuple(
-        make_clause(*(int(q) for q in rng.choice(3, 2, replace=False)),
-                    rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(6)))
+    inst = random_instance(3, 71)
     energies, update = [], channel._add_clause_update
     monkeypatch.setattr(channel, "_add_clause_update", lambda *a: energies.append(update(*a)) or energies[-1])
     want = evolve(densesim.maximally_mixed(3), inst, 40)

@@ -43,6 +43,7 @@ from helpers import (
     SEED_KINDS,
     apply_oracle,
     haar_qr_oracle,
+    random_instance,
     random_product_basis,
     random_state_vector,
     trace_distance,
@@ -357,7 +358,7 @@ def test_scalar_rescale_does_not_depend_on_the_builtin_sum(monkeypatch):
     `_unit` and seeded scalar walks at n = 2 and 3 give the same states. The
     inputs are ones on which the two sums differ."""
     crafted = [1, *[1e-8] * 6, 1e-8j]       # squared norm: 1 + 6.7e-16 by fsum, 1.0 left to right
-    walks = [(_random_clauses(n, 60 + n), 8 * _BLOCK, seed) for n in (2, 3) for seed in range(4)]
+    walks = [(random_instance(n, 60 + n), 8 * _BLOCK, seed) for n in (2, 3) for seed in range(4)]
     seen, unit = [], trajectory._unit
     monkeypatch.setattr(trajectory, "_unit", lambda psi: seen.append(list(psi)) or unit(psi))
     want = unit(list(crafted)), [run_trajectory(*walk, keep_history=True) for walk in walks]
@@ -370,14 +371,6 @@ def test_scalar_rescale_does_not_depend_on_the_builtin_sum(monkeypatch):
     squares = [[x.real * x.real + x.imag * x.imag for x in psi] for psi in [crafted, *seen]]
     assert builtins.sum(squares[0]) != math.fsum(squares[0])
     assert any(builtins.sum(sq) != math.fsum(sq) for sq in squares[1:])
-
-
-def _random_clauses(n, seed):
-    """2n clauses with four random complex amplitudes on random pairs of n qubits."""
-    rng = np.random.default_rng(seed)
-    return Instance(n=n, clauses=tuple(
-        make_clause(*(int(q) for q in rng.choice(n, 2, replace=False)),
-                    rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(2 * n)))
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,7 @@ from qsatwalk.trajectory import (
     trajectory_step,
 )
 
-from helpers import PROPERTY_SETTINGS, apply_oracle, clauses, random_state_vector
+from helpers import PROPERTY_SETTINGS, apply_oracle, clauses, random_instance, random_state_vector
 
 TOL = 1e-12
 WIDE = 14          # the narrowest register of the wide band
@@ -171,20 +171,6 @@ def test_run_trajectory_replays_block_stream(case):
     assert np.max(np.abs(rec.final_state - psi)) <= TOL
 
 
-def _random_instance(n, seed, nonzero=4):
-    """2n clauses with `nonzero` random complex amplitudes, at random positions,
-    on random pairs of n qubits."""
-    rng = np.random.default_rng(seed)
-    drawn = []
-    for _ in range(2 * n):
-        i, j = (int(q) for q in rng.choice(n, 2, replace=False))
-        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        if nonzero < 4:
-            amps[rng.choice(4, 4 - nonzero, replace=False)] = 0
-        drawn.append(make_clause(i, j, amps))
-    return Instance(n=n, clauses=tuple(drawn))
-
-
 def _carried_norm_walk(n, seed, monkeypatch):
     """Ten blocks at n with 2n random four-amplitude clauses, replayed on the
     oracle: for each step, whether the carried squared norm was rescaled,
@@ -194,7 +180,7 @@ def _carried_norm_walk(n, seed, monkeypatch):
     block calls of `_scalar_steps` are split into one call per step, and a
     satisfied step was rescaled when it returns a new list instead of the
     list it wrote in place."""
-    inst = _random_instance(n, seed)
+    inst = random_instance(n, seed)
     T = 10 * _BLOCK
     steps = []
 
@@ -226,7 +212,7 @@ def test_scalar_walks_replay_for_each_amplitude_count(nonzero):
     has three nonzero amplitudes."""
     ones, T = 0, 3 * _BLOCK
     for n in range(2, _SCALARS_MAX_QUBITS + 1):
-        inst = _random_instance(n, 90 + 10 * nonzero + n, nonzero)
+        inst = random_instance(n, 90 + 10 * nonzero + n, nonzero)
         want, psi = _replay(inst, T, n)
 
         rec = run_trajectory(inst, T, n, keep_history=True)
@@ -287,7 +273,7 @@ def test_lockstep_carried_norm_matches_states(seed, monkeypatch):
     below 1, and the carried value equals it; the batch rescales many
     times; and n0 is that of the trajectories run one by one."""
     n, b, T = 3, 8, 10 * _BLOCK
-    inst = _random_instance(n, seed)
+    inst = random_instance(n, seed)
     actual, ratio, rescales = [], [], []
     observe, moments, sumsq = trajectory._observe, trajectory._moments, trajectory._sumsq
     monkeypatch.setattr(trajectory, "_observe", lambda *a: actual.append(observe(*a)) or actual[-1])
