@@ -1,38 +1,85 @@
 """Exact one-step update map of the measurement walk and its long-time evolution.
 
-One clause update measures the clause projector and, on an unsatisfied
-outcome, replaces a random one of its two qubits by the maximally mixed
-state:
+One clause update measures the clause projector P = |phi><phi| and, on an
+unsatisfied outcome, replaces a random one of its two qubits by the
+maximally mixed state:
 
     T_a(rho) = (1-P) rho (1-P) + 1/2 Twirl_i(P rho P) + 1/2 Twirl_j(P rho P)
 
-The full step averages T_a uniformly over clauses. Everything here is exact
+The step averages T_a uniformly over the L clauses. Everything here is exact
 arithmetic on a density matrix, and each clause update touches only its two
-qubits: with a = <phi|rho and c = <phi|rho|phi>, T_a(rho) - rho =
--phi (x) a - h.c. + G (x) c, so no embedded projector is built. This
-module's kernel reads and writes the 2^n x 2^n matrix through reshaped
-views, O(4^n) per clause, for `apply_*`, `dual_residuals` and `evolve` on
-inputs that couple Hamming weights. `evolve` and `dual_residuals` work in the
-instance's planted frame, where S and S^2 are diagonal; `sectors` holds that
-frame's record and steps eligible inputs on the packed Hamming-weight layout
-of `densesim._Sectors`, C(2n, n) entries instead of 4^n.
+qubits: with a = <phi|rho, an operator from the full space to the other n-2
+qubits, and c = <phi|rho|phi>, an operator on them,
+
+    T_a(rho) - rho = -phi (x) a - (phi (x) a)^dagger + G (x) c,
+
+where G = P + K and K = 1/2 (I/2 (x) tr_lo P + tr_hi P (x) I/2) carries the
+two twirls. So no embedded projector is built, and the update is added as
+X + X^dagger, which makes every state Hermitian and equals T_a(rho) - rho
+only for Hermitian rho. Summed over clauses, the -phi (x) a terms are
+P_a rho, so one step is
+
+    E(rho) = rho - w (H rho + rho H) + w sum_a G_a (x) c_a,   w = 1/L.
+
+`evolve` and `dual_residuals` work in the instance's planted frame (the
+computational basis when it has none), where the spin diagnostics S and S^2
+are diagonal: the channel is covariant under product unitaries, so inputs
+are rotated into the frame qubit by qubit (`_conjugate`) and snapshots are
+rotated back. The state is one flat vector in one of the two layouts of
+`densesim._Sectors`, whose docstring describes them, and each layout has its
+kernel:
+
+* The whole space as one block: the 2^n x 2^n matrix row-major, read and
+  written by `_apply` through reshaped views around the clause's qubits,
+  O(4^n) per clause. It serves `apply_*`, `dual_residuals`, and `evolve` on
+  inputs that couple Hamming weights. Index plans for the whole space would
+  take several times the matrix per clause, where the views are free.
+* Hamming-weight blocks, when every clause lies on one Hamming weight of its
+  pair, |00>, span{|01>, |10>} or |11> (each other amplitude at most
+  `instance.FORM_TOL`), and rho0 has no entry between two weights (exact
+  zeros in the identity frame, at most FRAME_ZERO_TOL after the rotation).
+  Such a channel conserves weight, so every rho_t stays block-diagonal, and
+  only its weight blocks are kept: C(2n, n) entries instead of 4^n. H rho is
+  one matrix product per weight block, H_k @ rho_k, with the packed H kept
+  on the instance's record (one packed state in size), and tr[H rho] is the
+  sum of their traces. Only c_a and G_a (x) c_a go through an index plan
+  per clause (`_sector_plan`): one gather and one scatter into the same
+  positions. G stays per clause, so a tilt of P against K (z P + K, with z
+  on the H rho term) fits the same form.
+
+Into and out of the packed layout: `densesim._checked_density` checks rho0
+on its weight blocks, packed into one fresh vector (`_Sectors.pack`), and
+in the identity frame `_start` adopts that vector as the state, with no
+copy; in a planted frame rho0 is rotated and packed once more. The whole
+space is copied, so the state never shares memory with rho0 (`_resymmetrize`
+writes it in place). A snapshot is `_Sectors.unpack` of the state.
+
+What the channel derives from an instance alone (`_Prepared`: its clauses
+in the frame, their terms on each layout, the packed H, the ground basis and
+the plans) is kept with it in a `weakref.WeakKeyDictionary`: instances are
+immutable and hash by identity.
 
 Stochastic pure-state sampling of the same process lives in `trajectory`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import densesim, observables
 from .errors import IndexOutOfRange, NumericalDrift
-from .instance import ClauseForm, Instance, Clause, classify_clause
+from .instance import FORM_TOL, ClauseForm, Instance, Clause, classify_clause
 
 RESYMMETRIZE_EVERY = 100
 DRIFT_TOL = 1e-6
+FRAME_ZERO_TOL = 1e-13     # rotating rho0 into a planted frame leaves rounding of this size between weights
+_PLANS_MAX_QUBITS = 10     # above this, a step builds each clause's index plan anew and drops it (see README)
+_PAIR_WEIGHT = (0, 1, 1, 2)    # Hamming weight of the pair value 2*b_lo + b_hi
 
 
 @dataclass(frozen=True)
@@ -172,6 +219,210 @@ def _energy(flat: np.ndarray, entries) -> float:
     return float((values.conj() @ flat[positions].sum(axis=1)).real)
 
 
+@dataclass(frozen=True)
+class _SectorTerms:
+    """A clause on one Hamming weight of its pair, in the layout the packed step reads.
+
+    `pairs` lists the pair values (b, b2), each 2*b_lo + b_hi, of the entries
+    (b (x) r, b2 (x) s) that c = <phi|rho|phi> reads and G (x) c writes:
+    first rows x rows, for `rows` the pair values where phi is nonzero (all
+    of one weight), then (e, e) for each other pair value e where G is
+    nonzero, since outside rows G = P + K is diagonal. `ket` holds
+    conj(phi_b) phi_b2 for the first `rows` pairs, and `half_wg` (w/2) G[b, b2]
+    for every pair, w = 1/L the step's clause weight.
+    """
+
+    pair: tuple
+    pairs: tuple
+    ket: np.ndarray
+    rows: int
+    half_wg: np.ndarray
+
+
+def _sector_terms(clause: Clause, n: int, weight: float) -> _SectorTerms:
+    terms = _clause_terms(clause, n)
+    g = np.zeros((4, 4), dtype=complex)
+    for x, y, x2, y2, val in terms.g:
+        g[2 * x + y, 2 * x2 + y2] = val
+    rows = [2 * x + y for x, y, _ in terms.phi]
+    phi = np.array([amp for _, _, amp in terms.phi])
+    pairs = [*itertools.product(rows, repeat=2), *((b, b) for b in range(4) if b not in rows and g[b, b] != 0)]
+    return _SectorTerms(pair=terms.pair, pairs=tuple(pairs), ket=np.outer(phi.conj(), phi).ravel(),
+                        rows=len(rows) ** 2, half_wg=0.5 * weight * np.array([g[b, b2] for b, b2 in pairs]))
+
+
+def _sector_plan(terms: _SectorTerms, n: int) -> np.ndarray:
+    """Index plan of one clause into the packed n-qubit state, shape
+    (len(terms.pairs), C(2n-4, n-2)).
+
+    c = <phi|rho|phi> is laid out like a packed (n-2)-qubit matrix, entry
+    (r, s) over weight(r) = weight(s), and row k holds, in that order, where
+    rho's entry (b (x) r, b2 (x) s) sits for (b, b2) = terms.pairs[k]. Both
+    lie in one weight block of rho, since b and b2 have one weight.
+    """
+    sec, rest = densesim._sectors(n), densesim._sectors(n - 2)
+    full = densesim._clause_rows(np.arange(2**n), terms.pair)   # full index of b (x) r, row b
+    return np.array([np.concatenate([np.add.outer(sec.base[full[b][r]], sec.rank[full[b2][r]]).ravel()
+                                     for r in rest.blocks])
+                     for b, b2 in terms.pairs])
+
+
+def _conjugate(rho: np.ndarray, blocks) -> np.ndarray:
+    """U rho U^dagger for U the tensor product of the 2x2 `blocks`, qubit 0 leftmost,
+    applied one qubit at a time: no 2^n x 2^n U is built."""
+    d = len(rho)
+    for q, u in enumerate(blocks):
+        rho = np.einsum("ab,ibj->iaj", u, rho.reshape(2**q, 2, -1)).reshape(d, d)
+        rho = np.einsum("ab,ibj->iaj", u.conj(), rho.reshape(d * 2**q, 2, -1)).reshape(d, d)
+    return rho
+
+
+def _weight_sector(amps: np.ndarray) -> int | None:
+    """The Hamming weight of the pair on which every amplitude above FORM_TOL lies, if any."""
+    small = np.abs(amps) <= FORM_TOL
+    return next((w for w in range(3) if all(small[b] for b in range(4) if _PAIR_WEIGHT[b] != w)), None)
+
+
+@dataclass
+class _Prepared:
+    """What the exact channel derives from an instance alone.
+
+    `clauses` are the clauses in the planted frame (`frame`, None for the
+    identity) and `cut` the same clauses each cut to the weight of its pair
+    it lies on, or None when some clause lies on no single weight. `kernels`
+    memoizes each layout's `kernel`, `weight_h` holds H's weight blocks once
+    `ground` or a packed step reads them, and `plans` is filled in by the
+    first step on weight blocks when n <= _PLANS_MAX_QUBITS.
+    """
+
+    n: int
+    frame: tuple | None
+    clauses: list
+    cut: list | None
+    kernels: dict = field(default_factory=dict)
+    plans: list | None = None
+
+    def to_planted(self, rho: np.ndarray) -> np.ndarray:
+        return rho if self.frame is None else _conjugate(rho, [b.conj().T for b in self.frame])
+
+    def kernel(self, whole: bool) -> tuple:
+        """(clause terms, H's `_pair_entries`) on the whole space, the `_apply` terms
+        of `clauses`, or on the weight blocks, the `_SectorTerms` of `cut`."""
+        if whole not in self.kernels:
+            sec, clauses = densesim._sectors(self.n, whole), (self.clauses if whole else self.cut)
+            terms = ([_clause_terms(c, self.n) for c in clauses] if whole else
+                     [_sector_terms(c, self.n, 1.0 / len(clauses)) for c in clauses])
+            self.kernels[whole] = (terms,
+                                   _pair_entries(clauses, self.n, lambda x, y: sec.base[x] + sec.rank[y]))
+        return self.kernels[whole]
+
+    def hamiltonian(self, whole: bool) -> list:
+        """H's square blocks on one layout, views of one packed array assembled from
+        its `_pair_entries`."""
+        sec, (positions, values) = densesim._sectors(self.n, whole), self.kernel(whole)[1]
+        h = np.zeros(sec.size, dtype=complex)
+        np.add.at(h, positions, values[:, None])
+        return sec.views(h)
+
+    @functools.cached_property
+    def weight_h(self) -> list:
+        """H's weight blocks, kept for the packed step: one packed state in size."""
+        return self.hamiltonian(False)
+
+    @functools.cached_property
+    def ground(self) -> list:
+        """(k, basis) for each block k of H that holds ground states (eigenvalues below
+        ZERO_TOL), basis the block's columns of them. H is read by weight block when
+        every clause lies on one weight, else on the whole space (assembled for this
+        and dropped); a block is diagonalized only when a Cholesky factorization of it
+        less ZERO_TOL fails."""
+        ground, tol = [], observables.ZERO_TOL
+        for k, square in enumerate(self.hamiltonian(True) if self.cut is None else self.weight_h):
+            if densesim._positive_definite(square - tol * np.eye(len(square))):
+                continue                   # every eigenvalue is above ZERO_TOL: no eigh needed
+            vals, vecs = np.linalg.eigh(square)
+            ground.append((k, vecs[:, vals < tol]))
+        return ground
+
+
+_PREPARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()   # instance -> _Prepared
+
+
+def _prepare(inst: Instance) -> _Prepared:
+    """The instance's `_Prepared`, built on first use."""
+    if inst not in _PREPARED:
+        frame = observables._frame_blocks(inst)
+        clauses = list(inst.clauses) if frame is None else [
+            Clause(i=c.i, j=c.j, amps=np.kron(frame[c.i], frame[c.j]).conj().T @ c.amps) for c in inst.clauses]
+        weights = [_weight_sector(c.amps) for c in clauses]
+        cut = None if None in weights else [
+            Clause(i=c.i, j=c.j, amps=np.where(np.equal(_PAIR_WEIGHT, w), c.amps, 0)) for c, w in zip(clauses, weights)]
+        _PREPARED[inst] = _Prepared(n=inst.n, frame=frame, clauses=clauses, cut=cut)
+    return _PREPARED[inst]
+
+
+def _start(inst: Instance, rho: np.ndarray, packed: np.ndarray | None):
+    """(run, packed state) for `evolve`: on the weight blocks when every clause lies on
+    one weight and rho has no entry between weights in the planted frame, else on the
+    whole space as one block.
+
+    `packed` is `densesim._sectors(n).pack(rho)` in the caller's frame, a fresh vector
+    (or None), which becomes the state when that is the planted frame. The state never
+    shares memory with rho: `_resymmetrize` writes it in place.
+    """
+    prep = _prepare(inst)
+    planted = prep.to_planted(rho)             # rho itself in the identity frame, else a fresh array
+    if prep.cut is None:
+        packed = None
+    elif prep.frame is not None:
+        packed = densesim._sectors(prep.n).pack(planted, FRAME_ZERO_TOL)
+    if packed is not None:
+        return _Run(prep, whole=False), packed
+    state = np.array(planted, order="C") if planted is rho else planted
+    return _Run(prep, whole=True), state.reshape(-1)
+
+
+class _Run:
+    """`evolve`'s steps and observables in the planted frame, on one layout."""
+
+    def __init__(self, prep: _Prepared, whole: bool):
+        self.prep, self.whole, self.sec = prep, whole, densesim._sectors(prep.n, whole)
+        self.terms, self.entries = prep.kernel(whole)
+        self.spin = observables._spin_diagonal(prep.n)
+        self.spin2 = self.spin * self.spin
+        if whole and prep.cut is not None:    # H's ground blocks are weight blocks of the one square
+            weights = densesim._sectors(prep.n).blocks
+            self.ground = [(0, weights[k], g) for k, g in prep.ground]
+        else:
+            self.ground = [(k, slice(None), g) for k, g in prep.ground]
+
+    def observe(self, state):
+        pop, squares = state[self.sec.diag].real, self.sec.views(state)
+        ground = sum(np.vdot(g, densesim._block(squares[k], b) @ g).real for k, b, g in self.ground)
+        return self.spin @ pop, self.spin2 @ pop, ground
+
+    def snapshot(self, state):
+        rho = self.sec.unpack(state)
+        return rho if self.prep.frame is None else _conjugate(rho, self.prep.frame)
+
+    def step(self, state):
+        prep, n = self.prep, self.prep.n
+        if self.whole:
+            out, energy = _apply(state.reshape(2**n, 2**n), self.terms)
+            return out.reshape(-1), energy
+        if prep.plans is None and n <= _PLANS_MAX_QUBITS:
+            prep.plans = [_sector_plan(t, n) for t in self.terms]
+        delta = np.empty_like(state)
+        for h, rho, out in zip(prep.weight_h, self.sec.views(state), self.sec.views(delta)):
+            np.matmul(h, rho, out=out)                 # H rho, one weight block at a time
+        energy = float(delta[self.sec.diag].real.sum())
+        delta *= -1.0 / len(self.terms)
+        for t, plan in zip(self.terms, prep.plans or (_sector_plan(t, n) for t in self.terms)):
+            c = t.ket @ state[plan[: t.rows]]
+            delta[plan] += np.multiply.outer(t.half_wg, c)
+        return _hermitian_sum(state, delta, self.sec), energy
+
+
 @dataclass
 class EvolutionSeries:
     """Scalar observables of rho_t for t = 0..steps, plus optional snapshots."""
@@ -207,7 +458,7 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
 
     The state runs in the instance's planted frame, on packed Hamming-weight
     blocks when the input allows it and on the whole matrix otherwise (see
-    `sectors`). Hermiticity and trace are re-symmetrized every 100 steps;
+    the module docstring). Hermiticity and trace are re-symmetrized every 100 steps;
     drift beyond 1e-6 before a correction raises NumericalDrift. Snapshots
     are dense 2^n x 2^n matrices in the caller's frame, kept only at the
     requested step indices. tr[H rho_t] comes from step t itself (the trace
@@ -222,9 +473,7 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
         raise IndexOutOfRange(f"steps must be >= 0, got {steps}")
     if densesim.num_qubits(rho) != inst.n:
         raise IndexOutOfRange("initial state dimension does not match instance")
-    from . import sectors    # compiled on the first call, not by `import qsatwalk`
-
-    run, state = sectors.start(inst, rho, packed)
+    run, state = _start(inst, rho, packed)
     del packed                 # the state itself in the identity frame; in another, freed now
     wanted = set(int(t) for t in snapshot_schedule)
 
@@ -238,7 +487,7 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
         if t in wanted:
             snapshots[t] = run.snapshot(state)
         if t == steps:
-            trH[t] = run.energy(state)
+            trH[t] = _energy(state, run.entries)
             break
         state, trH[t] = run.step(state)
         if (t + 1) % RESYMMETRIZE_EVERY == 0:
@@ -272,9 +521,7 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
     Z_rest term is tr[Z_rest c] for c = <phi|rho|phi>, with Z_rest the
     diagonal sum of sigma_z over the other n-2 qubits.
     """
-    from . import sectors    # compiled on the first call, not by `import qsatwalk`
-
-    prep = sectors._prepare(inst)
+    prep = _prepare(inst)
     spin, rest_spin = observables._spin_diagonal(inst.n), observables._spin_diagonal(inst.n - 2)
     states = [prep.to_planted(densesim.as_density_matrix(r)) for r in sample_states]
     expect = densesim.expectation

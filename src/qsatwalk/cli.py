@@ -3,7 +3,7 @@
 Exit-code protocol: 0 success (or YES verdict), 1 NO verdict / no assignment
 found and nothing else, 2 usage or input errors (every `QsatwalkError` and
 every `OSError`, reported by `main` as `error: <message>`), 3 capacity
-breach, 4 verification failure.
+breach (a `MemoryError` too, reported the same way), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -315,6 +315,9 @@ def main(argv=None) -> int:
     except (QsatwalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:      # numpy names the allocation it could not make
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

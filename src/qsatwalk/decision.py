@@ -26,6 +26,8 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,16 +71,25 @@ class Verdict:
     steps: int | None = None   # steps walked: params.T for YES, the step that fixed a NO
 
 
+def _check_sizes(L, n) -> None:
+    """Raise InvalidPromise unless L >= 1 and n >= 2 are integers (numpy integers too)."""
+    if not (isinstance(L, numbers.Integral) and isinstance(n, numbers.Integral)):
+        raise InvalidPromise(f"L and n must be integers, got L={L!r}, n={n!r}")
+    if L < 1 or n < 2:
+        raise InvalidPromise(f"need L >= 1 and n >= 2, got L={L}, n={n}")
+
+
 def decision_params(c: float, L: int, n: int, variant: Variant = Variant.RESTRICTED) -> DecisionParams:
     """Evaluate the step budget and acceptance threshold for a promise gap.
 
     Warns (and clamps the integer threshold to 0) when N comes out
     nonpositive, which happens at tiny scales where the bound is vacuous.
+    Raises InvalidPromise when c is so small that f or N exceeds the float
+    range.
     """
     if not c > 0 or not math.isfinite(c):
         raise InvalidPromise(f"promise gap must be positive and finite, got c={c}")
-    if L < 1 or n < 2:
-        raise InvalidPromise(f"need L >= 1 and n >= 2, got L={L}, n={n}")
+    _check_sizes(L, n)
     # exact rational arithmetic on the decimal c, so T and N_int carry no float fuzz
     if variant is Variant.RESTRICTED:
         f = max(7 / _decimal(c), Fraction(1))
@@ -93,6 +104,8 @@ def decision_params(c: float, L: int, n: int, variant: Variant = Variant.RESTRIC
     t_steps = math.ceil(t_real)
     ratio = (f * L - 1) / (f * L)
     n_real = t_steps * ratio**3 - slack
+    if max(f, abs(n_real)) > sys.float_info.max:
+        raise InvalidPromise(f"promise gap c={c} is too small: f or N exceeds the float range")
     if n_real <= 0:
         warnings.warn(
             f"acceptance threshold N={float(n_real):.6g} is nonpositive; the bound is "
@@ -140,8 +153,10 @@ def convergence_steps(n: int, L: int, epsilon: float, p: float, variant: Variant
     """Steps after which the channel's ground-space weight is at least p.
 
     Requires the spectral gap epsilon of the instance Hamiltonian; the
-    extended variant needs five times as many steps.
+    extended variant needs five times as many steps. Raises InvalidPromise
+    unless L >= 1 and n >= 2 are integers, as `decision_params` does.
     """
+    _check_sizes(L, n)
     if not 0.0 < p < 1.0:
         raise InvalidTarget(f"target overlap p must lie in (0, 1), got {p}")
     if not epsilon > 0 or not math.isfinite(epsilon):

@@ -15,7 +15,7 @@ apart by `ndim`. The qubit layout lives here alone (`_bits`, `_pair_split`,
 a sampled step reads a state through it. The packed Hamming-weight layout
 lives here too, described once in the `_Sectors` docstring: `hermitian_eig`
 diagonalizes each weight block apart, `as_density_matrix` checks each apart,
-and the exact channel (`sectors`) keeps its state in it. `kron_embed` and
+and the exact channel (`channel`) keeps its state in it. `kron_embed` and
 `observables.build_hamiltonian` scatter 4x4 blocks through the clause rows
 into full 2^n x 2^n operators, for spectra and tests, not per-step updates.
 """

@@ -40,23 +40,19 @@ def _frame_blocks(inst: Instance) -> tuple | None:
     return inst.planted_basis
 
 
-def frame_unitary(inst: Instance) -> np.ndarray | None:
-    """Product unitary of the planted basis, or None when absent/identity."""
-    blocks = _frame_blocks(inst)
-    return None if blocks is None else densesim.product_unitary(blocks)
-
-
 def instance_spin_operators(inst: Instance):
     """(S, S^2) in the frame of the instance's planted basis.
 
     S is the sum of sigma_z over all qubits, with eigenvalue n - 2*hamming(x)
-    on |x>, and S^2 its square. Both are diagonal vectors when
-    `frame_unitary(inst)` is None, and dense conjugated matrices otherwise.
+    on |x>, and S^2 its square. Both are diagonal vectors when the planted
+    basis is absent or the identity, and otherwise dense matrices conjugated
+    by its product unitary.
     """
     z = _spin_diagonal(inst.n)
-    v = frame_unitary(inst)
-    if v is None:
+    blocks = _frame_blocks(inst)
+    if blocks is None:
         return z.copy(), z * z
+    v = densesim.product_unitary(blocks)
     vd = v.conj().T
     return (v * z) @ vd, (v * (z * z)) @ vd
 

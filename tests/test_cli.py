@@ -191,6 +191,29 @@ def test_decide_requires_promise(tmp_path, capsys):
     assert cli.main(["decide", str(path), "--seed", "0"]) == 2
 
 
+def test_tiny_promise_gap_exits_2(tmp_path, capsys):
+    """A gap whose budget overflows a float is an input error (2), not a NO verdict (1)."""
+    path = tmp_path / "tiny.json"
+    assert cli.main(["generate", "--kind", "restricted", "-n", "2", "-L", "4", "--seed", "1",
+                     "--promise-c", "1e-300", "-o", str(path)]) == 0
+    capsys.readouterr()
+    for argv in (["decide", str(path), "--seed", "0"], ["report", str(path)]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: promise gap c=1e-300 is too small")
+
+
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    """Running out of memory is a capacity breach (3), reported as `error: <message>`."""
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "cmd_evolve", exhausted)
+    path = write_singlet(tmp_path / "s.json")
+    assert cli.main(["evolve", str(path), "-T", "1000000000000", "-o", str(tmp_path / "run.csv")]) == 3
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+
+
 def test_classical_finds_assignment(tmp_path, capsys):
     cnf = tmp_path / "sat.cnf"
     cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
@@ -335,12 +358,12 @@ def test_entry_point_runs():
 
 
 def test_import_leaves_process_pool_unloaded():
-    """`import qsatwalk` loads neither the process pool nor `sectors`: both load on first use."""
+    """`import qsatwalk` leaves the process pool unloaded: it loads on first use."""
     import subprocess
     import sys
 
     code = ("import sys, qsatwalk; "
-            "print([m for m in ('concurrent.futures.process', 'qsatwalk.sectors') if m in sys.modules])")
+            "print([m for m in ('concurrent.futures.process',) if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

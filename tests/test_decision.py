@@ -77,12 +77,27 @@ def test_params_rejects_non_finite_gap():
         (0, 2, Variant.RESTRICTED, "^need L >= 1 and n >= 2, got L=0, n=2$"),
         (4, 1, Variant.RESTRICTED, "^need L >= 1 and n >= 2, got L=4, n=1$"),
         (4, 2, "restricted", "^unknown variant 'restricted'$"),
+        (4.5, 2, Variant.RESTRICTED, "^L and n must be integers, got L=4.5, n=2$"),
+        (4, 2.5, Variant.RESTRICTED, "^L and n must be integers, got L=4, n=2.5$"),
+        (4, -3, Variant.RESTRICTED, "^need L >= 1 and n >= 2, got L=4, n=-3$"),
     ],
-    ids=["L-0", "n-1", "variant-string"],
+    ids=["L-0", "n-1", "variant-string", "L-float", "n-float", "n-negative"],
 )
 def test_params_rejects_bad_sizes_and_variants(L, n, variant, message):
     with pytest.raises(InvalidPromise, match=message):
         decision_params(1.0, L, n, variant)
+
+
+def test_params_accept_numpy_integer_sizes():
+    assert decision_params(1.0, np.int64(4), np.int32(2)) == decision_params(1.0, 4, 2)
+    assert convergence_steps(np.int64(2), np.int16(1), 1.0, 0.9) == 20
+
+
+@pytest.mark.parametrize("c", [1e-300, 5e-324])
+def test_params_rejects_gap_beyond_float_range(c):
+    """f = 7/c or N overflows a float: the error names c, not a bare OverflowError."""
+    with pytest.raises(InvalidPromise, match=f"^promise gap c={c} is too small"):
+        decision_params(c, 4, 2)
 
 
 def test_params_rejects_bad_gap():
@@ -147,6 +162,12 @@ def test_convergence_steps_rejects_bad_targets():
     for gap, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf")):
         with pytest.raises(InvalidTarget, match=f"^spectral gap must be positive and finite, got {shown}$"):
             convergence_steps(4, 8, gap, 0.9)
+    for n, L, message in ((2, 0, "^need L >= 1 and n >= 2, got L=0, n=2$"),
+                          (-3, 4, "^need L >= 1 and n >= 2, got L=4, n=-3$"),
+                          (4.5, 4, "^L and n must be integers, got L=4, n=4.5$"),
+                          (2, 2.5, "^L and n must be integers, got L=2.5, n=2$")):
+        with pytest.raises(InvalidPromise, match=message):
+            convergence_steps(n, L, 1.0, 0.9)
 
 
 def test_decide_deterministic():

@@ -272,7 +272,7 @@ def test_weight_squares_are_the_gathered_blocks(n):
     C-ordered, transposed and reversed input, with tol = 0 and with FRAME_ZERO_TOL; the blocks
     are views of one fresh vector; input coupling weights gives `[a]`; the cached block
     index arrays are read-only."""
-    from qsatwalk.sectors import FRAME_ZERO_TOL
+    from qsatwalk.channel import FRAME_ZERO_TOL
 
     a, near = _block_diagonal(n, np.random.default_rng(60 + n))
     sec = densesim._sectors(n)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsatwalk import channel, densesim, sectors
+from qsatwalk import channel, densesim
 from qsatwalk.channel import apply_step_channel, dual_residuals, evolve
 from qsatwalk.instance import ClauseForm, Instance, conjugate_instance, make_clause
 from qsatwalk.observables import ZERO_TOL, build_hamiltonian, instance_spin_operators, spectral_data
@@ -134,7 +134,7 @@ def disguised_cases(draw):
 def test_sector_evolve_matches_full_kernel(case):
     inst, rho = case
     assert_matches_reference(rho, inst)
-    assert sectors._PREPARED[inst].cut is not None
+    assert channel._PREPARED[inst].cut is not None
 
 
 @PROPERTY_SETTINGS
@@ -142,7 +142,7 @@ def test_sector_evolve_matches_full_kernel(case):
 def test_sector_evolve_matches_full_kernel_in_disguised_frames(case):
     inst, rho, packed = case
     assert_matches_reference(rho, inst)
-    assert (sectors._PREPARED[inst].plans is not None) == packed      # which layout ran
+    assert (channel._PREPARED[inst].plans is not None) == packed      # which layout ran
 
 
 def test_eigenvalue_within_rounding_of_zero_tol_may_fall_on_either_side():
@@ -193,7 +193,7 @@ def test_ineligible_clause_keeps_full_kernel_exactly():
     inst = Instance(n=4, clauses=clauses)
     for rho in (densesim.maximally_mixed(4), densesim.random_density_matrix(4, rng)):
         assert_exactly_full_kernel(rho, inst)
-    assert sectors._PREPARED[inst].cut is None
+    assert channel._PREPARED[inst].cut is None
 
 
 def test_state_coupling_weights_keeps_full_kernel_exactly():
@@ -204,7 +204,7 @@ def test_state_coupling_weights_keeps_full_kernel_exactly():
     rho[0, 3] = rho[3, 0] = 0.01
     for start in (rho, densesim.random_density_matrix(4, rng)):
         assert_exactly_full_kernel(start, inst)
-    prep = sectors._PREPARED[inst]
+    prep = channel._PREPARED[inst]
     assert prep.plans is None                              # the packed path never stepped
     assert all(len(g) == len(densesim._sectors(4).blocks[k]) for k, g in prep.ground)   # H by weight block
 
@@ -228,8 +228,8 @@ def test_chunked_evolve_equals_one_call():
     ineligible = Instance(n=4, clauses=(make_clause(0, 1, (1, 0, 0, 1)), make_clause(2, 3, (0, 1, 1, 0))))
     for inst in (eligible, ineligible):
         _chunked_matches(inst, densesim.maximally_mixed(4), 7, 5)
-    assert sectors._PREPARED[eligible].plans is not None
-    assert sectors._PREPARED[ineligible].cut is None
+    assert channel._PREPARED[eligible].plans is not None
+    assert channel._PREPARED[ineligible].cut is None
 
 
 def test_zero_steps_build_no_plans_and_n8_plans_are_small():
@@ -237,24 +237,24 @@ def test_zero_steps_build_no_plans_and_n8_plans_are_small():
 
     inst = generate_planted_restricted(8, 16, seed=24)
     evolve(densesim.maximally_mixed(8), inst, 0)
-    assert sectors._PREPARED[inst].plans is None
+    assert channel._PREPARED[inst].plans is None
     evolve(densesim.maximally_mixed(8), inst, 1)
     # each of the 16 restricted clauses reads c through 2 x 2 rows and writes G (x) c through
     # 2 more (|00> and |11>), each one position per entry of a packed 6-qubit matrix, C(12, 6)
-    assert 0 < sum(p.nbytes for p in sectors._PREPARED[inst].plans) <= 16 * 6 * 924 * np.intp().itemsize
+    assert 0 < sum(p.nbytes for p in channel._PREPARED[inst].plans) <= 16 * 6 * 924 * np.intp().itemsize
 
 
 def test_wide_plans_stay_below_the_packed_state():
     """Above _PLANS_MAX_QUBITS a step holds one clause's plan at a time and keeps none."""
     from qsatwalk.instance import generate_planted_extended
 
-    n = sectors._PLANS_MAX_QUBITS + 1
+    n = channel._PLANS_MAX_QUBITS + 1
     inst = generate_planted_extended(n, 2, 0.5, seed=25)
     packed_bytes = 16 * densesim._sectors(n).size
-    for terms in sectors._prepare(inst).kernel(False)[0]:
-        assert sectors._sector_plan(terms, n).nbytes < packed_bytes
+    for terms in channel._prepare(inst).kernel(False)[0]:
+        assert channel._sector_plan(terms, n).nbytes < packed_bytes
     evolve(densesim.maximally_mixed(n), inst, 1)
-    assert sectors._PREPARED[inst].plans is None
+    assert channel._PREPARED[inst].plans is None
 
 
 def _packed_h_cases():
@@ -271,7 +271,7 @@ def test_packed_h_is_the_hamiltonian_in_the_planted_frame():
     """The packed H the step multiplies by equals the weight blocks of `build_hamiltonian`,
     rotated into the planted frame, and that rotated H has nothing between weights."""
     for inst in _packed_h_cases():
-        prep = sectors._prepare(inst)
+        prep = channel._prepare(inst)
         frame = prep.frame or [np.eye(2)] * inst.n
         v = densesim.product_unitary(frame)
         h = v.conj().T @ build_hamiltonian(inst) @ v
@@ -286,9 +286,9 @@ def test_packed_step_energy_equals_the_entries_energy():
     over H's entries, and the dense tr[H rho] in the planted frame."""
     rng = np.random.default_rng(28)
     for inst in _packed_h_cases():
-        n, prep = inst.n, sectors._prepare(inst)
+        n, prep = inst.n, channel._prepare(inst)
         rho = block_diagonal_state(n, [len(b) for b in densesim._sectors(n).blocks], rng)
-        run = sectors._Run(prep, whole=False)
+        run = channel._Run(prep, whole=False)
         state = np.concatenate([densesim._block(rho, b).ravel() for b in densesim._sectors(n).blocks])
         _, energy = run.step(state)
         v = densesim.product_unitary(prep.frame or [np.eye(2)] * n)
@@ -364,7 +364,7 @@ def test_chained_two_step_calls_equal_one_long_call():
 
 def test_evolve_leaves_rho0_alone_and_snapshots_own_their_memory():
     """On weight blocks in the identity and a disguised frame, and on the whole space:
-    the state `sectors.start` returns never shares memory with rho0 (`_resymmetrize`
+    the state `channel._start` returns never shares memory with rho0 (`_resymmetrize`
     writes it in place), a 100-step run leaves rho0 unchanged, and no
     snapshot shares memory with rho0 or with another snapshot."""
     rng = np.random.default_rng(30)
@@ -376,7 +376,7 @@ def test_evolve_leaves_rho0_alone_and_snapshots_own_their_memory():
              (Instance(n=3, clauses=(make_clause(0, 2, (1, 0, 0, 1)),)), densesim.maximally_mixed(3), True))
     for inst, rho0, whole in cases:
         before = rho0.copy()
-        run, state = sectors.start(inst, *densesim._checked_density(rho0))
+        run, state = channel._start(inst, *densesim._checked_density(rho0))
         assert run.whole == whole and not np.shares_memory(state, rho0)
         out = evolve(rho0, inst, 100, snapshot_schedule=(0, 1, 100))
         assert np.array_equal(rho0, before)
