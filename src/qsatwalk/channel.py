@@ -42,7 +42,8 @@ kernel:
   only its weight blocks are kept: C(2n, n) entries instead of 4^n. H rho is
   one matrix product per weight block, H_k @ rho_k, with the packed H kept
   on the instance's record (one packed state in size), and tr[H rho] is the
-  sum of their traces. Only c_a and G_a (x) c_a go through an index plan
+  sum of their traces. H comes from the one assembly of its clause entries,
+  `densesim._pair_entries`, which `observables.build_hamiltonian` reads too. Only c_a and G_a (x) c_a go through an index plan
   per clause (`_sector_plan`): one gather and one scatter into the same
   positions. G stays per clause, so a tilt of P against K (z P + K, with z
   on the H rho term) fits the same form.
@@ -52,12 +53,16 @@ on its weight blocks, packed into one fresh vector (`_Sectors.pack`), and
 in the identity frame `_start` adopts that vector as the state, with no
 copy; in a planted frame rho0 is rotated and packed once more. The whole
 space is copied, so the state never shares memory with rho0 (`_resymmetrize`
-writes it in place). A snapshot is `_Sectors.unpack` of the state.
+writes it in place, with the Hermitian-block check of
+`densesim._adjoint_deviation` that also checks rho0). A snapshot is
+`_Sectors.unpack` of the state.
 
-What the channel derives from an instance alone (`_Prepared`: its clauses
-in the frame, their terms on each layout, the packed H, the ground basis and
-the plans) is kept with it in a `weakref.WeakKeyDictionary`: instances are
-immutable and hash by identity.
+What the channel derives from an instance alone is kept with it in a
+`weakref.WeakKeyDictionary` (instances are immutable and hash by identity):
+`_Prepared`, its clauses in the frame, the packed H and the ground basis,
+and one `_Layout` per layout, built once, holding the clause terms, H's
+entries, the ground read, S^2's diagonal and, on weight blocks, the plans.
+`evolve` and `dual_residuals` read it.
 
 Stochastic pure-state sampling of the same process lives in `trajectory`.
 """
@@ -172,16 +177,20 @@ def _apply(rho: np.ndarray, clauses: list) -> tuple[np.ndarray, float]:
     return _hermitian_sum(rho, delta, densesim._sectors(densesim.num_qubits(rho), whole=True)), energy
 
 
-def apply_clause_channel(rho: np.ndarray, clause: Clause) -> np.ndarray:
-    """One clause update T_a applied to a density matrix.
-
-    Raises NotHermitian when rho deviates from Hermitian by more than
-    `densesim.HERMITICITY_TOL`: the kernel writes the update as X + X^dagger,
-    which equals T_a(rho) - rho only for Hermitian rho.
-    """
+def _checked_matrix(rho) -> tuple[np.ndarray, int]:
+    """(rho as a complex array, its qubit count), for `apply_*`: raises NotHermitian when
+    rho deviates from Hermitian by more than `densesim.HERMITICITY_TOL`, since the kernel
+    writes the update as X + X^dagger, which equals T_a(rho) - rho only for Hermitian rho."""
     rho = np.asarray(rho, dtype=complex)
     n = densesim._matrix_qubits(rho, "density matrix")
     densesim._check_hermitian(rho)
+    return rho, n
+
+
+def apply_clause_channel(rho: np.ndarray, clause: Clause) -> np.ndarray:
+    """One clause update T_a applied to a density matrix; raises NotHermitian for a
+    non-Hermitian rho (`_checked_matrix`)."""
+    rho, n = _checked_matrix(rho)
     if clause.i >= n or clause.j >= n:
         raise IndexOutOfRange(f"clause acts on ({clause.i}, {clause.j}) but state has n={n}")
     return _apply(rho, [_clause_terms(clause, n)])[0]
@@ -190,31 +199,15 @@ def apply_clause_channel(rho: np.ndarray, clause: Clause) -> np.ndarray:
 def apply_step_channel(rho: np.ndarray, inst: Instance) -> np.ndarray:
     """Uniform average of the clause updates over all L clauses; raises
     NotHermitian as `apply_clause_channel` does."""
-    rho = np.asarray(rho, dtype=complex)
-    n = densesim._matrix_qubits(rho, "density matrix")
-    densesim._check_hermitian(rho)
+    rho, n = _checked_matrix(rho)
     if n != inst.n:
         raise IndexOutOfRange(f"state has {n} qubits but instance has {inst.n}")
     return _apply(rho, [_clause_terms(c, n) for c in inst.clauses])[0]
 
 
-def _pair_entries(clauses, n: int, pos):
-    """H's entries (b (x) r, b2 (x) r), for each clause and pair values b, b2 where
-    its ket phi is nonzero: their flat positions pos(...), one row of 2^(n-2) per
-    (clause, b, b2), and the values phi_b conj(phi_b2), one per row."""
-    index = np.arange(2**n)
-    positions, values = [], []
-    for clause in clauses:
-        pair, phi = densesim._clause_split(clause, n)
-        full, ket = densesim._clause_rows(index, pair), phi.reshape(4)
-        for b, b2 in itertools.product(np.flatnonzero(ket), repeat=2):
-            positions.append(pos(full[b], full[b2]))
-            values.append(ket[b] * ket[b2].conjugate())
-    return np.array(positions), np.array(values)
-
-
 def _energy(flat: np.ndarray, entries) -> float:
-    """tr[H rho] = sum over H's entries of H[y, x] rho[x, y], from `_pair_entries`: O(L 2^n)."""
+    """tr[H rho] = sum over H's entries of H[y, x] rho[x, y], from `densesim._pair_entries`:
+    O(L 2^n)."""
     positions, values = entries
     return float((values.conj() @ flat[positions].sum(axis=1)).real)
 
@@ -289,45 +282,30 @@ class _Prepared:
 
     `clauses` are the clauses in the planted frame (`frame`, None for the
     identity) and `cut` the same clauses each cut to the weight of its pair
-    it lies on, or None when some clause lies on no single weight. `kernels`
-    memoizes each layout's `kernel`, `weight_h` holds H's weight blocks once
-    `ground` or a packed step reads them, and `plans` is filled in by the
-    first step on weight blocks when n <= _PLANS_MAX_QUBITS.
+    it lies on, or None when some clause lies on no single weight. `layouts`
+    keeps each layout's `_Layout`, built by the first `layout` call, and
+    `weight_h` H's weight blocks once `ground` or a packed step reads them.
     """
 
     n: int
     frame: tuple | None
     clauses: list
     cut: list | None
-    kernels: dict = field(default_factory=dict)
-    plans: list | None = None
+    layouts: dict = field(default_factory=dict)
 
     def to_planted(self, rho: np.ndarray) -> np.ndarray:
         return rho if self.frame is None else _conjugate(rho, [b.conj().T for b in self.frame])
 
-    def kernel(self, whole: bool) -> tuple:
-        """(clause terms, H's `_pair_entries`) on the whole space, the `_apply` terms
-        of `clauses`, or on the weight blocks, the `_SectorTerms` of `cut`."""
-        if whole not in self.kernels:
-            sec, clauses = densesim._sectors(self.n, whole), (self.clauses if whole else self.cut)
-            terms = ([_clause_terms(c, self.n) for c in clauses] if whole else
-                     [_sector_terms(c, self.n, 1.0 / len(clauses)) for c in clauses])
-            self.kernels[whole] = (terms,
-                                   _pair_entries(clauses, self.n, lambda x, y: sec.base[x] + sec.rank[y]))
-        return self.kernels[whole]
-
-    def hamiltonian(self, whole: bool) -> list:
-        """H's square blocks on one layout, views of one packed array assembled from
-        its `_pair_entries`."""
-        sec, (positions, values) = densesim._sectors(self.n, whole), self.kernel(whole)[1]
-        h = np.zeros(sec.size, dtype=complex)
-        np.add.at(h, positions, values[:, None])
-        return sec.views(h)
+    def layout(self, whole: bool) -> _Layout:
+        """The `_Layout` of the whole space or of the weight blocks, built on first use."""
+        if whole not in self.layouts:
+            self.layouts[whole] = _Layout(self, whole)
+        return self.layouts[whole]
 
     @functools.cached_property
     def weight_h(self) -> list:
         """H's weight blocks, kept for the packed step: one packed state in size."""
-        return self.hamiltonian(False)
+        return self.layout(False).hamiltonian()
 
     @functools.cached_property
     def ground(self) -> list:
@@ -337,12 +315,68 @@ class _Prepared:
         and dropped); a block is diagonalized only when a Cholesky factorization of it
         less ZERO_TOL fails."""
         ground, tol = [], observables.ZERO_TOL
-        for k, square in enumerate(self.hamiltonian(True) if self.cut is None else self.weight_h):
+        for k, square in enumerate(self.layout(True).hamiltonian() if self.cut is None else self.weight_h):
             if densesim._positive_definite(square - tol * np.eye(len(square))):
                 continue                   # every eigenvalue is above ZERO_TOL: no eigh needed
             vals, vecs = np.linalg.eigh(square)
             ground.append((k, vecs[:, vals < tol]))
         return ground
+
+
+class _Layout:
+    """The channel of an instance on one layout of the state, built once per instance
+    and layout: its clause terms (the `_apply` terms of `clauses` on the whole space,
+    the `_SectorTerms` of `cut` on the weight blocks), H's entries, S^2's diagonal and,
+    read by the first `observe`, the ground basis. On the weight blocks `plans` is
+    filled in by the first step when n <= _PLANS_MAX_QUBITS. `evolve` steps and
+    observes through it in the planted frame, and `dual_residuals` reads its terms."""
+
+    def __init__(self, prep: _Prepared, whole: bool):
+        self.prep, self.whole, self.sec = prep, whole, densesim._sectors(prep.n, whole)
+        clauses = prep.clauses if whole else prep.cut
+        self.terms = ([_clause_terms(c, prep.n) for c in clauses] if whole else
+                      [_sector_terms(c, prep.n, 1.0 / len(clauses)) for c in clauses])
+        self.entries = densesim._pair_entries(clauses, prep.n, whole)
+        self.spin = observables._spin_diagonal(prep.n)
+        self.spin2 = self.spin * self.spin
+        self.plans = None
+
+    def hamiltonian(self) -> list:
+        """H's square blocks on this layout, assembled from `entries`."""
+        return densesim._hamiltonian(self.entries, self.sec)
+
+    @functools.cached_property
+    def ground(self) -> list:
+        """(block, index into it, basis) per ground block of `_Prepared.ground`: H's ground
+        blocks are weight blocks, read whole or, on the whole space, by their indices."""
+        weights = densesim._sectors(self.prep.n).blocks if self.whole and self.prep.cut is not None else None
+        return [(k, slice(None), g) if weights is None else (0, weights[k], g) for k, g in self.prep.ground]
+
+    def observe(self, state):
+        pop, squares = state[self.sec.diag].real, self.sec.views(state)
+        ground = sum(np.vdot(g, densesim._block(squares[k], b) @ g).real for k, b, g in self.ground)
+        return self.spin @ pop, self.spin2 @ pop, ground
+
+    def snapshot(self, state):
+        rho = self.sec.unpack(state)
+        return rho if self.prep.frame is None else _conjugate(rho, self.prep.frame)
+
+    def step(self, state):
+        prep, n = self.prep, self.prep.n
+        if self.whole:
+            out, energy = _apply(state.reshape(2**n, 2**n), self.terms)
+            return out.reshape(-1), energy
+        if self.plans is None and n <= _PLANS_MAX_QUBITS:
+            self.plans = [_sector_plan(t, n) for t in self.terms]
+        delta = np.empty_like(state)
+        for h, rho, out in zip(prep.weight_h, self.sec.views(state), self.sec.views(delta)):
+            np.matmul(h, rho, out=out)                 # H rho, one weight block at a time
+        energy = float(delta[self.sec.diag].real.sum())
+        delta *= -1.0 / len(self.terms)
+        for t, plan in zip(self.terms, self.plans or (_sector_plan(t, n) for t in self.terms)):
+            c = t.ket @ state[plan[: t.rows]]
+            delta[plan] += np.multiply.outer(t.half_wg, c)
+        return _hermitian_sum(state, delta, self.sec), energy
 
 
 _PREPARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()   # instance -> _Prepared
@@ -362,14 +396,17 @@ def _prepare(inst: Instance) -> _Prepared:
 
 
 def _start(inst: Instance, rho: np.ndarray, packed: np.ndarray | None):
-    """(run, packed state) for `evolve`: on the weight blocks when every clause lies on
+    """(layout, packed state) for `evolve`: on the weight blocks when every clause lies on
     one weight and rho has no entry between weights in the planted frame, else on the
     whole space as one block.
 
     `packed` is `densesim._sectors(n).pack(rho)` in the caller's frame, a fresh vector
-    (or None), which becomes the state when that is the planted frame. The state never
-    shares memory with rho: `_resymmetrize` writes it in place.
+    (or None), which becomes the state when that is the planted frame and is freed on
+    return otherwise. The state never shares memory with rho: `_resymmetrize` writes it
+    in place. Raises IndexOutOfRange when rho's dimension is not the instance's.
     """
+    if len(rho) != 2**inst.n:
+        raise IndexOutOfRange("initial state dimension does not match instance")
     prep = _prepare(inst)
     planted = prep.to_planted(rho)             # rho itself in the identity frame, else a fresh array
     if prep.cut is None:
@@ -377,50 +414,9 @@ def _start(inst: Instance, rho: np.ndarray, packed: np.ndarray | None):
     elif prep.frame is not None:
         packed = densesim._sectors(prep.n).pack(planted, FRAME_ZERO_TOL)
     if packed is not None:
-        return _Run(prep, whole=False), packed
+        return prep.layout(False), packed
     state = np.array(planted, order="C") if planted is rho else planted
-    return _Run(prep, whole=True), state.reshape(-1)
-
-
-class _Run:
-    """`evolve`'s steps and observables in the planted frame, on one layout."""
-
-    def __init__(self, prep: _Prepared, whole: bool):
-        self.prep, self.whole, self.sec = prep, whole, densesim._sectors(prep.n, whole)
-        self.terms, self.entries = prep.kernel(whole)
-        self.spin = observables._spin_diagonal(prep.n)
-        self.spin2 = self.spin * self.spin
-        if whole and prep.cut is not None:    # H's ground blocks are weight blocks of the one square
-            weights = densesim._sectors(prep.n).blocks
-            self.ground = [(0, weights[k], g) for k, g in prep.ground]
-        else:
-            self.ground = [(k, slice(None), g) for k, g in prep.ground]
-
-    def observe(self, state):
-        pop, squares = state[self.sec.diag].real, self.sec.views(state)
-        ground = sum(np.vdot(g, densesim._block(squares[k], b) @ g).real for k, b, g in self.ground)
-        return self.spin @ pop, self.spin2 @ pop, ground
-
-    def snapshot(self, state):
-        rho = self.sec.unpack(state)
-        return rho if self.prep.frame is None else _conjugate(rho, self.prep.frame)
-
-    def step(self, state):
-        prep, n = self.prep, self.prep.n
-        if self.whole:
-            out, energy = _apply(state.reshape(2**n, 2**n), self.terms)
-            return out.reshape(-1), energy
-        if prep.plans is None and n <= _PLANS_MAX_QUBITS:
-            prep.plans = [_sector_plan(t, n) for t in self.terms]
-        delta = np.empty_like(state)
-        for h, rho, out in zip(prep.weight_h, self.sec.views(state), self.sec.views(delta)):
-            np.matmul(h, rho, out=out)                 # H rho, one weight block at a time
-        energy = float(delta[self.sec.diag].real.sum())
-        delta *= -1.0 / len(self.terms)
-        for t, plan in zip(self.terms, prep.plans or (_sector_plan(t, n) for t in self.terms)):
-            c = t.ket @ state[plan[: t.rows]]
-            delta[plan] += np.multiply.outer(t.half_wg, c)
-        return _hermitian_sum(state, delta, self.sec), energy
+    return prep.layout(True), state.reshape(-1)
 
 
 @dataclass
@@ -441,14 +437,15 @@ class EvolutionSeries:
 
 def _resymmetrize(state: np.ndarray, sec, t: int) -> np.ndarray:
     """Hermitian part of the state over the square blocks of its layout `sec`, at unit
-    trace; raise NumericalDrift when either had drifted by more than DRIFT_TOL."""
-    views = sec.views(state)
-    herm = np.max([np.max(np.abs(v - v.conj().T)) for v in views])   # NaN-propagating
+    trace, written in place; raise NumericalDrift when either had drifted by more than
+    DRIFT_TOL."""
+    views, adjoint = sec.views(state), np.empty_like(state)
+    herm = densesim._adjoint_deviation(views, sec.views(adjoint))
     tr_err = abs(sum(np.trace(v).real for v in views) - 1.0)
     if not (herm <= DRIFT_TOL and tr_err <= DRIFT_TOL):
         raise NumericalDrift(f"drift at step {t}: hermiticity {herm}, trace error {tr_err}")
-    for v in views:
-        v[...] = (v + v.conj().T) / 2
+    state += adjoint
+    state *= 0.5                                # (v + v^dagger) / 2, block by block
     state /= sum(np.trace(v).real for v in views)
     return state
 
@@ -461,37 +458,34 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
     the module docstring). Hermiticity and trace are re-symmetrized every 100 steps;
     drift beyond 1e-6 before a correction raises NumericalDrift. Snapshots
     are dense 2^n x 2^n matrices in the caller's frame, kept only at the
-    requested step indices. tr[H rho_t] comes from step t itself (the trace
-    of its H rho on weight blocks, the clause weights tr[P_a rho_t] on the
-    whole space; the last one from H's entries); tr[Pi0 rho_t] reads a
-    basis of the ground space kept with the instance, so no dense H or
-    ground projector is built per call. Index plans are built at the first
-    step, not by `evolve(..., 0)`.
+    requested step indices, each an integer in 0..steps (IndexOutOfRange
+    otherwise, as for a `steps` that is not an integer >= 0). tr[H rho_t]
+    comes from step t itself (the trace of its H rho on weight blocks, the
+    clause weights tr[P_a rho_t] on the whole space; the last one from H's
+    entries); tr[Pi0 rho_t] reads a basis of the ground space kept with the
+    instance, so no dense H or ground projector is built per call. Index
+    plans are built at the first step, not by `evolve(..., 0)`.
     """
-    rho, packed = densesim._checked_density(rho0)
-    if steps < 0:
-        raise IndexOutOfRange(f"steps must be >= 0, got {steps}")
-    if densesim.num_qubits(rho) != inst.n:
-        raise IndexOutOfRange("initial state dimension does not match instance")
-    run, state = _start(inst, rho, packed)
-    del packed                 # the state itself in the identity frame; in another, freed now
-    wanted = set(int(t) for t in snapshot_schedule)
+    densesim._check_count(steps, "steps", 0)
+    wanted = set()
+    for t in snapshot_schedule:
+        if not (isinstance(t, (int, np.integer)) and 0 <= t <= steps):
+            raise IndexOutOfRange(f"snapshot index {t!r} is not an integer in 0..{steps}")
+        wanted.add(int(t))
+    layout, state = _start(inst, *densesim._checked_density(rho0))
 
-    trH = np.empty(steps + 1)
-    trS = np.empty(steps + 1)
-    trS2 = np.empty(steps + 1)
-    trPi0 = np.empty(steps + 1)
+    trH, trS, trS2, trPi0 = np.empty((4, steps + 1))
     snapshots: dict[int, np.ndarray] = {}
     for t in range(steps + 1):
-        trS[t], trS2[t], trPi0[t] = run.observe(state)
+        trS[t], trS2[t], trPi0[t] = layout.observe(state)
         if t in wanted:
-            snapshots[t] = run.snapshot(state)
+            snapshots[t] = layout.snapshot(state)
         if t == steps:
-            trH[t] = _energy(state, run.entries)
+            trH[t] = _energy(state, layout.entries)
             break
-        state, trH[t] = run.step(state)
+        state, trH[t] = layout.step(state)
         if (t + 1) % RESYMMETRIZE_EVERY == 0:
-            state = _resymmetrize(state, run.sec, t + 1)
+            state = _resymmetrize(state, layout.sec, t + 1)
     return EvolutionSeries(steps=steps, trH=trH, trS=trS, trS2=trS2, trPi0=trPi0, snapshots=snapshots)
 
 
@@ -522,14 +516,13 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
     diagonal sum of sigma_z over the other n-2 qubits.
     """
     prep = _prepare(inst)
-    spin, rest_spin = observables._spin_diagonal(inst.n), observables._spin_diagonal(inst.n - 2)
+    layout, rest_spin = prep.layout(True), observables._spin_diagonal(inst.n - 2)
     states = [prep.to_planted(densesim.as_density_matrix(r)) for r in sample_states]
     expect = densesim.expectation
     report = []
-    for idx, (clause, terms) in enumerate(zip(prep.clauses, prep.kernel(True)[0])):
+    for idx, (clause, terms) in enumerate(zip(prep.clauses, layout.terms)):
         form = classify_clause(clause)
-        res_s = np.empty(len(states))
-        res_s2 = np.empty(len(states))
+        res_s, res_s2 = np.empty((2, len(states)))
         for k, rho in enumerate(states):
             out, energy = _apply(rho, [terms])   # energy = tr[P rho]
             if form is ClauseForm.TYPE_II:
@@ -537,8 +530,8 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
                 delta_s, delta_s2 = energy, -2.0 * energy + 2.0 * float(rest_spin @ np.diagonal(c).real)
             else:
                 delta_s, delta_s2 = 0.0, 2.0 * energy
-            res_s[k] = abs(expect(spin, out) - expect(spin, rho) - delta_s)
-            res_s2[k] = abs(expect(spin * spin, out) - expect(spin * spin, rho) - delta_s2)
+            res_s[k] = abs(expect(layout.spin, out) - expect(layout.spin, rho) - delta_s)
+            res_s2[k] = abs(expect(layout.spin2, out) - expect(layout.spin2, rho) - delta_s2)
         report.append(ClauseResiduals(index=idx, form=form, residual_S=res_s, residual_S2=res_s2))
     return report
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import channel, densesim
-from .errors import IndexOutOfRange, InvalidPromise, InvalidTarget
+from .errors import InvalidPromise, InvalidTarget
 from .instance import Instance
 from .trajectory import _as_generator, _compiled, _seed_json, _walk
 
@@ -138,8 +138,7 @@ def decide(inst: Instance, params: DecisionParams, master_seed) -> Verdict:
     is the trajectory record's: master_seed as given, or None for a
     Generator.
     """
-    if params.T < 0:
-        raise IndexOutOfRange(f"T must be >= 0, got {params.T}")
+    densesim._check_count(params.T, "T", 0)
     gen, seed = _as_generator(master_seed)
     ones_limit = params.T - params.N_int + 1
     outcomes, _, _ = _walk(_compiled(inst).kets, inst.n, params.T, gen, ones_limit=ones_limit)

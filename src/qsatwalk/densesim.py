@@ -15,13 +15,18 @@ apart by `ndim`. The qubit layout lives here alone (`_bits`, `_pair_split`,
 a sampled step reads a state through it. The packed Hamming-weight layout
 lives here too, described once in the `_Sectors` docstring: `hermitian_eig`
 diagonalizes each weight block apart, `as_density_matrix` checks each apart,
-and the exact channel (`channel`) keeps its state in it. `kron_embed` and
-`observables.build_hamiltonian` scatter 4x4 blocks through the clause rows
-into full 2^n x 2^n operators, for spectra and tests, not per-step updates.
+and the exact channel (`channel`) keeps its state in it; `_adjoint_deviation`
+is the one Hermitian-block check of a state in either layout. H = sum_a P_a
+is assembled in one place: `_pair_entries` lists its clause entries on a
+layout and `_hamiltonian` adds them up, for the exact channel's packed H and
+ground space and for the dense H and projectors of `observables`. `kron_embed`
+scatters a 4x4 block through the clause rows into a full 2^n x 2^n operator.
+Dense operators serve spectra and tests, not per-step updates.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -63,6 +68,15 @@ def _matrix_qubits(a: np.ndarray, what: str) -> int:
     return n
 
 
+def _check_count(value, name: str, low: int) -> None:
+    """Raise IndexOutOfRange, naming `name`, unless `value` is an integer (a numpy
+    integer too) of at least `low`."""
+    if not isinstance(value, (int, np.integer)):
+        raise IndexOutOfRange(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise IndexOutOfRange(f"{name} must be >= {low}, got {value}")
+
+
 def basis_state(n: int, index: int) -> np.ndarray:
     """Computational basis state |index> on n qubits."""
     if not 0 <= index < 2**n:
@@ -90,10 +104,10 @@ def _checked_density(rho):
     Returns (rho, packed): packed is `_sectors(n).pack(rho)`, or None when an
     entry couples two weights. In the first case Hermiticity and positivity
     are checked on the blocks alone, views of packed: the zeros between them
-    cannot break either. Every block's conjugate transpose goes into one
-    temporary of packed's layout, which is compared with the block and then
-    becomes the Hermitian parts in two passes over the whole temporary; each
-    part's diagonal takes PSD_TOL in place before its Cholesky factorization.
+    cannot break either. `_adjoint_deviation` writes every block's conjugate
+    transpose into one temporary of packed's layout, which then becomes the
+    Hermitian parts in two passes over the whole temporary; each part's
+    diagonal takes PSD_TOL in place before its Cholesky factorization.
     """
     rho = np.asarray(rho, dtype=complex)
     n = _matrix_qubits(rho, "density matrix")
@@ -102,11 +116,7 @@ def _checked_density(rho):
     checked = rho if packed is None else packed
     hermitian = np.empty(checked.shape, dtype=complex)      # C order, for the diagonal strides below
     squares, parts = ([rho], [hermitian]) if packed is None else (sec.views(packed), sec.views(hermitian))
-    deviations = []
-    for a, h in zip(squares, parts):
-        np.conjugate(a.T, out=h)
-        deviations.append(np.max(np.abs(a - h)))
-    herm = np.max(deviations)             # NaN-propagating, unlike the builtin max
+    herm = _adjoint_deviation(squares, parts)
     if not herm <= HERMITICITY_TOL:
         raise NotHermitian(f"density matrix deviates from Hermitian by {herm}")
     tr = np.trace(rho)
@@ -121,6 +131,15 @@ def _checked_density(rho):
         if not lo >= -PSD_TOL:
             raise DimensionMismatch(f"density matrix has eigenvalue {lo} < -{PSD_TOL}")
     return rho, packed
+
+
+def _adjoint_deviation(squares, parts) -> float:
+    """Write each square block's conjugate transpose into its part, the same block of a
+    buffer of the layout, and return max |a - a^dagger| over the blocks, which NaN
+    makes NaN, unlike the builtin max."""
+    for a, h in zip(squares, parts):
+        np.conjugate(a.T, out=h)
+    return np.max([np.max(np.abs(a - h)) for a, h in zip(squares, parts)])
 
 
 def _positive_definite(a: np.ndarray) -> bool:
@@ -155,7 +174,8 @@ def kron_embed(op4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
     if i > j:
         op4 = op4.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)   # axes (lo, hi)
     out = np.zeros((2**n, 2**n), dtype=complex)
-    _scatter_add(out, op4, _pair_split(i, j, n))
+    idx = _clause_rows(np.arange(2**n), _pair_split(i, j, n))
+    out[idx[:, None, :], idx[None, :, :]] += op4[:, :, None]
     return out
 
 
@@ -280,10 +300,30 @@ def _clause_rows(x: np.ndarray, pair: tuple) -> np.ndarray:
     return x.reshape(pair).transpose(1, 3, 0, 2, 4).reshape(4, -1)
 
 
-def _scatter_add(out: np.ndarray, op4: np.ndarray, pair: tuple) -> None:
-    """Add to the 2^n x 2^n `out` a 4x4 operator with axes (lo, hi), embedded."""
-    idx = _clause_rows(np.arange(out.shape[0]), pair)
-    out[idx[:, None, :], idx[None, :, :]] += op4[:, :, None]
+def _pair_entries(clauses, n: int, whole: bool = False) -> tuple:
+    """H = sum_a P_a as entries (b (x) r, b2 (x) r) of the layout `_sectors(n, whole)`, for
+    each clause and pair values b, b2 where its ket phi is nonzero: their flat positions,
+    one row of 2^(n-2) per (clause, b, b2), and the values phi_b conj(phi_b2), one per
+    row. On the weight blocks every clause must lie on one weight of its pair."""
+    sec, index = _sectors(n, whole), np.arange(2**n)
+    positions, values = [], []
+    for clause in clauses:
+        pair, phi = _clause_split(clause, n)
+        full, ket = _clause_rows(index, pair), phi.reshape(4)
+        for b, b2 in itertools.product(np.flatnonzero(ket), repeat=2):
+            positions.append(sec.base[full[b]] + sec.rank[full[b2]])
+            values.append(ket[b] * ket[b2].conjugate())
+    return np.array(positions), np.array(values)
+
+
+def _hamiltonian(entries, sec: _Sectors) -> list:
+    """H's square blocks on the layout `sec`, views of one packed array, from its
+    `_pair_entries` there: each value is added at its positions in clause order, by
+    one `np.add.at`. On the whole space the one block is the dense H."""
+    positions, values = entries
+    h = np.zeros(sec.size, dtype=complex)
+    np.add.at(h, positions, values[:, None])
+    return sec.views(h)
 
 
 def product_unitary(blocks) -> np.ndarray:

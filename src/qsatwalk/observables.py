@@ -6,7 +6,10 @@ are returned as real length-2^n vectors of their diagonals, the form
 `densesim.expectation`, `channel` and `trajectory.run_ensemble` read. For
 instances whose planted basis is not the identity they are conjugated by the
 product unitary of that basis into dense matrices; the satisfying-subspace
-projector and the Hamiltonian need no such treatment.
+projector and the Hamiltonian need no such treatment. The dense H and each
+clause projector come from `densesim`'s one H assembly, which the exact
+channel reads too, so H equals the left-to-right sum of the projectors bit
+for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import densesim
-from .errors import DegenerateSpectrum
+from .errors import DegenerateSpectrum, IndexOutOfRange
 from .instance import Instance, Clause
 
 ZERO_TOL = 1e-10
@@ -58,21 +61,24 @@ def instance_spin_operators(inst: Instance):
 
 
 def clause_projector(clause: Clause, n: int) -> np.ndarray:
-    """Embedded 2^n x 2^n projector of a clause."""
-    return densesim.kron_embed(np.outer(clause.amps, clause.amps.conj()), clause.i, clause.j, n)
+    """Embedded 2^n x 2^n projector of a clause: the H of that clause alone."""
+    if not (clause.i < n and clause.j < n):
+        raise IndexOutOfRange(f"qubit pair ({clause.i}, {clause.j}) invalid for n={n}")
+    return _dense_hamiltonian([clause], n)
 
 
 def build_hamiltonian(inst: Instance) -> np.ndarray:
     """Sum of all embedded clause projectors; PSD with eigenvalues in [0, L].
 
-    Each clause's 4x4 block is scattered onto the entries it touches, so a
+    Each clause's entries are added at their dense positions x * 2^n + y
+    (`densesim._pair_entries`, the entries the exact channel reads), so a
     clause costs O(2^n) rather than a dense embedding.
     """
-    h = np.zeros((2**inst.n, 2**inst.n), dtype=complex)
-    for c in inst.clauses:
-        pair, phi = densesim._clause_split(c, inst.n)
-        densesim._scatter_add(h, np.outer(phi, phi.conj()), pair)   # outer flattens phi
-    return h
+    return _dense_hamiltonian(inst.clauses, inst.n)
+
+
+def _dense_hamiltonian(clauses, n: int) -> np.ndarray:
+    return densesim._hamiltonian(densesim._pair_entries(clauses, n, whole=True), densesim._sectors(n, whole=True))[0]
 
 
 @dataclass(frozen=True)

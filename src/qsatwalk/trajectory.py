@@ -162,7 +162,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .densesim import _check_hermitian, _clause_rows, _clause_split, basis_state, num_qubits
+from .densesim import _check_count, _check_hermitian, _clause_rows, _clause_split, basis_state, num_qubits
 from .errors import DegenerateBranch, DimensionMismatch, IndexOutOfRange
 from .instance import Instance
 
@@ -799,8 +799,7 @@ def _integer_seed(seed) -> bool:
 
 def run_trajectory(inst: Instance, T: int, rng, keep_history: bool = False) -> TrajectoryRecord:
     """Run one trajectory of T steps and count the satisfied (0) outcomes."""
-    if T < 0:
-        raise IndexOutOfRange(f"T must be >= 0, got {T}")
+    _check_count(T, "T", 0)
     gen, seed = _as_generator(rng)
     outcomes, psi, _ = _walk(_compiled(inst).kets, inst.n, T, gen)
     return TrajectoryRecord(
@@ -881,10 +880,8 @@ def run_ensemble(
     `master_seed` is an int, a numpy integer or a sequence of them; any other
     kind (a `Generator`, a float) raises TypeError before any trajectory runs.
     """
-    if M < 1:
-        raise IndexOutOfRange(f"M must be >= 1, got {M}")
-    if T < 0:
-        raise IndexOutOfRange(f"T must be >= 0, got {T}")
+    _check_count(M, "M", 1)
+    _check_count(T, "T", 0)
     if not _integer_seed(master_seed):
         raise TypeError("master_seed must be an int, a numpy integer or a sequence of them, "
                         f"got {type(master_seed).__name__}")

@@ -129,6 +129,72 @@ def test_channel_rejects_a_state_of_another_width(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "schedule, message",
+    [((5, 1.5, -1), r"^snapshot index 5 is not an integer in 0\.\.2$"),
+     ((1.5,), r"^snapshot index 1\.5 is not an integer in 0\.\.2$"),
+     ((-1,), r"^snapshot index -1 is not an integer in 0\.\.2$"),
+     ((0, 3), r"^snapshot index 3 is not an integer in 0\.\.2$")],
+    ids=["mixed", "fraction", "negative", "past-the-end"],
+)
+def test_evolve_rejects_snapshot_indices_outside_its_steps(schedule, message):
+    with pytest.raises(IndexOutOfRange, match=message):
+        evolve(densesim.maximally_mixed(2), singlet_instance(), 2, snapshot_schedule=schedule)
+
+
+def test_evolve_keeps_integer_snapshot_indices_of_any_kind():
+    out = evolve(densesim.maximally_mixed(2), singlet_instance(), np.int64(2), snapshot_schedule=(np.int64(2), 0))
+    assert sorted(out.snapshots) == [0, 2] and len(out.trH) == 3
+
+
+def test_evolve_rejects_a_fractional_step_count():
+    with pytest.raises(IndexOutOfRange, match=r"^steps must be an integer, got 2\.5$"):
+        evolve(densesim.maximally_mixed(2), singlet_instance(), 2.5)
+
+
+def test_second_evolve_and_dual_residuals_build_no_clause_terms(monkeypatch):
+    """Each layout's clause terms are built once per instance, on weight blocks and on
+    the whole space: a second call of either entry point builds none."""
+    built = []
+    for name in ("_clause_terms", "_sector_terms"):
+        def counted(*args, _build=getattr(channel, name), _name=name):
+            built.append(_name)
+            return _build(*args)
+        monkeypatch.setattr(channel, name, counted)
+    rng = np.random.default_rng(40)
+    eligible = generate_planted_extended(3, 4, 0.5, seed=41)
+    arbitrary = Instance(n=3, clauses=(make_clause(0, 1, (1, 0, 0, 1)), make_clause(1, 2, (0, 1, 1j, 1))))
+    for inst in (eligible, arbitrary, conjugate_instance(eligible, random_product_basis(3, 42))):
+        rho = densesim.random_density_matrix(3, rng)
+        for start in (densesim.maximally_mixed(3), rho):
+            evolve(start, inst, 2)
+        dual_residuals(inst, [rho])
+        first = len(built)
+        assert first > 0
+        for start in (densesim.maximally_mixed(3), rho):
+            evolve(start, inst, 2)
+        dual_residuals(inst, [rho])
+        assert len(built) == first
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["weight-blocks", "whole-space"])
+def test_resymmetrize_is_the_blockwise_hermitian_part_at_unit_trace(whole):
+    """Bit for bit: each block becomes (v + v^dagger) / 2, then the state is divided by
+    the real trace of the result."""
+    rng = np.random.default_rng(43)
+    rho = densesim.random_density_matrix(3, rng)
+    sec = densesim._sectors(3, whole=whole)
+    weight = densesim._hamming_weights(3)
+    state = rho.reshape(-1).copy() if whole else sec.pack(np.where(weight[:, None] == weight, rho, 0))
+    state += 1e-8 * (rng.standard_normal(state.shape) + 1j * rng.standard_normal(state.shape))
+    want = state.copy()
+    views = sec.views(want)
+    for v in views:
+        v[...] = (v + v.conj().T) / 2
+    want /= sum(np.trace(v).real for v in views)
+    assert np.array_equal(channel._resymmetrize(state, sec, 100), want)
+
+
 @pytest.mark.parametrize("whole", [False, True], ids=["weight-blocks", "whole-space"])
 def test_resymmetrize_projects_drift_within_tolerance_and_raises_beyond(whole):
     """A state off Hermitian, and off unit trace, by less than DRIFT_TOL comes back

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qsatwalk import densesim
-from qsatwalk.errors import DegenerateSpectrum
+from qsatwalk.errors import DegenerateSpectrum, IndexOutOfRange
 from qsatwalk.instance import (
+    conjugate_instance,
     generate_no_instance,
     generate_planted_extended,
     generate_planted_restricted,
@@ -120,6 +121,31 @@ def test_spectral_data_singlet():
     p = data.ground_projector
     assert np.max(np.abs(p @ p - p)) < 1e-8
     assert densesim.expectation(build_hamiltonian(singlet_instance()) @ p, densesim.maximally_mixed(2)) < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["restricted", "type-ii", "arbitrary", "disguised"])
+def test_hamiltonian_is_the_left_to_right_sum_of_clause_projectors(kind):
+    """Bit for bit: each entry adds the clauses' values in clause order, as the sum does."""
+    rng = np.random.default_rng(70)
+    inst = {
+        "restricted": lambda: generate_planted_restricted(4, 8, seed=71),
+        "type-ii": lambda: generate_planted_extended(4, 8, 1.0, seed=72),
+        "arbitrary": lambda: Instance(n=4, clauses=tuple(
+            make_clause(i, j, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            for i, j in ((0, 1), (3, 1), (2, 0), (1, 2), (0, 1)))),
+        "disguised": lambda: conjugate_instance(generate_planted_extended(4, 8, 0.5, seed=73),
+                                                random_product_basis(4, 74)),
+    }[kind]()
+    projectors = [clause_projector(c, inst.n) for c in inst.clauses]
+    total = projectors[0]
+    for p in projectors[1:]:
+        total = total + p
+    assert np.array_equal(build_hamiltonian(inst), total)
+
+
+def test_clause_projector_rejects_a_clause_outside_the_register():
+    with pytest.raises(IndexOutOfRange, match=r"^qubit pair \(0, 2\) invalid for n=2$"):
+        clause_projector(make_clause(0, 2, SINGLET), 2)
 
 
 def test_spectral_data_identity_hamiltonian():

@@ -142,7 +142,7 @@ def test_sector_evolve_matches_full_kernel(case):
 def test_sector_evolve_matches_full_kernel_in_disguised_frames(case):
     inst, rho, packed = case
     assert_matches_reference(rho, inst)
-    assert (channel._PREPARED[inst].plans is not None) == packed      # which layout ran
+    assert (channel._PREPARED[inst].layout(False).plans is not None) == packed      # which layout ran
 
 
 def test_eigenvalue_within_rounding_of_zero_tol_may_fall_on_either_side():
@@ -205,7 +205,7 @@ def test_state_coupling_weights_keeps_full_kernel_exactly():
     for start in (rho, densesim.random_density_matrix(4, rng)):
         assert_exactly_full_kernel(start, inst)
     prep = channel._PREPARED[inst]
-    assert prep.plans is None                              # the packed path never stepped
+    assert prep.layout(False).plans is None                # the packed path never stepped
     assert all(len(g) == len(densesim._sectors(4).blocks[k]) for k, g in prep.ground)   # H by weight block
 
 
@@ -228,7 +228,7 @@ def test_chunked_evolve_equals_one_call():
     ineligible = Instance(n=4, clauses=(make_clause(0, 1, (1, 0, 0, 1)), make_clause(2, 3, (0, 1, 1, 0))))
     for inst in (eligible, ineligible):
         _chunked_matches(inst, densesim.maximally_mixed(4), 7, 5)
-    assert channel._PREPARED[eligible].plans is not None
+    assert channel._PREPARED[eligible].layout(False).plans is not None
     assert channel._PREPARED[ineligible].cut is None
 
 
@@ -237,11 +237,11 @@ def test_zero_steps_build_no_plans_and_n8_plans_are_small():
 
     inst = generate_planted_restricted(8, 16, seed=24)
     evolve(densesim.maximally_mixed(8), inst, 0)
-    assert channel._PREPARED[inst].plans is None
+    assert channel._PREPARED[inst].layout(False).plans is None
     evolve(densesim.maximally_mixed(8), inst, 1)
     # each of the 16 restricted clauses reads c through 2 x 2 rows and writes G (x) c through
     # 2 more (|00> and |11>), each one position per entry of a packed 6-qubit matrix, C(12, 6)
-    assert 0 < sum(p.nbytes for p in channel._PREPARED[inst].plans) <= 16 * 6 * 924 * np.intp().itemsize
+    assert 0 < sum(p.nbytes for p in channel._PREPARED[inst].layout(False).plans) <= 16 * 6 * 924 * np.intp().itemsize
 
 
 def test_wide_plans_stay_below_the_packed_state():
@@ -251,10 +251,10 @@ def test_wide_plans_stay_below_the_packed_state():
     n = channel._PLANS_MAX_QUBITS + 1
     inst = generate_planted_extended(n, 2, 0.5, seed=25)
     packed_bytes = 16 * densesim._sectors(n).size
-    for terms in channel._prepare(inst).kernel(False)[0]:
+    for terms in channel._prepare(inst).layout(False).terms:
         assert channel._sector_plan(terms, n).nbytes < packed_bytes
     evolve(densesim.maximally_mixed(n), inst, 1)
-    assert channel._PREPARED[inst].plans is None
+    assert channel._PREPARED[inst].layout(False).plans is None
 
 
 def _packed_h_cases():
@@ -288,7 +288,7 @@ def test_packed_step_energy_equals_the_entries_energy():
     for inst in _packed_h_cases():
         n, prep = inst.n, channel._prepare(inst)
         rho = block_diagonal_state(n, [len(b) for b in densesim._sectors(n).blocks], rng)
-        run = channel._Run(prep, whole=False)
+        run = prep.layout(False)
         state = np.concatenate([densesim._block(rho, b).ravel() for b in densesim._sectors(n).blocks])
         _, energy = run.step(state)
         v = densesim.product_unitary(prep.frame or [np.eye(2)] * n)

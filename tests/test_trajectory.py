@@ -612,6 +612,25 @@ def test_run_ensemble_rejects_empty():
         run_ensemble(singlet_instance(), 5, 0, master_seed=1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: run_trajectory(singlet_instance(), 2.5, 0), r"^T must be an integer, got 2\.5$"),
+     (lambda: run_ensemble(singlet_instance(), 2.5, 2, master_seed=1), r"^T must be an integer, got 2\.5$"),
+     (lambda: run_ensemble(singlet_instance(), 5, 2.5, master_seed=1), r"^M must be an integer, got 2\.5$")],
+    ids=["trajectory-T", "ensemble-T", "ensemble-M"],
+)
+def test_sampler_sizes_must_be_integers(call, message):
+    with pytest.raises(IndexOutOfRange, match=message):
+        call()
+
+
+def test_sampler_sizes_may_be_numpy_integers():
+    inst = singlet_instance()
+    assert run_trajectory(inst, np.int64(5), 3).N0 == run_trajectory(inst, 5, 3).N0
+    stats = run_ensemble(inst, np.int32(5), np.int64(3), master_seed=1)
+    assert np.array_equal(stats.n0, run_ensemble(inst, 5, 3, master_seed=1).n0)
+
+
 @pytest.mark.parametrize("op", [np.ones(4), np.eye(4)], ids=["vector", "matrix"])
 def test_run_ensemble_rejects_operator_of_wrong_size(op):
     inst = generate_planted_restricted(3, 2, seed=52)
