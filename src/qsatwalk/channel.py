@@ -43,10 +43,11 @@ kernel:
   one matrix product per weight block, H_k @ rho_k, with the packed H kept
   on the instance's record (one packed state in size), and tr[H rho] is the
   sum of their traces. H comes from the one assembly of its clause entries,
-  `densesim._pair_entries`, which `observables.build_hamiltonian` reads too. Only c_a and G_a (x) c_a go through an index plan
-  per clause (`_sector_plan`): one gather and one scatter into the same
-  positions. G stays per clause, so a tilt of P against K (z P + K, with z
-  on the H rho term) fits the same form.
+  `densesim._pair_entries`, which `observables.build_hamiltonian` reads
+  too. Only c_a and G_a (x) c_a go through an index plan per clause
+  (`_sector_plan`): one gather and one scatter into the same positions. G
+  stays per clause, so a tilt of P against K (z P + K, with z on the H rho
+  term) fits the same form.
 
 Into and out of the packed layout: `densesim._checked_density` checks rho0
 on its weight blocks, packed into one fresh vector (`_Sectors.pack`), and
@@ -332,7 +333,9 @@ class _Layout:
     observes through it in the planted frame, and `dual_residuals` reads its terms."""
 
     def __init__(self, prep: _Prepared, whole: bool):
-        self.prep, self.whole, self.sec = prep, whole, densesim._sectors(prep.n, whole)
+        # a proxy: prep keeps this record, and a strong reference back would leave both
+        # for the cyclic collector once the instance is gone
+        self.prep, self.whole, self.sec = weakref.proxy(prep), whole, densesim._sectors(prep.n, whole)
         clauses = prep.clauses if whole else prep.cut
         self.terms = ([_clause_terms(c, prep.n) for c in clauses] if whole else
                       [_sector_terms(c, prep.n, 1.0 / len(clauses)) for c in clauses])

@@ -304,7 +304,9 @@ def _pair_entries(clauses, n: int, whole: bool = False) -> tuple:
     """H = sum_a P_a as entries (b (x) r, b2 (x) r) of the layout `_sectors(n, whole)`, for
     each clause and pair values b, b2 where its ket phi is nonzero: their flat positions,
     one row of 2^(n-2) per (clause, b, b2), and the values phi_b conj(phi_b2), one per
-    row. On the weight blocks every clause must lie on one weight of its pair."""
+    row. On the weight blocks every clause must lie on one weight of its pair. Each
+    value is a scalar product: numpy's vectorized complex product (`np.outer`) can
+    round it differently in the last bit, and every H the package reads comes from here."""
     sec, index = _sectors(n, whole), np.arange(2**n)
     positions, values = [], []
     for clause in clauses:

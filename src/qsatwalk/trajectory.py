@@ -798,7 +798,8 @@ def _integer_seed(seed) -> bool:
 
 
 def run_trajectory(inst: Instance, T: int, rng, keep_history: bool = False) -> TrajectoryRecord:
-    """Run one trajectory of T steps and count the satisfied (0) outcomes."""
+    """Run one trajectory of T steps and count the satisfied (0) outcomes; T is an
+    integer >= 0 (a numpy integer too), else IndexOutOfRange."""
     _check_count(T, "T", 0)
     gen, seed = _as_generator(rng)
     outcomes, psi, _ = _walk(_compiled(inst).kets, inst.n, T, gen)
@@ -879,6 +880,8 @@ def run_ensemble(
     not depend on `workers`; at most one process is started per chunk.
     `master_seed` is an int, a numpy integer or a sequence of them; any other
     kind (a `Generator`, a float) raises TypeError before any trajectory runs.
+    T and M are integers (numpy integers too), T >= 0 and M >= 1, else
+    IndexOutOfRange names the one that is not.
     """
     _check_count(M, "M", 1)
     _check_count(T, "T", 0)

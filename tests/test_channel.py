@@ -1,5 +1,7 @@
 import builtins
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -175,6 +177,25 @@ def test_second_evolve_and_dual_residuals_build_no_clause_terms(monkeypatch):
             evolve(start, inst, 2)
         dual_residuals(inst, [rho])
         assert len(built) == first
+
+
+def test_dropped_instance_frees_its_records_without_the_cycle_collector():
+    """Each per-layout record reaches its `_Prepared` through a proxy, so the cache
+    entry of an instance goes with the instance by reference counting alone."""
+    inst = generate_planted_extended(4, 6, 0.5, seed=44)
+    rho = densesim.random_density_matrix(4, np.random.default_rng(45))   # couples weights
+    gc.disable()
+    try:
+        evolve(densesim.maximally_mixed(4), inst, 1)
+        evolve(rho, inst, 1)
+        dual_residuals(inst, [rho])
+        prep = channel._PREPARED[inst]
+        refs = [weakref.ref(prep), *(weakref.ref(layout) for layout in prep.layouts.values())]
+        assert len(refs) == 3
+        del inst, prep
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("whole", [False, True], ids=["weight-blocks", "whole-space"])
