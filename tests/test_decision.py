@@ -13,7 +13,7 @@ from qsatwalk.decision import (
     expected_zero_count,
     verdict_to_json,
 )
-from qsatwalk.errors import InvalidPromise, InvalidTarget
+from qsatwalk.errors import IndexOutOfRange, InvalidPromise, InvalidTarget
 from qsatwalk.instance import (
     Instance,
     conjugate_instance,
@@ -195,6 +195,13 @@ def test_decide_degenerate_zero_steps():
     # a threshold above T rejects any run, and is fixed before any step
     v = decide(inst, replace(params, N_int=9), 1)
     assert (v.decision, v.N0, v.steps) == ("NO", 0, 0)
+
+
+@pytest.mark.parametrize("T, message", [(-1, r"^T must be >= 0, got -1$"), (2.5, r"^T must be an integer, got 2\.5$")])
+def test_decide_rejects_a_step_budget_that_is_not_a_count(T, message):
+    params = decision_params(1.0, 4, 2)
+    with pytest.raises(IndexOutOfRange, match=message):
+        decide(generate_no_instance(2, "complete_pair"), replace(params, T=T), 1)
 
 
 def test_verdict_json_fields():
