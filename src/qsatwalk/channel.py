@@ -45,9 +45,14 @@ kernel:
   sum of their traces. H comes from the one assembly of its clause entries,
   `densesim._pair_entries`, which `observables.build_hamiltonian` reads
   too. Only c_a and G_a (x) c_a go through an index plan per clause
-  (`_sector_plan`): one gather and one scatter into the same positions. G
-  stays per clause, so a tilt of P against K (z P + K, with z on the H rho
-  term) fits the same form.
+  (`_sector_plan`): one gather and one scatter into the same positions.
+
+Both kernels read one record per clause, `_ClauseTerms`: its ket and the
+entries of G = P + K, listed with phi's rows x rows first. The P inside G
+comes from the product behind H's entries, and the packed step's ket for
+c_a is the conjugate of H's entries on those rows, so H, G and c_a read the
+same floats. G stays per clause, so a tilt of P against K (z P + K, with z
+on the H rho term) fits the same form.
 
 Into and out of the packed layout: `densesim._checked_density` checks rho0
 on its weight blocks, packed into one fresh vector (`_Sectors.pack`), and
@@ -78,7 +83,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import densesim, observables
-from .errors import IndexOutOfRange, NumericalDrift
+from .errors import DimensionMismatch, IndexOutOfRange, NumericalDrift
 from .instance import FORM_TOL, ClauseForm, Instance, Clause, classify_clause
 
 RESYMMETRIZE_EVERY = 100
@@ -90,12 +95,15 @@ _PAIR_WEIGHT = (0, 1, 1, 2)    # Hamming weight of the pair value 2*b_lo + b_hi
 
 @dataclass(frozen=True)
 class _ClauseTerms:
-    """A clause in the layout the local kernel reads.
+    """A clause in the layout both exact kernels read, `_apply` and the packed step.
 
     `pair` is the `densesim._pair_split` shape. `phi` lists the nonzero
-    amplitudes as (b_lo, b_hi, amplitude) and `g` the nonzero entries of
-    G = P + K as (b_lo, b_hi, b_lo', b_hi', value), where
-    K = 1/2 (I/2 (x) tr_lo P + tr_hi P (x) I/2) carries the two twirls.
+    amplitudes as (b_lo, b_hi, amplitude) and `g` entries of G = P + K as
+    (b_lo, b_hi, b_lo', b_hi', value), where K (`_twirl`) carries the two
+    twirls: first every entry of phi's rows x rows, in the order H's entries
+    list them (`densesim._pair_entries`), then each other nonzero entry. P
+    comes from the product behind H's entries (`densesim._ket_products`), so
+    G holds H's entries plus K bit for bit.
     """
 
     pair: tuple
@@ -103,16 +111,25 @@ class _ClauseTerms:
     g: tuple
 
 
+def _twirl(phi: np.ndarray) -> np.ndarray:
+    """K = 1/2 (I/2 (x) tr_lo P + tr_hi P (x) I/2) for the ket phi with axes (lo, hi), as
+    a 4x4 over the pair values 2*b_lo + b_hi."""
+    eye = np.eye(2)
+    return 0.25 * (eye[:, None, :, None] * (phi.T @ phi.conj())[None, :, None, :]
+                   + (phi @ phi.conj().T)[:, None, :, None] * eye[None, :, None, :]).reshape(4, 4)
+
+
 def _clause_terms(clause: Clause, n: int) -> _ClauseTerms:
     pair, phi = densesim._clause_split(clause, n)
-    p = phi[:, :, None, None] * phi.conj()     # P with axes (lo, hi, lo', hi')
-    eye = np.eye(2)
-    k = 0.25 * (eye[:, None, :, None] * (phi.T @ phi.conj())[None, :, None, :]
-                + (phi @ phi.conj().T)[:, None, :, None] * eye[None, :, None, :])
+    g, rows = _twirl(phi), np.flatnonzero(phi).tolist()
+    for b, b2, value in densesim._ket_products(phi.reshape(4)):
+        g[b, b2] += value                      # G = K + P, P as H's entries hold it
+    listed = [*itertools.product(rows, repeat=2),
+              *((b, b2) for b, b2 in np.argwhere(g).tolist() if b not in rows or b2 not in rows)]
     return _ClauseTerms(
         pair=pair,
-        phi=tuple((*ix, complex(v)) for ix, v in np.ndenumerate(phi) if v != 0),
-        g=tuple((*ix, complex(v)) for ix, v in np.ndenumerate(p + k) if v != 0),
+        phi=tuple((*divmod(b, 2), complex(phi.flat[b])) for b in rows),
+        g=tuple((*divmod(b, 2), *divmod(b2, 2), complex(g[b, b2])) for b, b2 in listed),
     )
 
 
@@ -213,52 +230,23 @@ def _energy(flat: np.ndarray, entries) -> float:
     return float((values.conj() @ flat[positions].sum(axis=1)).real)
 
 
-@dataclass(frozen=True)
-class _SectorTerms:
-    """A clause on one Hamming weight of its pair, in the layout the packed step reads.
-
-    `pairs` lists the pair values (b, b2), each 2*b_lo + b_hi, of the entries
-    (b (x) r, b2 (x) s) that c = <phi|rho|phi> reads and G (x) c writes:
-    first rows x rows, for `rows` the pair values where phi is nonzero (all
-    of one weight), then (e, e) for each other pair value e where G is
-    nonzero, since outside rows G = P + K is diagonal. `ket` holds
-    conj(phi_b) phi_b2 for the first `rows` pairs, and `half_wg` (w/2) G[b, b2]
-    for every pair, w = 1/L the step's clause weight.
-    """
-
-    pair: tuple
-    pairs: tuple
-    ket: np.ndarray
-    rows: int
-    half_wg: np.ndarray
-
-
-def _sector_terms(clause: Clause, n: int, weight: float) -> _SectorTerms:
-    terms = _clause_terms(clause, n)
-    g = np.zeros((4, 4), dtype=complex)
-    for x, y, x2, y2, val in terms.g:
-        g[2 * x + y, 2 * x2 + y2] = val
-    rows = [2 * x + y for x, y, _ in terms.phi]
-    phi = np.array([amp for _, _, amp in terms.phi])
-    pairs = [*itertools.product(rows, repeat=2), *((b, b) for b in range(4) if b not in rows and g[b, b] != 0)]
-    return _SectorTerms(pair=terms.pair, pairs=tuple(pairs), ket=np.outer(phi.conj(), phi).ravel(),
-                        rows=len(rows) ** 2, half_wg=0.5 * weight * np.array([g[b, b2] for b, b2 in pairs]))
-
-
-def _sector_plan(terms: _SectorTerms, n: int) -> np.ndarray:
+def _sector_plan(terms: _ClauseTerms, n: int) -> np.ndarray:
     """Index plan of one clause into the packed n-qubit state, shape
-    (len(terms.pairs), C(2n-4, n-2)).
+    (len(terms.g), C(2n-4, n-2)).
 
     c = <phi|rho|phi> is laid out like a packed (n-2)-qubit matrix, entry
     (r, s) over weight(r) = weight(s), and row k holds, in that order, where
-    rho's entry (b (x) r, b2 (x) s) sits for (b, b2) = terms.pairs[k]. Both
-    lie in one weight block of rho, since b and b2 have one weight.
+    rho's entry (b (x) r, b2 (x) s) sits for the pair values b, b2 of
+    terms.g[k]. Both lie in one weight block of rho when the clause lies on
+    one weight of its pair: its rows x rows have one weight, and G is
+    diagonal outside them. The first len(terms.phi)**2 rows are where c
+    reads rho.
     """
     sec, rest = densesim._sectors(n), densesim._sectors(n - 2)
-    full = densesim._clause_rows(np.arange(2**n), terms.pair)   # full index of b (x) r, row b
-    return np.array([np.concatenate([np.add.outer(sec.base[full[b][r]], sec.rank[full[b2][r]]).ravel()
+    full = densesim._clause_rows(np.arange(2**n), terms.pair).reshape(2, 2, -1)   # full index of b (x) r
+    return np.array([np.concatenate([np.add.outer(sec.base[full[x, y][r]], sec.rank[full[x2, y2][r]]).ravel()
                                      for r in rest.blocks])
-                     for b, b2 in terms.pairs])
+                     for x, y, x2, y2, _ in terms.g])
 
 
 def _conjugate(rho: np.ndarray, blocks) -> np.ndarray:
@@ -326,20 +314,24 @@ class _Prepared:
 
 class _Layout:
     """The channel of an instance on one layout of the state, built once per instance
-    and layout: its clause terms (the `_apply` terms of `clauses` on the whole space,
-    the `_SectorTerms` of `cut` on the weight blocks), H's entries, S^2's diagonal and,
-    read by the first `observe`, the ground basis. On the weight blocks `plans` is
-    filled in by the first step when n <= _PLANS_MAX_QUBITS. `evolve` steps and
-    observes through it in the planted frame, and `dual_residuals` reads its terms."""
+    and layout: the `_ClauseTerms` of `clauses` on the whole space and of `cut` on the
+    weight blocks, H's entries, the packed step's `reads` of each clause's terms,
+    S^2's diagonal and, read by the first `observe`, the ground basis. On the weight
+    blocks `plans` is filled in by the first step when n <= _PLANS_MAX_QUBITS.
+    `evolve` steps and observes through it in the planted frame, and
+    `dual_residuals` reads its terms."""
 
     def __init__(self, prep: _Prepared, whole: bool):
         # a proxy: prep keeps this record, and a strong reference back would leave both
         # for the cyclic collector once the instance is gone
         self.prep, self.whole, self.sec = weakref.proxy(prep), whole, densesim._sectors(prep.n, whole)
         clauses = prep.clauses if whole else prep.cut
-        self.terms = ([_clause_terms(c, prep.n) for c in clauses] if whole else
-                      [_sector_terms(c, prep.n, 1.0 / len(clauses)) for c in clauses])
+        self.terms = [_clause_terms(c, prep.n) for c in clauses]
         self.entries = densesim._pair_entries(clauses, prep.n, whole)
+        # per clause, the ket of c = <phi|rho|phi> over phi's rows x rows, the conjugates of
+        # H's entries there, and (w/2) G over terms.g, w = 1/L
+        kets = np.split(self.entries[1].conj(), np.cumsum([len(t.phi) ** 2 for t in self.terms])[:-1])
+        self.reads = [(ket, 0.5 / len(clauses) * np.array([e[-1] for e in t.g])) for ket, t in zip(kets, self.terms)]
         self.spin = observables._spin_diagonal(prep.n)
         self.spin2 = self.spin * self.spin
         self.plans = None
@@ -376,9 +368,9 @@ class _Layout:
             np.matmul(h, rho, out=out)                 # H rho, one weight block at a time
         energy = float(delta[self.sec.diag].real.sum())
         delta *= -1.0 / len(self.terms)
-        for t, plan in zip(self.terms, self.plans or (_sector_plan(t, n) for t in self.terms)):
-            c = t.ket @ state[plan[: t.rows]]
-            delta[plan] += np.multiply.outer(t.half_wg, c)
+        for (ket, half_wg), plan in zip(self.reads, self.plans or (_sector_plan(t, n) for t in self.terms)):
+            c = ket @ state[plan[: len(ket)]]
+            delta[plan] += np.multiply.outer(half_wg, c)
         return _hermitian_sum(state, delta, self.sec), energy
 
 
@@ -516,11 +508,14 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
     read in the instance's planted frame, where S is diagonal: each sample
     state is rotated into it once, and each clause is classified there. The
     Z_rest term is tr[Z_rest c] for c = <phi|rho|phi>, with Z_rest the
-    diagonal sum of sigma_z over the other n-2 qubits.
+    diagonal sum of sigma_z over the other n-2 qubits. An empty
+    `sample_states` raises DimensionMismatch.
     """
     prep = _prepare(inst)
-    layout, rest_spin = prep.layout(True), observables._spin_diagonal(inst.n - 2)
     states = [prep.to_planted(densesim.as_density_matrix(r)) for r in sample_states]
+    if not states:
+        raise DimensionMismatch("sample_states is empty: dual_residuals needs at least one density matrix")
+    layout, rest_spin = prep.layout(True), observables._spin_diagonal(inst.n - 2)
     expect = densesim.expectation
     report = []
     for idx, (clause, terms) in enumerate(zip(prep.clauses, layout.terms)):

@@ -79,6 +79,13 @@ def _check_sizes(L, n) -> None:
         raise InvalidPromise(f"need L >= 1 and n >= 2, got L={L}, n={n}")
 
 
+def _check_variant(variant) -> None:
+    """Raise InvalidPromise unless `variant` is a Variant member (a string such as
+    "extended" is not)."""
+    if not isinstance(variant, Variant):
+        raise InvalidPromise(f"unknown variant {variant!r}")
+
+
 def decision_params(c: float, L: int, n: int, variant: Variant = Variant.RESTRICTED) -> DecisionParams:
     """Evaluate the step budget and acceptance threshold for a promise gap.
 
@@ -90,17 +97,16 @@ def decision_params(c: float, L: int, n: int, variant: Variant = Variant.RESTRIC
     if not c > 0 or not math.isfinite(c):
         raise InvalidPromise(f"promise gap must be positive and finite, got c={c}")
     _check_sizes(L, n)
+    _check_variant(variant)
     # exact rational arithmetic on the decimal c, so T and N_int carry no float fuzz
     if variant is Variant.RESTRICTED:
         f = max(7 / _decimal(c), Fraction(1))
         t_real = f * f * L * L * n * n / 2
         slack = f * L * n
-    elif variant is Variant.EXTENDED:
+    else:
         f = max(22 / (5 * _decimal(c)), Fraction(1))
         t_real = 5 * f * f * L * L * n * n / 2
         slack = 2 * f * L * n
-    else:
-        raise InvalidPromise(f"unknown variant {variant!r}")
     t_steps = math.ceil(t_real)
     ratio = (f * L - 1) / (f * L)
     n_real = t_steps * ratio**3 - slack
@@ -153,9 +159,11 @@ def convergence_steps(n: int, L: int, epsilon: float, p: float, variant: Variant
 
     Requires the spectral gap epsilon of the instance Hamiltonian; the
     extended variant needs five times as many steps. Raises InvalidPromise
-    unless L >= 1 and n >= 2 are integers, as `decision_params` does.
+    unless L >= 1 and n >= 2 are integers and `variant` is a Variant member,
+    as `decision_params` does.
     """
     _check_sizes(L, n)
+    _check_variant(variant)
     if not 0.0 < p < 1.0:
         raise InvalidTarget(f"target overlap p must lie in (0, 1), got {p}")
     if not epsilon > 0 or not math.isfinite(epsilon):

@@ -19,9 +19,11 @@ and the exact channel (`channel`) keeps its state in it; `_adjoint_deviation`
 is the one Hermitian-block check of a state in either layout. H = sum_a P_a
 is assembled in one place: `_pair_entries` lists its clause entries on a
 layout and `_hamiltonian` adds them up, for the exact channel's packed H and
-ground space and for the dense H and projectors of `observables`. `kron_embed`
-scatters a 4x4 block through the clause rows into a full 2^n x 2^n operator.
-Dense operators serve spectra and tests, not per-step updates.
+ground space and for the dense H and projectors of `observables`; its one
+product, `_ket_products`, also gives the P inside each clause's G = P + K in
+the exact channel. `kron_embed` scatters a 4x4 block through the clause rows
+into a full 2^n x 2^n operator. Dense operators serve spectra and tests, not
+per-step updates.
 """
 
 from __future__ import annotations
@@ -304,18 +306,29 @@ def _pair_entries(clauses, n: int, whole: bool = False) -> tuple:
     """H = sum_a P_a as entries (b (x) r, b2 (x) r) of the layout `_sectors(n, whole)`, for
     each clause and pair values b, b2 where its ket phi is nonzero: their flat positions,
     one row of 2^(n-2) per (clause, b, b2), and the values phi_b conj(phi_b2), one per
-    row. On the weight blocks every clause must lie on one weight of its pair. Each
-    value is a scalar product: numpy's vectorized complex product (`np.outer`) can
-    round it differently in the last bit, and every H the package reads comes from here."""
+    row, clause by clause and (b, b2) in `itertools.product` order. On the weight blocks
+    every clause must lie on one weight of its pair. Each value is a scalar product
+    (`_ket_products`): numpy's vectorized complex product (`np.outer`) can round it
+    differently in the last bit, and every P the package reads comes from here: the
+    dense H and clause projectors, the channel's packed H, the P inside each clause's
+    G = P + K and the conjugated ket the packed step reads c with."""
     sec, index = _sectors(n, whole), np.arange(2**n)
     positions, values = [], []
     for clause in clauses:
         pair, phi = _clause_split(clause, n)
-        full, ket = _clause_rows(index, pair), phi.reshape(4)
-        for b, b2 in itertools.product(np.flatnonzero(ket), repeat=2):
+        full = _clause_rows(index, pair)
+        for b, b2, value in _ket_products(phi.reshape(4)):
             positions.append(sec.base[full[b]] + sec.rank[full[b2]])
-            values.append(ket[b] * ket[b2].conjugate())
+            values.append(value)
     return np.array(positions), np.array(values)
+
+
+def _ket_products(ket: np.ndarray) -> list:
+    """(b, b2, ket[b] conj(ket[b2])) for the pair values b, b2 where the length-4 ket is
+    nonzero, in `itertools.product` order: P = |ket><ket| on its rows, each entry a scalar
+    product, as H's entries and the P inside the channel's G read it."""
+    rows = np.flatnonzero(ket).tolist()
+    return [(b, b2, ket[b] * ket[b2].conjugate()) for b, b2 in itertools.product(rows, repeat=2)]
 
 
 def _hamiltonian(entries, sec: _Sectors) -> list:

@@ -880,11 +880,13 @@ def run_ensemble(
     not depend on `workers`; at most one process is started per chunk.
     `master_seed` is an int, a numpy integer or a sequence of them; any other
     kind (a `Generator`, a float) raises TypeError before any trajectory runs.
-    T and M are integers (numpy integers too), T >= 0 and M >= 1, else
-    IndexOutOfRange names the one that is not.
+    T, M and `workers` are integers (numpy integers too), T >= 0, M >= 1 and
+    workers >= 1, else IndexOutOfRange names the one that is not, before any
+    trajectory runs.
     """
     _check_count(M, "M", 1)
     _check_count(T, "T", 0)
+    _check_count(workers, "workers", 1)
     if not _integer_seed(master_seed):
         raise TypeError("master_seed must be an int, a numpy integer or a sequence of them, "
                         f"got {type(master_seed).__name__}")

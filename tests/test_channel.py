@@ -14,7 +14,7 @@ from qsatwalk.channel import (
     evolve,
     write_series_csv,
 )
-from qsatwalk.errors import IndexOutOfRange, NotHermitian, NumericalDrift
+from qsatwalk.errors import DimensionMismatch, IndexOutOfRange, NotHermitian, NumericalDrift
 from qsatwalk.instance import (
     ClauseForm,
     Instance,
@@ -158,11 +158,10 @@ def test_second_evolve_and_dual_residuals_build_no_clause_terms(monkeypatch):
     """Each layout's clause terms are built once per instance, on weight blocks and on
     the whole space: a second call of either entry point builds none."""
     built = []
-    for name in ("_clause_terms", "_sector_terms"):
-        def counted(*args, _build=getattr(channel, name), _name=name):
-            built.append(_name)
-            return _build(*args)
-        monkeypatch.setattr(channel, name, counted)
+    def counted(*args, _build=channel._clause_terms):
+        built.append(args)
+        return _build(*args)
+    monkeypatch.setattr(channel, "_clause_terms", counted)
     rng = np.random.default_rng(40)
     eligible = generate_planted_extended(3, 4, 0.5, seed=41)
     arbitrary = Instance(n=3, clauses=(make_clause(0, 1, (1, 0, 0, 1)), make_clause(1, 2, (0, 1, 1j, 1))))
@@ -177,6 +176,39 @@ def test_second_evolve_and_dual_residuals_build_no_clause_terms(monkeypatch):
             evolve(start, inst, 2)
         dual_residuals(inst, [rho])
         assert len(built) == first
+
+
+def _one_product_cases():
+    """Complex kets: planted restricted, a disguised frame, arbitrary clauses."""
+    yield generate_planted_restricted(5, 10, seed=46)
+    yield conjugate_instance(generate_planted_extended(4, 8, 0.5, seed=47), random_product_basis(4, 48))
+    rng = np.random.default_rng(49)
+    yield Instance(n=4, clauses=tuple(make_clause(i, j, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+                                      for i, j in ((0, 1), (3, 1), (2, 0), (1, 3))))
+
+
+@pytest.mark.parametrize("inst", list(_one_product_cases()), ids=["restricted", "disguised", "arbitrary"])
+def test_h_entries_p_inside_g_and_the_packed_c_ket_are_one_product(inst):
+    """On every layout of the instance, each of H's entries from `densesim._pair_entries`,
+    the P inside its clause's G = P + K, and the conjugate of the packed step's ket for
+    c = <phi|rho|phi> are the same floats, clause by clause in H's order."""
+    prep = channel._prepare(inst)
+    for whole in (True, False) if prep.cut is not None else (True,):
+        clauses, layout = prep.clauses if whole else prep.cut, prep.layout(whole)
+        values = iter(densesim._pair_entries(clauses, inst.n, whole)[1])
+        for clause, terms, (ket, _) in zip(clauses, layout.terms, layout.reads):
+            k = channel._twirl(densesim._clause_split(clause, inst.n)[1])
+            h = np.array([next(values) for _ in ket])
+            inner = terms.g[: len(ket)]
+            assert np.array_equal([g for *_, g in inner], [p + k[2 * x + y, 2 * x2 + y2]
+                                                           for (x, y, x2, y2, _), p in zip(inner, h)])
+            assert np.array_equal(ket.conj(), h)
+        assert next(values, None) is None
+
+
+def test_dual_residuals_rejects_an_empty_sample():
+    with pytest.raises(DimensionMismatch, match="^sample_states is empty"):
+        dual_residuals(singlet_instance(), [])
 
 
 def test_dropped_instance_frees_its_records_without_the_cycle_collector():

@@ -88,6 +88,17 @@ def test_params_rejects_bad_sizes_and_variants(L, n, variant, message):
         decision_params(1.0, L, n, variant)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda variant: decision_params(1.0, 8, 4, variant), lambda variant: convergence_steps(4, 8, 0.5, 0.9, variant)],
+    ids=["params", "convergence-steps"],
+)
+def test_a_variant_must_be_a_variant_member(call):
+    assert call(Variant.EXTENDED)
+    with pytest.raises(InvalidPromise, match="^unknown variant 'extended'$"):
+        call("extended")
+
+
 def test_params_accept_numpy_integer_sizes():
     assert decision_params(1.0, np.int64(4), np.int32(2)) == decision_params(1.0, 4, 2)
     assert convergence_steps(np.int64(2), np.int16(1), 1.0, 0.9) == 20

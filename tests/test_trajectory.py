@@ -616,18 +616,28 @@ def test_run_ensemble_rejects_empty():
     "call, message",
     [(lambda: run_trajectory(singlet_instance(), 2.5, 0), r"^T must be an integer, got 2\.5$"),
      (lambda: run_ensemble(singlet_instance(), 2.5, 2, master_seed=1), r"^T must be an integer, got 2\.5$"),
-     (lambda: run_ensemble(singlet_instance(), 5, 2.5, master_seed=1), r"^M must be an integer, got 2\.5$")],
-    ids=["trajectory-T", "ensemble-T", "ensemble-M"],
+     (lambda: run_ensemble(singlet_instance(), 5, 2.5, master_seed=1), r"^M must be an integer, got 2\.5$"),
+     (lambda: run_ensemble(singlet_instance(), 5, 2, master_seed=1, workers=2.5),
+      r"^workers must be an integer, got 2\.5$")],
+    ids=["trajectory-T", "ensemble-T", "ensemble-M", "ensemble-workers"],
 )
 def test_sampler_sizes_must_be_integers(call, message):
     with pytest.raises(IndexOutOfRange, match=message):
         call()
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_ensemble_rejects_fewer_than_one_worker(workers, monkeypatch):
+    """Checked before any trajectory runs: a run here would reach the stub."""
+    monkeypatch.setattr(trajectory, "_ensemble_chunk", None)
+    with pytest.raises(IndexOutOfRange, match=f"^workers must be >= 1, got {workers}$"):
+        run_ensemble(singlet_instance(), 5, 2, master_seed=1, workers=workers)
+
+
 def test_sampler_sizes_may_be_numpy_integers():
     inst = singlet_instance()
     assert run_trajectory(inst, np.int64(5), 3).N0 == run_trajectory(inst, 5, 3).N0
-    stats = run_ensemble(inst, np.int32(5), np.int64(3), master_seed=1)
+    stats = run_ensemble(inst, np.int32(5), np.int64(3), master_seed=1, workers=np.int64(2))
     assert np.array_equal(stats.n0, run_ensemble(inst, 5, 3, master_seed=1).n0)
 
 
