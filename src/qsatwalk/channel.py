@@ -63,12 +63,13 @@ writes it in place, with the Hermitian-block check of
 `densesim._adjoint_deviation` that also checks rho0). A snapshot is
 `_Sectors.unpack` of the state.
 
-What the channel derives from an instance alone is kept with it in a
-`weakref.WeakKeyDictionary` (instances are immutable and hash by identity):
-`_Prepared`, its clauses in the frame, the packed H and the ground basis,
-and one `_Layout` per layout, built once, holding the clause terms, H's
-entries, the ground read, S^2's diagonal and, on weight blocks, the plans.
-`evolve` and `dual_residuals` read it.
+What the channel derives from an instance alone is built once and kept in
+the instance's memo, `instance._derived`, with the walks' records: the
+`_Prepared` that `_prepare` builds (its clauses in the frame, the packed H
+and the ground basis), and one `_Layout` per layout, holding its
+`_Prepared`, the clause terms, H's entries, the ground read, S^2's diagonal
+and, on weight blocks, the plans. No record refers to the instance, so each
+goes with it. `evolve` and `dual_residuals` read them.
 
 Stochastic pure-state sampling of the same process lives in `trajectory`.
 """
@@ -77,14 +78,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import densesim, observables
 from .errors import DimensionMismatch, IndexOutOfRange, NumericalDrift
-from .instance import FORM_TOL, ClauseForm, Instance, Clause, classify_clause
+from .instance import FORM_TOL, ClauseForm, Instance, Clause, _derived, classify_clause
 
 RESYMMETRIZE_EVERY = 100
 DRIFT_TOL = 1e-6
@@ -267,34 +267,33 @@ def _weight_sector(amps: np.ndarray) -> int | None:
 
 @dataclass
 class _Prepared:
-    """What the exact channel derives from an instance alone.
+    """What the exact channel derives from an instance alone, built by `_prepare`.
 
     `clauses` are the clauses in the planted frame (`frame`, None for the
     identity) and `cut` the same clauses each cut to the weight of its pair
-    it lies on, or None when some clause lies on no single weight. `layouts`
-    keeps each layout's `_Layout`, built by the first `layout` call, and
-    `weight_h` H's weight blocks once `ground` or a packed step reads them.
+    it lies on, or None when some clause lies on no single weight.
+    `weight_h` holds H's weight blocks once `ground` or a packed step reads
+    them.
     """
 
     n: int
     frame: tuple | None
     clauses: list
     cut: list | None
-    layouts: dict = field(default_factory=dict)
 
     def to_planted(self, rho: np.ndarray) -> np.ndarray:
         return rho if self.frame is None else _conjugate(rho, [b.conj().T for b in self.frame])
 
-    def layout(self, whole: bool) -> _Layout:
-        """The `_Layout` of the whole space or of the weight blocks, built on first use."""
-        if whole not in self.layouts:
-            self.layouts[whole] = _Layout(self, whole)
-        return self.layouts[whole]
+    def hamiltonian(self, whole: bool) -> list:
+        """H's square blocks on the whole space (from `clauses`) or the weight blocks
+        (from `cut`), assembled from its entries."""
+        clauses = self.clauses if whole else self.cut
+        return densesim._hamiltonian(densesim._pair_entries(clauses, self.n, whole), densesim._sectors(self.n, whole))
 
     @functools.cached_property
     def weight_h(self) -> list:
         """H's weight blocks, kept for the packed step: one packed state in size."""
-        return self.layout(False).hamiltonian()
+        return self.hamiltonian(False)
 
     @functools.cached_property
     def ground(self) -> list:
@@ -304,7 +303,7 @@ class _Prepared:
         and dropped); a block is diagonalized only when a Cholesky factorization of it
         less ZERO_TOL fails."""
         ground, tol = [], observables.ZERO_TOL
-        for k, square in enumerate(self.layout(True).hamiltonian() if self.cut is None else self.weight_h):
+        for k, square in enumerate(self.hamiltonian(True) if self.cut is None else self.weight_h):
             if densesim._positive_definite(square - tol * np.eye(len(square))):
                 continue                   # every eigenvalue is above ZERO_TOL: no eigh needed
             vals, vecs = np.linalg.eigh(square)
@@ -313,18 +312,18 @@ class _Prepared:
 
 
 class _Layout:
-    """The channel of an instance on one layout of the state, built once per instance
-    and layout: the `_ClauseTerms` of `clauses` on the whole space and of `cut` on the
-    weight blocks, H's entries, the packed step's `reads` of each clause's terms,
-    S^2's diagonal and, read by the first `observe`, the ground basis. On the weight
-    blocks `plans` is filled in by the first step when n <= _PLANS_MAX_QUBITS.
-    `evolve` steps and observes through it in the planted frame, and
-    `dual_residuals` reads its terms."""
+    """The channel of an instance on one layout of the state, the memo record
+    `_derived(inst, _Layout, whole)`: the instance's `_Prepared`, held here and
+    holding nothing back; the `_ClauseTerms` of `clauses` on the whole space and of
+    `cut` on the weight blocks, H's entries, the packed step's `reads` of each
+    clause's terms, S^2's diagonal and, read by the first `observe`, the ground
+    basis. On the weight blocks `plans` is filled in by the first step when n <=
+    _PLANS_MAX_QUBITS. `evolve` steps and observes through it in the planted frame,
+    and `dual_residuals` reads its terms."""
 
-    def __init__(self, prep: _Prepared, whole: bool):
-        # a proxy: prep keeps this record, and a strong reference back would leave both
-        # for the cyclic collector once the instance is gone
-        self.prep, self.whole, self.sec = weakref.proxy(prep), whole, densesim._sectors(prep.n, whole)
+    def __init__(self, inst: Instance, whole: bool):
+        prep = self.prep = _derived(inst, _prepare)
+        self.whole, self.sec = whole, densesim._sectors(prep.n, whole)
         clauses = prep.clauses if whole else prep.cut
         self.terms = [_clause_terms(c, prep.n) for c in clauses]
         self.entries = densesim._pair_entries(clauses, prep.n, whole)
@@ -335,10 +334,6 @@ class _Layout:
         self.spin = observables._spin_diagonal(prep.n)
         self.spin2 = self.spin * self.spin
         self.plans = None
-
-    def hamiltonian(self) -> list:
-        """H's square blocks on this layout, assembled from `entries`."""
-        return densesim._hamiltonian(self.entries, self.sec)
 
     @functools.cached_property
     def ground(self) -> list:
@@ -374,20 +369,15 @@ class _Layout:
         return _hermitian_sum(state, delta, self.sec), energy
 
 
-_PREPARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()   # instance -> _Prepared
-
-
 def _prepare(inst: Instance) -> _Prepared:
-    """The instance's `_Prepared`, built on first use."""
-    if inst not in _PREPARED:
-        frame = observables._frame_blocks(inst)
-        clauses = list(inst.clauses) if frame is None else [
-            Clause(i=c.i, j=c.j, amps=np.kron(frame[c.i], frame[c.j]).conj().T @ c.amps) for c in inst.clauses]
-        weights = [_weight_sector(c.amps) for c in clauses]
-        cut = None if None in weights else [
-            Clause(i=c.i, j=c.j, amps=np.where(np.equal(_PAIR_WEIGHT, w), c.amps, 0)) for c, w in zip(clauses, weights)]
-        _PREPARED[inst] = _Prepared(n=inst.n, frame=frame, clauses=clauses, cut=cut)
-    return _PREPARED[inst]
+    """The instance's `_Prepared`, the memo record `_derived(inst, _prepare)`."""
+    frame = observables._frame_blocks(inst)
+    clauses = list(inst.clauses) if frame is None else [
+        Clause(i=c.i, j=c.j, amps=np.kron(frame[c.i], frame[c.j]).conj().T @ c.amps) for c in inst.clauses]
+    weights = [_weight_sector(c.amps) for c in clauses]
+    cut = None if None in weights else [
+        Clause(i=c.i, j=c.j, amps=np.where(np.equal(_PAIR_WEIGHT, w), c.amps, 0)) for c, w in zip(clauses, weights)]
+    return _Prepared(n=inst.n, frame=frame, clauses=clauses, cut=cut)
 
 
 def _start(inst: Instance, rho: np.ndarray, packed: np.ndarray | None):
@@ -402,16 +392,16 @@ def _start(inst: Instance, rho: np.ndarray, packed: np.ndarray | None):
     """
     if len(rho) != 2**inst.n:
         raise IndexOutOfRange("initial state dimension does not match instance")
-    prep = _prepare(inst)
+    prep = _derived(inst, _prepare)
     planted = prep.to_planted(rho)             # rho itself in the identity frame, else a fresh array
     if prep.cut is None:
         packed = None
     elif prep.frame is not None:
         packed = densesim._sectors(prep.n).pack(planted, FRAME_ZERO_TOL)
     if packed is not None:
-        return prep.layout(False), packed
+        return _derived(inst, _Layout, False), packed
     state = np.array(planted, order="C") if planted is rho else planted
-    return prep.layout(True), state.reshape(-1)
+    return _derived(inst, _Layout, True), state.reshape(-1)
 
 
 @dataclass
@@ -464,7 +454,7 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
     densesim._check_count(steps, "steps", 0)
     wanted = set()
     for t in snapshot_schedule:
-        if not (isinstance(t, (int, np.integer)) and 0 <= t <= steps):
+        if not (densesim._is_integer(t) and 0 <= t <= steps):
             raise IndexOutOfRange(f"snapshot index {t!r} is not an integer in 0..{steps}")
         wanted.add(int(t))
     layout, state = _start(inst, *densesim._checked_density(rho0))
@@ -509,16 +499,20 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
     state is rotated into it once, and each clause is classified there. The
     Z_rest term is tr[Z_rest c] for c = <phi|rho|phi>, with Z_rest the
     diagonal sum of sigma_z over the other n-2 qubits. An empty
-    `sample_states` raises DimensionMismatch.
+    `sample_states`, or a state whose dimension is not the instance's, raises
+    DimensionMismatch before anything is built.
     """
-    prep = _prepare(inst)
-    states = [prep.to_planted(densesim.as_density_matrix(r)) for r in sample_states]
+    states = [densesim.as_density_matrix(r) for r in sample_states]
     if not states:
         raise DimensionMismatch("sample_states is empty: dual_residuals needs at least one density matrix")
-    layout, rest_spin = prep.layout(True), observables._spin_diagonal(inst.n - 2)
+    for k, rho in enumerate(states):
+        if len(rho) != 2**inst.n:
+            raise DimensionMismatch(f"sample state {k} has dimension {len(rho)} but the instance's is {2**inst.n}")
+    layout, rest_spin = _derived(inst, _Layout, True), observables._spin_diagonal(inst.n - 2)
+    states = [layout.prep.to_planted(rho) for rho in states]
     expect = densesim.expectation
     report = []
-    for idx, (clause, terms) in enumerate(zip(prep.clauses, layout.terms)):
+    for idx, (clause, terms) in enumerate(zip(layout.prep.clauses, layout.terms)):
         form = classify_clause(clause)
         res_s, res_s2 = np.empty((2, len(states)))
         for k, rho in enumerate(states):

@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ import numpy as np
 from . import channel, densesim
 from .errors import InvalidPromise, InvalidTarget
 from .instance import Instance
-from .trajectory import _as_generator, _compiled, _seed_json, _walk
+from .trajectory import _run_walk, _seed_json
 
 
 class Variant(enum.Enum):
@@ -72,8 +71,9 @@ class Verdict:
 
 
 def _check_sizes(L, n) -> None:
-    """Raise InvalidPromise unless L >= 1 and n >= 2 are integers (numpy integers too)."""
-    if not (isinstance(L, numbers.Integral) and isinstance(n, numbers.Integral)):
+    """Raise InvalidPromise unless L >= 1 and n >= 2 are integers (numpy integers too,
+    bools not)."""
+    if not (densesim._is_integer(L) and densesim._is_integer(n)):
         raise InvalidPromise(f"L and n must be integers, got L={L!r}, n={n!r}")
     if L < 1 or n < 2:
         raise InvalidPromise(f"need L >= 1 and n >= 2, got L={L}, n={n}")
@@ -144,10 +144,7 @@ def decide(inst: Instance, params: DecisionParams, master_seed) -> Verdict:
     is the trajectory record's: master_seed as given, or None for a
     Generator.
     """
-    densesim._check_count(params.T, "T", 0)
-    gen, seed = _as_generator(master_seed)
-    ones_limit = params.T - params.N_int + 1
-    outcomes, _, _ = _walk(_compiled(inst).kets, inst.n, params.T, gen, ones_limit=ones_limit)
+    outcomes, _, seed = _run_walk(inst, params.T, master_seed, params.N_int)
     steps = len(outcomes)
     n0 = steps - int(outcomes.sum())
     decision = "YES" if n0 >= params.N_int else "NO"

@@ -70,10 +70,15 @@ def _matrix_qubits(a: np.ndarray, what: str) -> int:
     return n
 
 
+def _is_integer(value) -> bool:
+    """Whether `value` is an int or a numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_count(value, name: str, low: int) -> None:
     """Raise IndexOutOfRange, naming `name`, unless `value` is an integer (a numpy
-    integer too) of at least `low`."""
-    if not isinstance(value, (int, np.integer)):
+    integer too, a bool not) of at least `low`."""
+    if not _is_integer(value):
         raise IndexOutOfRange(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise IndexOutOfRange(f"{name} must be >= {low}, got {value}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,6 +133,24 @@ class Instance:
                 raise InvalidPromise(
                     f"planted state has energy {overlap} on clause {k}, above {PLANTED_TOL}"
                 )
+
+
+_DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()   # instance -> {(build, *args): record}
+
+
+def _derived(inst: Instance, build, *args):
+    """`build(inst, *args)`, built on the first call and returned by every later one
+    while `inst` lives: instances are immutable and hash by identity.
+
+    The records live here, not on the instance, so a pickled instance carries
+    none. A record must not refer to its instance, so that dropping the
+    instance frees its records by reference counting alone.
+    """
+    records = _DERIVED.setdefault(inst, {})
+    key = (build, *args)
+    if key not in records:
+        records[key] = build(inst, *args)
+    return records[key]
 
 
 def make_clause(i: int, j: int, amps) -> Clause:
@@ -334,7 +353,7 @@ def deserialize(text: str) -> Instance:
     if "n" not in doc:
         raise ParseError("missing qubit count", field="n")
     n = doc["n"]
-    if not isinstance(n, int) or n < 2:
+    if not densesim._is_integer(n) or n < 2:
         raise ParseError(f"qubit count must be an integer >= 2, got {n!r}", field="n")
     raw_clauses = doc.get("clauses")
     if not isinstance(raw_clauses, list) or not raw_clauses:
@@ -348,7 +367,7 @@ def deserialize(text: str) -> Instance:
             if key not in rc:
                 raise ParseError(f"clause missing {key!r}", field=where)
         i, j = rc["i"], rc["j"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not (densesim._is_integer(i) and densesim._is_integer(j)):
             raise ParseError("qubit indices must be integers", field=where)
         amps = _from_pairs(rc["amps"], f"{where}.amps")
         try:
@@ -374,7 +393,7 @@ def deserialize(text: str) -> Instance:
         if not isinstance(rp, dict) or "kind" not in rp:
             raise ParseError("promise must be an object with a 'kind'", field="promise")
         c = rp.get("c")
-        if c is not None and not isinstance(c, (int, float)):
+        if c is not None and (isinstance(c, bool) or not isinstance(c, (int, float))):
             raise ParseError("promise gap c must be a number", field="promise.c")
         try:
             promise = Promise(kind=rp["kind"], c=None if c is None else float(c))

@@ -79,8 +79,9 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
   not at all in a block without one; every block is still drawn in full.
   The list layouts convert them once to flat 4-lists of Python complex.
 
-  The walks read an instance's clause kets, and `_lockstep` its tables,
-  from one record per instance (`_Compiled`), built on first use.
+  The walks read an instance's clause kets (`_kets`), and `_lockstep` its
+  tables (`_tables`), from the instance's memo (`instance._derived`), each
+  built on first use.
 * `_lockstep` advances b trajectories together as one (b, 2^n) array.
   Per-clause index tables, `_clause_rows(arange(2^n))` stacked once per
   chunk, gather each trajectory's clause rows; measurement, collapse and
@@ -156,15 +157,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
-from .densesim import _check_count, _check_hermitian, _clause_rows, _clause_split, basis_state, num_qubits
+from .densesim import TRACE_TOL, _check_count, _check_hermitian, _clause_rows, _clause_split, basis_state, num_qubits
 from .errors import DegenerateBranch, DimensionMismatch, IndexOutOfRange
-from .instance import Instance
+from .instance import Instance, _derived
 
 BRANCH_NORM_FLOOR = 1e-14
 _CHUNK = 512
@@ -325,12 +325,17 @@ def trajectory_step(psi: np.ndarray, inst: Instance, rng: np.random.Generator):
     Picks a clause uniformly, measures its projector (outcome 1 with
     probability <psi|P|psi>), and on outcome 1 twirls one of its qubits with
     a fresh Haar unitary. The returned state is renormalized; psi is not
-    modified (the step writes a copy of it).
+    modified (the step writes a copy of it). A psi whose <psi|psi> is more than
+    `densesim.TRACE_TOL` away from 1 raises DimensionMismatch before anything is
+    drawn.
     """
     psi = np.array(psi, dtype=complex)
     n = num_qubits(psi)
     if n != inst.n:
         raise DimensionMismatch(f"state has {n} qubits but instance has {inst.n}")
+    norm2 = np.vdot(psi, psi).real
+    if not abs(norm2 - 1.0) <= TRACE_TOL:
+        raise DimensionMismatch(f"state has squared norm {norm2}, not 1 within {TRACE_TOL}")
     ket, work = _views_ket(inst.clauses[int(rng.integers(inst.L))], n), _work(n)
     mat, overlap, q, outcome = _measure(psi, 1.0, ket, rng.random(), work)
     coin, u = (rng.random(), haar_unitary(rng)) if outcome else (0.0, None)
@@ -731,36 +736,17 @@ def _lockstep(tables, n: int, T: int, rngs, prepared=None):
     return n0, zeros, (b, mean, m2) if prepared else None
 
 
-@dataclass(frozen=True)
-class _Compiled:
-    """What the walks read of an instance's clauses, each built on first use:
-    `kets`, the `_clause_ket` of each clause for `_walk`, and `tables`, the
-    `_lockstep_tables` (read-only). It holds the clauses, not the instance,
-    so `_COMPILED` drops it with the instance."""
-
-    n: int
-    clauses: tuple
-
-    @functools.cached_property
-    def kets(self) -> list:
-        return [_clause_ket(c, self.n) for c in self.clauses]
-
-    @functools.cached_property
-    def tables(self) -> tuple:
-        tables = _lockstep_tables(self.clauses, self.n)
-        for a in tables:
-            a.flags.writeable = False
-        return tables
+def _kets(inst: Instance) -> list:
+    """The `_clause_ket` of each clause, for `_walk`: the memo record `_derived(inst, _kets)`."""
+    return [_clause_ket(c, inst.n) for c in inst.clauses]
 
 
-_COMPILED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()   # instance -> _Compiled
-
-
-def _compiled(inst: Instance) -> _Compiled:
-    """The instance's `_Compiled`: instances are immutable and hash by identity."""
-    if inst not in _COMPILED:
-        _COMPILED[inst] = _Compiled(n=inst.n, clauses=inst.clauses)
-    return _COMPILED[inst]
+def _tables(inst: Instance) -> tuple:
+    """The `_lockstep_tables`, read-only: the memo record `_derived(inst, _tables)`."""
+    tables = _lockstep_tables(inst.clauses, inst.n)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True)
@@ -797,12 +783,23 @@ def _integer_seed(seed) -> bool:
     return isinstance(seed, (int, np.integer))
 
 
+def _run_walk(inst: Instance, T: int, rng, N_int=None):
+    """(outcomes, final state, seed) of `_walk` for up to T steps on the instance's kets,
+    for `run_trajectory` and `decision.decide`. T is checked first (an integer >= 0,
+    else IndexOutOfRange); `rng` is a Generator or a seed for one, and the seed is
+    kept as given, None for a Generator. With a threshold N_int the walk stops at
+    its (T - N_int + 1)-th outcome 1, where N_int zeros are out of reach."""
+    _check_count(T, "T", 0)
+    gen, seed = _as_generator(rng)
+    ones_limit = None if N_int is None else T - N_int + 1
+    outcomes, psi, _ = _walk(_derived(inst, _kets), inst.n, T, gen, ones_limit=ones_limit)
+    return outcomes, psi, seed
+
+
 def run_trajectory(inst: Instance, T: int, rng, keep_history: bool = False) -> TrajectoryRecord:
     """Run one trajectory of T steps and count the satisfied (0) outcomes; T is an
     integer >= 0 (a numpy integer too), else IndexOutOfRange."""
-    _check_count(T, "T", 0)
-    gen, seed = _as_generator(rng)
-    outcomes, psi, _ = _walk(_compiled(inst).kets, inst.n, T, gen)
+    outcomes, psi, seed = _run_walk(inst, T, rng)
     return TrajectoryRecord(
         N0=T - int(np.sum(outcomes)),
         T=T,
@@ -849,11 +846,11 @@ def _ensemble_chunk(payload):
     rngs = [np.random.default_rng([master_seed, k]) for k in range(start, stop)]
     width = min(len(rngs), _LOCKSTEP_ENTRIES >> n)
     if width >= _LOCKSTEP_MIN and n <= _LOCKSTEP_MAX_QUBITS:
-        tables = _compiled(inst).tables
+        tables = _derived(inst, _tables)
         runs = (_lockstep(tables, n, T, rngs[i : i + width], prepared)
                 for i in range(0, len(rngs), width))
     else:
-        kets = _compiled(inst).kets
+        kets = _derived(inst, _kets)
         walks = (_walk(kets, n, T, rng, prepared) for rng in rngs)
         runs = ((np.array([T - outcomes.sum(dtype=np.int64)]), 1 - outcomes.astype(np.int64),
                  (1, values, 0.0) if ops else None) for outcomes, _, values in walks)

@@ -16,7 +16,9 @@ from qsatwalk.channel import (
 )
 from qsatwalk.errors import DimensionMismatch, IndexOutOfRange, NotHermitian, NumericalDrift
 from qsatwalk.instance import (
+    _DERIVED,
     ClauseForm,
+    _derived,
     Instance,
     conjugate_instance,
     generate_no_instance,
@@ -136,8 +138,9 @@ def test_channel_rejects_a_state_of_another_width(call, message):
     [((5, 1.5, -1), r"^snapshot index 5 is not an integer in 0\.\.2$"),
      ((1.5,), r"^snapshot index 1\.5 is not an integer in 0\.\.2$"),
      ((-1,), r"^snapshot index -1 is not an integer in 0\.\.2$"),
-     ((0, 3), r"^snapshot index 3 is not an integer in 0\.\.2$")],
-    ids=["mixed", "fraction", "negative", "past-the-end"],
+     ((0, 3), r"^snapshot index 3 is not an integer in 0\.\.2$"),
+     ((True,), r"^snapshot index True is not an integer in 0\.\.2$")],
+    ids=["mixed", "fraction", "negative", "past-the-end", "bool"],
 )
 def test_evolve_rejects_snapshot_indices_outside_its_steps(schedule, message):
     with pytest.raises(IndexOutOfRange, match=message):
@@ -152,6 +155,8 @@ def test_evolve_keeps_integer_snapshot_indices_of_any_kind():
 def test_evolve_rejects_a_fractional_step_count():
     with pytest.raises(IndexOutOfRange, match=r"^steps must be an integer, got 2\.5$"):
         evolve(densesim.maximally_mixed(2), singlet_instance(), 2.5)
+    with pytest.raises(IndexOutOfRange, match=r"^steps must be an integer, got True$"):
+        evolve(densesim.maximally_mixed(2), singlet_instance(), True)
 
 
 def test_second_evolve_and_dual_residuals_build_no_clause_terms(monkeypatch):
@@ -192,9 +197,9 @@ def test_h_entries_p_inside_g_and_the_packed_c_ket_are_one_product(inst):
     """On every layout of the instance, each of H's entries from `densesim._pair_entries`,
     the P inside its clause's G = P + K, and the conjugate of the packed step's ket for
     c = <phi|rho|phi> are the same floats, clause by clause in H's order."""
-    prep = channel._prepare(inst)
+    prep = _derived(inst, channel._prepare)
     for whole in (True, False) if prep.cut is not None else (True,):
-        clauses, layout = prep.clauses if whole else prep.cut, prep.layout(whole)
+        clauses, layout = prep.clauses if whole else prep.cut, _derived(inst, channel._Layout, whole)
         values = iter(densesim._pair_entries(clauses, inst.n, whole)[1])
         for clause, terms, (ket, _) in zip(clauses, layout.terms, layout.reads):
             k = channel._twirl(densesim._clause_split(clause, inst.n)[1])
@@ -211,9 +216,19 @@ def test_dual_residuals_rejects_an_empty_sample():
         dual_residuals(singlet_instance(), [])
 
 
+@pytest.mark.parametrize("frame", ["identity", "disguised"])
+def test_dual_residuals_rejects_a_state_of_another_width_before_building_anything(frame):
+    inst = generate_planted_restricted(3, 4, seed=1)
+    if frame == "disguised":
+        inst = conjugate_instance(inst, random_product_basis(3, 2))
+    with pytest.raises(DimensionMismatch, match="^sample state 1 has dimension 4 but the instance's is 8$"):
+        dual_residuals(inst, [densesim.maximally_mixed(3), densesim.maximally_mixed(2)])
+    assert inst not in _DERIVED
+
+
 def test_dropped_instance_frees_its_records_without_the_cycle_collector():
-    """Each per-layout record reaches its `_Prepared` through a proxy, so the cache
-    entry of an instance goes with the instance by reference counting alone."""
+    """No record in the memo refers to its instance, so the memo entry of an instance
+    goes with the instance by reference counting alone."""
     inst = generate_planted_extended(4, 6, 0.5, seed=44)
     rho = densesim.random_density_matrix(4, np.random.default_rng(45))   # couples weights
     gc.disable()
@@ -221,10 +236,10 @@ def test_dropped_instance_frees_its_records_without_the_cycle_collector():
         evolve(densesim.maximally_mixed(4), inst, 1)
         evolve(rho, inst, 1)
         dual_residuals(inst, [rho])
-        prep = channel._PREPARED[inst]
-        refs = [weakref.ref(prep), *(weakref.ref(layout) for layout in prep.layouts.values())]
+        records = _DERIVED[inst]
+        refs = [weakref.ref(record) for record in records.values()]
         assert len(refs) == 3
-        del inst, prep
+        del inst, records
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()

@@ -80,8 +80,9 @@ def test_params_rejects_non_finite_gap():
         (4.5, 2, Variant.RESTRICTED, "^L and n must be integers, got L=4.5, n=2$"),
         (4, 2.5, Variant.RESTRICTED, "^L and n must be integers, got L=4, n=2.5$"),
         (4, -3, Variant.RESTRICTED, "^need L >= 1 and n >= 2, got L=4, n=-3$"),
+        (True, 2, Variant.RESTRICTED, "^L and n must be integers, got L=True, n=2$"),
     ],
-    ids=["L-0", "n-1", "variant-string", "L-float", "n-float", "n-negative"],
+    ids=["L-0", "n-1", "variant-string", "L-float", "n-float", "n-negative", "L-bool"],
 )
 def test_params_rejects_bad_sizes_and_variants(L, n, variant, message):
     with pytest.raises(InvalidPromise, match=message):

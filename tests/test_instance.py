@@ -1,10 +1,11 @@
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
 
-from qsatwalk import densesim
+from qsatwalk import channel, densesim, trajectory
 from qsatwalk.errors import (
     CertificationFailed,
     InvalidPromise,
@@ -14,6 +15,7 @@ from qsatwalk.errors import (
     ZeroVector,
 )
 from qsatwalk.instance import (
+    _DERIVED,
     ClauseForm,
     Instance,
     Promise,
@@ -281,15 +283,18 @@ def _edited(edit):
         (_edited(lambda doc: doc.update(clauses=[[0, 1]])), r"clause must be an object \(field 'clauses\[0\]'\)"),
         (_edited(lambda doc: doc["clauses"][0].pop("amps")), r"clause missing 'amps' \(field 'clauses\[0\]'\)"),
         (_edited(lambda doc: doc["clauses"][0].update(i="0")), "qubit indices must be integers"),
+        (_edited(lambda doc: doc["clauses"][0].update(i=False, j=True)), "qubit indices must be integers"),
         (_edited(lambda doc: doc["planted_basis"].pop()), "planted basis must list 2 single-qubit blocks"),
         (_edited(lambda doc: doc["planted_basis"][1].pop()),
          r"each basis block needs 4 entries \(field 'planted_basis\[1\]'\)"),
         (_edited(lambda doc: doc.update(promise="yes")), r"promise must be an object with a 'kind' \(field 'promise'\)"),
         (_edited(lambda doc: doc.update(promise={"kind": "no", "c": "1"})), "promise gap c must be a number"),
+        (_edited(lambda doc: doc.update(promise={"kind": "no", "c": True})), "promise gap c must be a number"),
         (_edited(lambda doc: doc["clauses"][0].update(j=2)), r"^clause 0 acts on \(0, 2\) but n=2$"),
     ],
     ids=["top-level-list", "n-1", "no-clauses", "clause-list", "clause-missing-amps", "string-index",
-         "short-basis", "short-basis-block", "promise-string", "promise-c-string", "clause-outside-n"],
+         "bool-indices", "short-basis", "short-basis-block", "promise-string", "promise-c-string", "promise-c-bool",
+         "clause-outside-n"],
 )
 def test_deserialize_rejects_each_malformed_field(text, message):
     with pytest.raises(ParseError, match=message):
@@ -383,3 +388,17 @@ def test_complete_pair_certification_checks_its_gap(monkeypatch):
     monkeypatch.setattr(observables, "build_hamiltonian", lambda inst: np.eye(4) / 2)
     with pytest.raises(CertificationFailed, match="^complete pair certification gave min eig 0.5$"):
         generate_no_instance(2, "complete_pair")
+
+
+def test_a_pickled_instance_carries_no_derived_records():
+    """The engines' records live in the memo beside `Instance`, not on it: after `evolve`
+    and a lockstep `run_ensemble` the instance pickles to as many bytes as before, and
+    the unpickled copy has no memo entry."""
+    inst = generate_planted_restricted(4, 8, seed=3)
+    before = len(pickle.dumps(inst))
+    channel.evolve(densesim.maximally_mixed(4), inst, 2)
+    trajectory.run_ensemble(inst, 10, 8, 1)
+    assert {build for build, *_ in _DERIVED[inst]} == {channel._prepare, channel._Layout, trajectory._tables}
+    data = pickle.dumps(inst)
+    assert len(data) == before
+    assert pickle.loads(data) not in _DERIVED

@@ -13,7 +13,9 @@ from scipy import stats as scipy_stats
 from qsatwalk import densesim, trajectory
 from qsatwalk.errors import DegenerateBranch, DimensionMismatch, IndexOutOfRange, NotHermitian
 from qsatwalk.instance import (
+    _DERIVED,
     Instance,
+    _derived,
     conjugate_instance,
     generate_no_instance,
     generate_planted_restricted,
@@ -389,6 +391,16 @@ def test_sampler_checks_name_what_they_reject(call, error, message):
         call()
 
 
+@pytest.mark.parametrize("psi, shown", [(np.zeros(8), "0.0"), (2 * densesim.basis_state(3, 0), "4.0")],
+                         ids=["zero", "norm-2"])
+def test_trajectory_step_rejects_a_state_off_unit_norm_before_drawing(psi, shown):
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(DimensionMismatch, match=f"^state has squared norm {shown}, not 1 within 1e-10$"):
+        trajectory_step(psi, generate_planted_restricted(3, 4, seed=1), rng)
+    assert rng.bit_generator.state == before
+
+
 @pytest.mark.parametrize("start, draw, kind", [(0, 0.0, "unsatisfied"), (1, 1 - 1e-16, "satisfied")])
 def test_lockstep_degenerate_branch_guard_per_trajectory(start, draw, kind):
     """One trajectory of four reaches a branch of norm^2 about 1e-15; the batch raises."""
@@ -464,13 +476,14 @@ def test_walks_build_what_they_read_once_per_instance(monkeypatch):
         run_ensemble(inst, 10, 1, seed)                  # one trajectory: `_walk`
         run_ensemble(inst, 10, 8, seed)                  # a lockstep batch
     assert built == ["_clause_ket"] * inst.L + ["_lockstep_tables"]
-    tables = trajectory._compiled(inst).tables
+    tables = _derived(inst, trajectory._tables)
     assert not any(a.flags.writeable for a in tables)
 
-    kept = len(trajectory._COMPILED)
+    gc.collect()                                     # the memo also holds other tests' instances
+    kept = len(_DERIVED)
     del inst
     gc.collect()
-    assert len(trajectory._COMPILED) == kept - 1
+    assert len(_DERIVED) == kept - 1
 
 
 def test_run_trajectory_history_consistency():
@@ -618,8 +631,13 @@ def test_run_ensemble_rejects_empty():
      (lambda: run_ensemble(singlet_instance(), 2.5, 2, master_seed=1), r"^T must be an integer, got 2\.5$"),
      (lambda: run_ensemble(singlet_instance(), 5, 2.5, master_seed=1), r"^M must be an integer, got 2\.5$"),
      (lambda: run_ensemble(singlet_instance(), 5, 2, master_seed=1, workers=2.5),
-      r"^workers must be an integer, got 2\.5$")],
-    ids=["trajectory-T", "ensemble-T", "ensemble-M", "ensemble-workers"],
+      r"^workers must be an integer, got 2\.5$"),
+     (lambda: run_trajectory(singlet_instance(), True, 0), r"^T must be an integer, got True$"),
+     (lambda: run_ensemble(singlet_instance(), 5, True, master_seed=1), r"^M must be an integer, got True$"),
+     (lambda: run_ensemble(singlet_instance(), 5, 2, master_seed=1, workers=True),
+      r"^workers must be an integer, got True$")],
+    ids=["trajectory-T", "ensemble-T", "ensemble-M", "ensemble-workers",
+         "trajectory-T-bool", "ensemble-M-bool", "ensemble-workers-bool"],
 )
 def test_sampler_sizes_must_be_integers(call, message):
     with pytest.raises(IndexOutOfRange, match=message):
