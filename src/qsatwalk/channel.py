@@ -45,7 +45,10 @@ kernel:
   sum of their traces. H comes from the one assembly of its clause entries,
   `densesim._pair_entries`, which `observables.build_hamiltonian` reads
   too. Only c_a and G_a (x) c_a go through an index plan per clause
-  (`_sector_plan`): one gather and one scatter into the same positions.
+  (`_sector_plan`): one gather and one scatter into the same positions,
+  only at the entries of c_a on and above its diagonal. The adjoint in
+  X + X^dagger writes the entries below, so each plan row holds
+  (C(2n-4, n-2) + 2^(n-2)) / 2 positions, about half of c_a.
 
 Both kernels read one record per clause, `_ClauseTerms`: its ket and the
 entries of G = P + K, listed with phi's rows x rows first. The P inside G
@@ -65,11 +68,12 @@ writes it in place, with the Hermitian-block check of
 
 What the channel derives from an instance alone is built once and kept in
 the instance's memo, `instance._derived`, with the walks' records: the
-`_Prepared` that `_prepare` builds (its clauses in the frame, the packed H
-and the ground basis), and one `_Layout` per layout, holding its
-`_Prepared`, the clause terms, H's entries, the ground read, S^2's diagonal
-and, on weight blocks, the plans. No record refers to the instance, so each
-goes with it. `evolve` and `dual_residuals` read them.
+`_Prepared` that `_prepare` builds (its clauses in the frame, H's entries
+on the weight blocks, the packed H and the ground basis), and one `_Layout`
+per layout, holding its `_Prepared`, the clause terms, H's entries, the
+ground read, S^2's diagonal and, on weight blocks, the scale of c_a and the
+plans. No record refers to the instance, so each goes with it. `evolve` and
+`dual_residuals` read them.
 
 Stochastic pure-state sampling of the same process lives in `trajectory`.
 """
@@ -230,23 +234,43 @@ def _energy(flat: np.ndarray, entries) -> float:
     return float((values.conj() @ flat[positions].sum(axis=1)).real)
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_entries(n: int) -> tuple:
+    """The entries (r, s) with r <= s of each weight block of an n-qubit matrix, block by
+    block and row-major within a block, as two arrays of basis states, (C(2n, n) + 2^n) / 2
+    each, and the scale the packed step gives c there: 1 on the diagonal, 2 above it."""
+    r, s = np.concatenate([b[np.stack(np.triu_indices(len(b)))] for b in densesim._sectors(n).blocks], axis=1)
+    return r, s, np.where(r == s, 1.0, 2.0)
+
+
 def _sector_plan(terms: _ClauseTerms, n: int) -> np.ndarray:
     """Index plan of one clause into the packed n-qubit state, shape
-    (len(terms.g), C(2n-4, n-2)).
+    (len(terms.g), (C(2n-4, n-2) + 2^(n-2)) / 2).
 
-    c = <phi|rho|phi> is laid out like a packed (n-2)-qubit matrix, entry
-    (r, s) over weight(r) = weight(s), and row k holds, in that order, where
-    rho's entry (b (x) r, b2 (x) s) sits for the pair values b, b2 of
-    terms.g[k]. Both lie in one weight block of rho when the clause lies on
-    one weight of its pair: its rows x rows have one weight, and G is
-    diagonal outside them. The first len(terms.phi)**2 rows are where c
-    reads rho.
+    c = <phi|rho|phi> is an (n-2)-qubit matrix, block-diagonal by weight,
+    read at its entries (r, s) with r <= s (`_upper_entries`), and row k
+    holds, in that order, where rho's entry (b (x) r, b2 (x) s) sits for the
+    pair values b, b2 of terms.g[k]. Both lie in one weight block of rho when
+    the clause lies on one weight of its pair: its rows x rows have one
+    weight, and G is diagonal outside them. The first len(terms.phi)**2 rows
+    are where c reads rho. c and G are Hermitian, and the step adds its
+    update as X + X^dagger, so an entry below the diagonal of c comes from
+    the adjoint of its mirror: the step writes (w/2) G (x) c on the diagonal
+    and w G (x) c above it, and nothing below.
     """
-    sec, rest = densesim._sectors(n), densesim._sectors(n - 2)
+    sec, (r, s, _) = densesim._sectors(n), _upper_entries(n - 2)
     full = densesim._clause_rows(np.arange(2**n), terms.pair).reshape(2, 2, -1)   # full index of b (x) r
-    return np.array([np.concatenate([np.add.outer(sec.base[full[x, y][r]], sec.rank[full[x2, y2][r]]).ravel()
-                                     for r in rest.blocks])
-                     for x, y, x2, y2, _ in terms.g])
+    return np.array([sec.base[full[x, y][r]] + sec.rank[full[x2, y2][s]] for x, y, x2, y2, _ in terms.g])
+
+
+def _add_sector_update(state: np.ndarray, delta: np.ndarray, read, plan: np.ndarray, scale: np.ndarray) -> None:
+    """Add to the packed `delta` one clause's X with X + X^dagger = w G (x) c: c read
+    from `state` with the clause's ket at the plan's first rows, and (w/2) G (x) c
+    written through the whole plan with c scaled by `scale` (`_upper_entries`)."""
+    ket, half_wg = read
+    c = ket @ state[plan[: len(ket)]]
+    c *= scale
+    delta[plan] += np.multiply.outer(half_wg, c)
 
 
 def _conjugate(rho: np.ndarray, blocks) -> np.ndarray:
@@ -272,8 +296,8 @@ class _Prepared:
     `clauses` are the clauses in the planted frame (`frame`, None for the
     identity) and `cut` the same clauses each cut to the weight of its pair
     it lies on, or None when some clause lies on no single weight.
-    `weight_h` holds H's weight blocks once `ground` or a packed step reads
-    them.
+    `cut_entries` holds H's entries from `cut` and `weight_h` H's weight
+    blocks, each once `ground` or a packed layout reads it.
     """
 
     n: int
@@ -284,11 +308,20 @@ class _Prepared:
     def to_planted(self, rho: np.ndarray) -> np.ndarray:
         return rho if self.frame is None else _conjugate(rho, [b.conj().T for b in self.frame])
 
+    def entries(self, whole: bool) -> tuple:
+        """H's entries on the whole space (from `clauses`, assembled per call) or the
+        weight blocks (from `cut`, assembled once and kept)."""
+        return densesim._pair_entries(self.clauses, self.n, True) if whole else self.cut_entries
+
+    @functools.cached_property
+    def cut_entries(self) -> tuple:
+        """H's entries on the weight blocks: the one assembly that `weight_h` and the
+        packed layout read."""
+        return densesim._pair_entries(self.cut, self.n)
+
     def hamiltonian(self, whole: bool) -> list:
-        """H's square blocks on the whole space (from `clauses`) or the weight blocks
-        (from `cut`), assembled from its entries."""
-        clauses = self.clauses if whole else self.cut
-        return densesim._hamiltonian(densesim._pair_entries(clauses, self.n, whole), densesim._sectors(self.n, whole))
+        """H's square blocks on the whole space or the weight blocks, from `entries`."""
+        return densesim._hamiltonian(self.entries(whole), densesim._sectors(self.n, whole))
 
     @functools.cached_property
     def weight_h(self) -> list:
@@ -316,21 +349,23 @@ class _Layout:
     `_derived(inst, _Layout, whole)`: the instance's `_Prepared`, held here and
     holding nothing back; the `_ClauseTerms` of `clauses` on the whole space and of
     `cut` on the weight blocks, H's entries, the packed step's `reads` of each
-    clause's terms, S^2's diagonal and, read by the first `observe`, the ground
-    basis. On the weight blocks `plans` is filled in by the first step when n <=
-    _PLANS_MAX_QUBITS. `evolve` steps and observes through it in the planted frame,
-    and `dual_residuals` reads its terms."""
+    clause's terms and `scale` of c (`_upper_entries`), S^2's diagonal and, read
+    by the first `observe`, the ground basis. On the weight blocks `plans` is
+    filled in by the first step when n <= _PLANS_MAX_QUBITS. `evolve` steps and
+    observes through it in the planted frame, and `dual_residuals` reads its
+    terms."""
 
     def __init__(self, inst: Instance, whole: bool):
         prep = self.prep = _derived(inst, _prepare)
         self.whole, self.sec = whole, densesim._sectors(prep.n, whole)
         clauses = prep.clauses if whole else prep.cut
         self.terms = [_clause_terms(c, prep.n) for c in clauses]
-        self.entries = densesim._pair_entries(clauses, prep.n, whole)
+        self.entries = prep.entries(whole)
         # per clause, the ket of c = <phi|rho|phi> over phi's rows x rows, the conjugates of
         # H's entries there, and (w/2) G over terms.g, w = 1/L
         kets = np.split(self.entries[1].conj(), np.cumsum([len(t.phi) ** 2 for t in self.terms])[:-1])
         self.reads = [(ket, 0.5 / len(clauses) * np.array([e[-1] for e in t.g])) for ket, t in zip(kets, self.terms)]
+        self.scale = None if whole else _upper_entries(prep.n - 2)[2]
         self.spin = observables._spin_diagonal(prep.n)
         self.spin2 = self.spin * self.spin
         self.plans = None
@@ -363,9 +398,8 @@ class _Layout:
             np.matmul(h, rho, out=out)                 # H rho, one weight block at a time
         energy = float(delta[self.sec.diag].real.sum())
         delta *= -1.0 / len(self.terms)
-        for (ket, half_wg), plan in zip(self.reads, self.plans or (_sector_plan(t, n) for t in self.terms)):
-            c = ket @ state[plan[: len(ket)]]
-            delta[plan] += np.multiply.outer(half_wg, c)
+        for read, plan in zip(self.reads, self.plans or (_sector_plan(t, n) for t in self.terms)):
+            _add_sector_update(state, delta, read, plan, self.scale)
         return _hermitian_sum(state, delta, self.sec), energy
 
 

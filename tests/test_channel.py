@@ -183,6 +183,25 @@ def test_second_evolve_and_dual_residuals_build_no_clause_terms(monkeypatch):
         assert len(built) == first
 
 
+def test_packed_layout_and_its_h_read_one_assembly_of_h_entries(monkeypatch):
+    """On a fresh eligible instance, `evolve` builds H's weight blocks and the packed
+    layout's entries from one `densesim._pair_entries` call, bit for bit what a fresh
+    assembly gives."""
+    built = []
+    def counted(*args, _build=densesim._pair_entries):
+        built.append(args)
+        return _build(*args)
+    monkeypatch.setattr(densesim, "_pair_entries", counted)
+    inst = generate_planted_extended(5, 10, 0.5, seed=43)
+    evolve(densesim.maximally_mixed(5), inst, 1)
+    prep, layout = _derived(inst, channel._prepare), _derived(inst, channel._Layout, False)
+    assert len(built) == 1 and layout.entries is prep.cut_entries
+    fresh = densesim._pair_entries(prep.cut, inst.n)
+    assert all(np.array_equal(a, b) for a, b in zip(fresh, layout.entries))
+    for square, h in zip(prep.weight_h, densesim._hamiltonian(fresh, densesim._sectors(inst.n))):
+        assert np.array_equal(square, h)
+
+
 def _one_product_cases():
     """Complex kets: planted restricted, a disguised frame, arbitrary clauses."""
     yield generate_planted_restricted(5, 10, seed=46)

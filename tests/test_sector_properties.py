@@ -9,6 +9,7 @@ projectors of `ground_spaces`. Ineligible inputs keep the full-space kernel, so
 their states and spin series equal the reference exactly.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -240,8 +241,72 @@ def test_zero_steps_build_no_plans_and_n8_plans_are_small():
     assert _derived(inst, channel._Layout, False).plans is None
     evolve(densesim.maximally_mixed(8), inst, 1)
     # each of the 16 restricted clauses reads c through 2 x 2 rows and writes G (x) c through
-    # 2 more (|00> and |11>), each one position per entry of a packed 6-qubit matrix, C(12, 6)
-    assert 0 < sum(p.nbytes for p in _derived(inst, channel._Layout, False).plans) <= 16 * 6 * 924 * np.intp().itemsize
+    # 2 more (|00> and |11>), each one position per entry on or above the diagonal of a packed
+    # 6-qubit matrix, (C(12, 6) + 2^6) / 2
+    assert 0 < sum(p.nbytes for p in _derived(inst, channel._Layout, False).plans) <= 16 * 6 * 494 * np.intp().itemsize
+
+
+def _half_plan_cases():
+    """Restricted, extended (with |11>) and disguised instances at n = 2..7, and one with
+    two clauses on one pair, a complex restricted clause and a |11> clause with i > j."""
+    from qsatwalk.instance import generate_planted_extended, generate_planted_restricted
+
+    for n in range(2, 8):
+        yield generate_planted_restricted(n, 2 * n, seed=100 + n)
+        yield generate_planted_extended(n, 2 * n, 0.5, seed=110 + n)
+        planted = generate_planted_extended(n, n + 1, 0.3, seed=120 + n)
+        yield conjugate_instance(planted, random_product_basis(n, 130 + n))
+        yield Instance(n=n, clauses=(make_clause(0, 1, (0, 0.6, 0.8, 0)), make_clause(0, 1, (0, 1, 1j, 0)),
+                                     make_clause(1, 0, (0, 0.8j, -0.6, 0)), make_clause(n - 1, 0, (0, 0, 0, 1))))
+
+
+def _packed_rows_and_cols(n):
+    """The dense row and column of every entry of the packed n-qubit state."""
+    sec = densesim._sectors(n)
+    rows, cols = [], []
+    for b, (_, m) in zip(sec.blocks, sec.squares):
+        rows.append(np.repeat(b, m))
+        cols.append(np.tile(b, m))
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def test_half_plans_write_each_clause_update_exactly_once():
+    """Per clause of the packed layout: the plan's positions are distinct, row k is where
+    rho's entry (b (x) r, b2 (x) s) sits for the pair values b, b2 of terms.g[k] and every
+    (r, s) of one weight with r <= s, in the same order in every row; and X + X^dagger
+    from that clause alone, on a random Hermitian block-diagonal rho, is the dense
+    w G (x) c that `_add_clause_update` writes on the unpacked matrix."""
+    rng = np.random.default_rng(140)
+    for inst in _half_plan_cases():
+        n, layout = inst.n, _derived(inst, channel._Layout, False)
+        sec, (rows, cols) = densesim._sectors(n), _packed_rows_and_cols(n)
+        weights = [bin(r).count("1") for r in range(2 ** (n - 2))]
+        upper = [(r, s) for r in range(2 ** (n - 2)) for s in range(r, 2 ** (n - 2)) if weights[r] == weights[s]]
+        rho = np.zeros((2**n, 2**n), dtype=complex)
+        for b in sec.blocks:
+            g = rng.standard_normal((len(b), len(b))) + 1j * rng.standard_normal((len(b), len(b)))
+            rho[np.ix_(b, b)] = g + g.conj().T
+        state, w = sec.pack(rho), 1.0 / inst.L
+        for terms, read in zip(layout.terms, layout.reads):
+            plan = channel._sector_plan(terms, n)
+            assert len(np.unique(plan)) == plan.size
+            columns = []
+            for (x, y, x2, y2, _), positions in zip(terms.g, plan):
+                (r0, rx, r1, ry, r2), (s0, sx, s1, sy, s2) = (np.unravel_index(a[positions], terms.pair)
+                                                              for a in (rows, cols))
+                assert np.all(rx == x) and np.all(ry == y) and np.all(sx == x2) and np.all(sy == y2)
+                rest = terms.pair[0::2]
+                columns.append(list(zip(np.ravel_multi_index((r0, r1, r2), rest).tolist(),
+                                        np.ravel_multi_index((s0, s1, s2), rest).tolist())))
+            assert all(c == columns[0] for c in columns) and sorted(columns[0]) == upper
+            delta = np.zeros_like(state)
+            channel._add_sector_update(state, delta, read, plan, layout.scale)
+            packed = sec.unpack(channel._hermitian_sum(np.zeros_like(state), delta, sec))
+            both, phi_only = (np.zeros_like(rho) for _ in range(2))
+            channel._add_clause_update(rho, both, terms, w)
+            channel._add_clause_update(rho, phi_only, dataclasses.replace(terms, g=()), w)
+            half = both - phi_only                                   # (w/2) G (x) c
+            assert np.max(np.abs(packed - (half + half.conj().T))) <= 1e-14
 
 
 def test_wide_plans_stay_below_the_packed_state():
