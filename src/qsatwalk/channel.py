@@ -64,7 +64,12 @@ copy; in a planted frame rho0 is rotated and packed once more. The whole
 space is copied, so the state never shares memory with rho0 (`_resymmetrize`
 writes it in place, with the Hermitian-block check of
 `densesim._adjoint_deviation` that also checks rho0). A snapshot is
-`_Sectors.unpack` of the state.
+`_Sectors.unpack` of the state. The pack, that check's adjoint and the
+unpack each go through an index map of the packed entries
+(`_Sectors.maps`), in one pass over the whole vector: up to
+`densesim._KEEP_MAX_QUBITS`, the bound the plans are kept under too, the
+maps are kept per n; above it each block's map is built per call and
+dropped, so no temporary outgrows the largest block.
 
 What the channel derives from an instance alone is built once and kept in
 the instance's memo, `instance._derived`, with the walks' records: the
@@ -93,7 +98,6 @@ from .instance import FORM_TOL, ClauseForm, Instance, Clause, _derived, classify
 RESYMMETRIZE_EVERY = 100
 DRIFT_TOL = 1e-6
 FRAME_ZERO_TOL = 1e-13     # rotating rho0 into a planted frame leaves rounding of this size between weights
-_PLANS_MAX_QUBITS = 10     # above this, a step builds each clause's index plan anew and drops it (see README)
 _PAIR_WEIGHT = (0, 1, 1, 2)    # Hamming weight of the pair value 2*b_lo + b_hi
 
 
@@ -351,7 +355,7 @@ class _Layout:
     `cut` on the weight blocks, H's entries, the packed step's `reads` of each
     clause's terms and `scale` of c (`_upper_entries`), S^2's diagonal and, read
     by the first `observe`, the ground basis. On the weight blocks `plans` is
-    filled in by the first step when n <= _PLANS_MAX_QUBITS. `evolve` steps and
+    filled in by the first step when n <= densesim._KEEP_MAX_QUBITS. `evolve` steps and
     observes through it in the planted frame, and `dual_residuals` reads its
     terms."""
 
@@ -391,7 +395,7 @@ class _Layout:
         if self.whole:
             out, energy = _apply(state.reshape(2**n, 2**n), self.terms)
             return out.reshape(-1), energy
-        if self.plans is None and n <= _PLANS_MAX_QUBITS:
+        if self.plans is None and n <= densesim._KEEP_MAX_QUBITS:
             self.plans = [_sector_plan(t, n) for t in self.terms]
         delta = np.empty_like(state)
         for h, rho, out in zip(prep.weight_h, self.sec.views(state), self.sec.views(delta)):
@@ -459,7 +463,7 @@ def _resymmetrize(state: np.ndarray, sec, t: int) -> np.ndarray:
     trace, written in place; raise NumericalDrift when either had drifted by more than
     DRIFT_TOL."""
     views, adjoint = sec.views(state), np.empty_like(state)
-    herm = densesim._adjoint_deviation(views, sec.views(adjoint))
+    herm = densesim._adjoint_deviation(sec, state, adjoint)
     tr_err = abs(sum(np.trace(v).real for v in views) - 1.0)
     if not (herm <= DRIFT_TOL and tr_err <= DRIFT_TOL):
         raise NumericalDrift(f"drift at step {t}: hermiticity {herm}, trace error {tr_err}")
@@ -517,7 +521,7 @@ class ClauseResiduals:
 
     @property
     def max_residual(self) -> float:
-        return float(max(np.max(self.residual_S), np.max(self.residual_S2)))
+        return float(np.maximum(np.max(self.residual_S), np.max(self.residual_S2)))   # NaN stays NaN
 
 
 def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .errors import (
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
+_KEEP_MAX_QUBITS = 10     # above this, `_Sectors.maps` and the exact step's plans are built per call (see README)
 
 
 def num_qubits(obj) -> int:
@@ -111,19 +112,18 @@ def _checked_density(rho):
     Returns (rho, packed): packed is `_sectors(n).pack(rho)`, or None when an
     entry couples two weights. In the first case Hermiticity and positivity
     are checked on the blocks alone, views of packed: the zeros between them
-    cannot break either. `_adjoint_deviation` writes every block's conjugate
-    transpose into one temporary of packed's layout, which then becomes the
-    Hermitian parts in two passes over the whole temporary; each part's
-    diagonal takes PSD_TOL in place before its Cholesky factorization.
+    cannot break either; in the second on rho as the whole space's one block.
+    `_adjoint_deviation` writes the conjugate transpose into one temporary of
+    the checked layout, which then becomes the Hermitian parts in two passes
+    over the whole temporary and takes PSD_TOL on every diagonal entry in one
+    indexed add before each part's Cholesky factorization.
     """
     rho = np.asarray(rho, dtype=complex)
     n = _matrix_qubits(rho, "density matrix")
-    sec = _sectors(n)
-    packed = sec.pack(rho)
-    checked = rho if packed is None else packed
-    hermitian = np.empty(checked.shape, dtype=complex)      # C order, for the diagonal strides below
-    squares, parts = ([rho], [hermitian]) if packed is None else (sec.views(packed), sec.views(hermitian))
-    herm = _adjoint_deviation(squares, parts)
+    packed = _sectors(n).pack(rho)
+    sec, checked = (_sectors(n, whole=True), rho) if packed is None else (_sectors(n), packed)
+    hermitian = np.empty(checked.shape, dtype=complex)      # C order: read flat below
+    herm = _adjoint_deviation(sec, checked, hermitian)
     if not herm <= HERMITICITY_TOL:
         raise NotHermitian(f"density matrix deviates from Hermitian by {herm}")
     tr = np.trace(rho)
@@ -131,22 +131,38 @@ def _checked_density(rho):
         raise DimensionMismatch(f"density matrix trace {tr} is not 1 within {TRACE_TOL}")
     hermitian += checked
     hermitian *= 0.5                       # (a + a^dagger) / 2, block by block
-    for h in parts:
-        h.reshape(-1)[:: len(h) + 1] += PSD_TOL
-    if not all(_positive_definite(h) for h in parts):
+    hermitian.reshape(-1)[sec.diag] += PSD_TOL
+    if not all(_positive_definite(h) for h in sec.views(hermitian)):
+        squares = [rho] if packed is None else sec.views(packed)
         lo = min(np.linalg.eigvalsh((a + a.conj().T) / 2)[0] for a in squares)
         if not lo >= -PSD_TOL:
             raise DimensionMismatch(f"density matrix has eigenvalue {lo} < -{PSD_TOL}")
     return rho, packed
 
 
-def _adjoint_deviation(squares, parts) -> float:
-    """Write each square block's conjugate transpose into its part, the same block of a
-    buffer of the layout, and return max |a - a^dagger| over the blocks, which NaN
-    makes NaN, unlike the builtin max."""
-    for a, h in zip(squares, parts):
+def _adjoint_deviation(sec: _Sectors, state: np.ndarray, adjoint: np.ndarray) -> float:
+    """Write the conjugate transpose of each square block of `state` into the same
+    block of `adjoint`, a C-ordered buffer of its shape, and return max |a - a^dagger|
+    over the blocks, which NaN makes NaN, unlike the builtin max.
+
+    `state` is a vector of the layout `sec` or, on the whole space, the matrix
+    itself in any order: its one block is transposed as a matrix. On weight
+    blocks the adjoint is one gather through `_Sectors.maps`' mirror positions,
+    in one pass over the vector when the maps are kept, block by block otherwise.
+    """
+    if len(sec.blocks) == 1:
+        d = len(sec.rank)
+        a, h = state.reshape(d, d), adjoint.reshape(d, d)
         np.conjugate(a.T, out=h)
-    return np.max([np.max(np.abs(a - h)) for a, h in zip(squares, parts)])
+        return np.max(np.abs(a - h))
+    deviations = []
+    for lo, hi, mirror in sec.maps(mirror=True):
+        part = adjoint[lo:hi]
+        np.take(state, mirror, out=part, mode="clip")     # "clip": unbuffered, and no index is out of range
+        del mirror                       # a block's map above the bound: freed before the temporaries below
+        np.conjugate(part, out=part)
+        deviations.append(np.max(np.abs(state[lo:hi] - part)))
+    return np.max(deviations)
 
 
 def _positive_definite(a: np.ndarray) -> bool:
@@ -217,9 +233,14 @@ class _Sectors:
 
     `pack` gathers a matrix's weight blocks into a fresh vector, `views` reads
     a vector's blocks as (m, m) views, and `unpack` scatters them into a fresh
-    dense matrix. Both go through a block's flat positions x * 2^n + y, built
-    per block and call and never kept: all of them together take 22 MB at
-    n = 12.
+    dense matrix. On weight blocks, `pack`, `unpack` and the adjoint of
+    `_adjoint_deviation` go through two index maps of the packed entries
+    (`maps`): the flat position x * 2^n + y of each entry (x, y) in the dense
+    matrix, and the packed position of its mirror (y, x). Up to
+    _KEEP_MAX_QUBITS qubits both are kept here, built by the first call that
+    reads them, and each move is one pass over the whole vector; above it
+    each block's map is built per call as the move reaches it and dropped:
+    both maps take 43 MB at n = 12, and one block's at most 6.8 MB.
     """
 
     blocks: tuple
@@ -234,25 +255,43 @@ class _Sectors:
         flat = state.reshape(-1)
         return [flat[start : start + m * m].reshape(m, m) for start, m in self.squares]
 
+    def maps(self, mirror: bool = False):
+        """(lo, hi, positions) over runs of the packed entries of weight blocks: each
+        entry's flat position in the dense matrix or, with `mirror`, the packed position
+        of its mirror. One kept run of all entries up to _KEEP_MAX_QUBITS qubits, else
+        one run per block, its map built as it is read."""
+        if len(self.rank) <= 2**_KEEP_MAX_QUBITS:
+            return [(0, self.size, self._kept_maps[mirror])]
+        return ((start, start + m * m, self._block_map(b, mirror)) for b, (start, m) in zip(self.blocks, self.squares))
+
+    @cached_property
+    def _kept_maps(self) -> tuple:
+        return tuple(np.concatenate([self._block_map(b, mirror) for b in self.blocks]) for mirror in (False, True))
+
+    def _block_map(self, b: np.ndarray, mirror: bool) -> np.ndarray:
+        """Block b's entries (x, y), row-major: x * 2^n + y or, with `mirror`, the packed
+        position of (y, x)."""
+        return np.add.outer(*((self.rank[b], self.base[b]) if mirror else (b * len(self.rank), b))).reshape(-1)
+
     def pack(self, a: np.ndarray, tol: float = 0.0) -> np.ndarray | None:
         """The 2^n x 2^n a's weight blocks `a[b][:, b]`, gathered into one fresh vector
         when every entry coupling two different weights is zero (at most `tol` in
         magnitude); otherwise None. The check counts the nonzero entries of a once
         and of the packed vector, C(2n, n) entries, once more (`_count_large`)."""
-        d, flat = len(self.rank), np.ascontiguousarray(a).reshape(-1)   # a copy only when a is not C-ordered
+        flat = np.ascontiguousarray(a).reshape(-1)   # a copy only when a is not C-ordered
         packed = np.empty(self.size, dtype=complex)
-        for b, square in zip(self.blocks, self.views(packed)):
-            np.take(flat, np.add.outer(b * d, b), out=square)
+        for lo, hi, positions in self.maps():
+            np.take(flat, positions, out=packed[lo:hi], mode="clip")   # unbuffered, as in `_adjoint_deviation`
         return packed if _count_large(packed, tol) == _count_large(flat, tol) else None
 
     def unpack(self, state: np.ndarray) -> np.ndarray:
-        """The dense matrix, a fresh array: one flat scatter per weight block."""
+        """The dense matrix, a fresh array: one flat scatter through `maps`."""
         d = len(self.rank)
         if len(self.blocks) == 1:           # one block: the state is the matrix, row-major
             return state.reshape(d, d).copy()
         out = np.zeros(d * d, dtype=complex)
-        for b, square in zip(self.blocks, self.views(state)):
-            out[np.add.outer(b * d, b)] = square
+        for lo, hi, positions in self.maps():
+            out[positions] = state[lo:hi]
         return out.reshape(d, d)
 
 

@@ -4,8 +4,10 @@ Each checked identity is computed once, by a function that returns the
 measured deviation rather than a verdict: `lemma1_residuals`, `dual_sample`
 (over `channel.dual_residuals`), `cumulative_excess` / `max_cumulative_excess`
 and `channel_match`. The `suite_*` functions, which back the `verify` CLI
-subcommand, apply their thresholds to these; the acceptance criteria and the
-tests call the same functions with their own sizes, seeds and tolerances.
+subcommand, apply their thresholds to these, each written so that a NaN
+fails it: maxima go through numpy, which keeps a NaN, where the builtin max
+drops one that is not first. The acceptance criteria and the tests call the
+same functions with their own sizes, seeds and tolerances.
 """
 
 from __future__ import annotations
@@ -88,15 +90,15 @@ def lemma1_residuals(pairs: int, seed) -> tuple[float, float]:
     and the largest |tr[S^2 T(rho)] - tr[S^2 rho] - (2/L) tr[H rho]|.
     """
     expect = densesim.expectation
-    worst_s = worst_s2 = 0.0
+    worst_s = worst_s2 = 0.0            # np.maximum, not the builtin max: a NaN residual stays NaN
     for inst, rng in _random_planted(pairs, seed, 5, 6, typeII_fraction=None):
         rho = densesim.random_density_matrix(inst.n, rng)
         s, s2 = observables.instance_spin_operators(inst)
         h = observables.build_hamiltonian(inst)
         out = channel.apply_step_channel(rho, inst)
-        worst_s = max(worst_s, abs(expect(s, out) - expect(s, rho)))
-        worst_s2 = max(worst_s2, abs(expect(s2, out) - expect(s2, rho) - (2.0 / inst.L) * expect(h, rho)))
-    return worst_s, worst_s2
+        worst_s = np.maximum(worst_s, abs(expect(s, out) - expect(s, rho)))
+        worst_s2 = np.maximum(worst_s2, abs(expect(s2, out) - expect(s2, rho) - (2.0 / inst.L) * expect(h, rho)))
+    return float(worst_s), float(worst_s2)
 
 
 def dual_sample(instances: int, states_per: int, seed) -> list[channel.ClauseResiduals]:
@@ -126,7 +128,7 @@ def cumulative_excess(inst, T: int) -> float:
 def max_cumulative_excess(instances: int, T: int, seed) -> float:
     """Largest `cumulative_excess` over random planted instances (n in 2..5, L in 1..6)."""
     sample = _random_planted(instances, seed, 5, 6, typeII_fraction=0.5)
-    return max((cumulative_excess(inst, T) for inst, _ in sample), default=-np.inf)
+    return float(np.max([cumulative_excess(inst, T) for inst, _ in sample], initial=-np.inf))
 
 
 def channel_match(inst, T: int, M: int, seed) -> dict[str, np.ndarray]:
@@ -166,7 +168,7 @@ def suite_dual() -> list[CheckResult]:
     lawful = (ClauseForm.RESTRICTED_TYPE_I, ClauseForm.TYPE_II)
     sample = dual_sample(instances=10, states_per=3, seed=20250202)
     residuals = [r.max_residual for r in sample if r.form in lawful]
-    worst = max(residuals, default=0.0)
+    worst = float(np.max(residuals, initial=0.0))
     detail = f"{len(residuals)} clauses, max residual {worst:.3e}"
     return [_result("dual", "clause-drift-identities", worst <= 1e-9, detail)]
 
@@ -179,11 +181,12 @@ def suite_trajectory() -> list[CheckResult]:
     ]
     results = []
     for label, inst in instances:
-        detail = ""
+        off = []
         for quantity, gap in channel_match(inst, T=30, M=2000, seed=20250303).items():
-            if np.any(gap > 0):
-                detail = f"{quantity} off at t={int(np.argmax(gap))}"
-        results.append(_result("trajectory", f"channel-match-{label}", not detail, detail))
+            failing = ~(gap <= 0)                  # a NaN gap fails too
+            if failing.any():
+                off.append(f"{quantity} off at t={int(np.argmax(failing))}")
+        results.append(_result("trajectory", f"channel-match-{label}", not off, "; ".join(off)))
     return results
 
 

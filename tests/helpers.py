@@ -131,6 +131,17 @@ def weight_squares(a, tol=0.0):
     return [a] if packed is None else sec.views(packed)
 
 
+def weight_blocks_oracle(a):
+    """For each Hamming weight k of the 2^n x 2^n a, ascending: the basis states b of
+    weight k (from bit counts, independent of densesim), the block `a[b][:, b]` and its
+    flat positions in a read row-major, `np.add.outer(b * 2^n, b)`. The per-block
+    reference of `_Sectors.pack`, `unpack` and the mirror map."""
+    d = len(a)
+    weights = np.array([bin(x).count("1") for x in range(d)])
+    blocks = [np.flatnonzero(weights == k) for k in range(d.bit_length())]
+    return [(b, a[b][:, b], np.add.outer(b * d, b)) for b in blocks]
+
+
 def trace_distance(a, b):
     """(1/2) * trace norm of (a - b) for Hermitian a, b."""
     diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)

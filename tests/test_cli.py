@@ -319,6 +319,71 @@ def test_verify_flags_corrupted_normalization(tmp_path, capsys):
     assert "instance-normalization" in captured.err
 
 
+def _fake_gaps(inst, T, M, seed):
+    """`channel_match` with every gap met but a NaN at t = 15 in the zero frequency,
+    and in the S mean a NaN at t = 10 before a positive gap at t = 20."""
+    gaps = {name: -np.ones(T) for name in ("zero-frequency", "H mean", "S mean", "S2 mean")}
+    gaps["zero-frequency"][15] = np.nan
+    gaps["S mean"][[10, 20]] = np.nan, 1.0
+    return gaps
+
+
+def _fake_dual_sample(instances, states_per, seed):
+    """`dual_sample` with three lawful clauses, the middle one's S^2 residual NaN."""
+    from qsatwalk.channel import ClauseResiduals
+    from qsatwalk.instance import ClauseForm
+
+    tiny = np.full(states_per, 1e-12)
+    return [ClauseResiduals(index=k, form=ClauseForm.RESTRICTED_TYPE_I, residual_S=tiny,
+                            residual_S2=np.array([0.0, np.nan, 0.0]) if k == 1 else tiny) for k in range(3)]
+
+
+def _nan_in_the_middle(values):
+    """A stand-in for a function that returns each of `values` in turn."""
+    values = iter(values)
+    return lambda *args, **kwargs: next(values)
+
+
+@pytest.mark.parametrize("suite, name, patch, detail", [
+    ("trajectory", "channel-match-restricted", ("channel_match", _fake_gaps),
+     "zero-frequency off at t=15; S mean off at t=10"),
+    ("dual", "clause-drift-identities", ("dual_sample", _fake_dual_sample), "3 clauses, max residual nan"),
+    ("bound", "cumulative-energy-bound", ("cumulative_excess", _nan_in_the_middle([-1.0, -1.0, np.nan, -1.0, -1.0])),
+     "max excess over 5n^2: nan"),
+], ids=["trajectory", "dual", "bound"])
+def test_verify_fails_on_a_nan_in_the_middle(monkeypatch, capsys, suite, name, patch, detail):
+    """A NaN among finite deviations fails its suite: each threshold is met only by a
+    number, every maximum keeps a NaN, and the trajectory suite names each failing
+    quantity at its first failing t."""
+    from qsatwalk import verify
+
+    monkeypatch.setattr(verify, *patch)
+    assert cli.main(["verify", "--suite", suite]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert f"FAIL {suite}:{name}  {detail}" in lines
+
+
+def test_lemma1_and_clause_residuals_keep_a_nan_in_the_middle(monkeypatch):
+    """`lemma1_residuals` and `ClauseResiduals.max_residual` return NaN when a NaN comes
+    after a finite value, where the builtin max would return the finite one."""
+    from qsatwalk import densesim, verify
+    from qsatwalk.channel import ClauseResiduals
+    from qsatwalk.instance import ClauseForm
+
+    residuals = ClauseResiduals(index=0, form=ClauseForm.TYPE_II, residual_S=np.zeros(3),
+                                residual_S2=np.array([0.0, np.nan, 0.0]))
+    assert np.isnan(residuals.max_residual)
+    expectation, calls = densesim.expectation, []
+
+    def nan_in_the_second_pair(a, state):
+        calls.append(None)
+        return np.nan if len(calls) == 6 else expectation(a, state)   # five reads per pair
+
+    monkeypatch.setattr(densesim, "expectation", nan_in_the_second_pair)
+    worst_s, worst_s2 = verify.lemma1_residuals(pairs=3, seed=1)
+    assert len(calls) == 15 and np.isnan(worst_s) and worst_s2 <= 1e-9
+
+
 @pytest.mark.parametrize("argv, code, stream, line", [
     (["decide", "nan.json", "--seed", "0"], 2, "err", "error: amplitude vector has squared norm nan"),
     (["spectrum", "nan.json"], 2, "err", "error: amplitude vector has squared norm nan"),

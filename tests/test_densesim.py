@@ -18,7 +18,15 @@ from qsatwalk.errors import (
 from qsatwalk.instance import Clause, deserialize, generate_planted_restricted
 from qsatwalk.trajectory import run_ensemble
 
-from helpers import embed_oracle, embed_single, pure_density, random_hermitian, random_state_vector, weight_squares
+from helpers import (
+    embed_oracle,
+    embed_single,
+    pure_density,
+    random_hermitian,
+    random_state_vector,
+    weight_blocks_oracle,
+    weight_squares,
+)
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -253,6 +261,46 @@ def test_psd_check_accepts_rank_deficient_block_states():
     assert len(weight_squares(rho)) == 6
     assert np.sum(np.abs(np.linalg.eigvalsh(rho)) < 1e-12) >= 8     # rank-deficient
     densesim.as_density_matrix(rho)
+
+
+def _weight_block_state(n, rng):
+    """A random full-rank density matrix with nothing between Hamming weights."""
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    for b, _, _ in weight_blocks_oracle(rho):
+        g = rng.standard_normal((len(b), len(b))) + 1j * rng.standard_normal((len(b), len(b)))
+        rho[np.ix_(b, b)] = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+def _named_number(call, error):
+    with pytest.raises(error) as err:
+        call()
+    return float(re.search(r"(?:by|eigenvalue) (\S+)(?: <|$)", str(err.value)).group(1))
+
+
+@pytest.mark.parametrize("n", [5, densesim._KEEP_MAX_QUBITS + 1], ids=["kept-maps", "per-block-maps"])
+def test_packed_check_errors_read_the_weight_blocks(n):
+    """On the packed branch, with the maps kept and with them built per block: the
+    NotHermitian deviation is the per-block max |a - a^dagger| bit for bit, a NaN in
+    one block raises, and the smallest eigenvalue over the blocks is the one named."""
+    rng = np.random.default_rng(80 + n)
+    rho = _weight_block_state(n, rng)
+    blocks = [b for b, _, _ in weight_blocks_oracle(rho)]
+    broken = rho.copy()
+    for b in blocks[1:3]:
+        broken[np.ix_(b, b)] += 1e-6 * rng.standard_normal((len(b), len(b)))   # real noise: not Hermitian
+    want = max(np.max(np.abs(s - s.conj().T)) for _, s, _ in weight_blocks_oracle(broken))
+    assert _named_number(lambda: densesim.as_density_matrix(broken), NotHermitian) == want
+    broken = rho.copy()
+    broken[blocks[n // 2][0], blocks[n // 2][1]] = np.nan
+    with pytest.raises(NotHermitian, match="^density matrix deviates from Hermitian by nan$"):
+        densesim.as_density_matrix(broken)
+    broken = rho.copy()
+    broken[blocks[1], blocks[1]] -= 0.5 / n                  # block 1 turns negative, block n-1 takes its
+    broken[blocks[n - 1], blocks[n - 1]] += 0.5 / n          # trace, both of n states
+    want = min(np.linalg.eigvalsh((s + s.conj().T) / 2)[0] for _, s, _ in weight_blocks_oracle(broken))
+    assert want < -densesim.PSD_TOL
+    assert _named_number(lambda: densesim.as_density_matrix(broken), DimensionMismatch) == want
 
 
 def _block_diagonal(n, rng):

@@ -22,7 +22,7 @@ from qsatwalk.channel import apply_step_channel, dual_residuals, evolve
 from qsatwalk.instance import ClauseForm, Instance, _derived, conjugate_instance, make_clause
 from qsatwalk.observables import ZERO_TOL, build_hamiltonian, instance_spin_operators, spectral_data
 
-from helpers import PROPERTY_SETTINGS, amplitudes, random_product_basis
+from helpers import PROPERTY_SETTINGS, amplitudes, random_product_basis, weight_blocks_oracle
 
 TOL = 1e-12
 STEPS = 3
@@ -310,10 +310,10 @@ def test_half_plans_write_each_clause_update_exactly_once():
 
 
 def test_wide_plans_stay_below_the_packed_state():
-    """Above _PLANS_MAX_QUBITS a step holds one clause's plan at a time and keeps none."""
+    """Above densesim._KEEP_MAX_QUBITS a step holds one clause's plan at a time and keeps none."""
     from qsatwalk.instance import generate_planted_extended
 
-    n = channel._PLANS_MAX_QUBITS + 1
+    n = densesim._KEEP_MAX_QUBITS + 1
     inst = generate_planted_extended(n, 2, 0.5, seed=25)
     packed_bytes = 16 * densesim._sectors(n).size
     for terms in _derived(inst, channel._Layout, False).terms:
@@ -392,6 +392,46 @@ def test_unpack_inverts_the_packing_exactly():
         assert np.shares_memory(view, flat) and np.array_equal(view, flat.reshape(2**n, 2**n))
         dense = whole.unpack(flat)
         assert not np.shares_memory(dense, flat) and np.array_equal(dense, view)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_maps_agree_with_the_per_block_reference(n):
+    """The kept flat map lists each block's `np.add.outer` positions in block order, so
+    `pack` gathers a random complex matrix's weight blocks `a[b][:, b]` and `unpack`
+    scatters them as the per-block reference does, bit for bit; the mirror map reads
+    each block's transpose."""
+    rng = np.random.default_rng(70 + n)
+    d = 2**n
+    reference = weight_blocks_oracle(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    sec = densesim._sectors(n)
+    ((lo, hi, flat),), ((_, _, mirror),) = sec.maps(), sec.maps(mirror=True)   # kept: one run of each
+    assert (lo, hi) == (0, sec.size)
+    assert np.array_equal(flat, np.concatenate([positions.ravel() for _, _, positions in reference]))
+    blocks = np.zeros(d * d, dtype=complex)
+    for _, square, positions in reference:
+        blocks[positions] = square                          # the per-block scatter
+    blocks = blocks.reshape(d, d)
+    packed = sec.pack(blocks)
+    assert np.array_equal(packed, np.concatenate([square.ravel() for _, square, _ in reference]))
+    assert np.array_equal(sec.unpack(packed), blocks)
+    for (_, square, _), mirrored in zip(reference, sec.views(packed[mirror])):
+        assert np.array_equal(mirrored, square.T)
+
+
+def test_maps_are_kept_up_to_the_bound_and_built_per_block_above():
+    """Up to densesim._KEEP_MAX_QUBITS a check keeps the maps on the layout's record, one
+    run over the packed vector; above it a check keeps none, and each run built per call
+    covers one block, so no map is larger than the largest block."""
+    for n in (densesim._KEEP_MAX_QUBITS, densesim._KEEP_MAX_QUBITS + 1):
+        sec = densesim._sectors(n)
+        densesim.as_density_matrix(densesim.maximally_mixed(n))
+        runs = [(lo, hi) for lo, hi, _ in sec.maps()]
+        if n <= densesim._KEEP_MAX_QUBITS:
+            assert "_kept_maps" in vars(sec) and runs == [(0, sec.size)]
+            assert all(sec.maps(mirror)[0][2] is sec._kept_maps[mirror] for mirror in (False, True))
+        else:
+            assert "_kept_maps" not in vars(sec)
+            assert runs == [(start, start + m * m) for start, m in sec.squares]
 
 
 def _chain_cases():
