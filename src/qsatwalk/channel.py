@@ -60,16 +60,15 @@ on the H rho term) fits the same form.
 Into and out of the packed layout: `densesim._checked_density` checks rho0
 on its weight blocks, packed into one fresh vector (`_Sectors.pack`), and
 in the identity frame `_start` adopts that vector as the state, with no
-copy; in a planted frame rho0 is rotated and packed once more. The whole
-space is copied, so the state never shares memory with rho0 (`_resymmetrize`
-writes it in place, with the Hermitian-block check of
-`densesim._adjoint_deviation` that also checks rho0). A snapshot is
-`_Sectors.unpack` of the state. The pack, that check's adjoint and the
-unpack each go through an index map of the packed entries
-(`_Sectors.maps`), in one pass over the whole vector: up to
-`densesim._KEEP_MAX_QUBITS`, the bound the plans are kept under too, the
-maps are kept per n; above it each block's map is built per call and
-dropped, so no temporary outgrows the largest block.
+copy; in a planted frame rho0 is rotated and packed once more. A 1-D rho0
+is the diagonal of a density matrix: it is packed straight onto the weight
+blocks and unpacked only where a dense matrix is needed, in a planted frame
+or on the whole space. The whole space is copied, so the state never
+shares memory with rho0 (`_resymmetrize` writes it in place, with the
+Hermitian-block check of `densesim._adjoint_deviation` that also checks
+rho0). A snapshot is `_Sectors.unpack` of the state. The pack, that
+check's adjoint and the unpack are each one pass through an index array of
+the packed entries, kept per n on the `_Sectors` record.
 
 What the channel derives from an instance alone is built once and kept in
 the instance's memo, `instance._derived`, with the walks' records: the
@@ -77,8 +76,8 @@ the instance's memo, `instance._derived`, with the walks' records: the
 on the weight blocks, the packed H and the ground basis), and one `_Layout`
 per layout, holding its `_Prepared`, the clause terms, H's entries, the
 ground read, S^2's diagonal and, on weight blocks, the scale of c_a and the
-plans. No record refers to the instance, so each goes with it. `evolve` and
-`dual_residuals` read them.
+plans, built by the first step. No record refers to the instance, so each
+goes with it. `evolve` and `dual_residuals` read them.
 
 Stochastic pure-state sampling of the same process lives in `trajectory`.
 """
@@ -355,9 +354,8 @@ class _Layout:
     `cut` on the weight blocks, H's entries, the packed step's `reads` of each
     clause's terms and `scale` of c (`_upper_entries`), S^2's diagonal and, read
     by the first `observe`, the ground basis. On the weight blocks `plans` is
-    filled in by the first step when n <= densesim._KEEP_MAX_QUBITS. `evolve` steps and
-    observes through it in the planted frame, and `dual_residuals` reads its
-    terms."""
+    filled in by the first step and kept. `evolve` steps and observes through it in
+    the planted frame, and `dual_residuals` reads its terms."""
 
     def __init__(self, inst: Instance, whole: bool):
         prep = self.prep = _derived(inst, _prepare)
@@ -395,14 +393,14 @@ class _Layout:
         if self.whole:
             out, energy = _apply(state.reshape(2**n, 2**n), self.terms)
             return out.reshape(-1), energy
-        if self.plans is None and n <= densesim._KEEP_MAX_QUBITS:
+        if self.plans is None:
             self.plans = [_sector_plan(t, n) for t in self.terms]
         delta = np.empty_like(state)
         for h, rho, out in zip(prep.weight_h, self.sec.views(state), self.sec.views(delta)):
             np.matmul(h, rho, out=out)                 # H rho, one weight block at a time
         energy = float(delta[self.sec.diag].real.sum())
         delta *= -1.0 / len(self.terms)
-        for read, plan in zip(self.reads, self.plans or (_sector_plan(t, n) for t in self.terms)):
+        for read, plan in zip(self.reads, self.plans):
             _add_sector_update(state, delta, read, plan, self.scale)
         return _hermitian_sum(state, delta, self.sec), energy
 
@@ -425,17 +423,17 @@ def _start(inst: Instance, rho: np.ndarray, packed: np.ndarray | None):
 
     `packed` is `densesim._sectors(n).pack(rho)` in the caller's frame, a fresh vector
     (or None), which becomes the state when that is the planted frame and is freed on
-    return otherwise. The state never shares memory with rho: `_resymmetrize` writes it
+    return otherwise. A 1-D rho, a diagonal, is unpacked from it only for a planted frame
+    or the whole space. The state never shares memory with rho: `_resymmetrize` writes it
     in place. Raises IndexOutOfRange when rho's dimension is not the instance's.
     """
     if len(rho) != 2**inst.n:
         raise IndexOutOfRange("initial state dimension does not match instance")
-    prep = _derived(inst, _prepare)
-    planted = prep.to_planted(rho)             # rho itself in the identity frame, else a fresh array
-    if prep.cut is None:
-        packed = None
-    elif prep.frame is not None:
-        packed = densesim._sectors(prep.n).pack(planted, FRAME_ZERO_TOL)
+    prep, sec = _derived(inst, _prepare), densesim._sectors(inst.n)
+    planted = rho
+    if prep.frame is not None or prep.cut is None:   # planted is fresh, or rho itself when 2-D in the identity frame
+        planted = prep.to_planted(sec.unpack(packed) if rho.ndim == 1 else rho)
+        packed = None if prep.cut is None else sec.pack(planted, FRAME_ZERO_TOL)
     if packed is not None:
         return _derived(inst, _Layout, False), packed
     state = np.array(planted, order="C") if planted is rho else planted
@@ -478,7 +476,10 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
 
     The state runs in the instance's planted frame, on packed Hamming-weight
     blocks when the input allows it and on the whole matrix otherwise (see
-    the module docstring). Hermiticity and trace are re-symmetrized every 100 steps;
+    the module docstring). A 1-D rho0 is the diagonal of a density matrix: it meets
+    the same checks, with the same exceptions and messages, and runs bit for bit as
+    `np.diag(rho0)`, but on weight blocks in the identity frame no dense matrix is
+    built. Hermiticity and trace are re-symmetrized every 100 steps;
     drift beyond 1e-6 before a correction raises NumericalDrift. Snapshots
     are dense 2^n x 2^n matrices in the caller's frame, kept only at the
     requested step indices, each an integer in 0..steps (IndexOutOfRange

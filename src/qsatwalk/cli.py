@@ -12,7 +12,9 @@ import argparse
 import json
 import sys
 
-from . import __version__, channel, decision, densesim, observables, verify
+import numpy as np
+
+from . import __version__, channel, decision, observables, verify
 from .classical import assignment_string, papadimitriou, parse_dimacs
 from .errors import InvalidPromise, QsatwalkError
 from .instance import (
@@ -116,7 +118,7 @@ def cmd_evolve(args) -> int:
     inst = load_instance(args.instance)
     if _over_capacity(inst.n, DENSITY_QUBIT_CAP, "density-matrix"):
         return 3
-    series = channel.evolve(densesim.maximally_mixed(inst.n), inst, args.steps)
+    series = channel.evolve(np.full(2**inst.n, 2.0**-inst.n), inst, args.steps)
     meta = _meta(seed=None, instance=args.instance, steps=args.steps)
     channel.write_series_csv(series, args.output, meta=meta)
     last = list(series.rows())[-1]

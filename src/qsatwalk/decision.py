@@ -177,7 +177,7 @@ def expected_zero_count(inst: Instance, T: int) -> float:
     Starts at the maximally mixed state and sums the per-step satisfied
     probability 1 - tr[H rho_t]/L over t < T.
     """
-    series = channel.evolve(densesim.maximally_mixed(inst.n), inst, T)
+    series = channel.evolve(np.full(2**inst.n, 2.0**-inst.n), inst, T)
     return float(np.sum(1.0 - series.trH[:T] / inst.L))
 
 

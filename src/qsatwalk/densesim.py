@@ -45,7 +45,6 @@ from .errors import (
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
-_KEEP_MAX_QUBITS = 10     # above this, `_Sectors.maps` and the exact step's plans are built per call (see README)
 
 
 def num_qubits(obj) -> int:
@@ -103,30 +102,33 @@ def maximally_mixed(n: int) -> np.ndarray:
 
 def as_density_matrix(rho) -> np.ndarray:
     """Validate Hermiticity, trace and positivity of a density matrix."""
+    _matrix_qubits(np.asarray(rho), "density matrix")
     return _checked_density(rho)[0]
 
 
 def _checked_density(rho):
-    """`as_density_matrix`, also returning the packed weight blocks its checks read.
+    """`as_density_matrix`, also returning the packed weight blocks its checks read;
+    a 1-D rho is the diagonal of a density matrix, held to the same checks.
 
     Returns (rho, packed): packed is `_sectors(n).pack(rho)`, or None when an
     entry couples two weights. In the first case Hermiticity and positivity
     are checked on the blocks alone, views of packed: the zeros between them
     cannot break either; in the second on rho as the whole space's one block.
+    The trace is read from rho, its diagonal or the vector itself.
     `_adjoint_deviation` writes the conjugate transpose into one temporary of
     the checked layout, which then becomes the Hermitian parts in two passes
     over the whole temporary and takes PSD_TOL on every diagonal entry in one
     indexed add before each part's Cholesky factorization.
     """
     rho = np.asarray(rho, dtype=complex)
-    n = _matrix_qubits(rho, "density matrix")
+    n = num_qubits(rho)
     packed = _sectors(n).pack(rho)
     sec, checked = (_sectors(n, whole=True), rho) if packed is None else (_sectors(n), packed)
     hermitian = np.empty(checked.shape, dtype=complex)      # C order: read flat below
     herm = _adjoint_deviation(sec, checked, hermitian)
     if not herm <= HERMITICITY_TOL:
         raise NotHermitian(f"density matrix deviates from Hermitian by {herm}")
-    tr = np.trace(rho)
+    tr = np.trace(rho) if rho.ndim == 2 else rho.sum()
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise DimensionMismatch(f"density matrix trace {tr} is not 1 within {TRACE_TOL}")
     hermitian += checked
@@ -147,22 +149,16 @@ def _adjoint_deviation(sec: _Sectors, state: np.ndarray, adjoint: np.ndarray) ->
 
     `state` is a vector of the layout `sec` or, on the whole space, the matrix
     itself in any order: its one block is transposed as a matrix. On weight
-    blocks the adjoint is one gather through `_Sectors.maps`' mirror positions,
-    in one pass over the vector when the maps are kept, block by block otherwise.
+    blocks the adjoint is one gather through `_Sectors.mirror`.
     """
     if len(sec.blocks) == 1:
         d = len(sec.rank)
-        a, h = state.reshape(d, d), adjoint.reshape(d, d)
-        np.conjugate(a.T, out=h)
-        return np.max(np.abs(a - h))
-    deviations = []
-    for lo, hi, mirror in sec.maps(mirror=True):
-        part = adjoint[lo:hi]
-        np.take(state, mirror, out=part, mode="clip")     # "clip": unbuffered, and no index is out of range
-        del mirror                       # a block's map above the bound: freed before the temporaries below
-        np.conjugate(part, out=part)
-        deviations.append(np.max(np.abs(state[lo:hi] - part)))
-    return np.max(deviations)
+        state, adjoint = state.reshape(d, d), adjoint.reshape(d, d)
+        np.conjugate(state.T, out=adjoint)
+    else:
+        np.take(state, sec.mirror, out=adjoint, mode="clip")   # "clip": unbuffered, and no index is out of range
+        np.conjugate(adjoint, out=adjoint)
+    return np.max(np.abs(state - adjoint))
 
 
 def _positive_definite(a: np.ndarray) -> bool:
@@ -231,16 +227,14 @@ class _Sectors:
     `base[x] + rank[y]` and a diagonal one at `diag[x]`; `squares` lists each
     block's (start, size) and `size` the entries in all.
 
-    `pack` gathers a matrix's weight blocks into a fresh vector, `views` reads
-    a vector's blocks as (m, m) views, and `unpack` scatters them into a fresh
-    dense matrix. On weight blocks, `pack`, `unpack` and the adjoint of
-    `_adjoint_deviation` go through two index maps of the packed entries
-    (`maps`): the flat position x * 2^n + y of each entry (x, y) in the dense
-    matrix, and the packed position of its mirror (y, x). Up to
-    _KEEP_MAX_QUBITS qubits both are kept here, built by the first call that
-    reads them, and each move is one pass over the whole vector; above it
-    each block's map is built per call as the move reaches it and dropped:
-    both maps take 43 MB at n = 12, and one block's at most 6.8 MB.
+    `pack` gathers a matrix's weight blocks, or puts a diagonal on them, into a
+    fresh vector, `views` reads a vector's blocks as (m, m) views, and `unpack`
+    scatters them into a fresh dense matrix. On weight blocks, `pack`,
+    `unpack` and the adjoint of `_adjoint_deviation` are each one pass through
+    one of two index arrays over the packed entries, kept here once the first
+    call builds them: `dense`, the flat position x * 2^n + y of each entry
+    (x, y) in the dense matrix, and `mirror`, the packed position of (y, x).
+    Both take 43 MB at n = 12.
     """
 
     blocks: tuple
@@ -255,43 +249,35 @@ class _Sectors:
         flat = state.reshape(-1)
         return [flat[start : start + m * m].reshape(m, m) for start, m in self.squares]
 
-    def maps(self, mirror: bool = False):
-        """(lo, hi, positions) over runs of the packed entries of weight blocks: each
-        entry's flat position in the dense matrix or, with `mirror`, the packed position
-        of its mirror. One kept run of all entries up to _KEEP_MAX_QUBITS qubits, else
-        one run per block, its map built as it is read."""
-        if len(self.rank) <= 2**_KEEP_MAX_QUBITS:
-            return [(0, self.size, self._kept_maps[mirror])]
-        return ((start, start + m * m, self._block_map(b, mirror)) for b, (start, m) in zip(self.blocks, self.squares))
+    @cached_property
+    def dense(self) -> np.ndarray:
+        return np.concatenate([np.add.outer(b * len(self.rank), b).reshape(-1) for b in self.blocks])
 
     @cached_property
-    def _kept_maps(self) -> tuple:
-        return tuple(np.concatenate([self._block_map(b, mirror) for b in self.blocks]) for mirror in (False, True))
-
-    def _block_map(self, b: np.ndarray, mirror: bool) -> np.ndarray:
-        """Block b's entries (x, y), row-major: x * 2^n + y or, with `mirror`, the packed
-        position of (y, x)."""
-        return np.add.outer(*((self.rank[b], self.base[b]) if mirror else (b * len(self.rank), b))).reshape(-1)
+    def mirror(self) -> np.ndarray:
+        return np.concatenate([np.add.outer(self.rank[b], self.base[b]).reshape(-1) for b in self.blocks])
 
     def pack(self, a: np.ndarray, tol: float = 0.0) -> np.ndarray | None:
         """The 2^n x 2^n a's weight blocks `a[b][:, b]`, gathered into one fresh vector
         when every entry coupling two different weights is zero (at most `tol` in
         magnitude); otherwise None. The check counts the nonzero entries of a once
-        and of the packed vector, C(2n, n) entries, once more (`_count_large`)."""
+        and of the packed vector, C(2n, n) entries, once more (`_count_large`). A
+        1-D a is a diagonal, put on the blocks' diagonals of a zeroed vector."""
+        if a.ndim == 1:
+            packed = np.zeros(self.size, dtype=complex)
+            packed[self.diag] = a
+            return packed
         flat = np.ascontiguousarray(a).reshape(-1)   # a copy only when a is not C-ordered
-        packed = np.empty(self.size, dtype=complex)
-        for lo, hi, positions in self.maps():
-            np.take(flat, positions, out=packed[lo:hi], mode="clip")   # unbuffered, as in `_adjoint_deviation`
+        packed = np.take(flat, self.dense, mode="clip")   # "clip": no index is out of range
         return packed if _count_large(packed, tol) == _count_large(flat, tol) else None
 
     def unpack(self, state: np.ndarray) -> np.ndarray:
-        """The dense matrix, a fresh array: one flat scatter through `maps`."""
+        """The dense matrix, a fresh array: one flat scatter through `dense`."""
         d = len(self.rank)
         if len(self.blocks) == 1:           # one block: the state is the matrix, row-major
             return state.reshape(d, d).copy()
         out = np.zeros(d * d, dtype=complex)
-        for lo, hi, positions in self.maps():
-            out[positions] = state[lo:hi]
+        out[self.dense] = state
         return out.reshape(d, d)
 
 

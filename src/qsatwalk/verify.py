@@ -120,7 +120,7 @@ def cumulative_excess(inst, T: int) -> float:
     rho_t evolves from the maximally mixed state; the running sum is checked
     at every t, and the bound holds when the result is <= 0.
     """
-    series = channel.evolve(densesim.maximally_mixed(inst.n), inst, T)
+    series = channel.evolve(np.full(2**inst.n, 2.0**-inst.n), inst, T)
     running = (2.0 / inst.L) * np.cumsum(series.trH[:T])
     return float(np.max(running) - 5.0 * inst.n * inst.n)
 
@@ -143,7 +143,7 @@ def channel_match(inst, T: int, M: int, seed) -> dict[str, np.ndarray]:
     """
     h = observables.build_hamiltonian(inst)
     s, s2 = observables.instance_spin_operators(inst)
-    series = channel.evolve(densesim.maximally_mixed(inst.n), inst, T)
+    series = channel.evolve(np.full(2**inst.n, 2.0**-inst.n), inst, T)
     stats = run_ensemble(inst, T, M, master_seed=seed, operators={"H": h, "S": s, "S2": s2})
     p_zero = 1.0 - series.trH[:T] / inst.L
     sigma = np.sqrt(np.maximum(p_zero * (1.0 - p_zero), 0.0) / M)

@@ -35,6 +35,25 @@ def test_generate_restricted_file(tmp_path, capsys):
     assert inst.n == 4 and inst.L == 6
 
 
+def test_generate_extended_file(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    argv = ["generate", "--kind", "extended", "-n", "4", "-L", "8", "--typeii-fraction", "1", "--seed", "2",
+            "-o", str(out)]
+    assert cli.main(argv) == 0
+    echo = json.loads(capsys.readouterr().out)
+    assert echo["kind"] == "extended" and echo["census"] == {"type-ii": 8}
+    inst = load_instance(out)
+    assert inst.n == 4 and inst.L == 8 and inst.promise.kind == "yes"
+
+
+def test_generate_no_random_with_the_default_clause_count(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(["generate", "--kind", "no-random", "-n", "3", "--seed", "5", "-o", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["L"] == 8
+    inst = load_instance(out)
+    assert inst.n == 3 and inst.L == 8 and inst.promise.kind == "no"
+
+
 def test_generate_no_complete_pair(tmp_path, capsys):
     out = tmp_path / "b.json"
     code = cli.main(["generate", "--kind", "no-complete-pair", "-n", "2", "-o", str(out)])
@@ -103,8 +122,9 @@ def test_evolve_zero_steps(tmp_path, capsys):
         (["evolve", "-T", "1", "-o", "series.csv"], 13, "12 qubits"),
         (["sample", "-T", "1", "-M", "1", "--seed", "0", "-o", "run"], 21, "20 qubits"),
         (["decide", "--seed", "0"], 21, "20 qubits"),
+        (["spectrum"], 13, "operator capacity of 12 qubits"),
     ],
-    ids=["evolve", "sample", "decide"],
+    ids=["evolve", "sample", "decide", "spectrum"],
 )
 def test_evolve_capacity_rule(tmp_path, capsys, monkeypatch, command, n, cap):
     monkeypatch.chdir(tmp_path)
@@ -317,6 +337,12 @@ def test_verify_flags_corrupted_normalization(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "instance-normalization" in captured.out
     assert "instance-normalization" in captured.err
+
+
+def test_verify_flags_a_missing_instance_file(tmp_path, capsys):
+    code = cli.main(["verify", "--suite", "fixtures", str(tmp_path / "missing.json")])
+    assert code == 4
+    assert "FAIL fixtures:instance-read" in capsys.readouterr().out
 
 
 def _fake_gaps(inst, T, M, seed):

@@ -208,6 +208,7 @@ def test_nan_fails_each_entry_points_own_check(call, error, message):
         (lambda: densesim.num_qubits(np.zeros((2, 2, 2))), DimensionMismatch, "^expected a vector or matrix, got ndim=3$"),
         (lambda: densesim.basis_state(2, 4), IndexOutOfRange, r"^basis index 4 outside \[0, 2\^2\)$"),
         (lambda: densesim.as_density_matrix(np.full(4, 0.5)), DimensionMismatch, "^density matrix must be 2-D$"),
+        (lambda: densesim.as_density_matrix(np.full(4, 0.25)), DimensionMismatch, "^density matrix must be 2-D$"),
         (lambda: densesim.hermitian_eig(np.ones(4)), DimensionMismatch, "^matrix must be 2-D$"),
         (lambda: apply_clause_channel(np.ones(4) / 4, generate_planted_restricted(2, 1, seed=0).clauses[0]),
          DimensionMismatch, "^density matrix must be 2-D$"),
@@ -220,8 +221,8 @@ def test_nan_fails_each_entry_points_own_check(call, error, message):
         (lambda: densesim.expectation(np.eye(2), np.zeros((2, 2, 2))), DimensionMismatch,
          "^state must be a vector or a square matrix$"),
     ],
-    ids=["num_qubits-3-d", "basis_state-index", "density-1-d", "hermitian_eig-1-d", "apply_clause_channel-1-d",
-         "apply_step_channel-1-d", "density-trace", "kron_embed-2x2", "product_unitary-4x4", "expectation-3-d"],
+    ids=["num_qubits-3-d", "basis_state-index", "density-1-d", "density-1-d-unit-trace", "hermitian_eig-1-d",
+         "apply_clause_channel-1-d", "apply_step_channel-1-d", "density-trace", "kron_embed-2x2", "product_unitary-4x4", "expectation-3-d"],
 )
 def test_malformed_input_names_the_broken_invariant(call, error, message):
     with pytest.raises(error, match=message):
@@ -278,11 +279,11 @@ def _named_number(call, error):
     return float(re.search(r"(?:by|eigenvalue) (\S+)(?: <|$)", str(err.value)).group(1))
 
 
-@pytest.mark.parametrize("n", [5, densesim._KEEP_MAX_QUBITS + 1], ids=["kept-maps", "per-block-maps"])
+@pytest.mark.parametrize("n", [5, 11], ids=["n5", "n11"])
 def test_packed_check_errors_read_the_weight_blocks(n):
-    """On the packed branch, with the maps kept and with them built per block: the
-    NotHermitian deviation is the per-block max |a - a^dagger| bit for bit, a NaN in
-    one block raises, and the smallest eigenvalue over the blocks is the one named."""
+    """On the packed branch, at a small n and at n = 11: the NotHermitian deviation is
+    the per-block max |a - a^dagger| bit for bit, a NaN in one block raises, and the
+    smallest eigenvalue over the blocks is the one named."""
     rng = np.random.default_rng(80 + n)
     rho = _weight_block_state(n, rng)
     blocks = [b for b, _, _ in weight_blocks_oracle(rho)]

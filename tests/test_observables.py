@@ -15,6 +15,7 @@ from qsatwalk.instance import (
 from qsatwalk.observables import (
     build_hamiltonian,
     clause_projector,
+    ground_space_projector,
     instance_spin_operators,
     spectral_data,
 )
@@ -121,6 +122,11 @@ def test_spectral_data_singlet():
     p = data.ground_projector
     assert np.max(np.abs(p @ p - p)) < 1e-8
     assert densesim.expectation(build_hamiltonian(singlet_instance()) @ p, densesim.maximally_mixed(2)) < 1e-8
+
+
+def test_ground_space_projector_is_the_spectral_datas():
+    for h in (build_hamiltonian(singlet_instance()), build_hamiltonian(generate_planted_extended(4, 6, 0.5, seed=13))):
+        assert np.array_equal(ground_space_projector(h), spectral_data(h).ground_projector)
 
 
 @pytest.mark.parametrize("kind", ["restricted", "type-ii", "arbitrary", "disguised"])

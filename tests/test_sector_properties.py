@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from qsatwalk import channel, densesim
 from qsatwalk.channel import apply_step_channel, dual_residuals, evolve
+from qsatwalk.errors import DimensionMismatch, IndexOutOfRange, NotHermitian
 from qsatwalk.instance import ClauseForm, Instance, _derived, conjugate_instance, make_clause
 from qsatwalk.observables import ZERO_TOL, build_hamiltonian, instance_spin_operators, spectral_data
 
-from helpers import PROPERTY_SETTINGS, amplitudes, random_product_basis, weight_blocks_oracle
+from helpers import PROPERTY_SETTINGS, amplitudes, random_instance, random_product_basis, weight_blocks_oracle
 
 TOL = 1e-12
 STEPS = 3
@@ -310,16 +311,22 @@ def test_half_plans_write_each_clause_update_exactly_once():
 
 
 def test_wide_plans_stay_below_the_packed_state():
-    """Above densesim._KEEP_MAX_QUBITS a step holds one clause's plan at a time and keeps none."""
+    """At n = 11 one step keeps one plan per clause, each of shape (len(terms.g), the
+    entries of a weight block of c on and above its diagonal) and smaller than the
+    packed state; the check's mirror array is kept, and both index arrays of the layout
+    cover its entries."""
     from qsatwalk.instance import generate_planted_extended
 
-    n = densesim._KEEP_MAX_QUBITS + 1
+    n = 11
     inst = generate_planted_extended(n, 2, 0.5, seed=25)
-    packed_bytes = 16 * densesim._sectors(n).size
-    for terms in _derived(inst, channel._Layout, False).terms:
-        assert channel._sector_plan(terms, n).nbytes < packed_bytes
-    evolve(densesim.maximally_mixed(n), inst, 1)
-    assert _derived(inst, channel._Layout, False).plans is None
+    sec, layout = densesim._sectors(n), _derived(inst, channel._Layout, False)
+    evolve(np.full(2**n, 2.0**-n), inst, 1)
+    assert "mirror" in vars(sec)                             # the check's index array, kept
+    assert len(layout.plans) == len(layout.terms) == 2
+    for terms, plan in zip(layout.terms, layout.plans):
+        assert plan.shape == (len(terms.g), len(channel._upper_entries(n - 2)[0]))
+        assert plan.nbytes < 16 * sec.size
+    assert sec.dense.shape == sec.mirror.shape == (sec.size,)
 
 
 def _packed_h_cases():
@@ -396,16 +403,16 @@ def test_unpack_inverts_the_packing_exactly():
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_maps_agree_with_the_per_block_reference(n):
-    """The kept flat map lists each block's `np.add.outer` positions in block order, so
-    `pack` gathers a random complex matrix's weight blocks `a[b][:, b]` and `unpack`
-    scatters them as the per-block reference does, bit for bit; the mirror map reads
+    """The dense index array lists each block's `np.add.outer` positions in block order,
+    so `pack` gathers a random complex matrix's weight blocks `a[b][:, b]` and `unpack`
+    scatters them as the per-block reference does, bit for bit; the mirror array reads
     each block's transpose."""
     rng = np.random.default_rng(70 + n)
     d = 2**n
     reference = weight_blocks_oracle(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     sec = densesim._sectors(n)
-    ((lo, hi, flat),), ((_, _, mirror),) = sec.maps(), sec.maps(mirror=True)   # kept: one run of each
-    assert (lo, hi) == (0, sec.size)
+    flat, mirror = sec.dense, sec.mirror
+    assert len(flat) == sec.size
     assert np.array_equal(flat, np.concatenate([positions.ravel() for _, _, positions in reference]))
     blocks = np.zeros(d * d, dtype=complex)
     for _, square, positions in reference:
@@ -416,22 +423,6 @@ def test_maps_agree_with_the_per_block_reference(n):
     assert np.array_equal(sec.unpack(packed), blocks)
     for (_, square, _), mirrored in zip(reference, sec.views(packed[mirror])):
         assert np.array_equal(mirrored, square.T)
-
-
-def test_maps_are_kept_up_to_the_bound_and_built_per_block_above():
-    """Up to densesim._KEEP_MAX_QUBITS a check keeps the maps on the layout's record, one
-    run over the packed vector; above it a check keeps none, and each run built per call
-    covers one block, so no map is larger than the largest block."""
-    for n in (densesim._KEEP_MAX_QUBITS, densesim._KEEP_MAX_QUBITS + 1):
-        sec = densesim._sectors(n)
-        densesim.as_density_matrix(densesim.maximally_mixed(n))
-        runs = [(lo, hi) for lo, hi, _ in sec.maps()]
-        if n <= densesim._KEEP_MAX_QUBITS:
-            assert "_kept_maps" in vars(sec) and runs == [(0, sec.size)]
-            assert all(sec.maps(mirror)[0][2] is sec._kept_maps[mirror] for mirror in (False, True))
-        else:
-            assert "_kept_maps" not in vars(sec)
-            assert runs == [(start, start + m * m) for start, m in sec.squares]
 
 
 def _chain_cases():
@@ -488,3 +479,68 @@ def test_evolve_leaves_rho0_alone_and_snapshots_own_their_memory():
         snaps = list(out.snapshots.values())
         assert not any(np.shares_memory(s, rho0) for s in snaps)
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(snaps, 2))
+
+
+def _diagonal_cases():
+    """(instance, steps) on weight blocks in the identity frame (restricted and extended),
+    in a disguised frame, and with arbitrary clauses on the whole space, at n = 2..9; the
+    101 steps at n = 2 cross a resymmetrization."""
+    from qsatwalk.instance import generate_planted_extended, generate_planted_restricted
+
+    for n, steps in ((2, 101), (3, 12), (5, 6), (7, 3), (9, 2)):
+        yield generate_planted_restricted(n, 2 * n, seed=150 + n), steps
+        yield generate_planted_extended(n, 2 * n, 0.5, seed=160 + n), steps
+        yield conjugate_instance(generate_planted_extended(n, n + 1, 0.3, seed=170 + n),
+                                 random_product_basis(n, 180 + n)), steps
+        yield random_instance(n, 190 + n), steps
+
+
+def test_diagonal_rho0_runs_as_its_matrix():
+    """`evolve(p, ...)` equals `evolve(np.diag(p), ...)` bit for bit, series and snapshots,
+    for the maximally mixed and a random diagonal."""
+    rng = np.random.default_rng(200)
+    for inst, steps in _diagonal_cases():
+        d, schedule = 2**inst.n, (0, steps // 2, steps)
+        for p in (np.full(d, 1.0 / d), rng.random(d)):
+            p /= p.sum()
+            want = evolve(np.diag(p), inst, steps, snapshot_schedule=schedule)
+            got = evolve(p, inst, steps, snapshot_schedule=schedule)
+            assert np.array_equal(series_of(got), series_of(want))
+            assert all(np.array_equal(got.snapshots[t], want.snapshots[t]) for t in schedule)
+
+
+def _broken_diagonal(kind):
+    """A random 5-qubit diagonal, broken as `kind` names."""
+    p = np.random.default_rng(210).random(32) + 0.1
+    p = (p / p.sum()).astype(complex)
+    if kind == "nan":
+        p[7] = np.nan
+    elif kind == "imaginary":
+        p[9] += 0.01j
+    elif kind == "negative":
+        p[[10, 12]] += (-0.2, 0.2)                   # the trace stays 1
+    elif kind == "trace":
+        p *= 1.5
+    elif kind == "short":
+        p = p[:8] / p[:8].sum()                      # a diagonal of another register
+    else:
+        p = np.full(6, 1 / 6)
+    return p
+
+
+@pytest.mark.parametrize("kind, error", [("nan", NotHermitian), ("imaginary", NotHermitian),
+                                         ("negative", DimensionMismatch), ("trace", DimensionMismatch),
+                                         ("short", IndexOutOfRange), ("not-a-power-of-two", DimensionMismatch)])
+def test_diagonal_rho0_fails_as_its_matrix(kind, error):
+    """A broken diagonal raises the exception type and message of its `np.diag`, on an
+    n = 5 instance: a NaN, an imaginary or a negative entry, a trace off 1, a length of
+    another register, and a length that is no power of two."""
+    from qsatwalk.instance import generate_planted_restricted
+
+    inst, p = generate_planted_restricted(5, 10, seed=220), _broken_diagonal(kind)
+    raised = []
+    for rho in (p, np.diag(p)):
+        with pytest.raises(error) as err:
+            evolve(rho, inst, 1)
+        raised.append((type(err.value), str(err.value)))
+    assert raised[0] == raised[1]
