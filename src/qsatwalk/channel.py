@@ -68,7 +68,8 @@ shares memory with rho0 (`_resymmetrize` writes it in place, with the
 Hermitian-block check of `densesim._adjoint_deviation` that also checks
 rho0). A snapshot is `_Sectors.unpack` of the state. The pack, that
 check's adjoint and the unpack are each one pass through an index array of
-the packed entries, kept per n on the `_Sectors` record.
+the packed entries, kept on the `_Sectors` record of n, which lives while a
+`_Layout` or a call in progress holds it.
 
 What the channel derives from an instance alone is built once and kept in
 the instance's memo, `instance._derived`, with the walks' records: the
@@ -374,14 +375,19 @@ class _Layout:
 
     @functools.cached_property
     def ground(self) -> list:
-        """(block, index into it, basis) per ground block of `_Prepared.ground`: H's ground
-        blocks are weight blocks, read whole or, on the whole space, by their indices."""
+        """(square, index into it, basis) per ground block of `_Prepared.ground`, the square
+        given by its (start, size) in the state (`_Sectors.squares`): H's ground blocks are
+        weight blocks, read whole or, on the whole space, by their indices."""
         weights = densesim._sectors(self.prep.n).blocks if self.whole and self.prep.cut is not None else None
-        return [(k, slice(None), g) if weights is None else (0, weights[k], g) for k, g in self.prep.ground]
+        squares = self.sec.squares
+        return [(squares[k], slice(None), g) if weights is None else (squares[0], weights[k], g)
+                for k, g in self.prep.ground]
 
     def observe(self, state):
-        pop, squares = state[self.sec.diag].real, self.sec.views(state)
-        ground = sum(np.vdot(g, densesim._block(squares[k], b) @ g).real for k, b, g in self.ground)
+        """tr[S rho], tr[S^2 rho] and tr[Pi0 rho], reading the ground squares alone."""
+        pop = state[self.sec.diag].real
+        ground = sum(np.vdot(g, densesim._block(state[s : s + m * m].reshape(m, m), b) @ g).real
+                     for (s, m), b, g in self.ground)
         return self.spin @ pop, self.spin2 @ pop, ground
 
     def snapshot(self, state):
@@ -416,20 +422,25 @@ def _prepare(inst: Instance) -> _Prepared:
     return _Prepared(n=inst.n, frame=frame, clauses=clauses, cut=cut)
 
 
-def _start(inst: Instance, rho: np.ndarray, packed: np.ndarray | None):
+def _start(inst: Instance, rho0):
     """(layout, packed state) for `evolve`: on the weight blocks when every clause lies on
-    one weight and rho has no entry between weights in the planted frame, else on the
+    one weight and rho0 has no entry between weights in the planted frame, else on the
     whole space as one block.
 
-    `packed` is `densesim._sectors(n).pack(rho)` in the caller's frame, a fresh vector
-    (or None), which becomes the state when that is the planted frame and is freed on
-    return otherwise. A 1-D rho, a diagonal, is unpacked from it only for a planted frame
-    or the whole space. The state never shares memory with rho: `_resymmetrize` writes it
-    in place. Raises IndexOutOfRange when rho's dimension is not the instance's.
+    rho0 is checked by `densesim._checked_density`, which packs it into a fresh vector
+    (or None) in the caller's frame through the record `densesim._sectors(n)`, held here
+    from before the check so that the layout keeps the record whose index arrays the
+    check built. The vector becomes the state when the caller's frame is the planted
+    one and is freed on return otherwise. A 1-D rho0, a diagonal, is unpacked from it
+    only for a planted frame or the whole space. The state never shares memory with
+    rho0: `_resymmetrize` writes it in place. Raises IndexOutOfRange when rho0's
+    dimension is not the instance's.
     """
+    sec = densesim._sectors(inst.n)
+    rho, packed = densesim._checked_density(rho0)
     if len(rho) != 2**inst.n:
         raise IndexOutOfRange("initial state dimension does not match instance")
-    prep, sec = _derived(inst, _prepare), densesim._sectors(inst.n)
+    prep = _derived(inst, _prepare)
     planted = rho
     if prep.frame is not None or prep.cut is None:   # planted is fresh, or rho itself when 2-D in the identity frame
         planted = prep.to_planted(sec.unpack(packed) if rho.ndim == 1 else rho)
@@ -496,7 +507,7 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
         if not (densesim._is_integer(t) and 0 <= t <= steps):
             raise IndexOutOfRange(f"snapshot index {t!r} is not an integer in 0..{steps}")
         wanted.add(int(t))
-    layout, state = _start(inst, *densesim._checked_density(rho0))
+    layout, state = _start(inst, rho0)
 
     trH, trS, trS2, trPi0 = np.empty((4, steps + 1))
     snapshots: dict[int, np.ndarray] = {}

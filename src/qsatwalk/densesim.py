@@ -29,8 +29,9 @@ per-step updates.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -122,8 +123,9 @@ def _checked_density(rho):
     """
     rho = np.asarray(rho, dtype=complex)
     n = num_qubits(rho)
-    packed = _sectors(n).pack(rho)
-    sec, checked = (_sectors(n, whole=True), rho) if packed is None else (_sectors(n), packed)
+    sec = _sectors(n)
+    packed = sec.pack(rho)
+    sec, checked = (_sectors(n, whole=True), rho) if packed is None else (sec, packed)
     hermitian = np.empty(checked.shape, dtype=complex)      # C order: read flat below
     herm = _adjoint_deviation(sec, checked, hermitian)
     if not herm <= HERMITICITY_TOL:
@@ -232,7 +234,7 @@ class _Sectors:
     scatters them into a fresh dense matrix. On weight blocks, `pack`,
     `unpack` and the adjoint of `_adjoint_deviation` are each one pass through
     one of two index arrays over the packed entries, kept here once the first
-    call builds them: `dense`, the flat position x * 2^n + y of each entry
+    call builds them, for as long as the record lives (`_sectors`): `dense`, the flat position x * 2^n + y of each entry
     (x, y) in the dense matrix, and `mirror`, the packed position of (y, x).
     Both take 43 MB at n = 12.
     """
@@ -281,9 +283,18 @@ class _Sectors:
         return out.reshape(d, d)
 
 
-@lru_cache(maxsize=None)
+_SECTORS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()   # (n, whole) -> _Sectors
+
+
 def _sectors(n: int, whole: bool = False) -> _Sectors:
-    """The Hamming-weight layout of n qubits or, with `whole`, the whole space as one block."""
+    """The Hamming-weight layout of n qubits or, with `whole`, the whole space as one block.
+
+    One record per (n, whole) lives while something holds it, a channel `_Layout`
+    or a caller mid-call, and is freed with its index arrays when nothing does, as
+    an instance's records go with the instance (`instance._derived`)."""
+    sec = _SECTORS.get((n, whole))
+    if sec is not None:
+        return sec
     if whole:
         blocks, label = (slice(None),), np.zeros(2**n, dtype=np.intp)
     else:
@@ -297,8 +308,10 @@ def _sectors(n: int, whole: bool = False) -> _Sectors:
     for b, m in zip(blocks, sizes):
         rank[b] = np.arange(m)
     base = starts[label] + rank * sizes[label]
-    return _Sectors(blocks=blocks, rank=rank, base=base, diag=base + rank,
-                    squares=list(zip(starts[:-1].tolist(), sizes.tolist())), size=int(starts[-1]))
+    sec = _SECTORS[n, whole] = _Sectors(blocks=blocks, rank=rank, base=base, diag=base + rank,
+                                        squares=list(zip(starts[:-1].tolist(), sizes.tolist())),
+                                        size=int(starts[-1]))
+    return sec
 
 
 def _count_large(x: np.ndarray, tol: float) -> int:

@@ -48,6 +48,8 @@ class Clause:
     amps: np.ndarray
 
     def __post_init__(self):
+        if not (densesim._is_integer(self.i) and densesim._is_integer(self.j)):
+            raise QubitPairInvalid(f"qubit indices must be integers, got ({self.i!r}, {self.j!r})")
         if self.i == self.j or self.i < 0 or self.j < 0:
             raise QubitPairInvalid(f"invalid qubit pair ({self.i}, {self.j})")
         amps = np.asarray(self.amps, dtype=complex)
@@ -86,6 +88,8 @@ class Instance:
     promise: Promise | None = None
 
     def __post_init__(self):
+        if not densesim._is_integer(self.n):
+            raise QubitPairInvalid(f"qubit count must be an integer, got n={self.n!r}")
         if self.n < 2:
             raise QubitPairInvalid(f"instances need n >= 2 qubits, got n={self.n}")
         clauses = tuple(self.clauses)
@@ -196,12 +200,20 @@ def _haar_pair(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _check_qubit_count(n) -> None:
+    """The generators' check of n: an integer (a numpy integer too, a bool not) >= 2,
+    else QubitPairInvalid."""
+    if not densesim._is_integer(n):
+        raise QubitPairInvalid(f"qubit count must be an integer, got n={n!r}")
+    if n < 2:
+        raise QubitPairInvalid(f"need n >= 2, got {n}")
+
+
 def _generate_planted(n: int, L: int, typeII_fraction: float | None, seed) -> Instance:
     """The planted generators' body. Per clause it draws the pair, then (unless
     typeII_fraction is None) random(), which makes a |11><11| clause when below
     typeII_fraction, and otherwise a Haar pair (a, b) for a|01> + b|10>."""
-    if n < 2:
-        raise QubitPairInvalid(f"need n >= 2, got {n}")
+    _check_qubit_count(n)
     rng = np.random.default_rng(seed)
     clauses = []
     for _ in range(L):
@@ -254,8 +266,7 @@ def generate_no_instance(
     """
     from .observables import build_hamiltonian
 
-    if n < 2:
-        raise QubitPairInvalid(f"need n >= 2, got {n}")
+    _check_qubit_count(n)
     if style == "complete_pair":
         basis_kets = np.eye(4)
         clauses = tuple(make_clause(0, 1, basis_kets[k]) for k in range(4))

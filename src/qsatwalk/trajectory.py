@@ -16,24 +16,18 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
   Each block's clause, measurement and target draws become Python lists
   once, and one call of the layout's steps function runs the whole block
   (with operators to track, one call per step, after the state is copied
-  out). The layout depends on n alone:
+  out). The layout depends on n alone, split at n = 2:
 
-  - scalar, at 3 <= n <= 6 (`_SCALARS_MAX_QUBITS`): `_scalar_steps` steps a
-    list of Python complex through the block inline, with no function call
-    per step. Its clause (`_scalar_ket`) holds, per rest index, the basis
-    indices of phi's nonzero rows of `densesim._clause_rows` as one tuple,
-    and the rows' amplitudes and their conjugates as tuples. The overlap is
-    one comprehension over those tuples and outcome 0 one loop, with the
-    arithmetic written out for one nonzero amplitude (basis and |11>
-    projectors), two (restricted clauses) and four; a clause with three
-    reads all four rows, one of them zero.
-  - pair, at n = 2: `_pair_steps` reads the same `_scalar_ket`, which there
-    holds one rest index whose rows are in index order, and does what
-    `_scalar_steps` does with no loop over rest indices: the overlap is one
-    sum, outcome 0 subtracts from each row and outcome 1 writes the four
-    twirled entries as the new list. Its operations are `_scalar_steps`' in
-    the same order, so the two give the same outcomes and states bit for bit.
-  - views, above 6 qubits: `_views_steps` calls `_measure` and `_write_back`
+  - pair, at n = 2, where a clause covers the whole register: `_pair_steps`
+    steps a list of four Python complex through the block inline, with no
+    function call per step. Its clause (`_pair_ket`) holds the indices of
+    phi's nonzero entries, which at n = 2 are the basis indices, as one
+    tuple, and their amplitudes and conjugates as tuples. The overlap is one
+    sum, written out for one nonzero amplitude (basis and |11> projectors),
+    two (restricted clauses) and four; a clause with three reads all four
+    entries, one of them zero. Outcome 0 subtracts from those entries and
+    outcome 1 writes the four twirled entries as the new list.
+  - views, from n = 3: `_views_steps` calls `_measure` and `_write_back`
     per step, which update the walk's own state in place through the
     strided quarters `[:, b_lo, :, b_hi, :]` of the view
     `psi.reshape(pair)`. The overlap and each product term go into two
@@ -42,42 +36,38 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
     `trajectory_step` calls `_measure` and `_write_back` on one state at
     every n, since the views work from n = 2, with buffers of its own.
 
-  All three carry the state's squared norm, norm2, as a scalar. The overlap
-  sums phi's nonzero rows or quarters only, and the outcome is 1 when the
-  draw is below p = q / norm2, q = ||overlap||^2. Outcome 0 subtracts
-  phi's nonzero entries times the overlap from their rows or quarters and
-  sets norm2 -= q, since ||(1 - P) v||^2 = ||v||^2 - q: no copy, no full
-  norm and no full rescale. Outcome 1 writes all four as the twirled phi
-  times overlap / sqrt(q), and norm2 = 1. When norm2 falls below 1/4, and
-  at the end of the walk, the norm is recomputed and the state rescaled to
-  unit norm, so norm2 stays in [1/4, 1] and its rounding cannot build up.
-  A list's norm is summed left to right, not by the builtin `sum`, which
-  rounds otherwise from Python 3.12. The views give the list layouts'
-  states to rounding (about 1e-15).
+  Both carry the state's squared norm, norm2, as a scalar. The overlap
+  sums phi's nonzero entries or quarters only, and the outcome is 1 when
+  the draw is below p = q / norm2, q = ||overlap||^2. Outcome 0 subtracts
+  phi's nonzero entries times the overlap from their entries or quarters
+  and sets norm2 -= q, since ||(1 - P) v||^2 = ||v||^2 - q: no copy, no
+  full norm and no full rescale. Outcome 1 writes all four as the twirled
+  phi times overlap / sqrt(q), and norm2 = 1. When norm2 falls below 1/4,
+  and at the end of the walk, the norm is recomputed and the state
+  rescaled to unit norm, so norm2 stays in [1/4, 1] and its rounding
+  cannot build up. The list's norm is summed left to right, not by the
+  builtin `sum`, which rounds otherwise from Python 3.12. The views give
+  the list's states to rounding (about 1e-15).
 
-  Each layout was measured against its neighbour as `run_trajectory` steps
-  per second (T = 2000, seeds 0-9), in separate processes pinned to one
-  core with `OMP_NUM_THREADS=1`, as medians of 10 alternating process
-  pairs. Pair over scalar at n = 2 (best of three): 1.70 on criterion 6's
-  planted restricted instance, 1.62 on the complete-pair NO instance and
-  1.50 on four random four-amplitude clauses; at n >= 3 a clause leaves
-  2^(n-2) rest indices, so the pair step does not apply. Views over
-  scalars, on L = 2n clauses, planted restricted ones with two nonzero
-  amplitudes and random ones with four: restricted 0.66 at n=6 and 1.11
-  at n=7; four-amplitude 0.59 and 1.09. On 2^n <= 64 amplitudes a view
-  step's dozen numpy calls cost more than the Python arithmetic they
-  replace. Up to 13 qubits the views' short strided inner loops also cost
-  more than a step that copies the clause's 4 x 2^(n-2) rows out of the
-  state and back: views over such a copying step, same grid, were 0.49,
-  0.60, 0.75 and 0.88 at n = 8, 10, 12 and 13 on four-amplitude clauses,
-  and 0.84, 1.02, 1.48 and 1.69 on restricted ones. No benchmark workload
-  runs those sizes, so the copying step is not kept and one in-place step
-  serves every register above the scalar one.
+  The list is kept at n = 2 alone, where the decider's reference walks run
+  7-13 times faster on it than on the views. From n = 3 the views step
+  every register: up to 6 qubits their dozen numpy calls per step cost
+  more than a list's Python arithmetic did, the price of one step engine
+  fewer. Measured as
+  `run_trajectory` steps per second (T = 2000, seeds 0-9, one core,
+  `OMP_NUM_THREADS=1`, medians of 5 processes) against a list step of
+  n = 3-6 that the views replaced: on planted restricted clauses (L = 2n)
+  86 k against 532 k at n = 3 and 77 k against 134 k at n = 6, on random
+  four-amplitude ones 48 k against 322 k and 47 k against 78 k. At the
+  paper's budget for n = 6 (L = 12, c = 1: T = 127 008) that adds about
+  0.7 s to a YES decision on restricted clauses and 1.1 s to a full walk on
+  four-amplitude ones. Ensemble chunks of four or more trajectories at
+  these sizes run in lockstep, which does not read `_walk`'s layout.
 
   A block's Haar unitaries (step 2d of the random stream below) are
   computed by one `_haar_stack` call at the block's first outcome 1, and
   not at all in a block without one; every block is still drawn in full.
-  The list layouts convert them once to flat 4-lists of Python complex.
+  The list layout converts them once to flat 4-lists of Python complex.
 
   The walks read an instance's clause kets (`_kets`), and `_lockstep` its
   tables (`_tables`), from the instance's memo (`instance._derived`), each
@@ -158,7 +148,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -172,7 +161,6 @@ _BLOCK = 64
 _LOCKSTEP_MIN = 4            # narrowest chunk that _lockstep runs faster than _walk
 _LOCKSTEP_MAX_QUBITS = 10    # above it, gathers through index tables cost more than `_walk`
 _LOCKSTEP_ENTRIES = 2**13    # widest lockstep batch, in b * 2^n state entries
-_SCALARS_MAX_QUBITS = 6      # at or below it, a step works on a list of Python complex
 _OBSERVED_ENTRIES = 2**18    # widest operator buffer of `_walk`, in state entries
 
 
@@ -212,27 +200,21 @@ def sample_initial_state(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _clause_ket(clause, n: int):
     """What `_walk`'s step reads of a clause, in the layout that n selects:
-    `_scalar_ket` at n <= `_SCALARS_MAX_QUBITS`, `_views_ket` above."""
-    return _scalar_ket(clause, n) if n <= _SCALARS_MAX_QUBITS else _views_ket(clause, n)
+    `_pair_ket` at n = 2, `_views_ket` above."""
+    return _pair_ket(clause) if n == 2 else _views_ket(clause, n)
 
 
-def _scalar_ket(clause, n: int):
-    """The clause as `_scalar_steps` and `_pair_steps` read it: for each rest
-    index, the basis indices of phi's nonzero `_clause_rows` rows as a tuple
-    (of all four rows when three or more are nonzero), those rows'
-    amplitudes and their conjugates as tuples; phi flat as Python scalars,
-    on (lo, hi); for the outcome-1 write, which builds the state row by row,
-    an itemgetter that puts the rows' entries back into index order (the
-    identity at n = 2); and i < j."""
-    pair, phi = _clause_split(clause, n)
-    rows = _clause_rows(np.arange(2**n), pair)
-    flat = phi.reshape(4).tolist()
-    kept = [m for m in range(4) if flat[m]]
+def _pair_ket(clause):
+    """The clause as `_pair_steps` reads it at n = 2, where basis index 2 b_lo + b_hi
+    is phi's entry (b_lo, b_hi): the indices of phi's nonzero entries as a tuple
+    (all four when three or more are nonzero), their amplitudes and conjugates as
+    tuples, phi flat on (lo, hi) as Python scalars, and i < j."""
+    flat = _clause_split(clause, 2)[1].reshape(4).tolist()
+    kept = tuple(m for m in range(4) if flat[m])
     if len(kept) > 2:
-        kept = [0, 1, 2, 3]
+        kept = (0, 1, 2, 3)
     amps = tuple(flat[m] for m in kept)
-    return (list(zip(*rows[kept].tolist())), amps, tuple(a.conjugate() for a in amps), flat,
-            itemgetter(*np.argsort(rows.ravel()).tolist()), clause.i < clause.j)
+    return kept, amps, tuple(a.conjugate() for a in amps), flat, clause.i < clause.j
 
 
 def _views_ket(clause, n: int):
@@ -377,8 +359,8 @@ def _draw_block(rng: np.random.Generator, L: int):
     return rng.integers(L, size=_BLOCK), rng.random((2, _BLOCK)), rng.standard_normal((2, _BLOCK, 2, 2))
 
 
-def _scalar_steps(psi: list, norm2: float, kets, draws, ks, haar, bits: bytearray):
-    """Steps ks of a block on psi, a list of Python complex, inline.
+def _pair_steps(psi: list, norm2: float, kets, draws, ks, haar, bits: bytearray):
+    """Steps ks of a block at n = 2 on psi, a list of four Python complex, inline.
 
     draws holds the block's clauses, measurement draws and target draws as
     lists, and its Ginibre parts (2, k, 2, 2) for its k steps; haar is None
@@ -386,86 +368,16 @@ def _scalar_steps(psi: list, norm2: float, kets, draws, ks, haar, bits: bytearra
     unitaries in one `_haar_stack` call, as flat 4-lists. Each step's
     outcome is appended to bits. Returns psi, norm2 and haar.
 
-    The overlap sums the ket's rows (`_scalar_ket`) per rest index, in one
-    comprehension whose arithmetic is written out for one, two and four
-    rows, and outcome 0 subtracts from the same rows in one loop. Outcome 1
-    builds a new list, the twirled phi times overlap / sqrt(q), and
-    outcome 0 rescales psi into a new list when the carried norm2 falls
-    below 1/4; otherwise psi is written in place.
+    A clause covers the whole register, so the overlap is one sum over the
+    ket's rows (`_pair_ket`), written out for one, two and four of them;
+    outcome 0 subtracts from the same rows in place, and outcome 1 writes the
+    twirled phi times overlap / sqrt(q) as the new list. Outcome 0 rescales
+    psi into a new list when the carried norm2 falls below 1/4.
     """
     clause, measure, coin, g = draws
     append = bits.append
     for k in ks:
-        idx, amps, bras, phi, order, i_is_lo = kets[clause[k]]
-        rows = len(bras)
-        if rows == 1:
-            (b0,) = bras
-            overlap = [b0 * psi[i] for (i,) in idx]
-        elif rows == 2:
-            b0, b1 = bras
-            overlap = [b0 * psi[i] + b1 * psi[j] for i, j in idx]
-        else:
-            b0, b1, b2, b3 = bras
-            overlap = [b0 * psi[i] + b1 * psi[j] + b2 * psi[x] + b3 * psi[y] for i, j, x, y in idx]
-        q = 0.0
-        for o in overlap:
-            q += o.real * o.real + o.imag * o.imag
-        p = q / norm2
-        if measure[k] < p:
-            if p < BRANCH_NORM_FLOOR:
-                raise DegenerateBranch(f"unsatisfied branch has norm^2 {p}")
-            if haar is None:
-                haar = _haar_stack(g[0] + 1j * g[1]).reshape(-1, 4).tolist()
-            u00, u01, u10, u11 = haar[k]
-            p00, p01, p10, p11 = phi
-            if (coin[k] < 0.5) == i_is_lo:         # u @ phi
-                twirled = (u00 * p00 + u01 * p10, u00 * p01 + u01 * p11,
-                           u10 * p00 + u11 * p10, u10 * p01 + u11 * p11)
-            else:                                  # phi @ u.T
-                twirled = (p00 * u00 + p01 * u01, p00 * u10 + p01 * u11,
-                           p10 * u00 + p11 * u01, p10 * u10 + p11 * u11)
-            s = 1.0 / math.sqrt(q)
-            scaled = [o * s for o in overlap]
-            psi, norm2 = list(order([t * o for t in twirled for o in scaled])), 1.0
-            append(1)
-            continue
-        if 1 - p < BRANCH_NORM_FLOOR:
-            raise DegenerateBranch(f"satisfied branch has norm^2 {1 - p}")
-        if rows == 1:
-            (a0,) = amps
-            for (i,), o in zip(idx, overlap):
-                psi[i] -= a0 * o
-        elif rows == 2:
-            a0, a1 = amps
-            for (i, j), o in zip(idx, overlap):
-                psi[i] -= a0 * o
-                psi[j] -= a1 * o
-        else:
-            a0, a1, a2, a3 = amps
-            for (i, j, x, y), o in zip(idx, overlap):
-                psi[i] -= a0 * o
-                psi[j] -= a1 * o
-                psi[x] -= a2 * o
-                psi[y] -= a3 * o
-        norm2 -= q
-        if norm2 < 0.25:
-            psi, norm2 = _unit(psi), 1.0
-        append(0)
-    return psi, norm2, haar
-
-
-def _pair_steps(psi: list, norm2: float, kets, draws, ks, haar, bits: bytearray):
-    """`_scalar_steps` at n = 2, where a clause covers the whole register: its
-    ket holds one rest index, whose rows are in index order, so the overlap
-    is one sum, outcome 0 subtracts from each row and outcome 1 writes the
-    twirled phi times overlap / sqrt(q) as the new list. The operations are
-    `_scalar_steps`' in the same order, so outcomes and states agree bit for
-    bit; the arithmetic is written out for one, two and four rows, as there.
-    """
-    clause, measure, coin, g = draws
-    append = bits.append
-    for k in ks:
-        (idx,), amps, bras, phi, _, i_is_lo = kets[clause[k]]
+        idx, amps, bras, phi, i_is_lo = kets[clause[k]]
         rows = len(bras)
         if rows == 1:
             (i,), (b0,) = idx, bras
@@ -517,8 +429,8 @@ def _pair_steps(psi: list, norm2: float, kets, draws, ks, haar, bits: bytearray)
 
 
 def _views_steps(psi: np.ndarray, norm2: float, kets, draws, ks, haar, bits: bytearray, work: np.ndarray):
-    """`_scalar_steps` on an array state, one `_measure` and `_write_back` per step,
-    both writing into the walk's `_work` buffers."""
+    """`_pair_steps` on an array state of any n, one `_measure` and `_write_back`
+    per step, both writing into the walk's `_work` buffers."""
     clause, measure, coin, g = draws
     for k in ks:
         ket = kets[clause[k]]
@@ -535,9 +447,8 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None, ones_li
 
     Returns the outcome bits, the final state as an array, and the prepared
     operators' values at t = 0..T (None when there are none). The layout
-    follows from n (the module docstring gives the measurements): a list
-    stepped by `_pair_steps` at n = 2 and by `_scalar_steps` up to
-    `_SCALARS_MAX_QUBITS`, an array stepped by `_views_steps` above. Without
+    follows from n (the module docstring gives the trade): a list stepped by
+    `_pair_steps` at n = 2, an array stepped by `_views_steps` above. Without
     operators each block is one call of the layout's steps; with them, one
     call per step, after the state is copied out. The states awaiting
     evaluation are kept at most `_OBSERVED_ENTRIES` entries at a time (at
@@ -549,8 +460,8 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None, ones_li
     there until it does; no block is drawn once it has.
     """
     psi, norm2 = sample_initial_state(n, rng), 1.0
-    if n <= _SCALARS_MAX_QUBITS:
-        psi, steps = psi.tolist(), _pair_steps if n == 2 else _scalar_steps
+    if n == 2:
+        psi, steps = psi.tolist(), _pair_steps
     else:
         steps = functools.partial(_views_steps, work=_work(n))
     bits = bytearray()

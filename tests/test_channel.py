@@ -264,6 +264,29 @@ def test_dropped_instance_frees_its_records_without_the_cycle_collector():
         gc.enable()
 
 
+def test_layout_record_is_read_by_chained_calls_and_freed_with_the_instance(monkeypatch):
+    """`densesim._sectors` keeps its record of an n while something holds it: two chained
+    `evolve` calls on a live instance build one n = 9 record, whose index arrays the
+    first call's input check builds, and read it from the instance's layout; once the
+    instance is dropped, nothing holds the record, and it and its arrays are freed."""
+    gc.collect()                                     # records that earlier tests left for the collector
+    built, sectors = [], densesim._Sectors
+    monkeypatch.setattr(densesim, "_Sectors", lambda **k: built.append((len(k["rank"]), len(k["blocks"])))
+                        or sectors(**k))
+    inst = generate_planted_restricted(9, 18, seed=46)
+    rho0 = densesim.maximally_mixed(9)               # the check packs it through `dense`
+    evolve(rho0, inst, 1)
+    record = densesim._sectors(9)
+    arrays = record.__dict__["dense"], record.__dict__["mirror"]
+    evolve(rho0, inst, 100, snapshot_schedule=[100])  # resymmetrizes and unpacks through them
+    assert built.count((2**9, 10)) == 1               # the weight blocks of 9 qubits
+    assert densesim._sectors(9) is record is _derived(inst, channel._Layout, False).sec
+    assert record.dense is arrays[0] and record.mirror is arrays[1]
+    refs = [weakref.ref(record), *map(weakref.ref, arrays)]
+    del inst, record, arrays
+    assert all(ref() is None for ref in refs)
+
+
 @pytest.mark.parametrize("whole", [False, True], ids=["weight-blocks", "whole-space"])
 def test_resymmetrize_is_the_blockwise_hermitian_part_at_unit_trace(whole):
     """Bit for bit: each block becomes (v + v^dagger) / 2, then the state is divided by

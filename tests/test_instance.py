@@ -16,6 +16,7 @@ from qsatwalk.errors import (
 )
 from qsatwalk.instance import (
     _DERIVED,
+    Clause,
     ClauseForm,
     Instance,
     Promise,
@@ -378,6 +379,30 @@ PAIR = make_clause(0, 1, (0, 0.6, 0.8, 0))
 def test_instance_api_rejects_invalid_arguments(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Instance(n=3.0, clauses=(PAIR,)), "^qubit count must be an integer, got n=3.0$"),
+        (lambda: Clause(i=0.0, j=1, amps=PAIR.amps), r"^qubit indices must be integers, got \(0.0, 1\)$"),
+        (lambda: Clause(i=True, j=0, amps=PAIR.amps), r"^qubit indices must be integers, got \(True, 0\)$"),
+        (lambda: generate_no_instance(2.5, "complete_pair"), "^qubit count must be an integer, got n=2.5$"),
+        (lambda: generate_planted_restricted(3.5, 4, seed=0), "^qubit count must be an integer, got n=3.5$"),
+    ],
+    ids=["instance-float-n", "clause-float-i", "clause-bool-i", "no-instance-float-n", "planted-float-n"],
+)
+def test_qubit_counts_and_indices_must_be_integers(call, message):
+    """A float or bool qubit count or index is rejected where the instance is built, as
+    `deserialize` rejects it in a file, instead of failing later or running as another
+    number."""
+    with pytest.raises(QubitPairInvalid, match=message):
+        call()
+
+
+def test_numpy_integer_qubits_are_accepted():
+    inst = Instance(n=np.int64(3), clauses=(Clause(i=np.int32(0), j=np.uint8(2), amps=PAIR.amps),))
+    assert generate_planted_restricted(np.int64(3), 4, seed=0).n == inst.n == 3
 
 
 def test_complete_pair_certification_checks_its_gap(monkeypatch):

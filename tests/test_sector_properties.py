@@ -472,7 +472,7 @@ def test_evolve_leaves_rho0_alone_and_snapshots_own_their_memory():
              (Instance(n=3, clauses=(make_clause(0, 2, (1, 0, 0, 1)),)), densesim.maximally_mixed(3), True))
     for inst, rho0, whole in cases:
         before = rho0.copy()
-        run, state = channel._start(inst, *densesim._checked_density(rho0))
+        run, state = channel._start(inst, rho0)
         assert run.whole == whole and not np.shares_memory(state, rho0)
         out = evolve(rho0, inst, 100, snapshot_schedule=(0, 1, 100))
         assert np.array_equal(rho0, before)

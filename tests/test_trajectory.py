@@ -25,7 +25,6 @@ from qsatwalk.observables import build_hamiltonian, clause_projector, instance_s
 from qsatwalk.trajectory import (
     _BLOCK,
     _CHUNK,
-    _SCALARS_MAX_QUBITS,
     _clause_ket,
     _haar_stack,
     _lockstep,
@@ -140,7 +139,7 @@ def test_trajectory_step_singlet_outcome_probability():
     assert abs(ones / 4000 - 0.5) < 5 * np.sqrt(0.25 / 4000)
 
 
-@pytest.mark.parametrize("n", sorted({2, 3, 4, _SCALARS_MAX_QUBITS, _SCALARS_MAX_QUBITS + 1, 14, 16}))
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 14, 16])
 def test_trajectory_step_leaves_input_state_unchanged(n):
     # both layouts write their state in place, so the step must work on a copy
     rng = np.random.default_rng(46 + n)
@@ -161,7 +160,7 @@ def test_trajectory_step_leaves_input_state_unchanged(n):
 
 @pytest.mark.parametrize("kind", ["restricted", "4-amplitude"])
 def test_wide_walk_writes_its_own_state(kind):
-    """Above `_SCALARS_MAX_QUBITS` a step updates the walk's state in place: two
+    """From n = 3 a step updates the walk's state in place: two
     blocks of steps of both outcomes allocate the state and two quarter-size work
     buffers, the overlap and one product term, which every step reuses, plus 64 KiB
     for the blocks' draws (a step that built each new state beside the old one
@@ -202,8 +201,8 @@ def test_complete_pair_outcome_probabilities_sum_to_one():
 
 
 def test_trajectory_step_degenerate_branch_guard():
-    """A branch of norm^2 1e-15 raises, naming the branch, in each of the
-    step's two layouts and at a wide n. The clause is the singlet; the state
+    """A branch of norm^2 1e-15 raises, naming the branch, at n = 2, 7 and 14.
+    The clause is the singlet; the state
     is the triplet with a 1e-15 share of singlet, measured with draw 0
     (outcome 1), or the singlet with a 1e-15 share of triplet, measured with
     a draw just below 1 (outcome 0)."""
@@ -219,7 +218,7 @@ def test_trajectory_step_degenerate_branch_guard():
             return self.draw
 
     eps = 10**-7.5
-    for n in (2, _SCALARS_MAX_QUBITS + 1, 14):
+    for n in (2, 7, 14):
         for i, j in ((0, 1), (n - 1, 0)):
             inst = Instance(n=n, clauses=(make_clause(i, j, SINGLET),))
             singlet = apply_oracle(np.outer(SINGLET, np.conj(SINGLET)), i, j,
@@ -253,25 +252,13 @@ class _ForcedStream:
         return g
 
 
-@pytest.mark.parametrize("start, draw, kind", [(0, 0.0, "unsatisfied"), (1, 1 - 1e-16, "satisfied")])
-def test_scalar_steps_degenerate_branch_guard(start, draw, kind):
-    """The scalar layout's copy of the guard: basis state |start> measured by a clause
-    with a 1e-15 share of |00>, at a draw that picks the branch of that size."""
-    eps = 10**-7.5
-    inst = Instance(n=2, clauses=(make_clause(0, 1, (eps, 1, 0, 0)),))
-    psi = densesim.basis_state(2, start).tolist()
-    draws = ([0], [draw], [0.0], np.zeros((2, 1, 2, 2)))
-    with pytest.raises(DegenerateBranch, match=f"^{kind} branch"):
-        trajectory._scalar_steps(psi, 1.0, [_clause_ket(inst.clauses[0], 2)], draws, range(1), None, bytearray())
-
-
-@pytest.mark.parametrize("steps, n", [("_pair_steps", 2), ("_scalar_steps", 3)], ids=["pair-n2", "scalar-n3"])
+@pytest.mark.parametrize("steps, n", [("_pair_steps", 2)], ids=["pair-n2"])
 @pytest.mark.parametrize("pair_value, draw, kind", [(0, 0.0, "unsatisfied"), (1, 1 - 1e-16, "satisfied")])
 def test_layout_degenerate_branch_guard(steps, n, pair_value, draw, kind):
-    """Each list layout's copy of the guard, as in `test_scalar_steps_degenerate_branch_guard`:
-    `_pair_steps`, which runs every n = 2 walk, and `_scalar_steps` at n = 3, its
-    narrowest register in a walk. The start state has pair value `pair_value` on
-    qubits (0, 1) and 0 on the rest."""
+    """The list layout's copy of the guard in `_pair_steps`, which runs every n = 2 walk:
+    basis state |pair_value> measured by a clause with a 1e-15 share of |00>, at a draw
+    that picks the branch of that size. The views' copy is `_measure`'s, which
+    `test_trajectory_step_degenerate_branch_guard` holds at n = 2, 7 and 14."""
     eps = 10**-7.5
     clause = make_clause(0, 1, (eps, 1, 0, 0))
     psi = densesim.basis_state(n, pair_value << (n - 2)).tolist()
@@ -295,69 +282,49 @@ def _pair_instance(kind, seed):
     return Instance(n=2, clauses=tuple(clauses))
 
 
-def _steps_one_by_one(steps, kets, seed, blocks):
-    """`blocks` blocks of a seeded n = 2 walk, one `steps` call per step: the bits and,
-    after each step, the state (copied), its carried norm2 and whether the step
-    returned a new list on outcome 0, i.e. rescaled."""
-    rng = np.random.default_rng(seed)
-    psi, norm2 = densesim.basis_state(2, int(rng.integers(4))).tolist(), 1.0
-    bits, states, norms, rescaled = bytearray(), [], [], []
-    for _ in range(blocks):
-        clause, uniform, g = trajectory._draw_block(rng, len(kets))
-        draws, haar = (clause.tolist(), *uniform.tolist(), g), None
-        for k in range(_BLOCK):
-            before = psi
-            psi, norm2, haar = steps(psi, norm2, kets, draws, (k,), haar, bits)
-            states.append(list(psi))
-            norms.append(norm2)
-            rescaled.append(bits[-1] == 0 and psi is not before)
-    return bits, states, norms, rescaled
-
-
 @pytest.mark.parametrize("kind", ["basis", "restricted", "11", "three", "four"])
-def test_pair_steps_match_scalar_steps(kind):
-    """On the same draws, `_pair_steps` gives `_scalar_steps`' outcomes, states and carried
-    norms bit for bit after every step, on both outcomes and through the rescales
-    at norm2 < 1/4 (none of these draws gives one on |11> projectors, whose
-    walks rarely leave the satisfied states)."""
+def test_pair_walks_match_views_walks(kind, monkeypatch):
+    """`_walk` at n = 2 steps through `_pair_steps`, and gives the outcomes (np.array_equal)
+    and final states (to 1e-12) that it gives with the in-place views stepping the same
+    walk in its place, with and without a ones_limit; limits of 1, 3 and 40 ones cut
+    blocks inside, where the walk splits a block's steps over several calls, and some
+    walks stop early."""
     inst = _pair_instance(kind, 42)
     kets = [_clause_ket(c, 2) for c in inst.clauses]
-    ones = rescales = 0
-    for seed in range(8):
-        pair = _steps_one_by_one(trajectory._pair_steps, kets, seed, 6)
-        scalar = _steps_one_by_one(trajectory._scalar_steps, kets, seed, 6)
-        assert pair == scalar
-        ones += sum(pair[0])
-        rescales += sum(pair[3])
-    assert 0 < ones < 8 * 6 * _BLOCK
-    assert rescales > 0 or kind == "11"
+    views_kets, work = [trajectory._views_ket(c, 2) for c in inst.clauses], trajectory._work(2)
 
+    def views_steps(psi, norm2, kets, draws, ks, haar, bits):
+        return trajectory._views_steps(np.asarray(psi, dtype=complex), norm2, views_kets, draws, ks, haar, bits, work)
 
-@pytest.mark.parametrize("kind", ["basis", "restricted", "11", "three", "four"])
-def test_pair_walks_match_scalar_walks(kind, monkeypatch):
-    """`_walk` at n = 2 steps through `_pair_steps`, and gives the outcomes and final
-    states (np.array_equal) that it gives with `_scalar_steps` monkeypatched in,
-    with and without a ones_limit; limits of 1, 3 and 40 ones cut blocks inside,
-    where the walk splits a block's steps over several calls, and some walks
-    stop early."""
-    inst = _pair_instance(kind, 42)
-    kets = [_clause_ket(c, 2) for c in inst.clauses]
     T, runs, calls = 5 * _BLOCK - 7, {}, set()
-    for name in ("_pair_steps", "_scalar_steps"):
-        monkeypatch.setattr(trajectory, "_pair_steps",
-                            lambda *a, f=getattr(trajectory, name), name=name: calls.add(name) or f(*a))
+    for name, steps in (("pair", trajectory._pair_steps), ("views", views_steps)):
+        monkeypatch.setattr(trajectory, "_pair_steps", lambda *a, f=steps, name=name: calls.add(name) or f(*a))
         runs[name] = [_walk(kets, 2, T, np.random.default_rng(seed), ones_limit=limit)[:2]
                       for seed in range(8) for limit in (None, 1, 3, 40)]
-    for (bits, psi), (want_bits, want_psi) in zip(runs["_pair_steps"], runs["_scalar_steps"]):
-        assert np.array_equal(bits, want_bits) and np.array_equal(psi, want_psi)
-    assert calls == {"_pair_steps", "_scalar_steps"}
-    assert {len(bits) for bits, _ in runs["_pair_steps"]} - {T}
+    for (bits, psi), (want_bits, want_psi) in zip(runs["pair"], runs["views"]):
+        assert np.array_equal(bits, want_bits) and np.max(np.abs(psi - want_psi)) <= 1e-12
+    assert calls == {"pair", "views"}
+    assert {len(bits) for bits, _ in runs["pair"]} - {T}
+    assert 0 < sum(bits.sum() for bits, _ in runs["pair"]) < sum(len(bits) for bits, _ in runs["pair"])
+
+
+def test_walk_steps_a_list_at_n2_and_the_views_above(monkeypatch):
+    """`_walk` steps a list through `_pair_steps` at n = 2 and an array through
+    `_views_steps` from n = 3, whatever the clause's amplitudes."""
+    calls = []
+    for name in ("_pair_steps", "_views_steps"):
+        monkeypatch.setattr(trajectory, name, lambda psi, *a, f=getattr(trajectory, name), name=name, **k:
+                            calls.append((name, type(psi))) or f(psi, *a, **k))
+    for n in (2, 3):
+        run_trajectory(random_instance(n, 30 + n), 2 * _BLOCK, n)
+    assert sorted(set(calls)) == [("_pair_steps", list), ("_views_steps", np.ndarray)]
+    assert calls.index(("_views_steps", np.ndarray)) == calls.count(("_pair_steps", list))
 
 
 def test_scalar_rescale_does_not_depend_on_the_builtin_sum(monkeypatch):
     """A list state's norm is summed left to right, not by the builtin `sum`, which
     Python 3.12 made compensated: with `trajectory.sum` replaced by `math.fsum`,
-    `_unit` and seeded scalar walks at n = 2 and 3 give the same states. The
+    `_unit` and seeded walks at n = 2 (a list) and 3 (an array) give the same states. The
     inputs are ones on which the two sums differ."""
     crafted = [1, *[1e-8] * 6, 1e-8j]       # squared norm: 1 + 6.7e-16 by fsum, 1.0 left to right
     walks = [(random_instance(n, 60 + n), 8 * _BLOCK, seed) for n in (2, 3) for seed in range(4)]
@@ -434,7 +401,7 @@ def test_run_trajectory_planted_start_counts_all_zeros():
     assert np.all(rec.outcomes == 0)
 
 
-@pytest.mark.parametrize("n", [2, _SCALARS_MAX_QUBITS, _SCALARS_MAX_QUBITS + 1, 14])
+@pytest.mark.parametrize("n", [2, 6, 7, 14])
 def test_walk_runs_a_blocks_haar_qr_only_on_an_outcome_1(n, monkeypatch):
     """`_walk` runs a block's stacked Haar QR at the block's first outcome 1
     only: a walk whose start state satisfies every clause (basis projectors

@@ -8,8 +8,8 @@ when the draw is below <psi|P|psi>; the state after outcome 0 is
 (1-P) psi / norm, and after outcome 1 it is the Haar unitary on the target
 qubit applied to P psi / norm. A whole trajectory is replayed the same way
 from the block layout written in the `trajectory` module docstring. The
-number of qubits is drawn on both sides of `_SCALARS_MAX_QUBITS`, where the
-step changes how it holds the state and reads the clause, and in a wide band
+number of qubits is drawn on both sides of n = 2, where the walk changes from
+stepping a list to stepping the in-place views, up to 7, and in a wide band
 from 14 qubits, where the strided quarters of the in-place step have long
 inner axes.
 """
@@ -27,12 +27,11 @@ from qsatwalk.observables import build_hamiltonian
 from qsatwalk.trajectory import (
     _BLOCK,
     _CHUNK,
-    _SCALARS_MAX_QUBITS,
     _clause_ket,
     _lockstep,
     _lockstep_tables,
+    _pair_steps,
     _prepare_ops,
-    _scalar_steps,
     _walk,
     _write_back,
     haar_unitary,
@@ -84,8 +83,8 @@ def _check_step(inst, psi, seed):
 
 
 def _qubits(draw, narrow_max, wide_max):
-    """n in 2..narrow_max, `_SCALARS_MAX_QUBITS` + 1 and WIDE..wide_max."""
-    return draw(st.sampled_from(sorted({*range(2, narrow_max + 1), _SCALARS_MAX_QUBITS + 1,
+    """n in 2..narrow_max, 7 and WIDE..wide_max."""
+    return draw(st.sampled_from(sorted({*range(2, narrow_max + 1), 7,
                                         *range(WIDE, wide_max + 1)})))
 
 
@@ -109,7 +108,7 @@ EDGE_AMPS = {"restricted": (0, 0.6, 0.8j, 0), "type-ii": (0, 0, 0, 1j),
 
 
 @pytest.mark.parametrize("form", sorted(EDGE_AMPS))
-@pytest.mark.parametrize("n", [*range(_SCALARS_MAX_QUBITS + 1, _SCALARS_MAX_QUBITS + 4),
+@pytest.mark.parametrize("n", [*range(7, 10),
                                *range(WIDE - 1, WIDE + 3)])
 def test_trajectory_step_edge_pairs_match_oracle(n, form):
     """Pairs with lo = 0 and hi = n-1, in both clause orders, plus the last
@@ -171,17 +170,17 @@ def test_run_trajectory_replays_block_stream(case):
     assert np.max(np.abs(rec.final_state - psi)) <= TOL
 
 
-def _carried_norm_walk(n, seed, monkeypatch):
-    """Ten blocks at n with 2n random four-amplitude clauses, replayed on the
+def _carried_norm_walk(n, seed, monkeypatch, blocks=10):
+    """`blocks` blocks at n with 2n random four-amplitude clauses, replayed on the
     oracle: for each step, whether the carried squared norm was rescaled,
     its value after the step, the state's actual squared norm and whether
     the outcome was 0; the run's record; and the oracle's outcomes and final
-    state. A wide step is watched through `_write_back`; the scalar walk's
-    block calls of `_scalar_steps` are split into one call per step, and a
+    state. A step of the views is watched through `_write_back`; at n = 2 the
+    walk's block calls of `_pair_steps` are split into one call per step, and a
     satisfied step was rescaled when it returns a new list instead of the
     list it wrote in place."""
     inst = random_instance(n, seed)
-    T = 10 * _BLOCK
+    T = blocks * _BLOCK
     steps = []
 
     def write_back(psi, norm2, ket, mat, overlap, q, u, coin, work):
@@ -189,29 +188,30 @@ def _carried_norm_walk(n, seed, monkeypatch):
         steps.append((u is None and norm2 - q < 0.25, carried, np.vdot(out, out).real, u is None))
         return out, carried
 
-    def scalar_steps(psi, norm2, kets, draws, ks, haar, bits):
+    def pair_steps(psi, norm2, kets, draws, ks, haar, bits):
         for k in ks:
             before = psi
-            psi, norm2, haar = _scalar_steps(psi, norm2, kets, draws, (k,), haar, bits)
+            psi, norm2, haar = _pair_steps(psi, norm2, kets, draws, (k,), haar, bits)
             kept = bits[-1] == 0
             steps.append((kept and psi is not before, norm2, np.vdot(psi, psi).real, kept))
         return psi, norm2, haar
 
     monkeypatch.setattr(trajectory, "_write_back", write_back)
-    monkeypatch.setattr(trajectory, "_scalar_steps", scalar_steps)
+    monkeypatch.setattr(trajectory, "_pair_steps", pair_steps)
     want, psi = _replay(inst, T, seed)
     rec = run_trajectory(inst, T, seed, keep_history=True)
     return np.array(steps).T, rec, want, psi
 
 
 @pytest.mark.parametrize("nonzero", [1, 2, 3, 4])
-def test_scalar_walks_replay_for_each_amplitude_count(nonzero):
-    """Scalar walks on clauses with 1, 2, 3 or 4 nonzero amplitudes, at random
-    positions, replay on the oracle for three blocks at every n of the
-    scalar layout, with both outcomes among them. No form of `helpers.FORMS`
-    has three nonzero amplitudes."""
+def test_walks_replay_for_each_amplitude_count(nonzero):
+    """Walks on clauses with 1, 2, 3 or 4 nonzero amplitudes, at random
+    positions, replay on the oracle for three blocks at every n from 2 to 6,
+    the list stepped by `_pair_steps` at n = 2 and the views above, with both
+    outcomes among them. No form of `helpers.FORMS` has three nonzero
+    amplitudes."""
     ones, T = 0, 3 * _BLOCK
-    for n in range(2, _SCALARS_MAX_QUBITS + 1):
+    for n in range(2, 7):
         inst = random_instance(n, 90 + 10 * nonzero + n, nonzero)
         want, psi = _replay(inst, T, n)
 
@@ -220,12 +220,12 @@ def test_scalar_walks_replay_for_each_amplitude_count(nonzero):
         assert np.array_equal(rec.outcomes, want)
         assert np.max(np.abs(rec.final_state - psi)) <= TOL
         ones += want.sum()
-    assert 0 < ones < (_SCALARS_MAX_QUBITS - 1) * T
+    assert 0 < ones < 5 * T
 
 
 @pytest.mark.parametrize("seed", [81, 82])
 def test_wide_walk_carried_norm_matches_oracle(seed, monkeypatch):
-    """Above `_SCALARS_MAX_QUBITS` a satisfied outcome lowers a carried squared
+    """From n = 3 a satisfied outcome lowers a carried squared
     norm instead of rescaling the state, which is rescaled once the carried
     value falls below 1/4. With four-amplitude clauses that happens many times
     in ten blocks: after every step the carried value lies in [1/4, 1] and
@@ -243,15 +243,14 @@ def test_wide_walk_carried_norm_matches_oracle(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [83, 84])
-def test_scalar_walk_carried_norm_matches_oracle(seed, monkeypatch):
-    """At or below `_SCALARS_MAX_QUBITS` the step carries its squared norm as
-    the wide step does, on a list of Python complex: at n = 3, ten blocks of
-    four-amplitude clauses rescale many times, most satisfied outcomes leave
-    the carried value below 1, it stays in [1/4, 1] and equals the
-    state's squared norm, and the run replays on the oracle and ends at unit
-    norm."""
-    assert 3 <= _SCALARS_MAX_QUBITS
-    (rescaled, norm2, actual, kept), rec, want, psi = _carried_norm_walk(3, seed, monkeypatch)
+def test_pair_walk_carried_norm_matches_oracle(seed, monkeypatch):
+    """At n = 2 `_pair_steps` carries its squared norm as the views do, on a
+    list of Python complex: twenty blocks of four-amplitude clauses (on four
+    clauses the carried value falls below 1/4 less often than on 2n = 6 at
+    n = 3) rescale many times, most satisfied outcomes leave the carried value below 1, it stays in
+    [1/4, 1] and equals the state's squared norm, and the run replays on the
+    oracle and ends at unit norm."""
+    (rescaled, norm2, actual, kept), rec, want, psi = _carried_norm_walk(2, seed, monkeypatch, blocks=20)
 
     assert rescaled.sum() >= 20
     assert np.mean(norm2[kept == 1] < 1.0) > 0.5
