@@ -41,14 +41,21 @@ kernel:
   Such a channel conserves weight, so every rho_t stays block-diagonal, and
   only its weight blocks are kept: C(2n, n) entries instead of 4^n. H rho is
   one matrix product per weight block, H_k @ rho_k, with the packed H kept
-  on the instance's record (one packed state in size), and tr[H rho] is the
-  sum of their traces. H comes from the one assembly of its clause entries,
-  `densesim._pair_entries`, which `observables.build_hamiltonian` reads
-  too. Only c_a and G_a (x) c_a go through an index plan per clause
-  (`_sector_plan`): one gather and one scatter into the same positions,
-  only at the entries of c_a on and above its diagonal. The adjoint in
+  on the instance's record (one packed state in size). H comes from the
+  one assembly of its clause entries, `densesim._pair_entries`, which
+  `observables.build_hamiltonian` reads too. Only c_a and G_a (x) c_a go
+  through an index plan per clause (`_sector_plan`): one gather and one
+  scatter into the same positions, only at the entries of c_a on and above
+  its diagonal. The adjoint in
   X + X^dagger writes the entries below, so each plan row holds
   (C(2n-4, n-2) + 2^(n-2)) / 2 positions, about half of c_a.
+
+Each kernel returns the next state alone. `evolve` reads every series value
+from a state once, through `_Layout.observe`, by one rule on both layouts:
+tr[H rho] over H's entries (`_energy`), tr[S rho] and tr[S^2 rho] from the
+diagonal, tr[Pi0 rho] from the ground blocks, each summed by numpy, so a
+state reads the same whichever call or step it ends or starts, and no series
+depends on the builtin `sum`, which Python 3.12 made compensated.
 
 Both kernels read one record per clause, `_ClauseTerms`: its ket and the
 entries of G = P + K, listed with phi's rows x rows first. The P inside G
@@ -76,9 +83,10 @@ the instance's memo, `instance._derived`, with the walks' records: the
 `_Prepared` that `_prepare` builds (its clauses in the frame, H's entries
 on the weight blocks, the packed H and the ground basis), and one `_Layout`
 per layout, holding its `_Prepared`, the clause terms, H's entries, the
-ground read, S^2's diagonal and, on weight blocks, the scale of c_a and the
-plans, built by the first step. No record refers to the instance, so each
-goes with it. `evolve` and `dual_residuals` read them.
+ground read, S's and S^2's diagonals and, on weight blocks, the scale of c_a
+and the plans, built by the first step. No record refers to the instance, so
+each goes with it, and no per-n cache keeps one of its arrays past it.
+`evolve` and `dual_residuals` read them.
 
 Stochastic pure-state sampling of the same process lives in `trajectory`.
 """
@@ -161,8 +169,8 @@ def _reduce(rho: np.ndarray, terms: _ClauseTerms):
     return a, c
 
 
-def _add_clause_update(rho: np.ndarray, delta: np.ndarray, terms: _ClauseTerms, weight: float) -> float:
-    """Add to `delta` an X with X + X^dagger = weight * (T_a(rho) - rho); return tr[P_a rho].
+def _add_clause_update(rho: np.ndarray, delta: np.ndarray, terms: _ClauseTerms, weight: float) -> None:
+    """Add to `delta` an X with X + X^dagger = weight * (T_a(rho) - rho).
 
     P = |phi><phi| has rank 1, so with a and c from `_reduce`,
 
@@ -180,7 +188,6 @@ def _add_clause_update(rho: np.ndarray, delta: np.ndarray, terms: _ClauseTerms, 
     delta_blocks = delta.reshape(*pair, *pair)
     for x, y, x2, y2, val in terms.g:
         delta_blocks[:, x, :, y, :, :, x2, :, y2, :] += (0.5 * weight * val) * c
-    return float(np.trace(c.reshape(d // 4, d // 4)).real)
 
 
 def _hermitian_sum(state: np.ndarray, delta: np.ndarray, sec) -> np.ndarray:
@@ -193,14 +200,12 @@ def _hermitian_sum(state: np.ndarray, delta: np.ndarray, sec) -> np.ndarray:
     return out
 
 
-def _apply(rho: np.ndarray, clauses: list) -> tuple[np.ndarray, float]:
-    """Uniform average of the clause updates, and tr[H rho] for the input state."""
+def _apply(rho: np.ndarray, clauses: list) -> np.ndarray:
+    """Uniform average of the clause updates: the next state alone."""
     delta = np.zeros(rho.shape, dtype=complex)   # C order: the kernel writes through reshaped views
-    weight = 1.0 / len(clauses)
-    energy = 0.0
-    for terms in clauses:       # left to right: the builtin sum rounds otherwise from Python 3.12
-        energy += _add_clause_update(rho, delta, terms, weight)
-    return _hermitian_sum(rho, delta, densesim._sectors(densesim.num_qubits(rho), whole=True)), energy
+    for terms in clauses:
+        _add_clause_update(rho, delta, terms, 1.0 / len(clauses))
+    return _hermitian_sum(rho, delta, densesim._sectors(densesim.num_qubits(rho), whole=True))
 
 
 def _checked_matrix(rho) -> tuple[np.ndarray, int]:
@@ -219,7 +224,7 @@ def apply_clause_channel(rho: np.ndarray, clause: Clause) -> np.ndarray:
     rho, n = _checked_matrix(rho)
     if clause.i >= n or clause.j >= n:
         raise IndexOutOfRange(f"clause acts on ({clause.i}, {clause.j}) but state has n={n}")
-    return _apply(rho, [_clause_terms(clause, n)])[0]
+    return _apply(rho, [_clause_terms(clause, n)])
 
 
 def apply_step_channel(rho: np.ndarray, inst: Instance) -> np.ndarray:
@@ -228,7 +233,7 @@ def apply_step_channel(rho: np.ndarray, inst: Instance) -> np.ndarray:
     rho, n = _checked_matrix(rho)
     if n != inst.n:
         raise IndexOutOfRange(f"state has {n} qubits but instance has {inst.n}")
-    return _apply(rho, [_clause_terms(c, n) for c in inst.clauses])[0]
+    return _apply(rho, [_clause_terms(c, n) for c in inst.clauses])
 
 
 def _energy(flat: np.ndarray, entries) -> float:
@@ -238,22 +243,22 @@ def _energy(flat: np.ndarray, entries) -> float:
     return float((values.conj() @ flat[positions].sum(axis=1)).real)
 
 
-@functools.lru_cache(maxsize=None)
 def _upper_entries(n: int) -> tuple:
     """The entries (r, s) with r <= s of each weight block of an n-qubit matrix, block by
     block and row-major within a block, as two arrays of basis states, (C(2n, n) + 2^n) / 2
-    each, and the scale the packed step gives c there: 1 on the diagonal, 2 above it."""
+    each, and the scale the packed step gives c there: 1 on the diagonal, 2 above it.
+    Built per call: a `_Layout` keeps the scale and reads (r, s) once for its plans."""
     r, s = np.concatenate([b[np.stack(np.triu_indices(len(b)))] for b in densesim._sectors(n).blocks], axis=1)
     return r, s, np.where(r == s, 1.0, 2.0)
 
 
-def _sector_plan(terms: _ClauseTerms, n: int) -> np.ndarray:
+def _sector_plan(terms: _ClauseTerms, n: int, upper: tuple) -> np.ndarray:
     """Index plan of one clause into the packed n-qubit state, shape
     (len(terms.g), (C(2n-4, n-2) + 2^(n-2)) / 2).
 
     c = <phi|rho|phi> is an (n-2)-qubit matrix, block-diagonal by weight,
-    read at its entries (r, s) with r <= s (`_upper_entries`), and row k
-    holds, in that order, where rho's entry (b (x) r, b2 (x) s) sits for the
+    read at its entries (r, s) with r <= s, from `upper` = `_upper_entries(n - 2)`,
+    and row k holds, in that order, where rho's entry (b (x) r, b2 (x) s) sits for the
     pair values b, b2 of terms.g[k]. Both lie in one weight block of rho when
     the clause lies on one weight of its pair: its rows x rows have one
     weight, and G is diagonal outside them. The first len(terms.phi)**2 rows
@@ -262,7 +267,7 @@ def _sector_plan(terms: _ClauseTerms, n: int) -> np.ndarray:
     the adjoint of its mirror: the step writes (w/2) G (x) c on the diagonal
     and w G (x) c above it, and nothing below.
     """
-    sec, (r, s, _) = densesim._sectors(n), _upper_entries(n - 2)
+    sec, (r, s, _) = densesim._sectors(n), upper
     full = densesim._clause_rows(np.arange(2**n), terms.pair).reshape(2, 2, -1)   # full index of b (x) r
     return np.array([sec.base[full[x, y][r]] + sec.rank[full[x2, y2][s]] for x, y, x2, y2, _ in terms.g])
 
@@ -353,10 +358,12 @@ class _Layout:
     `_derived(inst, _Layout, whole)`: the instance's `_Prepared`, held here and
     holding nothing back; the `_ClauseTerms` of `clauses` on the whole space and of
     `cut` on the weight blocks, H's entries, the packed step's `reads` of each
-    clause's terms and `scale` of c (`_upper_entries`), S^2's diagonal and, read
-    by the first `observe`, the ground basis. On the weight blocks `plans` is
-    filled in by the first step and kept. `evolve` steps and observes through it in
-    the planted frame, and `dual_residuals` reads its terms."""
+    clause's terms and `scale` of c (`_upper_entries`), S's and S^2's diagonals and,
+    read by the first `observe`, the ground basis. On the weight blocks `plans` is
+    filled in by the first step and kept. Each array is built for this record and
+    goes with it. `step` returns the next state alone, and `observe` reads every
+    series value from a state. `evolve` steps and observes through it in the planted
+    frame, and `dual_residuals` reads its terms."""
 
     def __init__(self, inst: Instance, whole: bool):
         prep = self.prep = _derived(inst, _prepare)
@@ -384,31 +391,32 @@ class _Layout:
                 for k, g in self.prep.ground]
 
     def observe(self, state):
-        """tr[S rho], tr[S^2 rho] and tr[Pi0 rho], reading the ground squares alone."""
+        """tr[H rho] (`_energy`), tr[S rho], tr[S^2 rho] and tr[Pi0 rho], each read from the
+        state once, the last from the ground squares alone and summed by numpy."""
         pop = state[self.sec.diag].real
-        ground = sum(np.vdot(g, densesim._block(state[s : s + m * m].reshape(m, m), b) @ g).real
-                     for (s, m), b, g in self.ground)
-        return self.spin @ pop, self.spin2 @ pop, ground
+        ground = np.sum([np.vdot(g, densesim._block(state[s : s + m * m].reshape(m, m), b) @ g).real
+                         for (s, m), b, g in self.ground])
+        return _energy(state, self.entries), self.spin @ pop, self.spin2 @ pop, ground
 
     def snapshot(self, state):
         rho = self.sec.unpack(state)
         return rho if self.prep.frame is None else _conjugate(rho, self.prep.frame)
 
     def step(self, state):
+        """The next state, E(rho), alone."""
         prep, n = self.prep, self.prep.n
         if self.whole:
-            out, energy = _apply(state.reshape(2**n, 2**n), self.terms)
-            return out.reshape(-1), energy
+            return _apply(state.reshape(2**n, 2**n), self.terms).reshape(-1)
         if self.plans is None:
-            self.plans = [_sector_plan(t, n) for t in self.terms]
+            upper = _upper_entries(n - 2)
+            self.plans = [_sector_plan(t, n, upper) for t in self.terms]
         delta = np.empty_like(state)
         for h, rho, out in zip(prep.weight_h, self.sec.views(state), self.sec.views(delta)):
             np.matmul(h, rho, out=out)                 # H rho, one weight block at a time
-        energy = float(delta[self.sec.diag].real.sum())
         delta *= -1.0 / len(self.terms)
         for read, plan in zip(self.reads, self.plans):
             _add_sector_update(state, delta, read, plan, self.scale)
-        return _hermitian_sum(state, delta, self.sec), energy
+        return _hermitian_sum(state, delta, self.sec)
 
 
 def _prepare(inst: Instance) -> _Prepared:
@@ -468,17 +476,19 @@ class EvolutionSeries:
 
 
 def _resymmetrize(state: np.ndarray, sec, t: int) -> np.ndarray:
-    """Hermitian part of the state over the square blocks of its layout `sec`, at unit
-    trace, written in place; raise NumericalDrift when either had drifted by more than
-    DRIFT_TOL."""
-    views, adjoint = sec.views(state), np.empty_like(state)
+    """Hermitian part of the flat state over the square blocks of its layout `sec`, at
+    unit trace, written in place; raise NumericalDrift when either had drifted by more
+    than DRIFT_TOL. The trace is read once, from the diagonal by numpy: the Hermitian
+    part has the same real diagonal."""
+    adjoint = np.empty_like(state)
     herm = densesim._adjoint_deviation(sec, state, adjoint)
-    tr_err = abs(sum(np.trace(v).real for v in views) - 1.0)
+    trace = state[sec.diag].real.sum()
+    tr_err = abs(trace - 1.0)
     if not (herm <= DRIFT_TOL and tr_err <= DRIFT_TOL):
         raise NumericalDrift(f"drift at step {t}: hermiticity {herm}, trace error {tr_err}")
     state += adjoint
     state *= 0.5                                # (v + v^dagger) / 2, block by block
-    state /= sum(np.trace(v).real for v in views)
+    state /= trace
     return state
 
 
@@ -494,12 +504,13 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
     drift beyond 1e-6 before a correction raises NumericalDrift. Snapshots
     are dense 2^n x 2^n matrices in the caller's frame, kept only at the
     requested step indices, each an integer in 0..steps (IndexOutOfRange
-    otherwise, as for a `steps` that is not an integer >= 0). tr[H rho_t]
-    comes from step t itself (the trace of its H rho on weight blocks, the
-    clause weights tr[P_a rho_t] on the whole space; the last one from H's
-    entries); tr[Pi0 rho_t] reads a basis of the ground space kept with the
-    instance, so no dense H or ground projector is built per call. Index
-    plans are built at the first step, not by `evolve(..., 0)`.
+    otherwise, as for a `steps` that is not an integer >= 0). Each row is read
+    from rho_t once, by `_Layout.observe`, at every t and on both layouts, and
+    a step returns only the next state: tr[H rho_t] from H's entries, and
+    tr[Pi0 rho_t] from a basis of the ground space kept with the instance, so
+    no dense H or ground projector is built per call; in the identity frame a
+    call started from another's last snapshot repeats its last row bit for bit.
+    Index plans are built at the first step, not by `evolve(..., 0)`.
     """
     densesim._check_count(steps, "steps", 0)
     wanted = set()
@@ -512,15 +523,13 @@ def evolve(rho0: np.ndarray, inst: Instance, steps: int, snapshot_schedule=()) -
     trH, trS, trS2, trPi0 = np.empty((4, steps + 1))
     snapshots: dict[int, np.ndarray] = {}
     for t in range(steps + 1):
-        trS[t], trS2[t], trPi0[t] = layout.observe(state)
+        if t:
+            state = layout.step(state)
+            if t % RESYMMETRIZE_EVERY == 0:
+                state = _resymmetrize(state, layout.sec, t)
+        trH[t], trS[t], trS2[t], trPi0[t] = layout.observe(state)
         if t in wanted:
             snapshots[t] = layout.snapshot(state)
-        if t == steps:
-            trH[t] = _energy(state, layout.entries)
-            break
-        state, trH[t] = layout.step(state)
-        if (t + 1) % RESYMMETRIZE_EVERY == 0:
-            state = _resymmetrize(state, layout.sec, t + 1)
     return EvolutionSeries(steps=steps, trH=trH, trS=trS, trS2=trS2, trPi0=trPi0, snapshots=snapshots)
 
 
@@ -548,7 +557,8 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
     read in the instance's planted frame, where S is diagonal: each sample
     state is rotated into it once, and each clause is classified there. The
     Z_rest term is tr[Z_rest c] for c = <phi|rho|phi>, with Z_rest the
-    diagonal sum of sigma_z over the other n-2 qubits. An empty
+    diagonal sum of sigma_z over the other n-2 qubits, and tr[P rho] is tr c
+    for every form. An empty
     `sample_states`, or a state whose dimension is not the instance's, raises
     DimensionMismatch before anything is built.
     """
@@ -566,9 +576,9 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
         form = classify_clause(clause)
         res_s, res_s2 = np.empty((2, len(states)))
         for k, rho in enumerate(states):
-            out, energy = _apply(rho, [terms])   # energy = tr[P rho]
+            out, c = _apply(rho, [terms]), _reduce(rho, terms)[1].reshape(len(rest_spin), -1)
+            energy = float(np.trace(c).real)     # tr[P rho]
             if form is ClauseForm.TYPE_II:
-                c = _reduce(rho, terms)[1].reshape(len(rest_spin), -1)
                 delta_s, delta_s2 = energy, -2.0 * energy + 2.0 * float(rest_spin @ np.diagonal(c).real)
             else:
                 delta_s, delta_s2 = 0.0, 2.0 * energy

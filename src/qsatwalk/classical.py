@@ -13,27 +13,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import densesim
 from .errors import DimensionMismatch, ParseError
 
 
 @dataclass(frozen=True, eq=False)
 class CnfInstance:
-    """n boolean variables and 2-literal clauses (variable index, negated flag)."""
+    """n boolean variables and 2-literal clauses (variable index, negated flag).
+
+    n and each variable index must be integers (numpy integers too, bools not,
+    `densesim._is_integer`): DimensionMismatch for n, ParseError naming the clause
+    for an index."""
 
     n: int
     clauses: tuple
 
     def __post_init__(self):
+        if not densesim._is_integer(self.n):
+            raise DimensionMismatch(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise DimensionMismatch(f"need n >= 1, got {self.n}")
-        clauses = tuple(tuple((int(v), bool(neg)) for v, neg in clause) for clause in self.clauses)
+        clauses = tuple(tuple(clause) for clause in self.clauses)
         for k, clause in enumerate(clauses):
             if len(clause) != 2:
                 raise ParseError(f"clause {k} has {len(clause)} literals, expected 2")
             for v, _ in clause:
+                if not densesim._is_integer(v):
+                    raise ParseError(f"clause {k} uses variable {v!r}, which is not an integer")
                 if not 0 <= v < self.n:
                     raise ParseError(f"clause {k} uses variable {v}, outside [0, {self.n})")
-        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "clauses", tuple(tuple((int(v), bool(neg)) for v, neg in c) for c in clauses))
 
     @property
     def L(self) -> int:

@@ -15,7 +15,6 @@ for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,12 +25,10 @@ from .instance import Instance, Clause
 ZERO_TOL = 1e-10
 
 
-@lru_cache(maxsize=None)
 def _spin_diagonal(n: int) -> np.ndarray:
-    """S's diagonal, n - 2 * hamming(x), kept per n and read-only."""
-    z = (n - 2 * densesim._hamming_weights(n)).astype(float)
-    z.flags.writeable = False
-    return z
+    """S's diagonal, n - 2 * hamming(x), a fresh array per call: nothing keeps it past
+    its users (a channel `_Layout` holds its own)."""
+    return (n - 2 * densesim._hamming_weights(n)).astype(float)
 
 
 def _frame_blocks(inst: Instance) -> tuple | None:
@@ -54,7 +51,7 @@ def instance_spin_operators(inst: Instance):
     z = _spin_diagonal(inst.n)
     blocks = _frame_blocks(inst)
     if blocks is None:
-        return z.copy(), z * z
+        return z, z * z
     v = densesim.product_unitary(blocks)
     vd = v.conj().T
     return (v * z) @ vd, (v * (z * z)) @ vd

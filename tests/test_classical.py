@@ -123,12 +123,20 @@ def test_parse_dimacs_errors():
         (lambda: CnfInstance(n=2, clauses=(((0, False),),)), ParseError, "^clause 0 has 1 literals, expected 2$"),
         (lambda: CnfInstance(n=2, clauses=(((0, False), (2, True)),)), ParseError,
          r"^clause 0 uses variable 2, outside \[0, 2\)$"),
+        (lambda: CnfInstance(n=2.0, clauses=()), DimensionMismatch, r"^n must be an integer, got 2\.0$"),
+        (lambda: CnfInstance(n=2.5, clauses=()), DimensionMismatch, r"^n must be an integer, got 2\.5$"),
+        (lambda: CnfInstance(n="3", clauses=()), DimensionMismatch, "^n must be an integer, got '3'$"),
+        (lambda: CnfInstance(n=True, clauses=()), DimensionMismatch, "^n must be an integer, got True$"),
+        (lambda: CnfInstance(n=2, clauses=(((0, False), (1.5, True)),)), ParseError,
+         r"^clause 0 uses variable 1\.5, which is not an integer$"),
+        (lambda: CnfInstance(n=2, clauses=(((0, False), (1, True)), ((True, False), (0, True)))), ParseError,
+         "^clause 1 uses variable True, which is not an integer$"),
         (lambda: parse_dimacs("p cnf 2 1\n1 x 0\n"), ParseError, r"^non-integer literal \(line 2\)$"),
         (lambda: parse_dimacs("c no problem line\n"), ParseError, r"^missing problem line \(field 'p cnf'\)$"),
         (lambda: parse_dimacs("p cnf 2 2\n1 2 0\n"), ParseError, "^problem line declares 2 clauses, found 1$"),
     ],
-    ids=["n-0", "one-literal", "variable-outside-n", "non-integer-literal", "no-problem-line",
-         "clause-count"],
+    ids=["n-0", "one-literal", "variable-outside-n", "n-float-integral", "n-float", "n-string", "n-bool",
+         "variable-float", "variable-bool", "non-integer-literal", "no-problem-line", "clause-count"],
 )
 def test_cnf_checks_name_what_they_reject(call, error, message):
     with pytest.raises(error, match=message):
@@ -137,3 +145,8 @@ def test_cnf_checks_name_what_they_reject(call, error, message):
 
 def test_assignment_string():
     assert assignment_string([True, False, True]) == "101"
+
+
+def test_cnf_instance_accepts_numpy_integers():
+    inst = CnfInstance(n=np.int64(2), clauses=(((np.int32(0), np.bool_(False)), (np.int64(1), True)),))
+    assert inst.clauses == (((0, False), (1, True)),) and type(inst.clauses[0][0][0]) is int

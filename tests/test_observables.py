@@ -185,8 +185,8 @@ def test_spin_operators_follow_planted_frame():
 
 
 def test_spin_operators_are_the_callers_to_write():
-    """S's diagonal is kept per n and read-only; the operators returned are fresh arrays
-    that the caller may write without changing the next call's."""
+    """The operators returned are fresh arrays that the caller may write without
+    changing the next call's."""
     for inst in (Instance(n=3, clauses=(make_clause(0, 1, (0, 0, 0, 1)),)),
                  generate_planted_restricted(3, 3, seed=23)):
         s, s2 = instance_spin_operators(inst)

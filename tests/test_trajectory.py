@@ -321,15 +321,15 @@ def test_walk_steps_a_list_at_n2_and_the_views_above(monkeypatch):
     assert calls.index(("_views_steps", np.ndarray)) == calls.count(("_pair_steps", list))
 
 
-def test_scalar_rescale_does_not_depend_on_the_builtin_sum(monkeypatch):
-    """A list state's norm is summed left to right, not by the builtin `sum`, which
-    Python 3.12 made compensated: with `trajectory.sum` replaced by `math.fsum`,
-    `_unit` and seeded walks at n = 2 (a list) and 3 (an array) give the same states. The
-    inputs are ones on which the two sums differ."""
+def test_pair_rescale_does_not_depend_on_the_builtin_sum(monkeypatch):
+    """The pair layout's list state has its norm summed left to right, not by the builtin
+    `sum`, which Python 3.12 made compensated: with `trajectory.sum` replaced by
+    `math.fsum`, `_unit` and seeded walks at n = 2 give the same states. Every state
+    `_unit` receives is a list, and the inputs are ones on which the two sums differ."""
     crafted = [1, *[1e-8] * 6, 1e-8j]       # squared norm: 1 + 6.7e-16 by fsum, 1.0 left to right
-    walks = [(random_instance(n, 60 + n), 8 * _BLOCK, seed) for n in (2, 3) for seed in range(4)]
+    walks = [(random_instance(2, 62), 8 * _BLOCK, seed) for seed in range(16)]
     seen, unit = [], trajectory._unit
-    monkeypatch.setattr(trajectory, "_unit", lambda psi: seen.append(list(psi)) or unit(psi))
+    monkeypatch.setattr(trajectory, "_unit", lambda psi: seen.append(psi.copy()) or unit(psi))
     want = unit(list(crafted)), [run_trajectory(*walk, keep_history=True) for walk in walks]
     monkeypatch.setattr(trajectory, "sum", math.fsum, raising=False)
     got = unit(list(crafted)), [run_trajectory(*walk, keep_history=True) for walk in walks]
@@ -337,6 +337,7 @@ def test_scalar_rescale_does_not_depend_on_the_builtin_sum(monkeypatch):
     assert got[0] == want[0]
     for rec, ref in zip(got[1], want[1]):
         assert np.array_equal(rec.outcomes, ref.outcomes) and np.array_equal(rec.final_state, ref.final_state)
+    assert all(type(psi) is list for psi in seen)
     squares = [[x.real * x.real + x.imag * x.imag for x in psi] for psi in [crafted, *seen]]
     assert builtins.sum(squares[0]) != math.fsum(squares[0])
     assert any(builtins.sum(sq) != math.fsum(sq) for sq in squares[1:])
