@@ -169,8 +169,8 @@ def _reduce(rho: np.ndarray, terms: _ClauseTerms):
     return a, c
 
 
-def _add_clause_update(rho: np.ndarray, delta: np.ndarray, terms: _ClauseTerms, weight: float) -> None:
-    """Add to `delta` an X with X + X^dagger = weight * (T_a(rho) - rho).
+def _add_clause_update(rho: np.ndarray, delta: np.ndarray, terms: _ClauseTerms, weight: float) -> np.ndarray:
+    """Add to `delta` an X with X + X^dagger = weight * (T_a(rho) - rho); returns c.
 
     P = |phi><phi| has rank 1, so with a and c from `_reduce`,
 
@@ -188,6 +188,7 @@ def _add_clause_update(rho: np.ndarray, delta: np.ndarray, terms: _ClauseTerms, 
     delta_blocks = delta.reshape(*pair, *pair)
     for x, y, x2, y2, val in terms.g:
         delta_blocks[:, x, :, y, :, :, x2, :, y2, :] += (0.5 * weight * val) * c
+    return c
 
 
 def _hermitian_sum(state: np.ndarray, delta: np.ndarray, sec) -> np.ndarray:
@@ -558,7 +559,8 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
     state is rotated into it once, and each clause is classified there. The
     Z_rest term is tr[Z_rest c] for c = <phi|rho|phi>, with Z_rest the
     diagonal sum of sigma_z over the other n-2 qubits, and tr[P rho] is tr c
-    for every form. An empty
+    for every form; c is the one the clause update reduces rho to, so each
+    clause and state is reduced once. An empty
     `sample_states`, or a state whose dimension is not the instance's, raises
     DimensionMismatch before anything is built.
     """
@@ -569,6 +571,7 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
         if len(rho) != 2**inst.n:
             raise DimensionMismatch(f"sample state {k} has dimension {len(rho)} but the instance's is {2**inst.n}")
     layout, rest_spin = _derived(inst, _Layout, True), observables._spin_diagonal(inst.n - 2)
+    whole = densesim._sectors(inst.n, whole=True)
     states = [layout.prep.to_planted(rho) for rho in states]
     expect = densesim.expectation
     report = []
@@ -576,7 +579,9 @@ def dual_residuals(inst: Instance, sample_states) -> list[ClauseResiduals]:
         form = classify_clause(clause)
         res_s, res_s2 = np.empty((2, len(states)))
         for k, rho in enumerate(states):
-            out, c = _apply(rho, [terms]), _reduce(rho, terms)[1].reshape(len(rest_spin), -1)
+            delta = np.zeros(rho.shape, dtype=complex)    # `_apply` on one clause, keeping its c
+            c = _add_clause_update(rho, delta, terms, 1.0).reshape(len(rest_spin), -1)
+            out = _hermitian_sum(rho, delta, whole)
             energy = float(np.trace(c).real)     # tr[P rho]
             if form is ClauseForm.TYPE_II:
                 delta_s, delta_s2 = energy, -2.0 * energy + 2.0 * float(rest_spin @ np.diagonal(c).real)

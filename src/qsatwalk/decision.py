@@ -18,7 +18,9 @@ full T-step run of the same seed and the verdict is the full run's, bit for
 bit; it reports the step it stopped at and the zero count over those steps.
 A YES walk runs all T steps, so its N0 is the full count and N0 - N_int its
 margin above the threshold (stopping it once N0_t >= N_int would be as
-exact, but would report N0 = N_int every time).
+exact, but would report N0 = N_int every time). Once no clause can move its
+state the walk is frozen, and counts its remaining steps as zeros without
+stepping them (the `trajectory` module docstring gives the rule).
 """
 
 from __future__ import annotations

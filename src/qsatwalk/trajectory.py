@@ -60,14 +60,38 @@ the Haar twirl acts on the 2x2 phi alone. Two engines run this walk.
   86 k against 532 k at n = 3 and 77 k against 134 k at n = 6, on random
   four-amplitude ones 48 k against 322 k and 47 k against 78 k. At the
   paper's budget for n = 6 (L = 12, c = 1: T = 127 008) that adds about
-  0.7 s to a YES decision on restricted clauses and 1.1 s to a full walk on
-  four-amplitude ones. Ensemble chunks of four or more trajectories at
+  0.7 s to a YES decision on restricted clauses that does not freeze
+  (below) and 1.1 s to a full walk on four-amplitude ones. Ensemble chunks of four or more trajectories at
   these sizes run in lockstep, which does not read `_walk`'s layout.
 
   A block's Haar unitaries (step 2d of the random stream below) are
   computed by one `_haar_stack` call at the block's first outcome 1, and
   not at all in a block without one; every block is still drawn in full.
   The list layout converts them once to flat 4-lists of Python complex.
+
+  A walk without operators freezes once no clause can move its state:
+  when every clause's overlap with psi is exactly 0 (`_frozen`, in clause
+  order up to the first that is not), each later step is an outcome 0
+  that leaves psi's values and norm2 as they are, so the walk appends its
+  remaining zeros without stepping them. The rule is exact, not a
+  tolerance: on a zero overlap, outcome 0 subtracts +-0 from phi's entries
+  and q = 0 from norm2, p = 0 is below no draw in [0, 1), and 1 - p = 1
+  passes `BRANCH_NORM_FLOOR`. So the frozen walk's outcomes and generator
+  position are the stepped walk's, and so is its final state, value for
+  value (a -0 entry that a stepped walk's -0 subtraction turns to +0 stays
+  -0). The views test each overlap entry, since q, the sum of their
+  squares, can underflow to 0 while an entry is not. `_frozen` runs at the
+  walk's start, a basis state, and after each block that had no outcome 1
+  and left the carried norm2 unchanged, which a block that moved psi by
+  more than rounding does not: the gate costs nothing per step. |0...0>
+  and |1...1> satisfy every restricted clause, so about half the decider's
+  n = 2 reference YES walks start frozen. Planted restricted walks at the
+  paper's budgets mostly freeze once their amplitudes off the satisfying
+  space underflow to exact zeros: at n = 6 (T = 127 008) six of eight
+  walks froze between steps 7 936 and 30 528 and took 0.13-0.72 s against
+  1.7-3.0 s stepped, on one core. 2-CNF clauses embedded as basis
+  projectors zero those amplitudes outright. Walks that track operators,
+  and `_lockstep`, step every step.
 
   The walks read an instance's clause kets (`_kets`), and `_lockstep` its
   tables (`_tables`), from the instance's memo (`instance._derived`), each
@@ -114,6 +138,9 @@ T steps draws, from that generator and in this order:
       positive, which `_haar_stack` computes in closed form, is the step's
       Haar unitary, used on outcome 1.
 
+   A frozen walk still draws each remaining block in full, though it
+   steps none of them.
+
 Draw positions therefore never depend on outcomes: the outcomes of a T-step
 run are a prefix of those of any longer run with the same seed, and an
 ensemble's results do not depend on `workers` or on how trajectories are
@@ -130,7 +157,8 @@ verdict is fixed, and reads its generator only through the block in which
 that step falls: the initial draw and ceil(steps / _BLOCK) blocks. Its
 outcomes are a prefix of the full T-step run's, so its verdict is the full
 run's; a DegenerateBranch that the full run would raise after that step is
-not raised. A YES decision walks all T steps.
+not raised. A YES decision walks all T steps and draws all ceil(T /
+_BLOCK) blocks, also once it is frozen.
 
 Operator standard errors come from exact pairwise moments: a `_lockstep`
 batch gives (count, mean, M2) of its values in two passes, a `_walk` gives
@@ -231,17 +259,10 @@ def _work(n: int) -> np.ndarray:
     return np.empty((2, 2 ** (n - 2)), dtype=complex)
 
 
-def _measure(psi: np.ndarray, norm2: float, ket, draw: float, work: np.ndarray):
-    """Measure one clause on psi, whose squared norm is norm2.
-
-    Returns the view `psi.reshape(pair)`, <phi|psi> on the other qubits,
-    its norm^2 q, and the outcome (1 when draw < p = q / norm2). The overlap
-    sums only phi's nonzero entries over the strided quarters `[:, b_lo, :,
-    b_hi, :]` of the view, into work[0] with each term in work[1] (`_work`),
-    so a step allocates nothing of the state's size. The drawn branch raises
-    DegenerateBranch when its probability is below `BRANCH_NORM_FLOOR`: p for
-    outcome 1, and 1 - p for outcome 0.
-    """
+def _overlap(psi: np.ndarray, ket, work: np.ndarray):
+    """The view `psi.reshape(pair)` and <phi|psi> on the other qubits, summed over
+    phi's nonzero entries' strided quarters `[:, b_lo, :, b_hi, :]` into work[0],
+    with each term in work[1] (`_work`)."""
     pair, _, _, terms = ket
     mat = psi.reshape(pair)
     overlap, term = work.reshape(2, *pair[0::2])
@@ -249,6 +270,19 @@ def _measure(psi: np.ndarray, norm2: float, ket, draw: float, work: np.ndarray):
     np.multiply(mat[:, x, :, y, :], amp.conjugate(), out=overlap)
     for x, y, amp in rest:
         overlap += np.multiply(mat[:, x, :, y, :], amp.conjugate(), out=term)
+    return mat, overlap
+
+
+def _measure(psi: np.ndarray, norm2: float, ket, draw: float, work: np.ndarray):
+    """Measure one clause on psi, whose squared norm is norm2.
+
+    Returns the view `psi.reshape(pair)`, <phi|psi> on the other qubits
+    (`_overlap`, into the `_work` buffers, so a step allocates nothing of
+    the state's size), its norm^2 q, and the outcome (1 when draw < p = q /
+    norm2). The drawn branch raises DegenerateBranch when its probability is
+    below `BRANCH_NORM_FLOOR`: p for outcome 1, and 1 - p for outcome 0.
+    """
+    mat, overlap = _overlap(psi, ket, work)
     q = np.vdot(overlap, overlap).real
     p = q / norm2
     if draw < p:
@@ -442,6 +476,25 @@ def _views_steps(psi: np.ndarray, norm2: float, kets, draws, ks, haar, bits: byt
     return psi, norm2, haar
 
 
+def _frozen(psi, kets, work) -> bool:
+    """Whether every clause's overlap with psi is exactly zero, in the arithmetic
+    of the layout's step, checked in clause order up to the first that is not:
+    the list's overlap summed left to right as `_pair_steps` sums it (work is
+    None), the views' by `_overlap`. A view's overlap is tested entry by entry,
+    since its q, the sum of their squares, can underflow to 0 while one is not.
+    From such a psi every step is an outcome 0 that leaves psi's values and
+    norm2 as they are (the module docstring gives the argument)."""
+    if work is None:
+        for idx, _, bras, _, _ in kets:
+            o = 0j
+            for m, b in zip(idx, bras):
+                o += b * psi[m]
+            if o:
+                return False
+        return True
+    return not any(_overlap(psi, ket, work)[1].any() for ket in kets)
+
+
 def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None, ones_limit=None):
     """T steps from a random basis state, with randomness drawn block by block.
 
@@ -458,31 +511,43 @@ def _walk(kets, n: int, T: int, rng: np.random.Generator, prepared=None, ones_li
     outcome 1, so the bits end there. A block is cut where that could first
     happen, as many steps ahead as ones are still missing, and runs on from
     there until it does; no block is drawn once it has.
+
+    Without operators the walk freezes once `_frozen` holds: it tests the
+    start state, and the state after each block that had no outcome 1 (so
+    computed no Haar unitaries) and left norm2 as it was. A frozen walk
+    still draws every remaining block, and appends its zeros without
+    stepping them.
     """
-    psi, norm2 = sample_initial_state(n, rng), 1.0
+    psi, norm2, work = sample_initial_state(n, rng), 1.0, None
     if n == 2:
         psi, steps = psi.tolist(), _pair_steps
     else:
-        steps = functools.partial(_views_steps, work=_work(n))
+        work = _work(n)
+        steps = functools.partial(_views_steps, work=work)
     bits = bytearray()
     values = np.empty((len(prepared), T + 1)) if prepared else None
     width = max(1, min(_BLOCK, _OBSERVED_ENTRIES >> n)) if prepared else _BLOCK
     states = np.empty((width, 2**n), dtype=complex) if prepared else None
     squares = _squares(prepared, width, 2**n)
     ones_left = T + 1 if ones_limit is None else ones_limit    # more than T: never reached
+    frozen = not prepared and _frozen(psi, kets, work)
     for start in range(0, T, _BLOCK):
         if ones_left <= 0:
             break
         clause, uniform, g = _draw_block(rng, len(kets))
         stop = min(start + _BLOCK, T)
+        if frozen:
+            bits += bytes(stop - start)
+            continue
         draws = (clause.tolist(), *uniform.tolist(), g[:, : stop - start])
         if not prepared:
-            k, haar = 0, None
+            k, haar, before = 0, None, norm2
             while k < stop - start and ones_left > 0:
                 cut = min(stop - start, k + ones_left)
                 psi, norm2, haar = steps(psi, norm2, kets, draws, range(k, cut), haar, bits)
                 ones_left -= bits.count(1, start + k)
                 k = cut
+            frozen = haar is None and norm2 == before and _frozen(psi, kets, work)
             continue
         haar = None
         for sub in range(start, stop, width):

@@ -458,6 +458,22 @@ def test_dual_residuals_type_ii_exact_values():
     assert report[0].max_residual <= 1e-12
 
 
+def test_dual_residuals_reduces_each_clause_and_state_once(monkeypatch):
+    """`dual_residuals` reads tr[P rho] from the c of the clause update itself: one
+    `_reduce` per clause and sample state, in the identity and a rotated frame."""
+    calls = []
+    reduce = channel._reduce
+    monkeypatch.setattr(channel, "_reduce", lambda *a: calls.append(1) or reduce(*a))
+    rng = np.random.default_rng(43)
+    inst = generate_planted_extended(4, 6, 0.5, seed=44)
+    for frame in (inst, conjugate_instance(inst, random_product_basis(4, 45))):
+        states = [densesim.random_density_matrix(4, rng) for _ in range(3)]
+        calls.clear()
+        report = dual_residuals(frame, states)
+        assert len(calls) == 6 * 3
+        assert max(item.max_residual for item in report) <= 1e-9
+
+
 def test_dual_residuals_mixed_instances_within_tolerance():
     for item in dual_sample(instances=10, states_per=3, seed=14):
         assert item.form in (ClauseForm.RESTRICTED_TYPE_I, ClauseForm.TYPE_II)

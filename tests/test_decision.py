@@ -13,6 +13,7 @@ from qsatwalk.decision import (
     expected_zero_count,
     verdict_to_json,
 )
+from qsatwalk import trajectory
 from qsatwalk.errors import IndexOutOfRange, InvalidPromise, InvalidTarget
 from qsatwalk.instance import (
     Instance,
@@ -265,22 +266,35 @@ def test_decide_stops_where_its_verdict_is_fixed(case):
         assert decisions == {"YES", "NO"}
 
 
-@pytest.mark.parametrize("kind, seed", [("no", 0), ("no", 1), ("no", 44), ("yes", 0)],
-                         ids=["seed-0", "seed-1", "block-edge-44", "yes-seed-0"])
-def test_decide_reads_the_generator_through_the_settling_block(kind, seed):
+@pytest.mark.parametrize("kind, seed", [("no", 0), ("no", 1), ("no", 44), ("yes", 0), ("yes-n4", 0)],
+                         ids=["seed-0", "seed-1", "block-edge-44", "yes-frozen-start", "yes-frozen-mid-walk"])
+def test_decide_reads_the_generator_through_the_settling_block(kind, seed, monkeypatch):
     """A Generator is left where the initial draw and ceil(steps / 64) blocks
     leave it: no block is drawn once a NO verdict is fixed, also when it is
     fixed on a block's last step (seed 44 stops at step 896 = 14 blocks), and
-    a YES walk draws the full run's ceil(T / 64) blocks."""
-    inst = (generate_no_instance(2, "complete_pair") if kind == "no"
-            else generate_planted_restricted(2, 4, seed=602))
-    params = decision_params(1.0, 4, 2)
+    a YES walk draws the full run's ceil(T / 64) blocks, also once it is
+    frozen: from its start |11> (the reference YES instance, seed 0), or after
+    some blocks (n = 4, L = 8, c = 1)."""
+    stepped = []
+    for name in ("_pair_steps", "_views_steps"):
+        monkeypatch.setattr(trajectory, name, lambda *a, f=getattr(trajectory, name), **k:
+                            stepped.append(a[4][0] == 0) or f(*a, **k))
+    inst, params = {
+        "no": (generate_no_instance(2, "complete_pair"), decision_params(1.0, 4, 2)),
+        "yes": (generate_planted_restricted(2, 4, seed=602), decision_params(1.0, 4, 2)),
+        "yes-n4": (generate_planted_restricted(4, 8, seed=5), decision_params(1.0, 8, 4)),
+    }[kind]
     rng = np.random.default_rng(seed)
     v = decide(inst, params, rng)
+    blocks = sum(stepped)
     assert v.steps == decide(inst, params, seed).steps
-    assert v.decision == kind.upper()
+    assert v.decision == ("NO" if kind == "no" else "YES")
     if seed == 44:
         assert v.steps % _BLOCK == 0
+    if kind == "yes":
+        assert blocks == 0
+    if kind == "yes-n4":
+        assert 0 < blocks < math.ceil(params.T / _BLOCK)
     fresh = np.random.default_rng(seed)
     fresh.integers(2**inst.n)
     for _ in range(math.ceil(v.steps / _BLOCK)):

@@ -18,6 +18,7 @@ from qsatwalk.instance import (
     _derived,
     conjugate_instance,
     generate_no_instance,
+    generate_planted_extended,
     generate_planted_restricted,
     make_clause,
 )
@@ -424,6 +425,124 @@ def test_walk_runs_a_blocks_haar_qr_only_on_an_outcome_1(n, monkeypatch):
     ones = [rec.outcomes[b : b + _BLOCK].any() for b in range(0, T, _BLOCK)]
     assert len(calls) == sum(ones) > 0
     assert np.array_equal(rec.outcomes, reference.outcomes)
+
+
+def _equality_chain(n):
+    """An embedded 2-CNF equality chain: |01> and |10> on each pair (i, i + 1), which
+    |0...0> and |1...1> alone satisfy."""
+    return Instance(n=n, clauses=tuple(make_clause(i, i + 1, np.eye(4)[k]) for i in range(n - 1) for k in (1, 2)))
+
+
+def _freeze_kinds(n):
+    return {
+        "restricted": generate_planted_restricted(n, 2 * n, seed=80 + n),
+        "extended": generate_planted_extended(n, 2 * n, 0.5, seed=90 + n),
+        "four": random_instance(n, 100 + n),
+        "complete-pair": generate_no_instance(n, "complete_pair"),
+        "chain": _equality_chain(n),
+    }
+
+
+def _counted_walk(monkeypatch, kets, n, T, seed, **kw):
+    """`_walk` from seed's generator, with the blocks its steps function ran and each
+    `_frozen` result: (bits, psi, generator state, blocks stepped, frozen results)."""
+    stepped, checks = [], []
+    for name in ("_pair_steps", "_views_steps"):
+        monkeypatch.setattr(trajectory, name, lambda *a, f=getattr(trajectory, name), **k:
+                            stepped.append(a[4][0]) or f(*a, **k))
+    frozen = trajectory._frozen
+    monkeypatch.setattr(trajectory, "_frozen", lambda *a: checks.append(frozen(*a)) or checks[-1])
+    rng = np.random.default_rng(seed)
+    bits, psi, _ = _walk(kets, n, T, rng, **kw)
+    monkeypatch.undo()
+    return bits, psi, rng.bit_generator.state, sum(k == 0 for k in stepped), checks
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_frozen_walks_equal_stepped_walks(n, monkeypatch):
+    """A walk that freezes once every clause's overlap is exactly 0 gives the outcomes,
+    final state and generator position of the same walk stepped to its end (`_frozen`
+    patched to False), with and without a ones_limit, on restricted, extended,
+    four-amplitude, complete-pair and equality-chain clauses over five blocks. The
+    seeds include a |0...0> start, which freezes at once on all but the complete-pair
+    and four-amplitude clauses; the chains also freeze after a block."""
+    T, starts, later = 5 * _BLOCK - 7, 0, 0
+    zero_start = next(s for s in range(100) if np.random.default_rng(s).integers(2**n) == 0)
+    for kind, inst in _freeze_kinds(n).items():
+        kets = _derived(inst, trajectory._kets)
+        for seed in (*range(6), zero_start):
+            for limit in (None, 3):
+                bits, psi, state, _, checks = _counted_walk(monkeypatch, kets, n, T, seed, ones_limit=limit)
+                monkeypatch.setattr(trajectory, "_frozen", lambda *a: False)
+                rng = np.random.default_rng(seed)
+                want_bits, want_psi, _ = _walk(kets, n, T, rng, ones_limit=limit)
+                monkeypatch.undo()
+                assert np.array_equal(bits, want_bits) and np.array_equal(psi, want_psi), (kind, seed, limit)
+                assert state == rng.bit_generator.state, (kind, seed, limit)
+                starts += checks[:1] == [True]
+                later += checks[-1] and len(checks) > 1
+    assert starts > 0 and later > 0
+
+
+def test_frozen_walks_stop_stepping(monkeypatch):
+    """A |0...0> start on planted restricted clauses steps no block; a YES walk at the
+    decider's budget (n = 4, L = 8, c = 1) freezes after some blocks, with the stepped
+    walk's results; a complete-pair walk, on a NO instance, steps every block."""
+    from qsatwalk.decision import decision_params
+
+    inst = generate_planted_restricted(3, 6, seed=5)
+    seed = next(s for s in range(100) if np.random.default_rng(s).integers(2**3) == 0)
+    bits, _, _, blocks, checks = _counted_walk(monkeypatch, _derived(inst, trajectory._kets), 3, 4 * _BLOCK, seed)
+    assert blocks == 0 and checks == [True] and not bits.any()
+
+    inst, T = generate_planted_restricted(4, 8, seed=5), decision_params(1.0, 8, 4).T
+    kets = _derived(inst, trajectory._kets)
+    bits, psi, state, blocks, checks = _counted_walk(monkeypatch, kets, 4, T, 0)
+    assert 0 < blocks < math.ceil(T / _BLOCK) and checks[-1] and len(bits) == T
+    monkeypatch.setattr(trajectory, "_frozen", lambda *a: False)
+    rng = np.random.default_rng(0)
+    want_bits, want_psi, _ = _walk(kets, 4, T, rng)
+    assert np.array_equal(bits, want_bits) and np.array_equal(psi, want_psi)
+    assert state == rng.bit_generator.state
+    monkeypatch.undo()
+
+    for n in (2, 5):
+        kets = _derived(generate_no_instance(n, "complete_pair"), trajectory._kets)
+        _, _, _, blocks, checks = _counted_walk(monkeypatch, kets, n, 20 * _BLOCK, 1)
+        assert blocks == 20 and not any(checks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_frozen_reads_overlaps_not_their_squares(n):
+    """`_frozen` holds only where every overlap entry is exactly 0, in either layout:
+    |0...0> on planted restricted clauses is frozen, and the same state with 1e-170
+    on |0...01>, whose overlaps' squares underflow to 0, is not."""
+    inst = generate_planted_restricted(n, 2 * n, seed=3)
+    assert any(n - 1 in (c.i, c.j) for c in inst.clauses)
+    kets, work = _derived(inst, trajectory._kets), None if n == 2 else trajectory._work(n)
+    psi = densesim.basis_state(n, 0)
+    tiny = psi.copy()
+    tiny[1] = 1e-170
+    if n == 2:
+        psi, tiny = psi.tolist(), tiny.tolist()
+    assert trajectory._frozen(psi, kets, work)
+    assert not trajectory._frozen(tiny, kets, work)
+
+
+def test_walks_that_track_operators_never_freeze(monkeypatch):
+    """With operators to track, `_walk` steps every step of a walk whose start
+    satisfies every clause, and never calls `_frozen`."""
+    inst = generate_planted_restricted(3, 6, seed=5)
+    seed = next(s for s in range(100) if np.random.default_rng(s).integers(2**3) == 0)
+    s, s2 = instance_spin_operators(inst)
+    calls = []
+    monkeypatch.setattr(trajectory, "_frozen", lambda *a: calls.append("_frozen"))
+    steps = trajectory._views_steps
+    monkeypatch.setattr(trajectory, "_views_steps", lambda *a, **k: calls.append("step") or steps(*a, **k))
+    bits, _, values = _walk(_derived(inst, trajectory._kets), 3, 2 * _BLOCK + 5, np.random.default_rng(seed),
+                            trajectory._prepare_ops([("S", s), ("S2", s2)]))
+    assert calls == ["step"] * (2 * _BLOCK + 5) and not bits.any()
+    assert np.all(values == values[:, :1])
 
 
 def test_walks_build_what_they_read_once_per_instance(monkeypatch):
